@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import re
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -82,9 +83,8 @@ def _build_predictor(spec: str) -> Predictor:
     )
 
 
-def _analyze_pair(pair: dict, cfg: EngineConfig, predictor_spec: str) -> dict:
+def _analyze_pair(pair: dict, cfg: EngineConfig, predictor: Predictor) -> dict:
     """Analyze one loaded pair and return a JSON-ready result object."""
-    predictor = _build_predictor(predictor_spec)
     verdict = analyze_sources(
         pair["old"],
         pair["new"],
@@ -116,12 +116,14 @@ def _analyze_pair(pair: dict, cfg: EngineConfig, predictor_spec: str) -> dict:
     return result
 
 
-def _worker(job: tuple[dict, EngineConfig, str]) -> dict:
-    pair, cfg, predictor_spec = job
+def _worker(job: tuple[dict, EngineConfig, Predictor]) -> dict:
+    pair, cfg, predictor = job
     try:
-        return _analyze_pair(pair, cfg, predictor_spec)
+        return _analyze_pair(pair, cfg, predictor)
     except (SyntaxError, ValueError) as exc:
         return {"id": pair["id"], "_error": str(exc)}
+    except Exception:  # a fault in one pair must not abort the batch
+        return {"id": pair["id"], "_error": traceback.format_exc().rstrip()}
 
 
 def _format_text(result: dict) -> str:
@@ -173,7 +175,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         cfg.validate()
-        _build_predictor(args.predictor)  # fail fast on a bad spec or table
+        predictor = _build_predictor(args.predictor)
         paths = _pair_paths(Path(args.path))
     except (ConfigError, FormatError, PairFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -189,7 +191,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             pairs.append(None)
             failed = True
 
-    jobs = [(p, cfg, args.predictor) for p in pairs if p is not None]
+    jobs = [(p, cfg, predictor) for p in pairs if p is not None]
     if args.jobs > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             finished = list(pool.map(_worker, jobs))

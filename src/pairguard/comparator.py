@@ -102,10 +102,6 @@ def compare(old: ExecutionOutcome, new: ExecutionOutcome) -> IterationResult:
         return _difference(
             "output", repr(old.stdout), repr(new.stdout), extra=("stream", "stdout")
         )
-    if old.stderr != new.stderr:
-        return _difference(
-            "output", repr(old.stderr), repr(new.stderr), extra=("stream", "stderr")
-        )
 
     for i in range(max(len(old.call_log), len(new.call_log))):
         o = old.call_log[i] if i < len(old.call_log) else None

@@ -16,7 +16,6 @@ from .engine import (
     ComparisonProgram,
     ConsistencyMap,
     derive_seed,
-    merge_pair,
     run_one,
     snapshot_injected,
 )
@@ -127,8 +126,7 @@ def analyze(
     cfg = cfg if cfg is not None else EngineConfig()
     cfg.validate()
     predictor = predictor if predictor is not None else HeuristicPredictor()
-    program: ComparisonProgram = merge_pair(pair)
-    facts = extract_static_facts(pair)
+    program = ComparisonProgram(pair, extract_static_facts(pair), cfg, predictor)
 
     started = time.perf_counter()
     cum_old: set[int] = set()
@@ -142,10 +140,10 @@ def analyze(
 
     for i in range(cfg.max_iterations):
         iterations_run = i + 1
-        cmap = ConsistencyMap(pair.renames)
+        cmap = ConsistencyMap()
         iteration_seed = derive_seed(cfg.seed, "iteration", i)
-        out_old = run_one("old", program, cmap, facts, cfg, predictor, iteration_seed)
-        out_new = run_one("new", program, cmap, facts, cfg, predictor, iteration_seed)
+        out_old = run_one("old", program, cmap, iteration_seed)
+        out_new = run_one("new", program, cmap, iteration_seed)
         out_old.injected_state = snapshot_injected(cmap, "old")
         out_new.injected_state = snapshot_injected(cmap, "new")
 

@@ -16,7 +16,7 @@ import hashlib
 import io
 import operator as _op
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .frontend import (
@@ -24,7 +24,7 @@ from .frontend import (
     FunctionPair,
     Renamer,
     StaticFacts,
-    function_is_generator,
+    is_generator,
     isinstance_class_names,
 )
 from .predictor import InjectionQuery, Predictor
@@ -125,23 +125,16 @@ class _Continue(Exception):
     pass
 
 
-@dataclass
-class ConsistencyEntry:
-    v_old: Any
-    v_new: Any
-
-
 class ConsistencyMap:
     """Injected values shared by the two executions of one iteration.
 
     Keyed by merged access path; the first execution to touch a path creates
-    the entry, storing the sampled value and a deep copy, so both sides see
-    equal but non-interfering inputs.
+    the entry, a ``(v_old, v_new)`` pair of the sampled value and a deep
+    copy, so both sides see equal but non-interfering inputs.
     """
 
-    def __init__(self, renames: Optional[dict[str, str]] = None):
-        self.entries: dict[str, ConsistencyEntry] = {}
-        self.renames = dict(renames) if renames else {}
+    def __init__(self):
+        self.entries: dict[str, tuple[Any, Any]] = {}
 
     def lookup_or_create(self, path: str, side: str, creator: Callable[[], Any]) -> Any:
         entry = self.entries.get(path)
@@ -150,17 +143,15 @@ class ConsistencyMap:
             v_new = deep_copy(v_old)
             if serialize(v_old) != serialize(v_new):
                 raise RuntimeError(f"consistency violation at {path!r}")
-            entry = ConsistencyEntry(v_old, v_new)
+            entry = (v_old, v_new)
             self.entries[path] = entry
-        return entry.v_old if side == "old" else entry.v_new
+        return entry[0] if side == "old" else entry[1]
 
 
 def snapshot_injected(cmap: ConsistencyMap, side: str) -> dict[str, str]:
     """Serialized final value of every injected path, for one side."""
-    out = {}
-    for path, entry in cmap.entries.items():
-        out[path] = serialize(entry.v_old if side == "old" else entry.v_new)
-    return out
+    index = 0 if side == "old" else 1
+    return {path: serialize(entry[index]) for path, entry in cmap.entries.items()}
 
 
 @dataclass(frozen=True)
@@ -191,31 +182,48 @@ class ExecutionOutcome:
     return_value: Optional[str]
     injected_state: dict[str, str]
     stdout: str
-    stderr: str
     call_log: list[CallLogEntry]
     exception: Optional[ExceptionInfo]
     covered_lines: frozenset[int]
     covered_changed_lines: frozenset[int]
 
 
-class MergeError(Exception):
-    pass
-
-
-@dataclass
 class ComparisonProgram:
-    """Both versions merged under internal names, ready for paired runs."""
+    """Everything derived from one pair that its paired runs share.
 
-    pair: FunctionPair
-    internal_old: str = "f_old"
-    internal_new: str = "f_new"
-    plan: tuple[str, str] = ("old", "new")
+    Built once per analysis; every execution of either side reads the same
+    static facts, concretizer pools and per-side renamers, and the context
+    string of a statement is unparsed the first time any run needs it.
+    """
 
+    def __init__(
+        self, pair: FunctionPair, facts: StaticFacts, cfg: Any, predictor: Predictor
+    ):
+        self.pair = pair
+        self.facts = facts
+        self.cfg = cfg
+        self.predictor = predictor
+        self.ccfg = ConcretizerConfig.with_literals(
+            int_literals=facts.literals_int,
+            float_literals=facts.literals_float,
+            str_literals=facts.literals_str,
+            classes=facts.isinstance_classes,
+            max_structure_size=cfg.max_structure_size,
+            object_bias=cfg.object_bias,
+        )
+        self.renamers = {side: Renamer(pair.renames, side) for side in ("old", "new")}
+        self._contexts: dict[ast.AST, str] = {}
 
-def merge_pair(pair: FunctionPair) -> ComparisonProgram:
-    if pair.old is None or pair.new is None:
-        raise MergeError("both function versions are required")
-    return ComparisonProgram(pair=pair)
+    def context(self, node: ast.AST) -> str:
+        """Source text of a node, capped, as handed to the predictor."""
+        text = self._contexts.get(node)
+        if text is None:
+            try:
+                text = ast.unparse(node)[:_CONTEXT_CAP]
+            except Exception:
+                text = ""
+            self._contexts[node] = text
+        return text
 
 
 class _Env:
@@ -286,28 +294,15 @@ class Interpreter:
         side: str,
         program: ComparisonProgram,
         cmap: ConsistencyMap,
-        facts: StaticFacts,
-        cfg: Any,
-        predictor: Predictor,
         iteration_seed: int,
     ):
         self.side = side
         self.program = program
         self.pair = program.pair
+        self.cfg = program.cfg
+        self.renamer = program.renamers[side]
         self.cmap = cmap
-        self.facts = facts
-        self.cfg = cfg
-        self.predictor = predictor
         self.iteration_seed = iteration_seed
-        self.renamer = Renamer(self.pair.renames, side)
-        self.ccfg = ConcretizerConfig.with_literals(
-            int_literals=facts.literals_int,
-            float_literals=facts.literals_float,
-            str_literals=facts.literals_str,
-            classes=facts.isinstance_classes,
-            max_structure_size=cfg.max_structure_size,
-            object_bias=cfg.object_bias,
-        )
         self.stdout = io.StringIO()
         self.call_log: list[CallLogEntry] = []
         self.covered: set[int] = set()
@@ -317,7 +312,6 @@ class Interpreter:
         self.active_exceptions: list[ExceptionValue] = []
         self.sinks: list[list] = []
         self.context = ""
-        self._context_cache: dict[int, str] = {}
 
     # plumbing
 
@@ -353,16 +347,7 @@ class Interpreter:
         return path[: _PATH_CAP - 3] + "..."
 
     def _set_context(self, node: ast.AST) -> None:
-        cached = self._context_cache.get(id(node))
-        if cached is None:
-            try:
-                cached = ast.unparse(node)
-            except Exception:
-                cached = ""
-            if len(cached) > _CONTEXT_CAP:
-                cached = cached[:_CONTEXT_CAP]
-            self._context_cache[id(node)] = cached
-        self.context = cached
+        self.context = self.program.context(node)
 
     def _inject(self, kind: str, raw_name: str, path: str) -> Any:
         path = self._cap_path(path)
@@ -370,9 +355,9 @@ class Interpreter:
 
         def creator():
             rng = self._stream("value", path)
-            dist = self.predictor.predict(InjectionQuery(kind, raw_name, context))
+            dist = self.program.predictor.predict(InjectionQuery(kind, raw_name, context))
             abstract = dist.sample(rng)
-            return concretize(abstract, self.ccfg, rng)
+            return concretize(abstract, self.program.ccfg, rng)
 
         return self.cmap.lookup_or_create(path, self.side, creator)
 
@@ -414,7 +399,6 @@ class Interpreter:
             return_value=None if exception is not None else return_s,
             injected_state={},
             stdout=self.stdout.getvalue(),
-            stderr="",
             call_log=list(self.call_log),
             exception=exception,
             covered_lines=covered,
@@ -518,7 +502,7 @@ class Interpreter:
             [a.arg for a in node.args.args],
             node.body,
             env,
-            is_generator=function_is_generator(node),
+            is_generator=is_generator(node),
         )
         env.assign(node.name, fv)
 
@@ -570,7 +554,7 @@ class Interpreter:
 
     def _exec_If(self, node: ast.If, env: _Env) -> None:
         self._set_context(node.test)
-        if self._truthy(self._eval(node.test, env)):
+        if self._eval(node.test, env):
             self._exec_block(node.body, env)
         else:
             self._exec_block(node.orelse, env)
@@ -579,7 +563,7 @@ class Interpreter:
         while True:
             self._set_context(node.test)
             self._step(node)
-            if not self._truthy(self._eval(node.test, env)):
+            if not self._eval(node.test, env):
                 break
             try:
                 self._exec_block(node.body, env)
@@ -636,7 +620,7 @@ class Interpreter:
 
     def _exec_Assert(self, node: ast.Assert, env: _Env) -> None:
         self._set_context(node)
-        if not self._truthy(self._eval(node.test, env)):
+        if not self._eval(node.test, env):
             args = [self._eval(node.msg, env)] if node.msg is not None else []
             raise SubjectError(ExceptionValue("AssertionError", args, intentional=True))
 
@@ -849,7 +833,7 @@ class Interpreter:
         is_or = isinstance(node.op, ast.Or)
         for sub in node.values[:-1]:
             value = self._eval(sub, env)
-            truthy = self._truthy(value)
+            truthy = bool(value)
             if (is_or and truthy) or (not is_or and not truthy):
                 return value
         return self._eval(node.values[-1], env)
@@ -870,7 +854,7 @@ class Interpreter:
     def _eval_UnaryOp(self, node: ast.UnaryOp, env: _Env) -> Any:
         value = self._eval(node.operand, env)
         if isinstance(node.op, ast.Not):
-            return not self._truthy(value)
+            return not value
         return self._host(_op.neg, value)
 
     def _eval_Compare(self, node: ast.Compare, env: _Env) -> bool:
@@ -896,7 +880,7 @@ class Interpreter:
         return bool(self._host(_CMP_FUNCS[type(op)], left, right))
 
     def _eval_IfExp(self, node: ast.IfExp, env: _Env) -> Any:
-        if self._truthy(self._eval(node.test, env)):
+        if self._eval(node.test, env):
             return self._eval(node.body, env)
         return self._eval(node.orelse, env)
 
@@ -941,7 +925,7 @@ class Interpreter:
         for item in self._iter_value(self._eval(gen.iter, env)):
             self._step(gen.iter)
             self._bind_target(gen.target, item, env)
-            if all(self._truthy(self._eval(cond, env)) for cond in gen.ifs):
+            if all(self._eval(cond, env) for cond in gen.ifs):
                 self._run_comprehension(gens, idx + 1, env, elt, out)
 
     def _eval_Yield(self, node: ast.Yield, env: _Env) -> Any:
@@ -1045,7 +1029,7 @@ class Interpreter:
             occurrence=occurrence,
         )
         self.call_log.append(entry)
-        exc_types = self.facts.call_exception_map.get(path)
+        exc_types = self.program.facts.call_exception_map.get(path)
         if exc_types:
             rng = self._stream("exc", path, occurrence)
             if rng.random() < self.cfg.exception_probability:
@@ -1171,7 +1155,7 @@ class Interpreter:
             return False
         if len(args) != 1:
             self._fault("TypeError", "bool() takes at most one argument")
-        return self._truthy(args[0])
+        return bool(args[0])
 
     def _builtin_abs(self, args: list, kwargs: dict) -> Any:
         if len(args) != 1:
@@ -1197,18 +1181,18 @@ class Interpreter:
     def _builtin_any(self, args: list, kwargs: dict) -> bool:
         if len(args) != 1:
             self._fault("TypeError", "any() takes exactly one argument")
-        return any(self._truthy(v) for v in self._iter_value(args[0]))
+        return any(self._iter_value(args[0]))
 
     def _builtin_all(self, args: list, kwargs: dict) -> bool:
         if len(args) != 1:
             self._fault("TypeError", "all() takes exactly one argument")
-        return all(self._truthy(v) for v in self._iter_value(args[0]))
+        return all(self._iter_value(args[0]))
 
     def _builtin_sorted(self, args: list, kwargs: dict) -> list:
         if len(args) != 1:
             self._fault("TypeError", "sorted() takes exactly one positional argument")
         items = self._iter_value(args[0])
-        reverse = self._truthy(kwargs.get("reverse", False))
+        reverse = bool(kwargs.get("reverse", False))
         return self._host(sorted, items, reverse=reverse)
 
     def _builtin_enumerate(self, args: list, kwargs: dict) -> list:
@@ -1263,9 +1247,6 @@ class Interpreter:
 
     # helpers
 
-    def _truthy(self, value: Any) -> bool:
-        return bool(value)
-
     def _subject_str(self, value: Any) -> str:
         if isinstance(value, str):
             return value
@@ -1284,14 +1265,7 @@ class Interpreter:
 
 
 def run_one(
-    side: str,
-    program: ComparisonProgram,
-    cmap: ConsistencyMap,
-    facts: StaticFacts,
-    cfg: Any,
-    predictor: Predictor,
-    iteration_seed: int,
+    side: str, program: ComparisonProgram, cmap: ConsistencyMap, iteration_seed: int
 ) -> ExecutionOutcome:
     """Execute one side of the pair for one iteration."""
-    interpreter = Interpreter(side, program, cmap, facts, cfg, predictor, iteration_seed)
-    return interpreter.run()
+    return Interpreter(side, program, cmap, iteration_seed).run()

@@ -406,7 +406,7 @@ class _SubsetValidator:
             self.expr(e)
 
 
-def _is_generator(node: ast.FunctionDef) -> bool:
+def is_generator(node: ast.FunctionDef) -> bool:
     """Whether the function's own body (not nested functions) yields."""
     todo = list(node.body)
     while todo:
@@ -417,10 +417,6 @@ def _is_generator(node: ast.FunctionDef) -> bool:
             return True
         todo.extend(ast.iter_child_nodes(n))
     return False
-
-
-def function_is_generator(node: ast.FunctionDef) -> bool:
-    return _is_generator(node)
 
 
 def code_line_numbers(source: str) -> frozenset[int]:
@@ -437,12 +433,20 @@ def parse_function(source: str) -> SourceFunction:
     """Parse a single function definition written in the subject language.
 
     Raises SyntaxError (with line and column) for malformed input and for any
-    construct outside the supported grammar.
+    construct outside the supported grammar, including expressions nested too
+    deeply to parse or validate.
     """
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        raise
+        return _parse_function(source)
+    except RecursionError:
+        first_line = source.partition("\n")[0]
+        raise SyntaxError(
+            "expression nested too deeply", ("<pair>", 1, 1, first_line)
+        ) from None
+
+
+def _parse_function(source: str) -> SourceFunction:
+    tree = ast.parse(source)
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     if isinstance(tree.body[0] if tree.body else None, ast.AsyncFunctionDef):
         _reject(tree.body[0], "asynchronous functions are not supported", source)
@@ -458,7 +462,7 @@ def parse_function(source: str) -> SourceFunction:
         source_text=source,
         line_count=len(source.splitlines()) or 1,
         node=node,
-        is_generator=_is_generator(node),
+        is_generator=is_generator(node),
         code_lines=code_line_numbers(source),
     )
 

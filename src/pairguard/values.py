@@ -224,9 +224,6 @@ class VersatileCallable(VersatileObject):
         super().__init__(seed, assigned_type)
         self.call_count = 0
 
-    def __hash__(self):
-        return hash(("versatile", self.seed))
-
 
 _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": operator.add,
@@ -463,11 +460,9 @@ def deep_copy(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-def sorted_iter(value: Any) -> list:
-    """Iterate a set in canonical (serialized) order; other iterables as-is."""
-    if isinstance(value, (set, frozenset)):
-        return sorted(value, key=serialize)
-    return list(value)
+def sorted_iter(value: set | frozenset) -> list:
+    """A set's items in canonical (serialized) order."""
+    return sorted(value, key=serialize)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 import _corpus
 from pairguard import EngineConfig
 from pairguard.cli import main as cli_main
-from pairguard.engine import ConsistencyMap, derive_seed, merge_pair, run_one
+from pairguard.engine import ComparisonProgram, ConsistencyMap, derive_seed, run_one
 from pairguard.frontend import extract_static_facts, make_pair
 from pairguard.values import (
     HARD_INT_POOL,
@@ -329,15 +329,15 @@ def test_9_efficiency():
             pair = make_pair(
                 data["old"], data["new"], renames=data.get("renames") or {}
             )
-            program = merge_pair(pair)
-            facts = extract_static_facts(pair)
             cfg = EngineConfig(seed=0)
-            predictor = _corpus.predictor_for(pair_id)
-            cmap = ConsistencyMap(pair.renames)
+            program = ComparisonProgram(
+                pair, extract_static_facts(pair), cfg, _corpus.predictor_for(pair_id)
+            )
+            cmap = ConsistencyMap()
             seed = derive_seed(cfg.seed, "iteration", 0)
             started = time.monotonic()
-            run_one("old", program, cmap, facts, cfg, predictor, seed)
-            run_one("new", program, cmap, facts, cfg, predictor, seed)
+            run_one("old", program, cmap, seed)
+            run_one("new", program, cmap, seed)
             elapsed = time.monotonic() - started
             slowest_iteration = max(slowest_iteration, elapsed)
             assert elapsed <= 0.050, f"{pair_id}: one iteration took {elapsed * 1000:.1f} ms"

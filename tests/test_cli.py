@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from pairguard import cli
 from pairguard.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -177,6 +178,52 @@ class TestBatch:
         assert "bad" in err
         assert [json.loads(l)["id"] for l in out.strip().splitlines()] == ["ok"]
 
+    def test_deeply_nested_pair_reported_and_rest_processed(self, tmp_path, capsys):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        write_pair(d, name="ok")
+        deep = "def f():\n    return " + "+".join(["1"] * 600) + "\n"
+        write_pair(d, name="deep", old=deep, new="def f():\n    return 1\n")
+        code, out, err = run_cli(capsys, "analyze", str(d), "--format", "json")
+        assert code == 2
+        assert "deep" in err
+        assert "Traceback" not in err
+        records = [json.loads(l) for l in out.strip().splitlines()]
+        assert [(r["id"], r["verdict"]) for r in records] == [("ok", "semantics-changing")]
+
+    def test_unexpected_fault_reported_and_rest_processed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        d = self.fill(tmp_path)
+        real = cli.analyze_sources
+
+        def faulty(old, new, **kwargs):
+            if "a + 2" in new:
+                raise KeyError("engine fault")
+            return real(old, new, **kwargs)
+
+        monkeypatch.setattr(cli, "analyze_sources", faulty)
+        code, out, err = run_cli(capsys, "analyze", str(d), "--format", "json")
+        assert code == 2
+        assert "error: b_second: Traceback" in err
+        assert "KeyError: 'engine fault'" in err
+        assert [json.loads(l)["id"] for l in out.strip().splitlines()] == ["a_first"]
+
+    def test_table_loaded_once_per_call(self, tmp_path, capsys, monkeypatch):
+        d = self.fill(tmp_path)
+        table = FIXTURES / "tables" / "deep_guard.json"
+        loads = []
+        real = cli.load_table_predictor
+        monkeypatch.setattr(
+            cli, "load_table_predictor", lambda path: loads.append(path) or real(path)
+        )
+        code, out, _ = run_cli(
+            capsys, "analyze", str(d), "--predictor", f"table:{table}", "--format", "json"
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2
+        assert loads == [str(table)]
+
     def test_empty_directory(self, tmp_path, capsys):
         d = tmp_path / "empty"
         d.mkdir()
@@ -225,3 +272,26 @@ class TestPairValidation:
         )
         assert code == 0
         assert err == ""
+
+
+class TestGoldenOutput:
+    """Pins the corpus JSON output so any verdict drift is a visible diff.
+
+    The golden file is `pairguard analyze tests/fixtures/pairs --format json
+    --seed 0` with `wall_time_ms` dropped from each record. A change that
+    alters a verdict must regenerate it and say why.
+    """
+
+    def test_corpus_seed0_matches_golden(self, capsys):
+        code, out, err = run_cli(
+            capsys, "analyze", str(FIXTURES / "pairs"), "--format", "json", "--seed", "0"
+        )
+        assert code == 0
+        assert err == ""
+        lines = []
+        for line in out.splitlines():
+            record = json.loads(line)
+            record.pop("wall_time_ms")
+            lines.append(json.dumps(record, sort_keys=True))
+        golden = (FIXTURES / "golden" / "corpus_seed0.jsonl").read_text().splitlines()
+        assert lines == golden

@@ -18,7 +18,6 @@ def outcome(
     return_value="None",
     injected_state=None,
     stdout="",
-    stderr="",
     call_log=None,
     exception=None,
 ):
@@ -27,7 +26,6 @@ def outcome(
         return_value=return_value,
         injected_state=dict(injected_state or {}),
         stdout=stdout,
-        stderr=stderr,
         call_log=list(call_log or []),
         exception=exception,
         covered_lines=frozenset(),
@@ -167,12 +165,6 @@ class TestOutputDimension:
         assert "stream: stdout" in r.detail
         assert "old: 'a\\n'" in r.detail
 
-    def test_stderr_checked_after_stdout(self):
-        a = outcome(stdout="same", stderr="x")
-        b = outcome(side="new", stdout="same", stderr="y")
-        r = compare(a, b)
-        assert "stream: stderr" in r.detail
-
 
 class TestCallsDimension:
     def test_differing_callee(self):
@@ -247,7 +239,6 @@ outcomes = st.builds(
         max_size=3,
     ),
     stdout=st.sampled_from(["", "line\n"]),
-    stderr=st.sampled_from(["", "warn\n"]),
     call_log=st.lists(
         st.builds(call, st.sampled_from(["go", "api.push"]), st.sampled_from(["1", "'x'"])),
         max_size=2,
@@ -265,7 +256,6 @@ def test_reflexivity(o):
         return_value=o.return_value,
         injected_state=o.injected_state,
         stdout=o.stdout,
-        stderr=o.stderr,
         call_log=o.call_log,
         exception=o.exception,
     )
@@ -283,7 +273,6 @@ def test_status_is_symmetric(a, b):
         return_value=b.return_value,
         injected_state=b.injected_state,
         stdout=b.stdout,
-        stderr=b.stderr,
         call_log=b.call_log,
         exception=b.exception,
     )

@@ -189,6 +189,14 @@ def test_make_pair_requires_matching_entry():
         make_pair(s, s, entry="g")
 
 
+@pytest.mark.parametrize("terms", [600, 3000])
+def test_make_pair_rejects_deeply_nested_expression(terms):
+    # 600 terms exhaust the validator's recursion, 3000 the host parser's.
+    deep = "def f():\n    return " + "+".join(["1"] * terms) + "\n"
+    with pytest.raises(SyntaxError, match="nested too deeply"):
+        make_pair(deep, "def f():\n    return 1\n")
+
+
 def test_make_pair_rejects_duplicate_rename_targets():
     s = "def f(a):\n    return a\n"
     with pytest.raises(ValueError):
