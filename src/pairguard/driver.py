@@ -93,16 +93,16 @@ def _build_coverage(
     pair: FunctionPair,
     cum_old: set[int],
     cum_new: set[int],
-    cum_changed_old: set[int],
-    cum_changed_new: set[int],
+    reached_old: set[int],
+    reached_new: set[int],
 ) -> Coverage:
     code_old = pair.old.code_lines
     code_new = pair.new.code_lines
     covered_old = len(cum_old & code_old)
     covered_new = len(cum_new & code_new)
     return Coverage(
-        changed_old=_fraction(len(cum_changed_old), len(pair.changed_lines_old)),
-        changed_new=_fraction(len(cum_changed_new), len(pair.changed_lines_new)),
+        changed_old=_fraction(len(reached_old), len(pair.changed_lines_old)),
+        changed_new=_fraction(len(reached_new), len(pair.changed_lines_new)),
         overall=_fraction(covered_old + covered_new, len(code_old) + len(code_new)),
         per_side=(
             _fraction(covered_old, len(code_old)),
@@ -131,8 +131,6 @@ def analyze(
     started = time.perf_counter()
     cum_old: set[int] = set()
     cum_new: set[int] = set()
-    cum_changed_old: set[int] = set()
-    cum_changed_new: set[int] = set()
     abstained = 0
     iterations_run = 0
     difference: Optional[str] = None
@@ -149,8 +147,6 @@ def analyze(
 
         cum_old |= out_old.covered_lines
         cum_new |= out_new.covered_lines
-        cum_changed_old |= out_old.covered_changed_lines
-        cum_changed_new |= out_new.covered_changed_lines
 
         result = compare(out_old, out_new)
         if result.status == ABSTAIN:
@@ -161,14 +157,14 @@ def analyze(
             dimension = result.dimension
             break
 
-    coverage = _build_coverage(
-        pair, cum_old, cum_new, cum_changed_old, cum_changed_new
-    )
+    reached_old = cum_old & pair.changed_lines_old
+    reached_new = cum_new & pair.changed_lines_new
+    coverage = _build_coverage(pair, cum_old, cum_new, reached_old, reached_new)
     if difference is not None:
         classification = SEMANTICS_CHANGING
     else:
         has_change = bool(pair.changed_lines_old or pair.changed_lines_new)
-        reached = (not has_change) or bool(cum_changed_old or cum_changed_new)
+        reached = (not has_change) or bool(reached_old or reached_new)
         all_abstained = abstained == iterations_run
         if not reached or all_abstained:
             classification = INCONCLUSIVE

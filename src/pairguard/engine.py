@@ -12,6 +12,7 @@ small control-flow differences cannot desynchronize the two runs.
 from __future__ import annotations
 
 import ast
+import builtins
 import hashlib
 import io
 import operator as _op
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .frontend import (
-    BUILTIN_NAMES,
+    BINOP_SYMBOLS,
+    COMPARE_SYMBOLS,
     FunctionPair,
     Renamer,
     StaticFacts,
@@ -29,6 +31,8 @@ from .frontend import (
 )
 from .predictor import InjectionQuery, Predictor
 from .values import (
+    ARITH_OPS,
+    COMPARE_OPS,
     BoundMethod,
     BuiltinFunction,
     ConcretizerConfig,
@@ -45,7 +49,6 @@ from .values import (
     versatile_binop,
 )
 
-_MASK64 = (1 << 64) - 1
 _PATH_CAP = 120
 _CONTEXT_CAP = 160
 _MAX_CALL_DEPTH = 200
@@ -67,6 +70,7 @@ NATIVE_METHODS = frozenset(
         "lower",
         "startswith",
         "endswith",
+        "replace",
     }
 )
 
@@ -76,13 +80,23 @@ _HOST_FAULTS = (
     KeyError,
     IndexError,
     AttributeError,
-    ZeroDivisionError,
-    OverflowError,
     StopIteration,
     ArithmeticError,
 )
 
 _VIEW_TYPES = (type({}.keys()), type({}.values()), type({}.items()))
+
+# Builtin exception name -> every builtin name an ``except`` clause can catch
+# it by under CPython's hierarchy (ZeroDivisionError is an ArithmeticError).
+_EXCEPTIONS = {
+    name: cls
+    for name, cls in vars(builtins).items()
+    if isinstance(cls, type) and issubclass(cls, BaseException)
+}
+_CATCHING_NAMES = {
+    name: frozenset(base for base, b in _EXCEPTIONS.items() if issubclass(cls, b))
+    for name, cls in _EXCEPTIONS.items()
+}
 
 
 def derive_seed(*parts: Any) -> int:
@@ -185,7 +199,6 @@ class ExecutionOutcome:
     call_log: list[CallLogEntry]
     exception: Optional[ExceptionInfo]
     covered_lines: frozenset[int]
-    covered_changed_lines: frozenset[int]
 
 
 class ComparisonProgram:
@@ -247,45 +260,6 @@ class _Env:
         self.vars[name] = value
 
 
-_BINOP_NAMES = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.Div: "/",
-    ast.FloorDiv: "//",
-    ast.Mod: "%",
-    ast.Pow: "**",
-}
-
-_BINOP_FUNCS = {
-    "+": _op.add,
-    "-": _op.sub,
-    "*": _op.mul,
-    "/": _op.truediv,
-    "//": _op.floordiv,
-    "%": _op.mod,
-    "**": _op.pow,
-}
-
-_CMP_FUNCS = {
-    ast.Eq: _op.eq,
-    ast.NotEq: _op.ne,
-    ast.Lt: _op.lt,
-    ast.LtE: _op.le,
-    ast.Gt: _op.gt,
-    ast.GtE: _op.ge,
-}
-
-_CMP_NAMES = {
-    ast.Eq: "==",
-    ast.NotEq: "!=",
-    ast.Lt: "<",
-    ast.LtE: "<=",
-    ast.Gt: ">",
-    ast.GtE: ">=",
-}
-
-
 class Interpreter:
     """Executes one side of a comparison program for one iteration."""
 
@@ -298,8 +272,6 @@ class Interpreter:
     ):
         self.side = side
         self.program = program
-        self.pair = program.pair
-        self.cfg = program.cfg
         self.renamer = program.renamers[side]
         self.cmap = cmap
         self.iteration_seed = iteration_seed
@@ -320,7 +292,7 @@ class Interpreter:
 
     def _step(self, node: ast.AST) -> None:
         self.steps += 1
-        if self.steps > self.cfg.step_budget:
+        if self.steps > self.program.cfg.step_budget:
             raise _EngineInterrupt()
         line = getattr(node, "lineno", None)
         if line is not None:
@@ -369,7 +341,8 @@ class Interpreter:
     # entry points
 
     def run(self) -> ExecutionOutcome:
-        fn = self.pair.old if self.side == "old" else self.pair.new
+        pair = self.program.pair
+        fn = pair.old if self.side == "old" else pair.new
         root = _Env()
         entry = FunctionValue(fn.name, list(fn.params), fn.body, root, fn.is_generator)
         root.assign(fn.name, entry)
@@ -388,12 +361,6 @@ class Interpreter:
             exception = ExceptionInfo(False, "StepBudgetExceeded", ())
         except RecursionError:
             exception = ExceptionInfo(False, "RecursionError", ())
-        changed = (
-            self.pair.changed_lines_old
-            if self.side == "old"
-            else self.pair.changed_lines_new
-        )
-        covered = frozenset(self.covered)
         return ExecutionOutcome(
             side=self.side,
             return_value=None if exception is not None else return_s,
@@ -401,8 +368,7 @@ class Interpreter:
             stdout=self.stdout.getvalue(),
             call_log=list(self.call_log),
             exception=exception,
-            covered_lines=covered,
-            covered_changed_lines=frozenset(covered & changed),
+            covered_lines=frozenset(self.covered),
         )
 
     def _epilogue(self, result: Any) -> str:
@@ -465,8 +431,6 @@ class Interpreter:
                 self._exec_block(fv.body, env)
             except _Return as r:
                 return r.value
-            except (_Break, _Continue):
-                raise RuntimeError("loop control escaped a function body")
             return None
         finally:
             self.call_depth -= 1
@@ -487,14 +451,8 @@ class Interpreter:
 
     def _exec_block(self, stmts: list, env: _Env) -> None:
         for stmt in stmts:
-            self._exec(stmt, env)
-
-    def _exec(self, node: ast.stmt, env: _Env) -> None:
-        self._step(node)
-        handler = getattr(self, f"_exec_{type(node).__name__}", None)
-        if handler is None:
-            raise RuntimeError(f"engine cannot execute {type(node).__name__}")
-        handler(node, env)
+            self._step(stmt)
+            _EXEC[type(stmt)](self, stmt, env)
 
     def _exec_FunctionDef(self, node: ast.FunctionDef, env: _Env) -> None:
         fv = FunctionValue(
@@ -518,7 +476,7 @@ class Interpreter:
 
     def _exec_AugAssign(self, node: ast.AugAssign, env: _Env) -> None:
         self._set_context(node)
-        op = _BINOP_NAMES[type(node.op)]
+        op = BINOP_SYMBOLS[type(node.op)]
         target = node.target
         rhs = self._eval(node.value, env)
         if isinstance(target, ast.Name):
@@ -547,7 +505,7 @@ class Interpreter:
                 self._fault("RuntimeError", "yield outside a generator")
             sink = self.sinks[-1]
             sink.append(value)
-            if len(sink) >= self.cfg.generator_cap:
+            if len(sink) >= self.program.cfg.generator_cap:
                 raise _StopMaterialize()
             return
         self._eval(node.value, env)
@@ -574,8 +532,7 @@ class Interpreter:
 
     def _exec_For(self, node: ast.For, env: _Env) -> None:
         self._set_context(node.iter)
-        items = self._iter_value(self._eval(node.iter, env))
-        for item in items:
+        for item in self._loop_items(self._eval(node.iter, env)):
             self._step(node)
             self._bind_target(node.target, item, env)
             try:
@@ -649,16 +606,11 @@ class Interpreter:
     def _handler_matches(self, handler: ast.ExceptHandler, ev: ExceptionValue) -> bool:
         if handler.type is None:
             return True
-        if isinstance(handler.type, ast.Name):
-            names = [self.renamer.merge(handler.type.id)]
-        else:
-            names = [
-                self.renamer.merge(e.id)
-                for e in handler.type.elts
-                if isinstance(e, ast.Name)
-            ]
-        for name in names:
-            if name == ev.type_name or name in ("Exception", "BaseException"):
+        elts = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        catching = _CATCHING_NAMES.get(ev.type_name, ())
+        for e in elts:
+            name = self.renamer.merge(e.id)
+            if name == ev.type_name or name in ("Exception", "BaseException") or name in catching:
                 return True
         return False
 
@@ -718,7 +670,7 @@ class Interpreter:
         found, value = env.lookup(name)
         if found:
             return value
-        if name in BUILTIN_NAMES:
+        if name in _BUILTINS:
             return BuiltinFunction(name)
         path = self.renamer.merge(name)
         value = self._inject("variable-read", name, path)
@@ -777,71 +729,66 @@ class Interpreter:
                 base.attrs[f"[{rendered}]"] = value
             return value
 
-    # expressions
+    # expressions; each handler returns (value, access path or None)
 
     def _eval(self, node: ast.expr, env: _Env) -> Any:
-        value, _ = self._eval_p(node, env)
-        return value
+        self._step(node)
+        return _EVAL[type(node)](self, node, env)[0]
 
     def _eval_p(self, node: ast.expr, env: _Env) -> tuple[Any, Optional[str]]:
         """Evaluate an expression, tracking its access path when it has one."""
         self._step(node)
-        if isinstance(node, ast.Name):
-            return self._read_name(node.id, env), self.renamer.merge(node.id)
-        if isinstance(node, ast.Attribute):
-            base_v, base_p = self._eval_p(node.value, env)
-            merged = self.renamer.merge(node.attr)
-            path = self._cap_path(f"{base_p}.{merged}" if base_p else f"<expr>.{merged}")
-            return self._read_attribute(base_v, node.attr, base_p), path
-        if isinstance(node, ast.Subscript):
-            base_v, base_p = self._eval_p(node.value, env)
-            key, rendered, host_index = self._eval_index(node, env)
-            value = self._read_subscript(base_v, key, rendered, host_index, base_p)
-            path = self._cap_path(
-                f"{base_p}[{rendered}]" if base_p else f"<expr>[{rendered}]"
-            )
-            return value, path
-        if isinstance(node, ast.Call):
-            return self._eval_call(node, env)
-        handler = getattr(self, f"_eval_{type(node).__name__}", None)
-        if handler is None:
-            raise RuntimeError(f"engine cannot evaluate {type(node).__name__}")
-        return handler(node, env), None
+        return _EVAL[type(node)](self, node, env)
 
-    def _eval_Constant(self, node: ast.Constant, env: _Env) -> Any:
-        return node.value
+    def _eval_Name(self, node: ast.Name, env: _Env):
+        return self._read_name(node.id, env), self.renamer.merge(node.id)
 
-    def _eval_List(self, node: ast.List, env: _Env) -> list:
-        return [self._eval(e, env) for e in node.elts]
+    def _eval_Attribute(self, node: ast.Attribute, env: _Env):
+        base_v, base_p = self._eval_p(node.value, env)
+        merged = self.renamer.merge(node.attr)
+        path = self._cap_path(f"{base_p}.{merged}" if base_p else f"<expr>.{merged}")
+        return self._read_attribute(base_v, node.attr, base_p), path
 
-    def _eval_Tuple(self, node: ast.Tuple, env: _Env) -> tuple:
-        return tuple(self._eval(e, env) for e in node.elts)
+    def _eval_Subscript(self, node: ast.Subscript, env: _Env):
+        base_v, base_p = self._eval_p(node.value, env)
+        key, rendered, host_index = self._eval_index(node, env)
+        value = self._read_subscript(base_v, key, rendered, host_index, base_p)
+        path = self._cap_path(f"{base_p}[{rendered}]" if base_p else f"<expr>[{rendered}]")
+        return value, path
 
-    def _eval_Set(self, node: ast.Set, env: _Env) -> set:
-        items = [self._eval(e, env) for e in node.elts]
-        return self._host(set, items)
+    def _eval_Constant(self, node: ast.Constant, env: _Env):
+        return node.value, None
 
-    def _eval_Dict(self, node: ast.Dict, env: _Env) -> dict:
+    def _eval_List(self, node: ast.List, env: _Env):
+        return [self._eval(e, env) for e in node.elts], None
+
+    def _eval_Tuple(self, node: ast.Tuple, env: _Env):
+        return tuple(self._eval(e, env) for e in node.elts), None
+
+    def _eval_Set(self, node: ast.Set, env: _Env):
+        return self._host(set, [self._eval(e, env) for e in node.elts]), None
+
+    def _eval_Dict(self, node: ast.Dict, env: _Env):
         out: dict = {}
         for k, v in zip(node.keys, node.values):
             key = self._eval(k, env)
             value = self._eval(v, env)
             self._host(out.__setitem__, key, value)
-        return out
+        return out, None
 
-    def _eval_BoolOp(self, node: ast.BoolOp, env: _Env) -> Any:
+    def _eval_BoolOp(self, node: ast.BoolOp, env: _Env):
         is_or = isinstance(node.op, ast.Or)
         for sub in node.values[:-1]:
             value = self._eval(sub, env)
             truthy = bool(value)
             if (is_or and truthy) or (not is_or and not truthy):
-                return value
-        return self._eval(node.values[-1], env)
+                return value, None
+        return self._eval(node.values[-1], env), None
 
-    def _eval_BinOp(self, node: ast.BinOp, env: _Env) -> Any:
+    def _eval_BinOp(self, node: ast.BinOp, env: _Env):
         left = self._eval(node.left, env)
         right = self._eval(node.right, env)
-        return self._binop(_BINOP_NAMES[type(node.op)], left, right)
+        return self._binop(BINOP_SYMBOLS[type(node.op)], left, right), None
 
     def _binop(self, op: str, left: Any, right: Any) -> Any:
         # Host dispatch alone is not enough: str.__mod__ raises instead of
@@ -849,52 +796,42 @@ class Interpreter:
         # reflected method. Route versatile operands through the total op.
         if isinstance(left, VersatileObject) or isinstance(right, VersatileObject):
             return versatile_binop(op, left, right)
-        return self._host(_BINOP_FUNCS[op], left, right)
+        return self._host(ARITH_OPS[op], left, right)
 
-    def _eval_UnaryOp(self, node: ast.UnaryOp, env: _Env) -> Any:
+    def _eval_UnaryOp(self, node: ast.UnaryOp, env: _Env):
         value = self._eval(node.operand, env)
         if isinstance(node.op, ast.Not):
-            return not value
-        return self._host(_op.neg, value)
+            return not value, None
+        return self._host(_op.neg, value), None
 
-    def _eval_Compare(self, node: ast.Compare, env: _Env) -> bool:
+    def _eval_Compare(self, node: ast.Compare, env: _Env):
         left = self._eval(node.left, env)
         for op, comparator in zip(node.ops, node.comparators):
             right = self._eval(comparator, env)
             if not self._compare_once(op, left, right):
-                return False
+                return False, None
             left = right
-        return True
+        return True, None
 
     def _compare_once(self, op: ast.cmpop, left: Any, right: Any) -> bool:
-        if isinstance(op, ast.Is):
-            return left is right
-        if isinstance(op, ast.IsNot):
-            return left is not right
-        if isinstance(op, ast.In):
-            return bool(self._host(lambda a, b: a in b, left, right))
-        if isinstance(op, ast.NotIn):
-            return bool(self._host(lambda a, b: a not in b, left, right))
-        if isinstance(left, VersatileObject) or isinstance(right, VersatileObject):
-            return bool(versatile_binop(_CMP_NAMES[type(op)], left, right))
-        return bool(self._host(_CMP_FUNCS[type(op)], left, right))
+        symbol = COMPARE_SYMBOLS[type(op)]
+        # Identity and membership run on the host even next to a versatile.
+        if symbol not in ("is", "is not", "in", "not in") and (
+            isinstance(left, VersatileObject) or isinstance(right, VersatileObject)
+        ):
+            return bool(versatile_binop(symbol, left, right))
+        return bool(self._host(COMPARE_OPS[symbol], left, right))
 
-    def _eval_IfExp(self, node: ast.IfExp, env: _Env) -> Any:
+    def _eval_IfExp(self, node: ast.IfExp, env: _Env):
         if self._eval(node.test, env):
-            return self._eval(node.body, env)
-        return self._eval(node.orelse, env)
+            return self._eval(node.body, env), None
+        return self._eval(node.orelse, env), None
 
-    def _eval_Lambda(self, node: ast.Lambda, env: _Env) -> FunctionValue:
-        return FunctionValue(
-            "<lambda>",
-            [a.arg for a in node.args.args],
-            node.body,
-            env,
-            is_generator=False,
-            is_lambda=True,
-        )
+    def _eval_Lambda(self, node: ast.Lambda, env: _Env):
+        params = [a.arg for a in node.args.args]
+        return FunctionValue("<lambda>", params, node.body, env, is_lambda=True), None
 
-    def _eval_JoinedStr(self, node: ast.JoinedStr, env: _Env) -> str:
+    def _eval_JoinedStr(self, node: ast.JoinedStr, env: _Env):
         parts = []
         for part in node.values:
             if isinstance(part, ast.Constant):
@@ -905,47 +842,43 @@ class Interpreter:
                     parts.append(serialize(value))
                 else:
                     parts.append(self._subject_str(value))
-        return "".join(parts)
+        return "".join(parts), None
 
-    def _eval_ListComp(self, node: ast.ListComp, env: _Env) -> list:
+    def _eval_ListComp(self, node: ast.ListComp, env: _Env):
         out: list = []
         self._run_comprehension(node.generators, 0, _Env(parent=env), node.elt, out)
-        return out
+        return out, None
 
-    def _eval_GeneratorExp(self, node: ast.GeneratorExp, env: _Env) -> GeneratorValue:
+    def _eval_GeneratorExp(self, node: ast.GeneratorExp, env: _Env):
         out: list = []
         self._run_comprehension(node.generators, 0, _Env(parent=env), node.elt, out)
-        return GeneratorValue(items=out)
+        return GeneratorValue(items=out), None
 
     def _run_comprehension(self, gens, idx, env, elt, out) -> None:
         if idx == len(gens):
             out.append(self._eval(elt, env))
             return
         gen = gens[idx]
-        for item in self._iter_value(self._eval(gen.iter, env)):
+        for item in self._loop_items(self._eval(gen.iter, env)):
             self._step(gen.iter)
             self._bind_target(gen.target, item, env)
             if all(self._eval(cond, env) for cond in gen.ifs):
                 self._run_comprehension(gens, idx + 1, env, elt, out)
 
-    def _eval_Yield(self, node: ast.Yield, env: _Env) -> Any:
-        # The validator only admits yield as an expression statement.
-        raise RuntimeError("yield evaluated outside statement position")
-
     # calls
 
-    def _eval_call(self, node: ast.Call, env: _Env) -> tuple[Any, Optional[str]]:
+    def _eval_Call(self, node: ast.Call, env: _Env):
         func = node.func
         if isinstance(func, ast.Name):
             found, fv = env.lookup(func.id)
             if not found:
                 if func.id == "isinstance":
-                    return self._builtin_isinstance(node, env), None
+                    return self._isinstance_call(node, env), None
                 if func.id == "super":
                     for a in node.args:
                         self._eval(a, env)
                     return self._super_value(), "super()"
-                if func.id in BUILTIN_NAMES:
+                if func.id in _BUILTINS:
                     args, kwargs = self._eval_args(node, env)
                     path = f"{func.id}()"
                     return self._call_builtin(func.id, args, kwargs), path
@@ -993,12 +926,6 @@ class Interpreter:
         if isinstance(value, BoundMethod):
             return self._call_native(value.receiver, value.name, args, kwargs)
         if isinstance(value, BuiltinFunction):
-            if value.name == "isinstance":
-                # Indirect isinstance loses the syntactic class argument;
-                # resolve to False rather than guessing.
-                return False
-            if value.name == "super":
-                return self._super_value()
             return self._call_builtin(value.name, args, kwargs)
         if isinstance(value, VersatileCallable):
             return self._external_call(path, args, kwargs, constructor=value)
@@ -1032,7 +959,7 @@ class Interpreter:
         exc_types = self.program.facts.call_exception_map.get(path)
         if exc_types:
             rng = self._stream("exc", path, occurrence)
-            if rng.random() < self.cfg.exception_probability:
+            if rng.random() < self.program.cfg.exception_probability:
                 ordered = sorted(exc_types)
                 type_name = ordered[rng.randrange(len(ordered))]
                 raise SubjectError(ExceptionValue(type_name, [], intentional=True))
@@ -1053,7 +980,7 @@ class Interpreter:
 
         return self.cmap.lookup_or_create(key, self.side, creator)
 
-    def _builtin_isinstance(self, node: ast.Call, env: _Env) -> bool:
+    def _isinstance_call(self, node: ast.Call, env: _Env) -> bool:
         if len(node.args) != 2 or node.keywords:
             self._fault("TypeError", "isinstance expects exactly two arguments")
         value = self._eval(node.args[0], env)
@@ -1081,21 +1008,22 @@ class Interpreter:
     # builtins
 
     def _call_builtin(self, name: str, args: list, kwargs: dict) -> Any:
-        allowed_kwargs = {
-            "print": {"sep", "end"},
-            "sorted": {"reverse"},
-            "dict": None,  # arbitrary string keys
-        }.get(name, set())
+        handler, allowed_kwargs = _BUILTINS[name]
         if allowed_kwargs is not None:
             for k in kwargs:
                 if k not in allowed_kwargs:
                     self._fault(
                         "TypeError", f"{name}() got an unexpected keyword argument {k!r}"
                     )
-        handler = getattr(self, f"_builtin_{name}", None)
-        if handler is None:
-            raise RuntimeError(f"missing builtin {name}")
-        return handler(args, kwargs)
+        return handler(self, args, kwargs)
+
+    def _builtin_isinstance(self, args: list, kwargs: dict) -> bool:
+        # Called indirectly, isinstance has lost its syntactic class
+        # argument; resolve to False rather than guessing.
+        return False
+
+    def _builtin_super(self, args: list, kwargs: dict) -> VersatileObject:
+        return self._super_value()
 
     def _builtin_print(self, args: list, kwargs: dict) -> None:
         sep = kwargs.get("sep", " ")
@@ -1252,6 +1180,13 @@ class Interpreter:
             return value
         return serialize(value)
 
+    def _loop_items(self, value: Any):
+        """Items a for loop or comprehension walks. A range stays lazy, so the
+        step budget bounds it; anything else goes through ``_iter_value``."""
+        if type(value) is range:
+            return value
+        return self._iter_value(value)
+
     def _iter_value(self, value: Any) -> list:
         if isinstance(value, VersatileObject):
             return list(value)
@@ -1262,6 +1197,74 @@ class Interpreter:
         if isinstance(value, (str, list, tuple, dict, range)):
             return list(value)
         self._fault("TypeError", f"{serialize(value)} is not iterable")
+
+
+# Handlers by node type; the subset validator accepts exactly these types.
+_EXEC: dict[type, Callable] = {
+    ast.FunctionDef: Interpreter._exec_FunctionDef,
+    ast.Return: Interpreter._exec_Return,
+    ast.Assign: Interpreter._exec_Assign,
+    ast.AugAssign: Interpreter._exec_AugAssign,
+    ast.Expr: Interpreter._exec_Expr,
+    ast.If: Interpreter._exec_If,
+    ast.While: Interpreter._exec_While,
+    ast.For: Interpreter._exec_For,
+    ast.Break: Interpreter._exec_Break,
+    ast.Continue: Interpreter._exec_Continue,
+    ast.Pass: Interpreter._exec_Pass,
+    ast.Raise: Interpreter._exec_Raise,
+    ast.Assert: Interpreter._exec_Assert,
+    ast.Try: Interpreter._exec_Try,
+    ast.With: Interpreter._exec_With,
+}
+
+_EVAL: dict[type, Callable] = {
+    ast.Name: Interpreter._eval_Name,
+    ast.Attribute: Interpreter._eval_Attribute,
+    ast.Subscript: Interpreter._eval_Subscript,
+    ast.Call: Interpreter._eval_Call,
+    ast.Constant: Interpreter._eval_Constant,
+    ast.List: Interpreter._eval_List,
+    ast.Tuple: Interpreter._eval_Tuple,
+    ast.Set: Interpreter._eval_Set,
+    ast.Dict: Interpreter._eval_Dict,
+    ast.BoolOp: Interpreter._eval_BoolOp,
+    ast.BinOp: Interpreter._eval_BinOp,
+    ast.UnaryOp: Interpreter._eval_UnaryOp,
+    ast.Compare: Interpreter._eval_Compare,
+    ast.IfExp: Interpreter._eval_IfExp,
+    ast.Lambda: Interpreter._eval_Lambda,
+    ast.JoinedStr: Interpreter._eval_JoinedStr,
+    ast.ListComp: Interpreter._eval_ListComp,
+    ast.GeneratorExp: Interpreter._eval_GeneratorExp,
+}
+
+# The builtin functions of the subject language, the only definition of the
+# set: name -> (handler, accepted keyword names, or None for any keyword).
+_NO_KWARGS: frozenset[str] = frozenset()
+_BUILTINS: dict[str, tuple[Callable, Optional[frozenset[str]]]] = {
+    "print": (Interpreter._builtin_print, frozenset({"sep", "end"})),
+    "len": (Interpreter._builtin_len, _NO_KWARGS),
+    "isinstance": (Interpreter._builtin_isinstance, None),
+    "super": (Interpreter._builtin_super, None),
+    "any": (Interpreter._builtin_any, _NO_KWARGS),
+    "all": (Interpreter._builtin_all, _NO_KWARGS),
+    "range": (Interpreter._builtin_range, _NO_KWARGS),
+    "str": (Interpreter._builtin_str, _NO_KWARGS),
+    "int": (Interpreter._builtin_int, _NO_KWARGS),
+    "float": (Interpreter._builtin_float, _NO_KWARGS),
+    "bool": (Interpreter._builtin_bool, _NO_KWARGS),
+    "repr": (Interpreter._builtin_repr, _NO_KWARGS),
+    "list": (Interpreter._builtin_list, _NO_KWARGS),
+    "dict": (Interpreter._builtin_dict, None),
+    "set": (Interpreter._builtin_set, _NO_KWARGS),
+    "tuple": (Interpreter._builtin_tuple, _NO_KWARGS),
+    "enumerate": (Interpreter._builtin_enumerate, _NO_KWARGS),
+    "sorted": (Interpreter._builtin_sorted, frozenset({"reverse"})),
+    "min": (Interpreter._builtin_min, _NO_KWARGS),
+    "max": (Interpreter._builtin_max, _NO_KWARGS),
+    "abs": (Interpreter._builtin_abs, _NO_KWARGS),
+}
 
 
 def run_one(

@@ -16,54 +16,30 @@ import difflib
 from dataclasses import dataclass, field
 from typing import Optional
 
-BUILTIN_NAMES = frozenset(
-    {
-        "print",
-        "len",
-        "isinstance",
-        "super",
-        "any",
-        "all",
-        "range",
-        "str",
-        "int",
-        "float",
-        "bool",
-        "repr",
-        "list",
-        "dict",
-        "set",
-        "tuple",
-        "enumerate",
-        "sorted",
-        "min",
-        "max",
-        "abs",
-    }
-)
-
-_ALLOWED_BINOPS = (
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.FloorDiv,
-    ast.Mod,
-    ast.Pow,
-)
+# The operators of the subject language by AST type, with the symbol the
+# engine evaluates each by; the validator accepts exactly these.
+BINOP_SYMBOLS = {
+    ast.Add: "+",
+    ast.Sub: "-",
+    ast.Mult: "*",
+    ast.Div: "/",
+    ast.FloorDiv: "//",
+    ast.Mod: "%",
+    ast.Pow: "**",
+}
+COMPARE_SYMBOLS = {
+    ast.Eq: "==",
+    ast.NotEq: "!=",
+    ast.Lt: "<",
+    ast.LtE: "<=",
+    ast.Gt: ">",
+    ast.GtE: ">=",
+    ast.In: "in",
+    ast.NotIn: "not in",
+    ast.Is: "is",
+    ast.IsNot: "is not",
+}
 _ALLOWED_AUGOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
-_ALLOWED_CMPOPS = (
-    ast.Eq,
-    ast.NotEq,
-    ast.Lt,
-    ast.LtE,
-    ast.Gt,
-    ast.GtE,
-    ast.In,
-    ast.NotIn,
-    ast.Is,
-    ast.IsNot,
-)
 _ALLOWED_UNARYOPS = (ast.Not, ast.USub)
 
 
@@ -74,7 +50,6 @@ class SourceFunction:
     name: str
     params: list[str]
     body: list
-    source_text: str
     line_count: int
     node: ast.FunctionDef
     is_generator: bool
@@ -134,14 +109,20 @@ class _SubsetValidator:
         for arg in a.args:
             if arg.annotation is not None:
                 self.reject(arg, "parameter annotations are not supported")
-        for stmt in node.body:
+        self.block(node.body)
+
+    def block(self, stmts: list):
+        for stmt in stmts:
             self.stmt(stmt)
 
     def stmt(self, node: ast.stmt):
-        handler = getattr(self, f"stmt_{type(node).__name__}", None)
-        if handler is None:
+        rule = _STATEMENT_RULES.get(type(node))
+        if rule is None:
             self.reject(node, f"unsupported statement: {type(node).__name__}")
-        handler(node)
+        rule(self, node)
+
+    def leaf(self, node):
+        """A node with no parts left to check."""
 
     def stmt_FunctionDef(self, node):
         saved = self.loop_depth
@@ -174,18 +155,15 @@ class _SubsetValidator:
 
     def stmt_If(self, node):
         self.expr(node.test)
-        for s in node.body:
-            self.stmt(s)
-        for s in node.orelse:
-            self.stmt(s)
+        self.block(node.body)
+        self.block(node.orelse)
 
     def stmt_While(self, node):
         if node.orelse:
             self.reject(node, "while-else is not supported")
         self.expr(node.test)
         self.loop_depth += 1
-        for s in node.body:
-            self.stmt(s)
+        self.block(node.body)
         self.loop_depth -= 1
 
     def stmt_For(self, node):
@@ -194,8 +172,7 @@ class _SubsetValidator:
         self.target(node.target, allow_tuple=True)
         self.expr(node.iter)
         self.loop_depth += 1
-        for s in node.body:
-            self.stmt(s)
+        self.block(node.body)
         self.loop_depth -= 1
 
     def stmt_Break(self, node):
@@ -205,9 +182,6 @@ class _SubsetValidator:
     def stmt_Continue(self, node):
         if self.loop_depth == 0:
             self.reject(node, "continue outside a loop")
-
-    def stmt_Pass(self, node):
-        pass
 
     def stmt_Raise(self, node):
         if node.exc is not None:
@@ -226,10 +200,7 @@ class _SubsetValidator:
             self.expr(node.msg)
 
     def stmt_Try(self, node):
-        if getattr(node, "handlers", None) is None:
-            self.reject(node, "malformed try")
-        for s in node.body:
-            self.stmt(s)
+        self.block(node.body)
         for h in node.handlers:
             if h.type is not None:
                 if isinstance(h.type, ast.Name):
@@ -240,12 +211,9 @@ class _SubsetValidator:
                     pass
                 else:
                     self.reject(h, "except type must be a name or tuple of names")
-            for s in h.body:
-                self.stmt(s)
-        for s in node.orelse:
-            self.stmt(s)
-        for s in node.finalbody:
-            self.stmt(s)
+            self.block(h.body)
+        self.block(node.orelse)
+        self.block(node.finalbody)
 
     def stmt_With(self, node):
         if len(node.items) != 1:
@@ -254,9 +222,7 @@ class _SubsetValidator:
         self.expr(item.context_expr)
         if item.optional_vars is not None and not isinstance(item.optional_vars, ast.Name):
             self.reject(node, "with target must be a plain name")
-
-        for s in node.body:
-            self.stmt(s)
+        self.block(node.body)
 
     def target(self, node, allow_tuple: bool):
         if isinstance(node, ast.Name):
@@ -297,17 +263,21 @@ class _SubsetValidator:
         self.expr(s)
 
     def expr(self, node: ast.expr):
-        handler = getattr(self, f"expr_{type(node).__name__}", None)
-        if handler is None:
+        rule = _EXPRESSION_RULES.get(type(node))
+        if rule is None:
             self.reject(node, f"unsupported expression: {type(node).__name__}")
-        handler(node)
+        rule(self, node)
+
+    def elements(self, node):
+        for e in node.elts:
+            self.expr(e)
 
     def expr_BoolOp(self, node):
         for v in node.values:
             self.expr(v)
 
     def expr_BinOp(self, node):
-        if not isinstance(node.op, _ALLOWED_BINOPS):
+        if type(node.op) not in BINOP_SYMBOLS:
             self.reject(node, f"unsupported operator: {type(node.op).__name__}")
         self.expr(node.left)
         self.expr(node.right)
@@ -335,16 +305,6 @@ class _SubsetValidator:
             self.expr(k)
             self.expr(v)
 
-    def expr_Set(self, node):
-        for e in node.elts:
-            self.expr(e)
-
-    def expr_ListComp(self, node):
-        self.comprehension(node)
-
-    def expr_GeneratorExp(self, node):
-        self.comprehension(node)
-
     def comprehension(self, node):
         for gen in node.generators:
             if gen.is_async:
@@ -357,7 +317,7 @@ class _SubsetValidator:
 
     def expr_Compare(self, node):
         for op in node.ops:
-            if not isinstance(op, _ALLOWED_CMPOPS):
+            if type(op) not in COMPARE_SYMBOLS:
                 self.reject(node, f"unsupported comparison: {type(op).__name__}")
         self.expr(node.left)
         for c in node.comparators:
@@ -394,16 +354,46 @@ class _SubsetValidator:
         self.expr(node.value)
         self.subscript_index(node)
 
-    def expr_Name(self, node):
-        pass
 
-    def expr_List(self, node):
-        for e in node.elts:
-            self.expr(e)
+# Validation rules by node type; the interpreter has a handler for each.
+_STATEMENT_RULES = {
+    ast.FunctionDef: _SubsetValidator.stmt_FunctionDef,
+    ast.Return: _SubsetValidator.stmt_Return,
+    ast.Assign: _SubsetValidator.stmt_Assign,
+    ast.AugAssign: _SubsetValidator.stmt_AugAssign,
+    ast.Expr: _SubsetValidator.stmt_Expr,
+    ast.If: _SubsetValidator.stmt_If,
+    ast.While: _SubsetValidator.stmt_While,
+    ast.For: _SubsetValidator.stmt_For,
+    ast.Break: _SubsetValidator.stmt_Break,
+    ast.Continue: _SubsetValidator.stmt_Continue,
+    ast.Pass: _SubsetValidator.leaf,
+    ast.Raise: _SubsetValidator.stmt_Raise,
+    ast.Assert: _SubsetValidator.stmt_Assert,
+    ast.Try: _SubsetValidator.stmt_Try,
+    ast.With: _SubsetValidator.stmt_With,
+}
 
-    def expr_Tuple(self, node):
-        for e in node.elts:
-            self.expr(e)
+_EXPRESSION_RULES = {
+    ast.Name: _SubsetValidator.leaf,
+    ast.Attribute: _SubsetValidator.expr_Attribute,
+    ast.Subscript: _SubsetValidator.expr_Subscript,
+    ast.Call: _SubsetValidator.expr_Call,
+    ast.Constant: _SubsetValidator.expr_Constant,
+    ast.List: _SubsetValidator.elements,
+    ast.Tuple: _SubsetValidator.elements,
+    ast.Set: _SubsetValidator.elements,
+    ast.Dict: _SubsetValidator.expr_Dict,
+    ast.BoolOp: _SubsetValidator.expr_BoolOp,
+    ast.BinOp: _SubsetValidator.expr_BinOp,
+    ast.UnaryOp: _SubsetValidator.expr_UnaryOp,
+    ast.Compare: _SubsetValidator.expr_Compare,
+    ast.IfExp: _SubsetValidator.expr_IfExp,
+    ast.Lambda: _SubsetValidator.expr_Lambda,
+    ast.JoinedStr: _SubsetValidator.expr_JoinedStr,
+    ast.ListComp: _SubsetValidator.comprehension,
+    ast.GeneratorExp: _SubsetValidator.comprehension,
+}
 
 
 def is_generator(node: ast.FunctionDef) -> bool:
@@ -459,7 +449,6 @@ def _parse_function(source: str) -> SourceFunction:
         name=node.name,
         params=[a.arg for a in node.args.args],
         body=node.body,
-        source_text=source,
         line_count=len(source.splitlines()) or 1,
         node=node,
         is_generator=is_generator(node),

@@ -225,7 +225,7 @@ class VersatileCallable(VersatileObject):
         self.call_count = 0
 
 
-_ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
+ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
@@ -235,13 +235,17 @@ _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "**": operator.pow,
 }
 
-_COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
+COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "==": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
+    "in": lambda a, b: a in b,
+    "not in": lambda a, b: a not in b,
+    "is": operator.is_,
+    "is not": operator.is_not,
 }
 
 
@@ -270,26 +274,26 @@ def versatile_binop(op: str, lhs: Any, rhs: Any) -> Any:
     lv = isinstance(lhs, VersatileObject)
     rv = isinstance(rhs, VersatileObject)
     if lv and rv:
-        if op in _COMPARE_OPS:
-            return _COMPARE_OPS[op](lhs.seed, rhs.seed)
-        return _ARITH_OPS[op](VersatileObject.INTERNAL_INT, VersatileObject.INTERNAL_INT)
+        if op in COMPARE_OPS:
+            return COMPARE_OPS[op](lhs.seed, rhs.seed)
+        return ARITH_OPS[op](VersatileObject.INTERNAL_INT, VersatileObject.INTERNAL_INT)
     versatile = lhs if lv else rhs
     other = rhs if lv else lhs
     internal = _internal_for(other)
     if internal is None:
         if op == "!=":
             return True
-        if op in _COMPARE_OPS:
+        if op in COMPARE_OPS:
             return False
         return versatile
     a, b = (internal, other) if lv else (other, internal)
-    fn = _COMPARE_OPS.get(op) or _ARITH_OPS[op]
+    fn = COMPARE_OPS.get(op) or ARITH_OPS[op]
     try:
         return fn(a, b)
     except Exception:
         if op == "!=":
             return True
-        if op in _COMPARE_OPS:
+        if op in COMPARE_OPS:
             return False
         return versatile
 
@@ -399,7 +403,10 @@ def serialize(value: Any, _depth: int = 0, _seen: Optional[set] = None) -> str:
     if isinstance(value, bool):
         return repr(value)
     if isinstance(value, (int, float, str)):
-        return repr(value)
+        try:
+            return repr(value)
+        except ValueError:  # an int past the host's decimal digit limit
+            return hex(value)
     if isinstance(value, range):
         return repr(value)
     if isinstance(value, VersatileObject):

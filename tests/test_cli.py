@@ -277,14 +277,16 @@ class TestPairValidation:
 class TestGoldenOutput:
     """Pins the corpus JSON output so any verdict drift is a visible diff.
 
-    The golden file is `pairguard analyze tests/fixtures/pairs --format json
-    --seed 0` with `wall_time_ms` dropped from each record. A change that
-    alters a verdict must regenerate it and say why.
+    Each golden file is `pairguard analyze tests/fixtures/pairs --format json
+    --seed N` with `wall_time_ms` dropped from each record: seed 0 is the
+    development seed, seed 7 the held-out one. A change that alters a verdict
+    must regenerate them and say why.
     """
 
-    def test_corpus_seed0_matches_golden(self, capsys):
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_corpus_matches_golden(self, capsys, seed):
         code, out, err = run_cli(
-            capsys, "analyze", str(FIXTURES / "pairs"), "--format", "json", "--seed", "0"
+            capsys, "analyze", str(FIXTURES / "pairs"), "--format", "json", "--seed", str(seed)
         )
         assert code == 0
         assert err == ""
@@ -293,5 +295,5 @@ class TestGoldenOutput:
             record = json.loads(line)
             record.pop("wall_time_ms")
             lines.append(json.dumps(record, sort_keys=True))
-        golden = (FIXTURES / "golden" / "corpus_seed0.jsonl").read_text().splitlines()
+        golden = (FIXTURES / "golden" / f"corpus_seed{seed}.jsonl").read_text().splitlines()
         assert lines == golden

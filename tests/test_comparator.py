@@ -29,7 +29,6 @@ def outcome(
         call_log=list(call_log or []),
         exception=exception,
         covered_lines=frozenset(),
-        covered_changed_lines=frozenset(),
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairguard import engine, frontend
 from pairguard.driver import EngineConfig
 from pairguard.comparator import ABSTAIN, EQUIVALENT, compare
 from pairguard.engine import (
@@ -356,6 +357,17 @@ class TestControlFlow:
         assert out.exception.type_name == "RecursionError"
         assert out.exception.intentional is False
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def f():\n    for i in range(10**9):\n        pass\n",
+            "def f():\n    return [i for i in range(10**9)]\n",
+        ],
+    )
+    def test_huge_range_is_walked_lazily_under_the_step_budget(self, source):
+        out, _ = run_side(source)
+        assert out.exception.type_name == "StepBudgetExceeded"
+
     def test_step_budget_is_uncatchable(self):
         source = (
             "def f():\n"
@@ -486,6 +498,37 @@ class TestExceptions:
         out, _ = run_side(source)
         assert out.return_value == "'saved'"
 
+    @pytest.mark.parametrize(
+        "expr, caught",
+        [
+            ("1 // 0", "ArithmeticError"),
+            ("1 % 0", "ArithmeticError"),
+            ("2.0 ** 10000", "ArithmeticError"),
+            ("'{k}'.format()", "LookupError"),
+            ("'{0}'.format()", "LookupError"),
+            ("1 // 0", "(ValueError, ArithmeticError)"),
+            ("1 // 0", "LookupError"),
+            ("'{k}'.format()", "ArithmeticError"),
+        ],
+    )
+    def test_handlers_follow_builtin_hierarchy_like_cpython(self, expr, caught):
+        source = (
+            "def f():\n"
+            "    try:\n"
+            f"        return {expr}\n"
+            f"    except {caught}:\n"
+            "        return 'caught'\n"
+        )
+        namespace: dict = {}
+        exec(source, namespace)
+        try:
+            expected = repr(namespace["f"]())
+        except Exception as exc:
+            expected = type(exc).__name__
+        out, _ = run_side(source)
+        actual = out.return_value if out.exception is None else out.exception.type_name
+        assert actual == expected
+
 
 class TestStreams:
     def test_print_formatting(self):
@@ -547,6 +590,11 @@ class TestNativeMethods:
         assert out.return_value == "['Hi', ' HI ', ['a', 'b'], 'x,y']"
         assert out.call_log == []
 
+    def test_str_replace_is_native(self):
+        out, _ = run_side("def f():\n    return 'a,b'.replace(',', ';')\n")
+        assert out.return_value == "'a;b'"
+        assert out.call_log == []
+
     def test_unknown_method_on_concrete_becomes_external(self):
         out, cm = run_side("def f():\n    xs = [1]\n    return xs.flatten()\n")
         assert out.call_log[0].callee == "xs.flatten"
@@ -582,7 +630,8 @@ class TestCoverage:
         old = "def f(a):\n    return a + 1\n"
         new = "def f(a):\n    return a + 2\n"
         out, _ = run_side(old, new=new)
-        assert out.covered_changed_lines == {2}
+        pair = make_pair(old, new)
+        assert out.covered_lines & pair.changed_lines_old == {2}
 
     def test_coverage_recorded_even_when_execution_faults(self):
         source = "def f():\n    x = 1\n    return 1 / 0\n"
@@ -669,6 +718,13 @@ def test_mirror_property_randomized(seed, iteration):
     old, new, _ = run_pair(source, cfg=EngineConfig(seed=seed), iteration=iteration)
     result = compare(old, new)
     assert result.status in (EQUIVALENT, ABSTAIN)
+
+
+def test_every_validated_node_type_has_a_handler():
+    # The validator and the interpreter dispatch on the same node types, so
+    # no accepted program can reach a node the interpreter cannot run.
+    assert set(frontend._STATEMENT_RULES) == set(engine._EXEC)
+    assert set(frontend._EXPRESSION_RULES) == set(engine._EVAL)
 
 
 def test_call_log_entry_render():

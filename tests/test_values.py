@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,15 @@ class TestSerialize:
 
     def test_range(self):
         assert serialize(range(0, 3)) == "range(0, 3)"
+
+    def test_int_past_decimal_digit_limit_is_exact_hex(self):
+        limit = sys.get_int_max_str_digits()
+        big = 10**5000
+        assert serialize(big) == hex(big)
+        assert serialize(-big) == hex(-big)
+        assert serialize(big) != serialize(big + 1)
+        assert serialize([big]) == f"[{hex(big)}]"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_versatile_mentions_seed_type_and_stored(self):
         o = VersatileObject(5, "Request")
