@@ -18,6 +18,7 @@ import io
 import operator as _op
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from .frontend import (
@@ -107,6 +108,21 @@ def derive_seed(*parts: Any) -> int:
     """
     digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _result_size(op: str, left: Any, right: Any) -> int:
+    """Lower bound on the size of a host ``*`` or ``**`` result, charged to
+    the step budget before the host builds it: items for a repeated str,
+    list or tuple, 64-bit words for an int, 0 for anything else."""
+    if isinstance(left, int) and isinstance(right, int):
+        if op == "*":
+            return (left.bit_length() + right.bit_length()) // 64
+        return max(abs(left).bit_length() - 1, 0) * right // 64 if right > 0 else 0
+    if isinstance(left, int):
+        left, right = right, left
+    if op == "*" and isinstance(left, (str, list, tuple)) and isinstance(right, int):
+        return max(len(left) * right, 0)
+    return 0
 
 
 class SubjectError(Exception):
@@ -318,11 +334,16 @@ class Interpreter:
             return path
         return path[: _PATH_CAP - 3] + "..."
 
+    def _access_path(self, base_path: Optional[str], suffix: str) -> str:
+        """Capped path of ``base.attr`` or ``base[key]``; ``<expr>`` stands
+        for a base without a path."""
+        return self._cap_path(f"{base_path or '<expr>'}{suffix}")
+
     def _set_context(self, node: ast.AST) -> None:
         self.context = self.program.context(node)
 
     def _inject(self, kind: str, raw_name: str, path: str) -> Any:
-        path = self._cap_path(path)
+        """Injected value at ``path``, a key already capped by the caller."""
         context = self.context
 
         def creator():
@@ -485,12 +506,15 @@ class Interpreter:
             return
         if isinstance(target, ast.Attribute):
             base_v, base_p = self._eval_p(target.value, env)
-            current = self._read_attribute(base_v, target.attr, base_p)
+            merged = self.renamer.merge(target.attr)
+            path = self._access_path(base_p, f".{merged}")
+            current = self._read_attribute(base_v, target.attr, merged, path)
             self._store_attribute(base_v, target.attr, self._binop(op, current, rhs))
             return
         base_v, base_p = self._eval_p(target.value, env)
         key, rendered, host_index = self._eval_index(target, env)
-        current = self._read_subscript(base_v, key, rendered, host_index, base_p)
+        path = self._access_path(base_p, f"[{rendered}]")
+        current = self._read_subscript(base_v, key, rendered, host_index, path)
         self._store_subscript(base_v, host_index, self._binop(op, current, rhs))
 
     def _exec_Expr(self, node: ast.Expr, env: _Env) -> None:
@@ -532,8 +556,7 @@ class Interpreter:
 
     def _exec_For(self, node: ast.For, env: _Env) -> None:
         self._set_context(node.iter)
-        for item in self._loop_items(self._eval(node.iter, env)):
-            self._step(node)
+        for item in self._iterate(self._eval(node.iter, env)):
             self._bind_target(node.target, item, env)
             try:
                 self._exec_block(node.body, env)
@@ -631,7 +654,7 @@ class Interpreter:
             env.assign(target.id, value)
             return
         if isinstance(target, ast.Tuple):
-            items = self._iter_value(value)
+            items = list(self._iterate(value))
             if len(items) != len(target.elts):
                 self._fault(
                     "ValueError",
@@ -672,14 +695,12 @@ class Interpreter:
             return value
         if name in _BUILTINS:
             return BuiltinFunction(name)
-        path = self.renamer.merge(name)
+        path = self._cap_path(self.renamer.merge(name))
         value = self._inject("variable-read", name, path)
         env.assign(name, value)
         return value
 
-    def _read_attribute(self, base: Any, raw_attr: str, base_path: Optional[str]) -> Any:
-        merged = self.renamer.merge(raw_attr)
-        path = f"{base_path}.{merged}" if base_path else f"<expr>.{merged}"
+    def _read_attribute(self, base: Any, raw_attr: str, merged: str, path: str) -> Any:
         if isinstance(base, VersatileObject):
             if merged in base.attrs:
                 return base.attrs[merged]
@@ -713,9 +734,8 @@ class Interpreter:
         key: Any,
         rendered: str,
         host_index: Any,
-        base_path: Optional[str],
+        path: str,
     ) -> Any:
-        path = self._cap_path(f"{base_path}[{rendered}]" if base_path else f"<expr>[{rendered}]")
         if isinstance(base, VersatileObject):
             bracket = f"[{rendered}]"
             if bracket in base.attrs:
@@ -746,15 +766,14 @@ class Interpreter:
     def _eval_Attribute(self, node: ast.Attribute, env: _Env):
         base_v, base_p = self._eval_p(node.value, env)
         merged = self.renamer.merge(node.attr)
-        path = self._cap_path(f"{base_p}.{merged}" if base_p else f"<expr>.{merged}")
-        return self._read_attribute(base_v, node.attr, base_p), path
+        path = self._access_path(base_p, f".{merged}")
+        return self._read_attribute(base_v, node.attr, merged, path), path
 
     def _eval_Subscript(self, node: ast.Subscript, env: _Env):
         base_v, base_p = self._eval_p(node.value, env)
         key, rendered, host_index = self._eval_index(node, env)
-        value = self._read_subscript(base_v, key, rendered, host_index, base_p)
-        path = self._cap_path(f"{base_p}[{rendered}]" if base_p else f"<expr>[{rendered}]")
-        return value, path
+        path = self._access_path(base_p, f"[{rendered}]")
+        return self._read_subscript(base_v, key, rendered, host_index, path), path
 
     def _eval_Constant(self, node: ast.Constant, env: _Env):
         return node.value, None
@@ -796,6 +815,10 @@ class Interpreter:
         # reflected method. Route versatile operands through the total op.
         if isinstance(left, VersatileObject) or isinstance(right, VersatileObject):
             return versatile_binop(op, left, right)
+        if op == "*" or op == "**":
+            self.steps += _result_size(op, left, right)
+            if self.steps > self.program.cfg.step_budget:
+                raise _EngineInterrupt()
         return self._host(ARITH_OPS[op], left, right)
 
     def _eval_UnaryOp(self, node: ast.UnaryOp, env: _Env):
@@ -844,23 +867,17 @@ class Interpreter:
                     parts.append(self._subject_str(value))
         return "".join(parts), None
 
-    def _eval_ListComp(self, node: ast.ListComp, env: _Env):
+    def _eval_comprehension(self, node: ast.ListComp | ast.GeneratorExp, env: _Env):
         out: list = []
         self._run_comprehension(node.generators, 0, _Env(parent=env), node.elt, out)
-        return out, None
-
-    def _eval_GeneratorExp(self, node: ast.GeneratorExp, env: _Env):
-        out: list = []
-        self._run_comprehension(node.generators, 0, _Env(parent=env), node.elt, out)
-        return GeneratorValue(items=out), None
+        return (out if type(node) is ast.ListComp else GeneratorValue(items=out)), None
 
     def _run_comprehension(self, gens, idx, env, elt, out) -> None:
         if idx == len(gens):
             out.append(self._eval(elt, env))
             return
         gen = gens[idx]
-        for item in self._loop_items(self._eval(gen.iter, env)):
-            self._step(gen.iter)
+        for item in self._iterate(self._eval(gen.iter, env)):
             self._bind_target(gen.target, item, env)
             if all(self._eval(cond, env) for cond in gen.ifs):
                 self._run_comprehension(gens, idx + 1, env, elt, out)
@@ -875,6 +892,7 @@ class Interpreter:
                 if func.id == "isinstance":
                     return self._isinstance_call(node, env), None
                 if func.id == "super":
+                    self._check_call("super", len(node.args), [kw.arg for kw in node.keywords])
                     for a in node.args:
                         self._eval(a, env)
                     return self._super_value(), "super()"
@@ -891,8 +909,7 @@ class Interpreter:
         if isinstance(func, ast.Attribute):
             base_v, base_p = self._eval_p(func.value, env)
             merged_attr = self.renamer.merge(func.attr)
-            callee = f"{base_p}.{merged_attr}" if base_p else f"<expr>.{merged_attr}"
-            callee = self._cap_path(callee)
+            callee = self._access_path(base_p, f".{merged_attr}")
             if isinstance(base_v, VersatileObject) and merged_attr in base_v.attrs:
                 args, kwargs = self._eval_args(node, env)
                 return (
@@ -981,8 +998,7 @@ class Interpreter:
         return self.cmap.lookup_or_create(key, self.side, creator)
 
     def _isinstance_call(self, node: ast.Call, env: _Env) -> bool:
-        if len(node.args) != 2 or node.keywords:
-            self._fault("TypeError", "isinstance expects exactly two arguments")
+        self._check_call("isinstance", len(node.args), [kw.arg for kw in node.keywords])
         value = self._eval(node.args[0], env)
         names = isinstance_class_names(node.args[1], self.renamer)
         return self._isinstance_value(value, names)
@@ -1008,14 +1024,30 @@ class Interpreter:
     # builtins
 
     def _call_builtin(self, name: str, args: list, kwargs: dict) -> Any:
-        handler, allowed_kwargs = _BUILTINS[name]
-        if allowed_kwargs is not None:
-            for k in kwargs:
-                if k not in allowed_kwargs:
+        return self._check_call(name, len(args), kwargs)(self, args, kwargs)
+
+    def _check_call(self, name: str, count: int, keywords) -> Callable:
+        """Check a builtin call's positional count and keyword names against
+        its ``_BUILTINS`` entry; returns the handler."""
+        handler, fewest, most, accepted = _BUILTINS[name]
+        if not fewest <= count <= most:
+            if fewest == most:
+                expected = f"exactly {fewest}"
+            elif most == _MANY:
+                expected = f"at least {fewest}"
+            else:
+                expected = f"{fewest} to {most}"
+            self._fault(
+                "TypeError",
+                f"{name}() takes {expected} positional arguments but {count} were given",
+            )
+        if accepted is not None:
+            for k in keywords:
+                if k not in accepted:
                     self._fault(
                         "TypeError", f"{name}() got an unexpected keyword argument {k!r}"
                     )
-        return handler(self, args, kwargs)
+        return handler
 
     def _builtin_isinstance(self, args: list, kwargs: dict) -> bool:
         # Called indirectly, isinstance has lost its syntactic class
@@ -1033,13 +1065,9 @@ class Interpreter:
         self.stdout.write(sep.join(self._subject_str(a) for a in args) + end)
 
     def _builtin_len(self, args: list, kwargs: dict) -> int:
-        if len(args) != 1:
-            self._fault("TypeError", "len() takes exactly one argument")
         return self._host(len, args[0])
 
     def _builtin_range(self, args: list, kwargs: dict) -> range:
-        if not 1 <= len(args) <= 3:
-            self._fault("TypeError", "range() takes one to three arguments")
         coerced = [
             VersatileObject.INTERNAL_INT if isinstance(a, VersatileObject) else a
             for a in args
@@ -1047,125 +1075,60 @@ class Interpreter:
         return self._host(range, *coerced)
 
     def _builtin_str(self, args: list, kwargs: dict) -> str:
-        if not args:
-            return ""
-        if len(args) != 1:
-            self._fault("TypeError", "str() takes at most one argument")
-        return self._subject_str(args[0])
+        return self._subject_str(args[0]) if args else ""
 
     def _builtin_repr(self, args: list, kwargs: dict) -> str:
-        if len(args) != 1:
-            self._fault("TypeError", "repr() takes exactly one argument")
         return serialize(args[0])
 
-    def _builtin_int(self, args: list, kwargs: dict) -> int:
-        if not args:
-            return 0
-        if len(args) != 1:
-            self._fault("TypeError", "int() takes at most one argument")
-        v = args[0]
-        if isinstance(v, VersatileObject):
-            return VersatileObject.INTERNAL_INT
-        return self._host(int, v)
-
-    def _builtin_float(self, args: list, kwargs: dict) -> float:
-        if not args:
-            return 0.0
-        if len(args) != 1:
-            self._fault("TypeError", "float() takes at most one argument")
-        v = args[0]
-        if isinstance(v, VersatileObject):
-            return VersatileObject.INTERNAL_FLOAT
-        return self._host(float, v)
+    def _builtin_number(self, args: list, kwargs: dict, host: Callable) -> Any:
+        """int and float; a versatile argument converts as its internal int."""
+        if args and isinstance(args[0], VersatileObject):
+            return host(VersatileObject.INTERNAL_INT)
+        return self._host(host, *args)
 
     def _builtin_bool(self, args: list, kwargs: dict) -> bool:
-        if not args:
-            return False
-        if len(args) != 1:
-            self._fault("TypeError", "bool() takes at most one argument")
-        return bool(args[0])
+        return bool(*args)
 
     def _builtin_abs(self, args: list, kwargs: dict) -> Any:
-        if len(args) != 1:
-            self._fault("TypeError", "abs() takes exactly one argument")
         v = args[0]
         if isinstance(v, VersatileObject):
             return abs(VersatileObject.INTERNAL_INT)
         return self._host(abs, v)
 
-    def _builtin_min(self, args: list, kwargs: dict) -> Any:
-        return self._min_max(min, args)
-
-    def _builtin_max(self, args: list, kwargs: dict) -> Any:
-        return self._min_max(max, args)
-
-    def _min_max(self, fn: Callable, args: list) -> Any:
-        if not args:
-            self._fault("TypeError", f"{fn.__name__}() expects arguments")
-        if len(args) == 1:
-            return self._host(fn, self._iter_value(args[0]))
-        return self._host(fn, args)
+    def _builtin_min_max(self, args: list, kwargs: dict, host: Callable) -> Any:
+        return self._host(host, self._iterate(args[0]) if len(args) == 1 else args)
 
     def _builtin_any(self, args: list, kwargs: dict) -> bool:
-        if len(args) != 1:
-            self._fault("TypeError", "any() takes exactly one argument")
-        return any(self._iter_value(args[0]))
+        return any(self._iterate(args[0]))
 
     def _builtin_all(self, args: list, kwargs: dict) -> bool:
-        if len(args) != 1:
-            self._fault("TypeError", "all() takes exactly one argument")
-        return all(self._iter_value(args[0]))
+        return all(self._iterate(args[0]))
 
     def _builtin_sorted(self, args: list, kwargs: dict) -> list:
-        if len(args) != 1:
-            self._fault("TypeError", "sorted() takes exactly one positional argument")
-        items = self._iter_value(args[0])
         reverse = bool(kwargs.get("reverse", False))
-        return self._host(sorted, items, reverse=reverse)
+        return self._host(sorted, self._iterate(args[0]), reverse=reverse)
 
     def _builtin_enumerate(self, args: list, kwargs: dict) -> list:
-        if not 1 <= len(args) <= 2:
-            self._fault("TypeError", "enumerate() takes one or two arguments")
         start = args[1] if len(args) == 2 else 0
         if isinstance(start, VersatileObject):
             start = VersatileObject.INTERNAL_INT
         if not isinstance(start, int):
             self._fault("TypeError", "enumerate() start must be an integer")
-        return [(start + i, v) for i, v in enumerate(self._iter_value(args[0]))]
+        return [(start + i, v) for i, v in enumerate(self._iterate(args[0]))]
 
-    def _builtin_list(self, args: list, kwargs: dict) -> list:
-        if not args:
-            return []
-        if len(args) != 1:
-            self._fault("TypeError", "list() takes at most one argument")
-        return list(self._iter_value(args[0]))
-
-    def _builtin_tuple(self, args: list, kwargs: dict) -> tuple:
-        if not args:
-            return ()
-        if len(args) != 1:
-            self._fault("TypeError", "tuple() takes at most one argument")
-        return tuple(self._iter_value(args[0]))
-
-    def _builtin_set(self, args: list, kwargs: dict) -> set:
-        if not args:
-            return set()
-        if len(args) != 1:
-            self._fault("TypeError", "set() takes at most one argument")
-        return self._host(set, self._iter_value(args[0]))
+    def _builtin_collection(self, args: list, kwargs: dict, host: Callable) -> Any:
+        """list, tuple and set: the items of the argument, or empty."""
+        return self._host(host, self._iterate(args[0])) if args else host()
 
     def _builtin_dict(self, args: list, kwargs: dict) -> dict:
-        if len(args) > 1:
-            self._fault("TypeError", "dict() takes at most one positional argument")
         out: dict = {}
         if args:
             v = args[0]
             if isinstance(v, dict):
                 out.update(v)
             else:
-                pairs = self._iter_value(v)
-                for pair in pairs:
-                    items = self._iter_value(pair)
+                for pair in self._iterate(v):
+                    items = list(self._iterate(pair))
                     if len(items) != 2:
                         self._fault("ValueError", "dict() expects key/value pairs")
                     self._host(out.__setitem__, items[0], items[1])
@@ -1180,23 +1143,26 @@ class Interpreter:
             return value
         return serialize(value)
 
-    def _loop_items(self, value: Any):
-        """Items a for loop or comprehension walks. A range stays lazy, so the
-        step budget bounds it; anything else goes through ``_iter_value``."""
+    def _iterate(self, value: Any):
+        """Yield the items a loop, unpacking or builtin walks, charging one
+        step each. A range stays lazy; sets go in canonical order, generators
+        as their materialized items, anything else from a snapshot."""
         if type(value) is range:
-            return value
-        return self._iter_value(value)
-
-    def _iter_value(self, value: Any) -> list:
-        if isinstance(value, VersatileObject):
-            return list(value)
-        if isinstance(value, GeneratorValue):
-            return list(value.materialize())
-        if isinstance(value, (set, frozenset)):
-            return sorted_iter(value)
-        if isinstance(value, (str, list, tuple, dict, range)):
-            return list(value)
-        self._fault("TypeError", f"{serialize(value)} is not iterable")
+            items = value
+        elif isinstance(value, (list, tuple, str, dict, VersatileObject)):
+            items = list(value)
+        elif isinstance(value, GeneratorValue):
+            items = value.materialize()
+        elif isinstance(value, (set, frozenset)):
+            items = sorted_iter(value)
+        else:
+            self._fault("TypeError", f"{serialize(value)} is not iterable")
+        budget = self.program.cfg.step_budget
+        for item in items:
+            self.steps += 1
+            if self.steps > budget:
+                raise _EngineInterrupt()
+            yield item
 
 
 # Handlers by node type; the subset validator accepts exactly these types.
@@ -1235,35 +1201,37 @@ _EVAL: dict[type, Callable] = {
     ast.IfExp: Interpreter._eval_IfExp,
     ast.Lambda: Interpreter._eval_Lambda,
     ast.JoinedStr: Interpreter._eval_JoinedStr,
-    ast.ListComp: Interpreter._eval_ListComp,
-    ast.GeneratorExp: Interpreter._eval_GeneratorExp,
+    ast.ListComp: Interpreter._eval_comprehension,
+    ast.GeneratorExp: Interpreter._eval_comprehension,
 }
 
 # The builtin functions of the subject language, the only definition of the
-# set: name -> (handler, accepted keyword names, or None for any keyword).
+# set and of each call's shape: name -> (handler, fewest and most positional
+# arguments, accepted keyword names or None for any keyword).
+_MANY = float("inf")
 _NO_KWARGS: frozenset[str] = frozenset()
-_BUILTINS: dict[str, tuple[Callable, Optional[frozenset[str]]]] = {
-    "print": (Interpreter._builtin_print, frozenset({"sep", "end"})),
-    "len": (Interpreter._builtin_len, _NO_KWARGS),
-    "isinstance": (Interpreter._builtin_isinstance, None),
-    "super": (Interpreter._builtin_super, None),
-    "any": (Interpreter._builtin_any, _NO_KWARGS),
-    "all": (Interpreter._builtin_all, _NO_KWARGS),
-    "range": (Interpreter._builtin_range, _NO_KWARGS),
-    "str": (Interpreter._builtin_str, _NO_KWARGS),
-    "int": (Interpreter._builtin_int, _NO_KWARGS),
-    "float": (Interpreter._builtin_float, _NO_KWARGS),
-    "bool": (Interpreter._builtin_bool, _NO_KWARGS),
-    "repr": (Interpreter._builtin_repr, _NO_KWARGS),
-    "list": (Interpreter._builtin_list, _NO_KWARGS),
-    "dict": (Interpreter._builtin_dict, None),
-    "set": (Interpreter._builtin_set, _NO_KWARGS),
-    "tuple": (Interpreter._builtin_tuple, _NO_KWARGS),
-    "enumerate": (Interpreter._builtin_enumerate, _NO_KWARGS),
-    "sorted": (Interpreter._builtin_sorted, frozenset({"reverse"})),
-    "min": (Interpreter._builtin_min, _NO_KWARGS),
-    "max": (Interpreter._builtin_max, _NO_KWARGS),
-    "abs": (Interpreter._builtin_abs, _NO_KWARGS),
+_BUILTINS: dict[str, tuple[Callable, int, float, Optional[frozenset[str]]]] = {
+    "print": (Interpreter._builtin_print, 0, _MANY, frozenset({"sep", "end"})),
+    "len": (Interpreter._builtin_len, 1, 1, _NO_KWARGS),
+    "isinstance": (Interpreter._builtin_isinstance, 2, 2, _NO_KWARGS),
+    "super": (Interpreter._builtin_super, 0, 2, _NO_KWARGS),
+    "any": (Interpreter._builtin_any, 1, 1, _NO_KWARGS),
+    "all": (Interpreter._builtin_all, 1, 1, _NO_KWARGS),
+    "range": (Interpreter._builtin_range, 1, 3, _NO_KWARGS),
+    "str": (Interpreter._builtin_str, 0, 1, _NO_KWARGS),
+    "int": (partial(Interpreter._builtin_number, host=int), 0, 1, _NO_KWARGS),
+    "float": (partial(Interpreter._builtin_number, host=float), 0, 1, _NO_KWARGS),
+    "bool": (Interpreter._builtin_bool, 0, 1, _NO_KWARGS),
+    "repr": (Interpreter._builtin_repr, 1, 1, _NO_KWARGS),
+    "list": (partial(Interpreter._builtin_collection, host=list), 0, 1, _NO_KWARGS),
+    "dict": (Interpreter._builtin_dict, 0, 1, None),
+    "set": (partial(Interpreter._builtin_collection, host=set), 0, 1, _NO_KWARGS),
+    "tuple": (partial(Interpreter._builtin_collection, host=tuple), 0, 1, _NO_KWARGS),
+    "enumerate": (Interpreter._builtin_enumerate, 1, 2, _NO_KWARGS),
+    "sorted": (Interpreter._builtin_sorted, 1, 1, frozenset({"reverse"})),
+    "min": (partial(Interpreter._builtin_min_max, host=min), 1, _MANY, _NO_KWARGS),
+    "max": (partial(Interpreter._builtin_min_max, host=max), 1, _MANY, _NO_KWARGS),
+    "abs": (Interpreter._builtin_abs, 1, 1, _NO_KWARGS),
 }
 
 

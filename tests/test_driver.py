@@ -258,6 +258,16 @@ class TestRegressions:
         assert v.abstained_iterations == 1
         assert elapsed <= 2.0, f"one step-budget iteration took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("expr", ["list(range(10**9))", "'a' * 10**10"])
+    def test_huge_result_abstains_on_the_step_budget_in_time(self, expr):
+        source = f"def f():\n    return {expr}\n"
+        started = time.monotonic()
+        v = analyze_sources(source, source, cfg=EngineConfig(seed=0, max_iterations=1))
+        elapsed = time.monotonic() - started
+        assert v.classification == INCONCLUSIVE
+        assert v.abstained_iterations == 1
+        assert elapsed <= 2.0, f"one step-budget iteration took {elapsed:.2f}s"
+
 
 def test_analyze_sources_accepts_renames():
     old = "def f(xs):\n    count = 0\n    for x in xs:\n        count += 1\n    return count\n"

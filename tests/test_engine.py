@@ -229,12 +229,71 @@ class TestExternalCalls:
             )
             assert out.return_value != "'caught'"
 
+    def test_calls_past_the_path_cap_keep_their_occurrence(self):
+        # A call path longer than the cap is cut, and the occurrence number
+        # comes after the cut, so two calls still get two injected values.
+        base = "o." + "a" * 127
+        source = (
+            "def f(o):\n"
+            f"    a = {base}.fetch()\n"
+            f"    b = {base}.fetch()\n"
+            "    return a is b\n"
+        )
+        out, cm = run_side(source)
+        assert out.return_value == "False"
+        keys = [k for k in cm.entries if "()#" in k]
+        assert len(keys) == 2
+        assert keys[0].endswith("...()#1") and keys[1].endswith("...()#2")
+
     def test_constructor_call_builds_typed_versatile(self):
         out, cm = run_side(
             "def f(x):\n    if isinstance(x, Request):\n        return 'req'\n    r = Request(1)\n    return r\n",
         )
         assert "Request" in out.return_value or out.return_value == "'req'"
         assert out.call_log[0].callee == "Request" or out.return_value == "'req'"
+
+
+class TestBuiltins:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "print(1, color=2)",
+            "len()",
+            "len(1, 2)",
+            "isinstance(1)",
+            "isinstance(1, int, x=1)",
+            "super(1, 2, 3)",
+            "any()",
+            "all([], [])",
+            "range()",
+            "range(1, 2, 3, 4)",
+            "str(1, 2)",
+            "int(1, 2)",
+            "float(1, 2)",
+            "bool(1, 2)",
+            "repr()",
+            "list([], [])",
+            "dict([], [])",
+            "set([], [])",
+            "tuple([], [])",
+            "enumerate()",
+            "enumerate([], 0, 1)",
+            "sorted()",
+            "sorted([], [])",
+            "min()",
+            "max()",
+            "abs()",
+        ],
+    )
+    def test_wrong_call_shape_is_an_unintended_type_error(self, call):
+        source = f"def f():\n    return {call}\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        with pytest.raises(TypeError):
+            namespace["f"]()
+        out, _ = run_side(source)
+        assert out.exception.type_name == "TypeError"
+        assert out.exception.intentional is False
 
 
 class TestIsinstance:
@@ -362,11 +421,49 @@ class TestControlFlow:
         [
             "def f():\n    for i in range(10**9):\n        pass\n",
             "def f():\n    return [i for i in range(10**9)]\n",
+            "def f():\n    return list(range(10**9))\n",
+            "def f():\n    return sorted(range(10**9))\n",
+            "def f():\n    return set(range(10**9))\n",
+            "def f():\n    return tuple(range(10**9))\n",
+            "def f():\n    return min(range(10**9))\n",
+            "def f():\n    return max(range(10**9))\n",
+            "def f():\n    return all(range(1, 10**9))\n",
+            "def f():\n    return dict(enumerate(range(10**9)))\n",
+            "def f():\n    a, b = range(10**9)\n    return a\n",
         ],
     )
     def test_huge_range_is_walked_lazily_under_the_step_budget(self, source):
         out, _ = run_side(source)
         assert out.exception.type_name == "StepBudgetExceeded"
+
+    def test_any_stops_at_the_first_truthy_item(self):
+        out, _ = run_side("def f():\n    return any(range(1, 10**9))\n")
+        assert out.exception is None
+        assert out.return_value == "True"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def f():\n    return 'a' * 10**10\n",
+            "def f():\n    return 10**10 * 'a'\n",
+            "def f():\n    return [0] * 10**10\n",
+            "def f():\n    return (0,) * 10**10\n",
+            "def f():\n    return 2 ** 10**10\n",
+            "def f():\n    x = 3\n    for i in range(40):\n        x = x * x\n    return x\n",
+        ],
+    )
+    def test_huge_repetition_or_power_ends_on_the_step_budget(self, source):
+        out, _ = run_side(source)
+        assert out.exception.type_name == "StepBudgetExceeded"
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["(-1) ** 10**10", "1 ** 10**10", "0 ** 10**10", "2 ** 64", "10 ** 5000 % 7", "'ab' * -3"],
+    )
+    def test_small_powers_and_repetitions_run_like_cpython(self, expr):
+        out, _ = run_side(f"def f():\n    return {expr}\n")
+        assert out.exception is None
+        assert out.return_value == repr(eval(expr))
 
     def test_step_budget_is_uncatchable(self):
         source = (
