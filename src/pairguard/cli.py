@@ -193,8 +193,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     jobs = [(p, cfg, predictor) for p in pairs if p is not None]
     if args.jobs > 1 and len(jobs) > 1:
+        # A chunk is pickled as one list, so cfg and predictor travel once
+        # per chunk rather than once per pair; ~16 chunks per worker.
+        chunksize = max(1, len(jobs) // (args.jobs * 16))
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            finished = list(pool.map(_worker, jobs))
+            finished = list(pool.map(_worker, jobs, chunksize=chunksize))
     else:
         finished = [_worker(job) for job in jobs]
 

@@ -35,14 +35,25 @@ class IterationResult:
             raise ValueError("difference fields present iff status is difference")
 
 
+# Longest rendered value in a difference detail; longer ones are cut and
+# marked with their full length. The comparison itself sees full strings.
+_DETAIL_CAP = 1000
+
+
+def _capped(text: str) -> str:
+    if len(text) <= _DETAIL_CAP:
+        return text
+    return f"{text[:_DETAIL_CAP]}... [{len(text)} characters]"
+
+
 def _difference(
     dimension: str, old: str, new: str, extra: Optional[tuple[str, str]] = None
 ) -> IterationResult:
     lines = [f"dimension: {dimension}"]
     if extra is not None:
-        lines.append(f"{extra[0]}: {extra[1]}")
-    lines.append(f"old: {old}")
-    lines.append(f"new: {new}")
+        lines.append(f"{extra[0]}: {_capped(extra[1])}")
+    lines.append(f"old: {_capped(old)}")
+    lines.append(f"new: {_capped(new)}")
     return IterationResult(
         status=DIFFERENCE, dimension=dimension, detail="\n".join(lines)
     )

@@ -30,7 +30,7 @@ from .frontend import (
     is_generator,
     isinstance_class_names,
 )
-from .predictor import InjectionQuery, Predictor
+from .predictor import Distribution, InjectionQuery, Predictor
 from .values import (
     ARITH_OPS,
     COMPARE_OPS,
@@ -110,17 +110,26 @@ def derive_seed(*parts: Any) -> int:
     return int.from_bytes(digest, "big")
 
 
+_SCALING_OPS = frozenset({"*", "**"})
+_SEQUENCES = frozenset({str, list, tuple})
+
+
 def _result_size(op: str, left: Any, right: Any) -> int:
-    """Lower bound on the size of a host ``*`` or ``**`` result, charged to
-    the step budget before the host builds it: items for a repeated str,
-    list or tuple, 64-bit words for an int, 0 for anything else."""
+    """Lower bound on the size of a host ``+``, ``*`` or ``**`` result,
+    charged to the step budget before the host builds it: 64-item words for
+    joined str, list or tuple, items for a repeated one, 64-bit words for an
+    int product or power, 0 for anything else."""
+    if op == "+":
+        if type(left) in _SEQUENCES and type(right) in _SEQUENCES:
+            return (len(left) + len(right)) // 64
+        return 0
     if isinstance(left, int) and isinstance(right, int):
         if op == "*":
             return (left.bit_length() + right.bit_length()) // 64
         return max(abs(left).bit_length() - 1, 0) * right // 64 if right > 0 else 0
     if isinstance(left, int):
         left, right = right, left
-    if op == "*" and isinstance(left, (str, list, tuple)) and isinstance(right, int):
+    if op == "*" and type(left) in _SEQUENCES and isinstance(right, int):
         return max(len(left) * right, 0)
     return 0
 
@@ -221,8 +230,9 @@ class ComparisonProgram:
     """Everything derived from one pair that its paired runs share.
 
     Built once per analysis; every execution of either side reads the same
-    static facts, concretizer pools and per-side renamers, and the context
-    string of a statement is unparsed the first time any run needs it.
+    static facts, concretizer pools and per-side renamers. The context
+    string of a statement is unparsed, and the predictor asked about a
+    query, the first time any run needs it.
     """
 
     def __init__(
@@ -242,6 +252,7 @@ class ComparisonProgram:
         )
         self.renamers = {side: Renamer(pair.renames, side) for side in ("old", "new")}
         self._contexts: dict[ast.AST, str] = {}
+        self._distributions: dict[tuple[str, str, str], Distribution] = {}
 
     def context(self, node: ast.AST) -> str:
         """Source text of a node, capped, as handed to the predictor."""
@@ -253,6 +264,15 @@ class ComparisonProgram:
                 text = ""
             self._contexts[node] = text
         return text
+
+    def distribution(self, kind: str, name: str, context: str) -> Distribution:
+        """The predictor's answer to one query; both predictors are pure."""
+        key = (kind, name, context)
+        dist = self._distributions.get(key)
+        if dist is None:
+            dist = self.predictor.predict(InjectionQuery(kind, name, context))
+            self._distributions[key] = dist
+        return dist
 
 
 class _Env:
@@ -348,8 +368,7 @@ class Interpreter:
 
         def creator():
             rng = self._stream("value", path)
-            dist = self.program.predictor.predict(InjectionQuery(kind, raw_name, context))
-            abstract = dist.sample(rng)
+            abstract = self.program.distribution(kind, raw_name, context).sample(rng)
             return concretize(abstract, self.program.ccfg, rng)
 
         return self.cmap.lookup_or_create(path, self.side, creator)
@@ -395,11 +414,11 @@ class Interpreter:
     def _epilogue(self, result: Any) -> str:
         """Unwrap generator returns and probe returned functions once."""
         if isinstance(result, GeneratorValue):
-            return serialize(result.materialize())
+            return serialize(list(result.take()))
         if isinstance(result, FunctionValue):
             inner = self._call_function(result, [], {}, allow_missing=True)
             if isinstance(inner, GeneratorValue):
-                rendered = serialize(inner.materialize())
+                rendered = serialize(list(inner.take()))
             else:
                 rendered = serialize(inner)
             return f"<function {result.name}() -> {rendered}>"
@@ -815,7 +834,9 @@ class Interpreter:
         # reflected method. Route versatile operands through the total op.
         if isinstance(left, VersatileObject) or isinstance(right, VersatileObject):
             return versatile_binop(op, left, right)
-        if op == "*" or op == "**":
+        # Only a joined sequence or a scaling op can build a large result;
+        # the cheap test first keeps int ``+`` off the sizing call.
+        if (type(left) in _SEQUENCES) if op == "+" else (op in _SCALING_OPS):
             self.steps += _result_size(op, left, right)
             if self.steps > self.program.cfg.step_budget:
                 raise _EngineInterrupt()
@@ -1145,14 +1166,15 @@ class Interpreter:
 
     def _iterate(self, value: Any):
         """Yield the items a loop, unpacking or builtin walks, charging one
-        step each. A range stays lazy; sets go in canonical order, generators
-        as their materialized items, anything else from a snapshot."""
+        step each. A range stays lazy; sets go in canonical order, a
+        generator hands out the items no earlier walk took, anything else
+        goes from a snapshot."""
         if type(value) is range:
             items = value
         elif isinstance(value, (list, tuple, str, dict, VersatileObject)):
             items = list(value)
         elif isinstance(value, GeneratorValue):
-            items = value.materialize()
+            items = value.take()
         elif isinstance(value, (set, frozenset)):
             items = sorted_iter(value)
         else:

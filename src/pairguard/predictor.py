@@ -45,7 +45,7 @@ class InjectionQuery:
 class Distribution:
     """Probability distribution over the twelve abstract kinds."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "_cumulative")
 
     def __init__(self, weights: dict[AbstractValue, float]):
         total = 0.0
@@ -58,6 +58,15 @@ class Distribution:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1.0")
         self.weights = {k: weights.get(k, 0.0) for k in AbstractValue}
+        # Running sums over the positive weights in the fixed enum order.
+        cumulative = []
+        acc = 0.0
+        for kind, w in self.weights.items():
+            if w <= 0.0:
+                continue
+            acc += w
+            cumulative.append((acc, kind))
+        self._cumulative = tuple(cumulative)
 
     def get(self, kind: AbstractValue) -> float:
         return self.weights[kind]
@@ -65,18 +74,11 @@ class Distribution:
     def sample(self, rng) -> AbstractValue:
         """Draw one kind; iteration order is the fixed enum order."""
         r = rng.random()
-        acc = 0.0
-        last = None
-        for kind in AbstractValue:
-            w = self.weights[kind]
-            if w <= 0.0:
-                continue
-            acc += w
-            last = kind
+        for acc, kind in self._cumulative:
             if r < acc:
                 return kind
         # Float slack can leave r marginally above the final accumulator.
-        return last if last is not None else AbstractValue.OBJECT
+        return self._cumulative[-1][1]
 
     def argmax(self) -> AbstractValue:
         best = None
@@ -97,12 +99,11 @@ class Distribution:
         return f"Distribution({{{parts}}})"
 
 
-def _heavy(kind: AbstractValue) -> Distribution:
-    """Most of the mass on one kind, a uniform floor on the rest."""
-    weights = {k: 0.04 for k in AbstractValue}
-    weights[kind] = 0.56
-    return Distribution(weights)
-
+# Most of the mass on one kind, a uniform floor on the rest; one per kind.
+_HEAVY = {
+    kind: Distribution({k: 0.56 if k is kind else 0.04 for k in AbstractValue})
+    for kind in AbstractValue
+}
 
 # Fallback for plain variable reads with no better signal: objects dominate,
 # common container and primitive kinds share the rest.
@@ -195,6 +196,13 @@ _STR_PARTS = {
 # Operators that put an adjacent name in a numeric context. Plus is left
 # out on purpose: it is as often string or list concatenation.
 _NUMERIC_OP = r"(?:<=|>=|//|[<>\-*/%])"
+# Matched around each occurrence of the name in its context: the operator
+# after it (from the end of the name) or before it (up to its start, via
+# ``endpos``), and a word character bounding it on either side.
+_OP_AHEAD = re.compile(rf"\s*{_NUMERIC_OP}")
+_OP_BEHIND = re.compile(rf"{_NUMERIC_OP}\s*\Z")
+_RANGE_BEHIND = re.compile(r"range\(\s*\Z")
+_WORD_CHAR = re.compile(r"[A-Za-z0-9_]")
 
 
 class Predictor:
@@ -211,44 +219,50 @@ class HeuristicPredictor(Predictor):
         parts = [p for p in lowered.split("_") if p]
 
         if lowered.startswith(_BOOL_PREFIXES) or lowered in _BOOL_NAMES:
-            return _heavy(AbstractValue.BOOLEAN)
+            return _HEAVY[AbstractValue.BOOLEAN]
         if self._numeric_context(name, query.context):
-            return _heavy(AbstractValue.INTEGER)
+            return _HEAVY[AbstractValue.INTEGER]
         if any(p in _INT_PARTS for p in parts):
-            return _heavy(AbstractValue.INTEGER)
+            return _HEAVY[AbstractValue.INTEGER]
         if any(p in _DICT_PARTS for p in parts) or lowered.endswith(("_map", "_dict")):
-            return _heavy(AbstractValue.DICTIONARY)
+            return _HEAVY[AbstractValue.DICTIONARY]
         if any(p in _STR_PARTS for p in parts):
-            return _heavy(AbstractValue.STRING)
+            return _HEAVY[AbstractValue.STRING]
         if lowered.endswith(("_list", "_items")):
-            return _heavy(AbstractValue.LIST)
+            return _HEAVY[AbstractValue.LIST]
         if (
             query.kind == "variable-read"
             and len(lowered) > 3
             and lowered.endswith("s")
             and not lowered.endswith("ss")
         ):
-            return _heavy(AbstractValue.LIST)
+            return _HEAVY[AbstractValue.LIST]
         if lowered in ("self", "cls", "obj", "instance"):
-            return _heavy(AbstractValue.OBJECT)
+            return _HEAVY[AbstractValue.OBJECT]
         if query.kind in ("attribute-read", "call-return"):
-            return _heavy(AbstractValue.OBJECT)
+            return _HEAVY[AbstractValue.OBJECT]
         return _MIXED_DEFAULT
 
     @staticmethod
     def _numeric_context(name: str, context: str) -> bool:
-        """Whether the name sits next to an arithmetic or ordering operator."""
+        """Whether the name sits next to an arithmetic or ordering operator,
+        or first in a ``range(`` call, with no word character on its other
+        side."""
         if not context:
             return False
-        escaped = re.escape(name)
-        before = rf"(?<![A-Za-z0-9_]){escaped}\s*{_NUMERIC_OP}"
-        after = rf"{_NUMERIC_OP}\s*{escaped}(?![A-Za-z0-9_])"
-        in_range = rf"range\(\s*{escaped}(?![A-Za-z0-9_])"
-        return bool(
-            re.search(before, context)
-            or re.search(after, context)
-            or re.search(in_range, context)
-        )
+        i = context.find(name)
+        while i >= 0:
+            end = i + len(name)
+            if (i == 0 or not _WORD_CHAR.match(context, i - 1)) and _OP_AHEAD.match(
+                context, end
+            ):
+                return True
+            if not _WORD_CHAR.match(context, end) and (
+                _OP_BEHIND.search(context, 0, i) or _RANGE_BEHIND.search(context, 0, i)
+            ):
+                return True
+            i = context.find(name, i + 1)
+        return False
 
 
 class TablePredictor(Predictor):

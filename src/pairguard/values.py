@@ -13,7 +13,7 @@ import copy
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 
 class AbstractValue(Enum):
@@ -327,22 +327,24 @@ class FunctionValue:
 class GeneratorValue:
     """Lazily materialized generator result.
 
-    ``materialize`` runs the underlying producer once (up to the engine's
-    item cap) and caches the items; comparisons and unwrapping go through
-    the materialized list.
+    The underlying producer runs once, on the first walk (up to the
+    engine's item cap), and its items are cached. As with a CPython
+    generator, each item is handed to one walk only, so after a full walk
+    the generator is spent and later walks see no items.
     """
 
     def __init__(self, materializer: Optional[Callable[[], list]] = None, items: Optional[list] = None):
         self._materializer = materializer
         self.items = items
+        self.taken = 0
 
-    def materialize(self) -> list:
+    def take(self) -> Iterator:
+        """Yield the items no earlier walk has taken."""
         if self.items is None:
-            if self._materializer is None:
-                self.items = []
-            else:
-                self.items = self._materializer()
-        return self.items
+            self.items = [] if self._materializer is None else self._materializer()
+        while self.taken < len(self.items):
+            self.taken += 1
+            yield self.items[self.taken - 1]
 
     def __deepcopy__(self, memo):
         return self

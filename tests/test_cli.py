@@ -159,6 +159,35 @@ class TestBatch:
 
         assert strip(serial) == strip(parallel)
 
+    def test_parallel_chunks_keep_input_order(self, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        for i in range(70):
+            write_pair(d, name=f"p{i:02d}", old="def f(a):\n    return a\n",
+                       new=f"def f(a):\n    return a + {i % 3}\n")
+        chunks = []
+        real_map = cli.concurrent.futures.ProcessPoolExecutor.map
+
+        def spy(pool, fn, *iterables, chunksize=1, **kwargs):
+            chunks.append(chunksize)
+            return real_map(pool, fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(cli.concurrent.futures.ProcessPoolExecutor, "map", spy)
+        args = ("analyze", str(d), "--format", "json", "--max-iterations", "5")
+        _, serial, _ = run_cli(capsys, *args)
+        code, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
+        assert code == 0
+        assert chunks == [2]
+
+        def strip(text):
+            rows = [json.loads(line) for line in text.strip().splitlines()]
+            for r in rows:
+                r.pop("wall_time_ms")
+            return rows
+
+        assert [r["id"] for r in strip(parallel)] == [f"p{i:02d}" for i in range(70)]
+        assert strip(serial) == strip(parallel)
+
     def test_bad_file_reported_and_rest_processed(self, tmp_path, capsys):
         d = self.fill(tmp_path)
         (d / "broken.json").write_text("{nope")

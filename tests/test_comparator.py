@@ -157,6 +157,26 @@ class TestStateDimension:
         assert "old: <absent>" in r.detail
 
 
+class TestDetailCap:
+    def test_long_values_are_cut_with_their_full_length(self):
+        old, new = "1" * 5000, "1" * 4999 + "2"
+        r = compare(outcome(return_value=old), outcome(side="new", return_value=new))
+        assert r.status == DIFFERENCE
+        assert r.detail.splitlines()[1:] == [
+            f"old: {'1' * 1000}... [5000 characters]",
+            f"new: {'1' * 1000}... [5000 characters]",
+        ]
+
+    def test_long_path_is_cut(self):
+        path = "self." + "a" * 2000
+        r = compare(outcome(injected_state={path: "1"}), outcome(side="new", injected_state={path: "2"}))
+        assert f"path: {path[:1000]}... [2005 characters]" in r.detail
+
+    def test_values_at_the_cap_are_kept_whole(self):
+        r = compare(outcome(return_value="1" * 1000), outcome(side="new", return_value="2"))
+        assert r.detail.splitlines()[1] == f"old: {'1' * 1000}"
+
+
 class TestOutputDimension:
     def test_stdout_difference_is_reprd(self):
         r = compare(outcome(stdout="a\n"), outcome(side="new", stdout="b\n"))

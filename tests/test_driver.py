@@ -240,6 +240,17 @@ class TestRegressions:
         assert v.classification == SEMANTICS_CHANGING
         assert v.difference_dimension == "state"
 
+    def test_long_difference_detail_is_capped(self):
+        big = "def f():\n    return 10 ** 5000\n"
+        bigger = "def f():\n    return 10 ** 5000 + 1\n"
+        v = analyze_sources(big, bigger, cfg=EngineConfig(seed=0, max_iterations=3))
+        assert v.classification == SEMANTICS_CHANGING
+        lines = v.difference.splitlines()
+        assert lines[0] == "dimension: state"
+        for line in lines[1:]:
+            assert len(line) < 1030
+            assert line.endswith("... [4155 characters]")
+
     def test_str_replace_is_not_a_false_difference(self):
         old = "def f():\n    return 'a,b'.replace(',', ';')\n"
         new = "def f():\n    return 'a;b'\n"
@@ -251,6 +262,15 @@ class TestRegressions:
         # the analysis. Walking the range lazily keeps one iteration bounded
         # by the step budget instead of by a billion-element list.
         source = "def f():\n    for i in range(10**9):\n        pass\n"
+        started = time.monotonic()
+        v = analyze_sources(source, source, cfg=EngineConfig(seed=0, max_iterations=1))
+        elapsed = time.monotonic() - started
+        assert v.classification == INCONCLUSIVE
+        assert v.abstained_iterations == 1
+        assert elapsed <= 2.0, f"one step-budget iteration took {elapsed:.2f}s"
+
+    def test_repeated_doubling_abstains_on_the_step_budget_in_time(self):
+        source = "def f():\n    s = 'ab'\n    for i in range(40):\n        s = s + s\n    return s\n"
         started = time.monotonic()
         v = analyze_sources(source, source, cfg=EngineConfig(seed=0, max_iterations=1))
         elapsed = time.monotonic() - started

@@ -1,3 +1,4 @@
+import collections
 import json
 import pathlib
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairguard import engine, frontend
+from pairguard import analyze, engine, frontend
 from pairguard.driver import EngineConfig
 from pairguard.comparator import ABSTAIN, EQUIVALENT, compare
 from pairguard.engine import (
@@ -185,6 +186,37 @@ class TestInjection:
         out, cm = run_side("def f(x):\n    a = fetch(x)\n    b = fetch(x)\n    return a\n")
         assert "fetch()#1" in cm.entries
         assert "fetch()#2" in cm.entries
+
+
+class CountingPredictor(HeuristicPredictor):
+    def __init__(self):
+        self.asked = collections.Counter()
+
+    def predict(self, query):
+        self.asked[(query.kind, query.name, query.context)] += 1
+        return super().predict(query)
+
+
+class TestPredictionMemo:
+    def test_each_distinct_query_is_predicted_once_per_analysis(self):
+        predictor = CountingPredictor()
+        cfg = EngineConfig(seed=0, max_iterations=50)
+        for path in sorted(FIXTURES.glob("*.json")):
+            data = json.loads(path.read_text())
+            pair = make_pair(data["old"], data["new"], renames=data.get("renames") or {})
+            predictor.asked.clear()
+            analyze(pair, cfg, predictor)
+            assert all(n == 1 for n in predictor.asked.values()), path.stem
+
+    def test_memo_lives_for_one_analysis(self):
+        source = "def f(items, count):\n    return len(items) + count\n"
+        pair = make_pair(source, source)
+        predictor = CountingPredictor()
+        analyze(pair, EngineConfig(seed=0, max_iterations=30), predictor)
+        first = dict(predictor.asked)
+        analyze(pair, EngineConfig(seed=0, max_iterations=30), predictor)
+        assert len(first) >= 2
+        assert predictor.asked == {query: 2 for query in first}
 
 
 class TestExternalCalls:
@@ -456,6 +488,29 @@ class TestControlFlow:
         out, _ = run_side(source)
         assert out.exception.type_name == "StepBudgetExceeded"
 
+    def test_repeated_doubling_ends_on_the_step_budget(self):
+        source = "def f():\n    s = 'ab'\n    for i in range(40):\n        s = s + s\n    return s\n"
+        out, _ = run_side(source)
+        assert out.exception.type_name == "StepBudgetExceeded"
+        assert out.exception.intentional is False
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "text = ''\n    for i in range(1000):\n        text += str(i)\n    return len(text)",
+            "xs = []\n    for i in range(300):\n        xs = xs + [i]\n    return len(xs)",
+            "t = ()\n    for i in range(300):\n        t += (i,)\n    return t[-1]",
+            "return len('a' * 5000 + 'b' * 5000)",
+        ],
+    )
+    def test_ordinary_concatenation_runs_like_cpython(self, body):
+        source = f"def f():\n    {body}\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        out, _ = run_side(source)
+        assert out.exception is None
+        assert out.return_value == repr(namespace["f"]())
+
     @pytest.mark.parametrize(
         "expr",
         ["(-1) ** 10**10", "1 ** 10**10", "0 ** 10**10", "2 ** 64", "10 ** 5000 % 7", "'ab' * -3"],
@@ -657,6 +712,32 @@ class TestGeneratorsAndFunctions:
         out, _ = run_side(source, cfg=EngineConfig(generator_cap=5))
         assert out.return_value == "[0, 1, 2, 3, 4]"
         assert out.exception is None
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "g = (x for x in [1, 2])\n    a = list(g)\n    return list(g)",
+            "g = (x for x in [0, 1, 2])\n    a = any(g)\n    return list(g)",
+            "g = (x for x in [1, 2, 3])\n    return [(x, y) for x in g for y in g]",
+            "g = (x for x in [1, 2])\n    for x in g:\n        pass\n    return sorted(g)",
+            "def gen():\n        yield 1\n        yield 2\n"
+            "    g = gen()\n    a = tuple(g)\n    return [a, list(g)]",
+        ],
+    )
+    def test_generator_is_spent_after_one_walk_like_cpython(self, body):
+        source = f"def f():\n    {body}\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        out, _ = run_side(source)
+        assert out.exception is None
+        assert out.return_value == repr(namespace["f"]())
+
+    def test_spent_generator_returns_no_items(self):
+        source = "def f():\n    g = (x for x in [1, 2])\n    a = list(g)\n    return g\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        out, _ = run_side(source)
+        assert out.return_value == repr(list(namespace["f"]())) == "[]"
 
     def test_returned_function_is_probed(self):
         out, _ = run_side("def f():\n    def inner():\n        return 5\n    return inner\n")

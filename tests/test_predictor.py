@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,38 @@ class TestDistribution:
         rng = random.Random(1)
         seen = {d.sample(rng) for _ in range(200)}
         assert seen == {AbstractValue.LIST, AbstractValue.SET}
+
+
+def sample_by_enum_walk(dist, rng):
+    """Reference: the sampler that walked the enum on every draw."""
+    r = rng.random()
+    acc = 0.0
+    last = None
+    for kind in AbstractValue:
+        w = dist.weights[kind]
+        if w <= 0.0:
+            continue
+        acc += w
+        last = kind
+        if r < acc:
+            return kind
+    return last if last is not None else AbstractValue.OBJECT
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        min_size=len(AbstractValue),
+        max_size=len(AbstractValue),
+    ).filter(lambda ws: sum(ws) > 0),
+    st.integers(0, 2**32),
+)
+def test_sample_matches_enum_walk(raw, seed):
+    total = sum(raw)
+    dist = Distribution({k: w / total for k, w in zip(AbstractValue, raw)})
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert dist.sample(ours) == sample_by_enum_walk(dist, reference)
 
 
 @given(st.integers(0, 2**32))
@@ -174,6 +207,59 @@ class TestHeuristicRules:
 def test_heuristic_always_returns_a_distribution(name, kind):
     d = HeuristicPredictor().predict(InjectionQuery(kind, name))
     assert sum(d.weights.values()) == pytest.approx(1.0)
+
+
+def numeric_context_by_name_patterns(name, context):
+    """Reference: the three name-specific patterns compiled on every query."""
+    if not context:
+        return False
+    escaped = re.escape(name)
+    op = r"(?:<=|>=|//|[<>\-*/%])"
+    before = rf"(?<![A-Za-z0-9_]){escaped}\s*{op}"
+    after = rf"{op}\s*{escaped}(?![A-Za-z0-9_])"
+    in_range = rf"range\(\s*{escaped}(?![A-Za-z0-9_])"
+    return bool(
+        re.search(before, context)
+        or re.search(after, context)
+        or re.search(in_range, context)
+    )
+
+
+# Names and contexts over a small alphabet, so names recur in the context
+# next to operators, word characters, whitespace and ``range(``.
+_NAME_CHARS = "ab_1.()[]-"
+_CONTEXT_PIECES = ["a", "b", "ab", "_", "1", " ", "\t", "(", ")", ".", "[",
+                   "<", ">", "<=", ">=", "=", "-", "+", "*", "/", "//", "%",
+                   "range(", "range( ", "xrange("]
+
+
+@given(
+    st.text(alphabet=_NAME_CHARS, max_size=4),
+    st.lists(st.one_of(st.sampled_from(_CONTEXT_PIECES), st.just("NAME")), max_size=12),
+)
+def test_numeric_context_agrees_with_name_patterns(name, pieces):
+    context = "".join(name if p == "NAME" else p for p in pieces)
+    assert HeuristicPredictor._numeric_context(name, context) == (
+        numeric_context_by_name_patterns(name, context)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, context, numeric",
+    [
+        ("n", "for i in range( n):", True),
+        ("n", "x = m-n", True),
+        ("n", "x = m - nn", False),
+        ("n", "n >= 1", True),
+        ("n", "an >= 1", False),
+        ("n", "n + 1", False),
+        ("n", "n and n % 2", True),
+        ("self.size()", "if self.size() > 3:", True),
+    ],
+)
+def test_numeric_context_examples(name, context, numeric):
+    assert HeuristicPredictor._numeric_context(name, context) is numeric
+    assert numeric_context_by_name_patterns(name, context) is numeric
 
 
 class TestTablePredictor:
