@@ -40,10 +40,25 @@ class IterationResult:
 _DETAIL_CAP = 1000
 
 
-def _capped(text: str) -> str:
+def _capped(text: str, at: int = 0) -> str:
+    """``text`` whole if it fits the cap; else the cap's worth of it around
+    index ``at``, so that the character there stays visible. A window that
+    starts past the beginning says where."""
     if len(text) <= _DETAIL_CAP:
         return text
-    return f"{text[:_DETAIL_CAP]}... [{len(text)} characters]"
+    start = max(min(at - _DETAIL_CAP // 2, len(text) - _DETAIL_CAP), 0)
+    end = start + _DETAIL_CAP
+    window = f"{'...' if start else ''}{text[start:end]}{'...' if end < len(text) else ''}"
+    where = f", from {start}" if start else ""
+    return f"{window} [{len(text)} characters{where}]"
+
+
+def _first_difference(a: str, b: str) -> int:
+    """Index of the first character at which ``a`` and ``b`` differ."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))
 
 
 def _difference(
@@ -52,8 +67,9 @@ def _difference(
     lines = [f"dimension: {dimension}"]
     if extra is not None:
         lines.append(f"{extra[0]}: {_capped(extra[1])}")
-    lines.append(f"old: {_capped(old)}")
-    lines.append(f"new: {_capped(new)}")
+    at = _first_difference(old, new)
+    lines.append(f"old: {_capped(old, at)}")
+    lines.append(f"new: {_capped(new, at)}")
     return IterationResult(
         status=DIFFERENCE, dimension=dimension, detail="\n".join(lines)
     )

@@ -1,12 +1,14 @@
 """Guided execution engine.
 
-A tree-walking interpreter runs one side (old or new) of a merged function
-pair. Reads of undefined variables, attribute reads, unresolvable calls, and
-crashing subscripts are intercepted and answered with predicted, concretized
-values. A consistency map shared between the two sides of one iteration
-guarantees both executions observe the same injected inputs, while every
-random decision is drawn from a stream keyed by the merged access path so
-small control-flow differences cannot desynchronize the two runs.
+Each side (old or new) of a merged function pair is compiled once per pair
+into nested Python closures, one per statement and expression, and the
+closures run that side for every iteration. Reads of undefined variables,
+attribute reads, unresolvable calls, and crashing subscripts are intercepted
+and answered with predicted, concretized values. A consistency map shared
+between the two sides of one iteration guarantees both executions observe
+the same injected inputs, while every random decision is drawn from a stream
+keyed by the merged access path so small control-flow differences cannot
+desynchronize the two runs.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import ast
 import builtins
 import hashlib
 import io
-import operator as _op
 import random
+import re
+import string
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
@@ -110,7 +113,6 @@ def derive_seed(*parts: Any) -> int:
     return int.from_bytes(digest, "big")
 
 
-_SCALING_OPS = frozenset({"*", "**"})
 _SEQUENCES = frozenset({str, list, tuple})
 
 
@@ -134,6 +136,67 @@ def _result_size(op: str, left: Any, right: Any) -> int:
     return 0
 
 
+# One printf-style conversion: mapping key, flags, width, precision, type.
+_PERCENT_SPEC = r"(?s)%(?:\([^)]*\))?[-#0 +]*(\*|\d+)?(?:\.(\*|\d*))?[hlL]?(.)"
+# A format-spec mini-language string, as str.format hands it to format().
+_FORMAT_SPEC = r"(?s)(?:.?[<>=^])?[-+ ]?z?#?0?(\d*)[,_]?(?:\.(\d+))?(.?)"
+_TRUNCATING = frozenset("sra")
+
+
+def _padding_size(width: Any, precision: Any, truncates: bool) -> int:
+    """64-character words a width and a precision can make a field build;
+    a precision that only truncates builds nothing."""
+    size = width if type(width) is int else 0
+    if not truncates and type(precision) is int:
+        size += precision
+    return max(size, 0) // 64
+
+
+def _percent_size(fmt: str, args: Any) -> int:
+    """Words the widths and precisions of ``fmt % args`` can build, with
+    ``*`` values taken from the arguments; 0 where the host will refuse."""
+    values = args if type(args) is tuple else (args,)
+    index = size = 0
+    for match in re.finditer(_PERCENT_SPEC, fmt):
+        width, precision, kind = match.groups()
+        if kind == "%":
+            continue
+        if width == "*":
+            width = values[index] if index < len(values) else None
+            width = abs(width) if type(width) is int else None  # negative: left-justified
+            index += 1
+        if precision == "*":
+            precision = values[index] if index < len(values) else None
+            index += 1
+        index += 1
+        size += _padding_size(
+            int(width) if isinstance(width, str) and width else width,
+            int(precision) if isinstance(precision, str) and precision else precision,
+            kind in _TRUNCATING,
+        )
+    return size
+
+
+class _FormatSizer(string.Formatter):
+    """Formats a ``str.format`` call as the host would, charging each
+    field's resolved width and precision, nested ``{}`` ones included, to
+    the step budget before the field is built."""
+
+    def __init__(self, rt: "Interpreter"):
+        super().__init__()
+        self.rt = rt
+
+    def format_field(self, value: Any, format_spec: str) -> Any:
+        match = re.fullmatch(_FORMAT_SPEC, format_spec)
+        if match is not None:
+            width, precision, kind = match.groups()
+            truncates = isinstance(value, str) and kind in ("", "s")
+            self.rt._charge(
+                _padding_size(int(width or 0), int(precision) if precision else None, truncates)
+            )
+        return super().format_field(value, format_spec)
+
+
 class SubjectError(Exception):
     """Exception-level control flow of the code under execution."""
 
@@ -142,8 +205,23 @@ class SubjectError(Exception):
         self.value = value
 
 
+def _subject_fault(exc: Exception) -> SubjectError:
+    """A host fault as the unintended subject exception it stands for."""
+    return SubjectError(ExceptionValue(type(exc).__name__, [str(exc)], intentional=False))
+
+
 class _EngineInterrupt(Exception):
     """Step budget exhausted; never catchable by subject-level handlers."""
+
+
+def _tick(rt: "Interpreter", line: int) -> None:
+    """Charge one step, check it against the budget, then record the line
+    as covered: what every compiled statement and expression does first."""
+    n = rt.steps + 1
+    rt.steps = n
+    if n > rt.budget:
+        raise _EngineInterrupt()
+    rt.covered.add(line)
 
 
 class _StopMaterialize(Exception):
@@ -230,9 +308,9 @@ class ComparisonProgram:
     """Everything derived from one pair that its paired runs share.
 
     Built once per analysis; every execution of either side reads the same
-    static facts, concretizer pools and per-side renamers. The context
-    string of a statement is unparsed, and the predictor asked about a
-    query, the first time any run needs it.
+    static facts, concretizer pools, per-side renamers and per-side compiled
+    bodies. The context string of a statement is unparsed, and the
+    predictor asked about a query, the first time an injection needs it.
     """
 
     def __init__(
@@ -251,11 +329,17 @@ class ComparisonProgram:
             object_bias=cfg.object_bias,
         )
         self.renamers = {side: Renamer(pair.renames, side) for side in ("old", "new")}
+        self.bodies = {
+            "old": _Compiler(self, "old").block(pair.old.body),
+            "new": _Compiler(self, "new").block(pair.new.body),
+        }
         self._contexts: dict[ast.AST, str] = {}
         self._distributions: dict[tuple[str, str, str], Distribution] = {}
 
-    def context(self, node: ast.AST) -> str:
+    def context(self, node: Optional[ast.AST]) -> str:
         """Source text of a node, capped, as handed to the predictor."""
+        if node is None:
+            return ""
         text = self._contexts.get(node)
         if text is None:
             try:
@@ -292,12 +376,42 @@ class _Env:
             env = env.parent
         return False, None
 
-    def assign(self, name: str, value: Any) -> None:
-        self.vars[name] = value
+
+def _cap_path(path: str) -> str:
+    if len(path) <= _PATH_CAP:
+        return path
+    return path[: _PATH_CAP - 3] + "..."
+
+
+def _access_path(base_path: Optional[str], suffix: str) -> str:
+    """Capped path of ``base.attr`` or ``base[key]``; ``<expr>`` stands for a
+    base without a path."""
+    return _cap_path(f"{base_path or '<expr>'}{suffix}")
 
 
 class Interpreter:
-    """Executes one side of a comparison program for one iteration."""
+    """Runtime state of one side's execution in one iteration.
+
+    The compiled closures of ``ComparisonProgram.bodies`` take it as their
+    first argument and charge their steps to it.
+    """
+
+    __slots__ = (
+        "side",
+        "program",
+        "cmap",
+        "iteration_seed",
+        "budget",
+        "stdout",
+        "call_log",
+        "covered",
+        "steps",
+        "call_depth",
+        "occurrences",
+        "active_exceptions",
+        "sinks",
+        "context",
+    )
 
     def __init__(
         self,
@@ -308,9 +422,9 @@ class Interpreter:
     ):
         self.side = side
         self.program = program
-        self.renamer = program.renamers[side]
         self.cmap = cmap
         self.iteration_seed = iteration_seed
+        self.budget = program.cfg.step_budget
         self.stdout = io.StringIO()
         self.call_log: list[CallLogEntry] = []
         self.covered: set[int] = set()
@@ -319,20 +433,19 @@ class Interpreter:
         self.occurrences: dict[str, int] = {}
         self.active_exceptions: list[ExceptionValue] = []
         self.sinks: list[list] = []
-        self.context = ""
+        # The statement part whose source text an injection is asked about.
+        self.context: Optional[ast.AST] = None
 
     # plumbing
 
     def _stream(self, *key: Any) -> random.Random:
         return random.Random(derive_seed(self.iteration_seed, *key))
 
-    def _step(self, node: ast.AST) -> None:
-        self.steps += 1
-        if self.steps > self.program.cfg.step_budget:
+    def _charge(self, steps: int) -> None:
+        """Charge the size of a host result before the host builds it."""
+        self.steps += steps
+        if self.steps > self.budget:
             raise _EngineInterrupt()
-        line = getattr(node, "lineno", None)
-        if line is not None:
-            self.covered.add(line)
 
     def _host(self, fn: Callable, *args, **kwargs):
         """Run one host-level operation, translating faults into subject
@@ -342,32 +455,18 @@ class Interpreter:
         except VersatileIndexError:
             raise
         except _HOST_FAULTS as exc:
-            raise SubjectError(
-                ExceptionValue(type(exc).__name__, [str(exc)], intentional=False)
-            ) from None
+            raise _subject_fault(exc) from None
 
     def _fault(self, type_name: str, message: str):
         raise SubjectError(ExceptionValue(type_name, [message], intentional=False))
 
-    def _cap_path(self, path: str) -> str:
-        if len(path) <= _PATH_CAP:
-            return path
-        return path[: _PATH_CAP - 3] + "..."
-
-    def _access_path(self, base_path: Optional[str], suffix: str) -> str:
-        """Capped path of ``base.attr`` or ``base[key]``; ``<expr>`` stands
-        for a base without a path."""
-        return self._cap_path(f"{base_path or '<expr>'}{suffix}")
-
-    def _set_context(self, node: ast.AST) -> None:
-        self.context = self.program.context(node)
-
     def _inject(self, kind: str, raw_name: str, path: str) -> Any:
         """Injected value at ``path``, a key already capped by the caller."""
-        context = self.context
+        node = self.context
 
         def creator():
             rng = self._stream("value", path)
+            context = self.program.context(node)
             abstract = self.program.distribution(kind, raw_name, context).sample(rng)
             return concretize(abstract, self.program.ccfg, rng)
 
@@ -381,11 +480,12 @@ class Interpreter:
     # entry points
 
     def run(self) -> ExecutionOutcome:
-        pair = self.program.pair
-        fn = pair.old if self.side == "old" else pair.new
+        fn = self.program.pair.old if self.side == "old" else self.program.pair.new
         root = _Env()
-        entry = FunctionValue(fn.name, list(fn.params), fn.body, root, fn.is_generator)
-        root.assign(fn.name, entry)
+        entry = FunctionValue(
+            fn.name, list(fn.params), self.program.bodies[self.side], root, fn.is_generator
+        )
+        root.vars[fn.name] = entry
         self.covered.add(fn.node.lineno)
         return_s: Optional[str] = None
         exception: Optional[ExceptionInfo] = None
@@ -439,36 +539,33 @@ class Interpreter:
             self._fault("RecursionError", "maximum call depth exceeded")
         try:
             env = _Env(parent=fv.env)
+            local = env.vars
             params = fv.params
             if len(args) > len(params):
                 self._fault(
                     "TypeError",
                     f"{fv.name}() takes {len(params)} arguments but {len(args)} were given",
                 )
-            bound = set()
             for p, a in zip(params, args):
-                env.assign(p, a)
-                bound.add(p)
+                local[p] = a
             for k, v in kwargs.items():
                 if k not in params:
                     self._fault("TypeError", f"{fv.name}() got an unexpected keyword argument {k!r}")
-                if k in bound:
+                if k in local:
                     self._fault("TypeError", f"{fv.name}() got multiple values for argument {k!r}")
-                env.assign(k, v)
-                bound.add(k)
-            if not allow_missing:
-                missing = [p for p in params if p not in bound]
-                if missing:
-                    self._fault(
-                        "TypeError",
-                        f"{fv.name}() missing required argument {missing[0]!r}",
-                    )
+                local[k] = v
+            if not allow_missing and len(local) < len(params):
+                missing = [p for p in params if p not in local]
+                self._fault(
+                    "TypeError",
+                    f"{fv.name}() missing required argument {missing[0]!r}",
+                )
             if fv.is_lambda:
-                return self._eval(fv.body, env)
+                return fv.body(self, env)
             if fv.is_generator:
                 return GeneratorValue(materializer=lambda: self._materialize(fv, env))
             try:
-                self._exec_block(fv.body, env)
+                fv.body(self, env)
             except _Return as r:
                 return r.value
             return None
@@ -480,221 +577,16 @@ class Interpreter:
         self.sinks.append(sink)
         try:
             try:
-                self._exec_block(fv.body, env)
+                fv.body(self, env)
             except (_Return, _StopMaterialize):
                 pass
         finally:
             self.sinks.pop()
         return sink
 
-    # statements
+    # stores
 
-    def _exec_block(self, stmts: list, env: _Env) -> None:
-        for stmt in stmts:
-            self._step(stmt)
-            _EXEC[type(stmt)](self, stmt, env)
-
-    def _exec_FunctionDef(self, node: ast.FunctionDef, env: _Env) -> None:
-        fv = FunctionValue(
-            node.name,
-            [a.arg for a in node.args.args],
-            node.body,
-            env,
-            is_generator=is_generator(node),
-        )
-        env.assign(node.name, fv)
-
-    def _exec_Return(self, node: ast.Return, env: _Env) -> None:
-        self._set_context(node)
-        value = self._eval(node.value, env) if node.value is not None else None
-        raise _Return(value)
-
-    def _exec_Assign(self, node: ast.Assign, env: _Env) -> None:
-        self._set_context(node)
-        value = self._eval(node.value, env)
-        self._bind_target(node.targets[0], value, env)
-
-    def _exec_AugAssign(self, node: ast.AugAssign, env: _Env) -> None:
-        self._set_context(node)
-        op = BINOP_SYMBOLS[type(node.op)]
-        target = node.target
-        rhs = self._eval(node.value, env)
-        if isinstance(target, ast.Name):
-            current = self._read_name(target.id, env)
-            env.assign(target.id, self._binop(op, current, rhs))
-            return
-        if isinstance(target, ast.Attribute):
-            base_v, base_p = self._eval_p(target.value, env)
-            merged = self.renamer.merge(target.attr)
-            path = self._access_path(base_p, f".{merged}")
-            current = self._read_attribute(base_v, target.attr, merged, path)
-            self._store_attribute(base_v, target.attr, self._binop(op, current, rhs))
-            return
-        base_v, base_p = self._eval_p(target.value, env)
-        key, rendered, host_index = self._eval_index(target, env)
-        path = self._access_path(base_p, f"[{rendered}]")
-        current = self._read_subscript(base_v, key, rendered, host_index, path)
-        self._store_subscript(base_v, host_index, self._binop(op, current, rhs))
-
-    def _exec_Expr(self, node: ast.Expr, env: _Env) -> None:
-        self._set_context(node)
-        if isinstance(node.value, ast.Yield):
-            value = (
-                self._eval(node.value.value, env)
-                if node.value.value is not None
-                else None
-            )
-            if not self.sinks:
-                self._fault("RuntimeError", "yield outside a generator")
-            sink = self.sinks[-1]
-            sink.append(value)
-            if len(sink) >= self.program.cfg.generator_cap:
-                raise _StopMaterialize()
-            return
-        self._eval(node.value, env)
-
-    def _exec_If(self, node: ast.If, env: _Env) -> None:
-        self._set_context(node.test)
-        if self._eval(node.test, env):
-            self._exec_block(node.body, env)
-        else:
-            self._exec_block(node.orelse, env)
-
-    def _exec_While(self, node: ast.While, env: _Env) -> None:
-        while True:
-            self._set_context(node.test)
-            self._step(node)
-            if not self._eval(node.test, env):
-                break
-            try:
-                self._exec_block(node.body, env)
-            except _Break:
-                break
-            except _Continue:
-                continue
-
-    def _exec_For(self, node: ast.For, env: _Env) -> None:
-        self._set_context(node.iter)
-        for item in self._iterate(self._eval(node.iter, env)):
-            self._bind_target(node.target, item, env)
-            try:
-                self._exec_block(node.body, env)
-            except _Break:
-                break
-            except _Continue:
-                continue
-
-    def _exec_Break(self, node: ast.Break, env: _Env) -> None:
-        raise _Break()
-
-    def _exec_Continue(self, node: ast.Continue, env: _Env) -> None:
-        raise _Continue()
-
-    def _exec_Pass(self, node: ast.Pass, env: _Env) -> None:
-        pass
-
-    def _exec_Raise(self, node: ast.Raise, env: _Env) -> None:
-        self._set_context(node)
-        if node.cause is not None:
-            self._eval(node.cause, env)
-        if node.exc is None:
-            if self.active_exceptions:
-                raise SubjectError(self.active_exceptions[-1])
-            self._fault("RuntimeError", "no active exception to re-raise")
-        if isinstance(node.exc, ast.Name):
-            found, value = env.lookup(node.exc.id)
-            if found:
-                if isinstance(value, ExceptionValue):
-                    raise SubjectError(value)
-                self._fault("TypeError", "exceptions must be exception values")
-            raise SubjectError(
-                ExceptionValue(self.renamer.merge(node.exc.id), [], intentional=True)
-            )
-        # Call of a name, e.g. raise ValueError('boom')
-        call = node.exc
-        args = [self._eval(a, env) for a in call.args]
-        args.extend(self._eval(kw.value, env) for kw in call.keywords)
-        type_name = self.renamer.merge(call.func.id)
-        raise SubjectError(ExceptionValue(type_name, args, intentional=True))
-
-    def _exec_Assert(self, node: ast.Assert, env: _Env) -> None:
-        self._set_context(node)
-        if not self._eval(node.test, env):
-            args = [self._eval(node.msg, env)] if node.msg is not None else []
-            raise SubjectError(ExceptionValue("AssertionError", args, intentional=True))
-
-    def _exec_Try(self, node: ast.Try, env: _Env) -> None:
-        try:
-            try:
-                self._exec_block(node.body, env)
-            except SubjectError as err:
-                for handler in node.handlers:
-                    if self._handler_matches(handler, err.value):
-                        if handler.name:
-                            env.assign(handler.name, err.value)
-                        self.active_exceptions.append(err.value)
-                        try:
-                            self._exec_block(handler.body, env)
-                        finally:
-                            self.active_exceptions.pop()
-                        break
-                else:
-                    raise
-            else:
-                self._exec_block(node.orelse, env)
-        finally:
-            self._exec_block(node.finalbody, env)
-
-    def _handler_matches(self, handler: ast.ExceptHandler, ev: ExceptionValue) -> bool:
-        if handler.type is None:
-            return True
-        elts = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-        catching = _CATCHING_NAMES.get(ev.type_name, ())
-        for e in elts:
-            name = self.renamer.merge(e.id)
-            if name == ev.type_name or name in ("Exception", "BaseException") or name in catching:
-                return True
-        return False
-
-    def _exec_With(self, node: ast.With, env: _Env) -> None:
-        item = node.items[0]
-        self._set_context(item.context_expr)
-        value = self._eval(item.context_expr, env)
-        if isinstance(value, VersatileObject):
-            value = value.__enter__()
-        if item.optional_vars is not None:
-            env.assign(item.optional_vars.id, value)
-        self._exec_block(node.body, env)
-
-    # assignment targets
-
-    def _bind_target(self, target: ast.expr, value: Any, env: _Env) -> None:
-        if isinstance(target, ast.Name):
-            env.assign(target.id, value)
-            return
-        if isinstance(target, ast.Tuple):
-            items = list(self._iterate(value))
-            if len(items) != len(target.elts):
-                self._fault(
-                    "ValueError",
-                    f"cannot unpack {len(items)} values into {len(target.elts)} targets",
-                )
-            for t, v in zip(target.elts, items):
-                self._bind_target(t, v, env)
-            return
-        if isinstance(target, ast.Attribute):
-            base_v, _ = self._eval_p(target.value, env)
-            self._store_attribute(base_v, target.attr, value)
-            return
-        if isinstance(target, ast.Subscript):
-            base_v, _ = self._eval_p(target.value, env)
-            _, _, host_index = self._eval_index(target, env)
-            self._store_subscript(base_v, host_index, value)
-            return
-        raise RuntimeError(f"engine cannot bind {type(target).__name__}")
-
-    def _store_attribute(self, base: Any, raw_attr: str, value: Any) -> None:
-        merged = self.renamer.merge(raw_attr)
+    def _store_attribute(self, base: Any, raw_attr: str, merged: str, value: Any) -> None:
         if isinstance(base, VersatileObject):
             base.store(merged, value)
             return
@@ -708,15 +600,13 @@ class Interpreter:
 
     # reads with interception
 
-    def _read_name(self, name: str, env: _Env) -> Any:
-        found, value = env.lookup(name)
-        if found:
-            return value
+    def _missing_name(self, name: str, path: str, env: _Env) -> Any:
+        """A name no enclosing scope binds: a builtin, or an injected value
+        bound in the innermost scope."""
         if name in _BUILTINS:
             return BuiltinFunction(name)
-        path = self._cap_path(self.renamer.merge(name))
         value = self._inject("variable-read", name, path)
-        env.assign(name, value)
+        env.vars[name] = value
         return value
 
     def _read_attribute(self, base: Any, raw_attr: str, merged: str, path: str) -> Any:
@@ -729,23 +619,6 @@ class Interpreter:
         if raw_attr in NATIVE_METHODS and hasattr(base, raw_attr):
             return BoundMethod(base, raw_attr)
         return self._inject("attribute-read", raw_attr, path)
-
-    def _eval_index(self, node: ast.Subscript, env: _Env):
-        """Evaluate a subscript index once.
-
-        Returns (key_value, rendered_text, host_index) where host_index is
-        what the host subscript operation receives (a slice object for
-        slices, the key itself otherwise).
-        """
-        s = node.slice
-        if isinstance(s, ast.Slice):
-            lo = self._eval(s.lower, env) if s.lower is not None else None
-            hi = self._eval(s.upper, env) if s.upper is not None else None
-            rendered = f"{serialize(lo) if lo is not None else ''}:{serialize(hi) if hi is not None else ''}"
-            return None, rendered, slice(lo, hi)
-        key = self._eval(s, env)
-        rendered = serialize(key)
-        return key, rendered, key
 
     def _read_subscript(
         self,
@@ -768,195 +641,7 @@ class Interpreter:
                 base.attrs[f"[{rendered}]"] = value
             return value
 
-    # expressions; each handler returns (value, access path or None)
-
-    def _eval(self, node: ast.expr, env: _Env) -> Any:
-        self._step(node)
-        return _EVAL[type(node)](self, node, env)[0]
-
-    def _eval_p(self, node: ast.expr, env: _Env) -> tuple[Any, Optional[str]]:
-        """Evaluate an expression, tracking its access path when it has one."""
-        self._step(node)
-        return _EVAL[type(node)](self, node, env)
-
-    def _eval_Name(self, node: ast.Name, env: _Env):
-        return self._read_name(node.id, env), self.renamer.merge(node.id)
-
-    def _eval_Attribute(self, node: ast.Attribute, env: _Env):
-        base_v, base_p = self._eval_p(node.value, env)
-        merged = self.renamer.merge(node.attr)
-        path = self._access_path(base_p, f".{merged}")
-        return self._read_attribute(base_v, node.attr, merged, path), path
-
-    def _eval_Subscript(self, node: ast.Subscript, env: _Env):
-        base_v, base_p = self._eval_p(node.value, env)
-        key, rendered, host_index = self._eval_index(node, env)
-        path = self._access_path(base_p, f"[{rendered}]")
-        return self._read_subscript(base_v, key, rendered, host_index, path), path
-
-    def _eval_Constant(self, node: ast.Constant, env: _Env):
-        return node.value, None
-
-    def _eval_List(self, node: ast.List, env: _Env):
-        return [self._eval(e, env) for e in node.elts], None
-
-    def _eval_Tuple(self, node: ast.Tuple, env: _Env):
-        return tuple(self._eval(e, env) for e in node.elts), None
-
-    def _eval_Set(self, node: ast.Set, env: _Env):
-        return self._host(set, [self._eval(e, env) for e in node.elts]), None
-
-    def _eval_Dict(self, node: ast.Dict, env: _Env):
-        out: dict = {}
-        for k, v in zip(node.keys, node.values):
-            key = self._eval(k, env)
-            value = self._eval(v, env)
-            self._host(out.__setitem__, key, value)
-        return out, None
-
-    def _eval_BoolOp(self, node: ast.BoolOp, env: _Env):
-        is_or = isinstance(node.op, ast.Or)
-        for sub in node.values[:-1]:
-            value = self._eval(sub, env)
-            truthy = bool(value)
-            if (is_or and truthy) or (not is_or and not truthy):
-                return value, None
-        return self._eval(node.values[-1], env), None
-
-    def _eval_BinOp(self, node: ast.BinOp, env: _Env):
-        left = self._eval(node.left, env)
-        right = self._eval(node.right, env)
-        return self._binop(BINOP_SYMBOLS[type(node.op)], left, right), None
-
-    def _binop(self, op: str, left: Any, right: Any) -> Any:
-        # Host dispatch alone is not enough: str.__mod__ raises instead of
-        # returning NotImplemented, so "s" % versatile would never reach the
-        # reflected method. Route versatile operands through the total op.
-        if isinstance(left, VersatileObject) or isinstance(right, VersatileObject):
-            return versatile_binop(op, left, right)
-        # Only a joined sequence or a scaling op can build a large result;
-        # the cheap test first keeps int ``+`` off the sizing call.
-        if (type(left) in _SEQUENCES) if op == "+" else (op in _SCALING_OPS):
-            self.steps += _result_size(op, left, right)
-            if self.steps > self.program.cfg.step_budget:
-                raise _EngineInterrupt()
-        return self._host(ARITH_OPS[op], left, right)
-
-    def _eval_UnaryOp(self, node: ast.UnaryOp, env: _Env):
-        value = self._eval(node.operand, env)
-        if isinstance(node.op, ast.Not):
-            return not value, None
-        return self._host(_op.neg, value), None
-
-    def _eval_Compare(self, node: ast.Compare, env: _Env):
-        left = self._eval(node.left, env)
-        for op, comparator in zip(node.ops, node.comparators):
-            right = self._eval(comparator, env)
-            if not self._compare_once(op, left, right):
-                return False, None
-            left = right
-        return True, None
-
-    def _compare_once(self, op: ast.cmpop, left: Any, right: Any) -> bool:
-        symbol = COMPARE_SYMBOLS[type(op)]
-        # Identity and membership run on the host even next to a versatile.
-        if symbol not in ("is", "is not", "in", "not in") and (
-            isinstance(left, VersatileObject) or isinstance(right, VersatileObject)
-        ):
-            return bool(versatile_binop(symbol, left, right))
-        return bool(self._host(COMPARE_OPS[symbol], left, right))
-
-    def _eval_IfExp(self, node: ast.IfExp, env: _Env):
-        if self._eval(node.test, env):
-            return self._eval(node.body, env), None
-        return self._eval(node.orelse, env), None
-
-    def _eval_Lambda(self, node: ast.Lambda, env: _Env):
-        params = [a.arg for a in node.args.args]
-        return FunctionValue("<lambda>", params, node.body, env, is_lambda=True), None
-
-    def _eval_JoinedStr(self, node: ast.JoinedStr, env: _Env):
-        parts = []
-        for part in node.values:
-            if isinstance(part, ast.Constant):
-                parts.append(part.value)
-            else:
-                value = self._eval(part.value, env)
-                if part.conversion == 114:
-                    parts.append(serialize(value))
-                else:
-                    parts.append(self._subject_str(value))
-        return "".join(parts), None
-
-    def _eval_comprehension(self, node: ast.ListComp | ast.GeneratorExp, env: _Env):
-        out: list = []
-        self._run_comprehension(node.generators, 0, _Env(parent=env), node.elt, out)
-        return (out if type(node) is ast.ListComp else GeneratorValue(items=out)), None
-
-    def _run_comprehension(self, gens, idx, env, elt, out) -> None:
-        if idx == len(gens):
-            out.append(self._eval(elt, env))
-            return
-        gen = gens[idx]
-        for item in self._iterate(self._eval(gen.iter, env)):
-            self._bind_target(gen.target, item, env)
-            if all(self._eval(cond, env) for cond in gen.ifs):
-                self._run_comprehension(gens, idx + 1, env, elt, out)
-
     # calls
-
-    def _eval_Call(self, node: ast.Call, env: _Env):
-        func = node.func
-        if isinstance(func, ast.Name):
-            found, fv = env.lookup(func.id)
-            if not found:
-                if func.id == "isinstance":
-                    return self._isinstance_call(node, env), None
-                if func.id == "super":
-                    self._check_call("super", len(node.args), [kw.arg for kw in node.keywords])
-                    for a in node.args:
-                        self._eval(a, env)
-                    return self._super_value(), "super()"
-                if func.id in _BUILTINS:
-                    args, kwargs = self._eval_args(node, env)
-                    path = f"{func.id}()"
-                    return self._call_builtin(func.id, args, kwargs), path
-                merged = self.renamer.merge(func.id)
-                args, kwargs = self._eval_args(node, env)
-                return self._external_call(merged, args, kwargs), f"{merged}()"
-            args, kwargs = self._eval_args(node, env)
-            path = self.renamer.merge(func.id)
-            return self._call_value(fv, args, kwargs, path), f"{path}()"
-        if isinstance(func, ast.Attribute):
-            base_v, base_p = self._eval_p(func.value, env)
-            merged_attr = self.renamer.merge(func.attr)
-            callee = self._access_path(base_p, f".{merged_attr}")
-            if isinstance(base_v, VersatileObject) and merged_attr in base_v.attrs:
-                args, kwargs = self._eval_args(node, env)
-                return (
-                    self._call_value(base_v.attrs[merged_attr], args, kwargs, callee),
-                    f"{callee}()",
-                )
-            if (
-                not isinstance(base_v, VersatileObject)
-                and func.attr in NATIVE_METHODS
-                and hasattr(base_v, func.attr)
-            ):
-                args, kwargs = self._eval_args(node, env)
-                return self._call_native(base_v, func.attr, args, kwargs), f"{callee}()"
-            args, kwargs = self._eval_args(node, env)
-            return self._external_call(callee, args, kwargs), f"{callee}()"
-        fv, fp = self._eval_p(func, env)
-        args, kwargs = self._eval_args(node, env)
-        callee = fp if fp else "<expr>"
-        return self._call_value(fv, args, kwargs, callee), f"{callee}()"
-
-    def _eval_args(self, node: ast.Call, env: _Env):
-        args = [self._eval(a, env) for a in node.args]
-        kwargs: dict[str, Any] = {}
-        for kw in node.keywords:
-            kwargs[kw.arg] = self._eval(kw.value, env)
-        return args, kwargs
 
     def _call_value(self, value: Any, args: list, kwargs: dict, path: str) -> Any:
         if isinstance(value, FunctionValue):
@@ -972,8 +657,14 @@ class Interpreter:
         self._fault("TypeError", f"{serialize(value)} is not callable")
 
     def _call_native(self, receiver: Any, name: str, args: list, kwargs: dict) -> Any:
-        method = getattr(receiver, name)
-        result = self._host(method, *args, **kwargs)
+        if name == "format" and type(receiver) is str:
+            try:
+                return _FormatSizer(self).vformat(receiver, args, kwargs)
+            except _EngineInterrupt:
+                raise
+            except Exception:
+                pass  # the host call below raises the subject's own error
+        result = self._host(getattr(receiver, name), *args, **kwargs)
         if isinstance(result, _VIEW_TYPES):
             return list(result)
         return result
@@ -985,7 +676,7 @@ class Interpreter:
         kwargs: dict,
         constructor: Optional[VersatileCallable] = None,
     ) -> Any:
-        path = self._cap_path(path)
+        path = _cap_path(path)
         occurrence = self._next_occurrence(path)
         entry = CallLogEntry(
             callee=path,
@@ -1018,12 +709,6 @@ class Interpreter:
 
         return self.cmap.lookup_or_create(key, self.side, creator)
 
-    def _isinstance_call(self, node: ast.Call, env: _Env) -> bool:
-        self._check_call("isinstance", len(node.args), [kw.arg for kw in node.keywords])
-        value = self._eval(node.args[0], env)
-        names = isinstance_class_names(node.args[1], self.renamer)
-        return self._isinstance_value(value, names)
-
     _KIND_NAMES = {
         bool: "bool",
         int: "int",
@@ -1045,30 +730,10 @@ class Interpreter:
     # builtins
 
     def _call_builtin(self, name: str, args: list, kwargs: dict) -> Any:
-        return self._check_call(name, len(args), kwargs)(self, args, kwargs)
-
-    def _check_call(self, name: str, count: int, keywords) -> Callable:
-        """Check a builtin call's positional count and keyword names against
-        its ``_BUILTINS`` entry; returns the handler."""
-        handler, fewest, most, accepted = _BUILTINS[name]
-        if not fewest <= count <= most:
-            if fewest == most:
-                expected = f"exactly {fewest}"
-            elif most == _MANY:
-                expected = f"at least {fewest}"
-            else:
-                expected = f"{fewest} to {most}"
-            self._fault(
-                "TypeError",
-                f"{name}() takes {expected} positional arguments but {count} were given",
-            )
-        if accepted is not None:
-            for k in keywords:
-                if k not in accepted:
-                    self._fault(
-                        "TypeError", f"{name}() got an unexpected keyword argument {k!r}"
-                    )
-        return handler
+        message = _call_shape_error(name, len(args), kwargs)
+        if message is not None:
+            self._fault("TypeError", message)
+        return _BUILTINS[name][0](self, args, kwargs)
 
     def _builtin_isinstance(self, args: list, kwargs: dict) -> bool:
         # Called indirectly, isinstance has lost its syntactic class
@@ -1083,7 +748,7 @@ class Interpreter:
         end = kwargs.get("end", "\n")
         if not isinstance(sep, str) or not isinstance(end, str):
             self._fault("TypeError", "sep and end must be strings")
-        self.stdout.write(sep.join(self._subject_str(a) for a in args) + end)
+        self.stdout.write(sep.join(_subject_str(a) for a in args) + end)
 
     def _builtin_len(self, args: list, kwargs: dict) -> int:
         return self._host(len, args[0])
@@ -1096,7 +761,7 @@ class Interpreter:
         return self._host(range, *coerced)
 
     def _builtin_str(self, args: list, kwargs: dict) -> str:
-        return self._subject_str(args[0]) if args else ""
+        return _subject_str(args[0]) if args else ""
 
     def _builtin_repr(self, args: list, kwargs: dict) -> str:
         return serialize(args[0])
@@ -1159,11 +824,6 @@ class Interpreter:
 
     # helpers
 
-    def _subject_str(self, value: Any) -> str:
-        if isinstance(value, str):
-            return value
-        return serialize(value)
-
     def _iterate(self, value: Any):
         """Yield the items a loop, unpacking or builtin walks, charging one
         step each. A range stays lazy; sets go in canonical order, a
@@ -1179,7 +839,7 @@ class Interpreter:
             items = sorted_iter(value)
         else:
             self._fault("TypeError", f"{serialize(value)} is not iterable")
-        budget = self.program.cfg.step_budget
+        budget = self.budget
         for item in items:
             self.steps += 1
             if self.steps > budget:
@@ -1187,44 +847,982 @@ class Interpreter:
             yield item
 
 
-# Handlers by node type; the subset validator accepts exactly these types.
-_EXEC: dict[type, Callable] = {
-    ast.FunctionDef: Interpreter._exec_FunctionDef,
-    ast.Return: Interpreter._exec_Return,
-    ast.Assign: Interpreter._exec_Assign,
-    ast.AugAssign: Interpreter._exec_AugAssign,
-    ast.Expr: Interpreter._exec_Expr,
-    ast.If: Interpreter._exec_If,
-    ast.While: Interpreter._exec_While,
-    ast.For: Interpreter._exec_For,
-    ast.Break: Interpreter._exec_Break,
-    ast.Continue: Interpreter._exec_Continue,
-    ast.Pass: Interpreter._exec_Pass,
-    ast.Raise: Interpreter._exec_Raise,
-    ast.Assert: Interpreter._exec_Assert,
-    ast.Try: Interpreter._exec_Try,
-    ast.With: Interpreter._exec_With,
+def _subject_str(value: Any) -> str:
+    if isinstance(value, str):
+        return value
+    return serialize(value)
+
+
+def _nothing(rt: Interpreter, env: _Env) -> None:
+    """The compiled form of an empty block."""
+
+
+def _arith(symbol: str) -> Callable[[Interpreter, Any, Any], Any]:
+    """``apply(rt, left, right)`` for one arithmetic operator.
+
+    Host dispatch alone is not enough: str.__mod__ raises instead of
+    returning NotImplemented, so "s" % versatile would never reach the
+    reflected method; versatile operands go through the total op. A result
+    that can be large (a joined sequence, a repetition or power, a padded
+    ``%`` format) is charged to the step budget before the host builds it;
+    the type test first keeps int ``+`` and ``%`` off the sizing call.
+    """
+    fn = ARITH_OPS[symbol]
+    if symbol == "+":
+        sized, size = _SEQUENCES, partial(_result_size, "+")
+    elif symbol in ("*", "**"):
+        sized, size = None, partial(_result_size, symbol)
+    elif symbol == "%":
+        sized, size = frozenset({str}), _percent_size
+    else:
+        sized = size = None
+
+    def apply(rt, left, right):
+        if isinstance(left, VersatileObject) or isinstance(right, VersatileObject):
+            return versatile_binop(symbol, left, right)
+        if size is not None and (sized is None or type(left) in sized):
+            rt._charge(size(left, right))
+        try:
+            return fn(left, right)
+        except _HOST_FAULTS as exc:
+            raise _subject_fault(exc) from None
+
+    return apply
+
+
+_ARITH = {symbol: _arith(symbol) for symbol in ARITH_OPS}
+
+
+def _comparison(symbol: str) -> Callable[[Interpreter, Any, Any], bool]:
+    """``test(rt, left, right)`` for one comparison operator. Identity and
+    membership run on the host even next to a versatile."""
+    fn = COMPARE_OPS[symbol]
+    on_host = symbol in ("is", "is not", "in", "not in")
+
+    def test(rt, left, right):
+        if not on_host and (
+            isinstance(left, VersatileObject) or isinstance(right, VersatileObject)
+        ):
+            return bool(versatile_binop(symbol, left, right))
+        try:
+            result = fn(left, right)
+        except _HOST_FAULTS as exc:
+            raise _subject_fault(exc) from None
+        return bool(result)
+
+    return test
+
+
+_COMPARISONS = {symbol: _comparison(symbol) for symbol in COMPARE_OPS}
+
+
+def _call_shape_error(name: str, count: int, keywords) -> Optional[str]:
+    """Why a builtin call's positional count or keyword names do not fit its
+    ``_BUILTINS`` entry, or None when they do."""
+    _, fewest, most, accepted = _BUILTINS[name]
+    if not fewest <= count <= most:
+        if fewest == most:
+            expected = f"exactly {fewest}"
+        elif most == _MANY:
+            expected = f"at least {fewest}"
+        else:
+            expected = f"{fewest} to {most}"
+        return f"{name}() takes {expected} positional arguments but {count} were given"
+    if accepted is not None:
+        for k in keywords:
+            if k not in accepted:
+                return f"{name}() got an unexpected keyword argument {k!r}"
+    return None
+
+
+# Expression types whose compiled form can also hand back an access path.
+_PATHED = frozenset({ast.Name, ast.Attribute, ast.Subscript, ast.Call})
+
+
+class _Compiler:
+    """Turns one side's statements and expressions into closures.
+
+    Every closure takes ``(rt, env)``: the run's ``Interpreter`` and the
+    current scope. Whatever depends only on the node (line, merged names,
+    paths, operator functions, builtin call shapes) is settled here, once
+    per pair. At run time each statement and expression closure first
+    charges its own step through ``_tick``. A statement that can inject
+    records its context node; ``Interpreter._inject`` unparses it only when
+    needed.
+    """
+
+    def __init__(self, program: ComparisonProgram, side: str):
+        self.renamer = program.renamers[side]
+        self.merge = self.renamer.merge
+        self.generator_cap = program.cfg.generator_cap
+
+    # dispatch
+
+    def block(self, stmts: list) -> Callable:
+        compiled = tuple(_STATEMENTS[type(s)](self, s) for s in stmts)
+        if not compiled:
+            return _nothing
+        if len(compiled) == 1:
+            return compiled[0]
+
+        def block(rt, env):
+            for stmt in compiled:
+                stmt(rt, env)
+
+        return block
+
+    def expr(self, node: ast.expr) -> Callable:
+        """Closure returning the expression's value."""
+        return _EXPRESSIONS[type(node)](self, node)
+
+    def expr_p(self, node: ast.expr) -> Callable:
+        """Closure returning the expression's value and its access path, or
+        None for an expression without one."""
+        if type(node) in _PATHED:
+            return _EXPRESSIONS[type(node)](self, node, True)
+        value = self.expr(node)
+
+        def pathless(rt, env):
+            return value(rt, env), None
+
+        return pathless
+
+    # statements
+
+    def compile_FunctionDef(self, node: ast.FunctionDef) -> Callable:
+        line = node.lineno
+        name, params = node.name, [a.arg for a in node.args.args]
+        generator = is_generator(node)
+        body = self.block(node.body)
+
+        def function_def(rt, env):
+            _tick(rt, line)
+            env.vars[name] = FunctionValue(name, params, body, env, is_generator=generator)
+
+        return function_def
+
+    def compile_Return(self, node: ast.Return) -> Callable:
+        line = node.lineno
+        value = self.expr(node.value) if node.value is not None else None
+
+        def return_(rt, env):
+            _tick(rt, line)
+            rt.context = node
+            raise _Return(value(rt, env) if value is not None else None)
+
+        return return_
+
+    def compile_Assign(self, node: ast.Assign) -> Callable:
+        line = node.lineno
+        value = self.expr(node.value)
+        target = node.targets[0]
+        if isinstance(target, ast.Name):
+            name = target.id
+
+            def assign_name(rt, env):
+                _tick(rt, line)
+                rt.context = node
+                env.vars[name] = value(rt, env)
+
+            return assign_name
+        bind = self.target(target)
+
+        def assign(rt, env):
+            _tick(rt, line)
+            rt.context = node
+            bind(rt, env, value(rt, env))
+
+        return assign
+
+    def compile_AugAssign(self, node: ast.AugAssign) -> Callable:
+        line = node.lineno
+        apply = _ARITH[BINOP_SYMBOLS[type(node.op)]]
+        rhs = self.expr(node.value)
+        target = node.target
+        if isinstance(target, ast.Name):
+            name = target.id
+            path = _cap_path(self.merge(name))
+
+            def augment_name(rt, env):
+                _tick(rt, line)
+                rt.context = node
+                right = rhs(rt, env)
+                scope = env
+                while scope is not None:
+                    bound = scope.vars
+                    if name in bound:
+                        current = bound[name]
+                        break
+                    scope = scope.parent
+                else:
+                    current = rt._missing_name(name, path, env)
+                env.vars[name] = apply(rt, current, right)
+
+            return augment_name
+        base = self.expr_p(target.value)
+        if isinstance(target, ast.Attribute):
+            raw = target.attr
+            merged = self.merge(raw)
+            suffix = f".{merged}"
+
+            def augment_attribute(rt, env):
+                _tick(rt, line)
+                rt.context = node
+                right = rhs(rt, env)
+                base_v, base_p = base(rt, env)
+                path = _access_path(base_p, suffix)
+                current = rt._read_attribute(base_v, raw, merged, path)
+                rt._store_attribute(base_v, raw, merged, apply(rt, current, right))
+
+            return augment_attribute
+        index = self.index(target)
+
+        def augment_subscript(rt, env):
+            _tick(rt, line)
+            rt.context = node
+            right = rhs(rt, env)
+            base_v, base_p = base(rt, env)
+            key, rendered, host_index = index(rt, env)
+            path = _access_path(base_p, f"[{rendered}]")
+            current = rt._read_subscript(base_v, key, rendered, host_index, path)
+            rt._store_subscript(base_v, host_index, apply(rt, current, right))
+
+        return augment_subscript
+
+    def compile_Expr(self, node: ast.Expr) -> Callable:
+        line = node.lineno
+        if isinstance(node.value, ast.Yield):
+            item = node.value.value
+            value = self.expr(item) if item is not None else None
+            cap = self.generator_cap
+
+            def yield_(rt, env):
+                _tick(rt, line)
+                rt.context = node
+                yielded = value(rt, env) if value is not None else None
+                if not rt.sinks:
+                    rt._fault("RuntimeError", "yield outside a generator")
+                sink = rt.sinks[-1]
+                sink.append(yielded)
+                if len(sink) >= cap:
+                    raise _StopMaterialize()
+
+            return yield_
+        value = self.expr(node.value)
+
+        def expression(rt, env):
+            _tick(rt, line)
+            rt.context = node
+            value(rt, env)
+
+        return expression
+
+    def compile_If(self, node: ast.If) -> Callable:
+        line = node.lineno
+        test_node = node.test
+        test = self.expr(test_node)
+        body = self.block(node.body)
+        orelse = self.block(node.orelse)
+
+        def if_(rt, env):
+            _tick(rt, line)
+            rt.context = test_node
+            if test(rt, env):
+                body(rt, env)
+            else:
+                orelse(rt, env)
+
+        return if_
+
+    def compile_While(self, node: ast.While) -> Callable:
+        line = node.lineno
+        test_node = node.test
+        test = self.expr(test_node)
+        body = self.block(node.body)
+
+        def while_(rt, env):
+            _tick(rt, line)
+            while True:
+                rt.context = test_node
+                _tick(rt, line)
+                if not test(rt, env):
+                    break
+                try:
+                    body(rt, env)
+                except _Break:
+                    break
+                except _Continue:
+                    continue
+
+        return while_
+
+    def compile_For(self, node: ast.For) -> Callable:
+        line = node.lineno
+        iter_node = node.iter
+        iterable = self.expr(iter_node)
+        bind = self.target(node.target)
+        body = self.block(node.body)
+
+        def for_(rt, env):
+            _tick(rt, line)
+            rt.context = iter_node
+            for item in rt._iterate(iterable(rt, env)):
+                bind(rt, env, item)
+                try:
+                    body(rt, env)
+                except _Break:
+                    break
+                except _Continue:
+                    continue
+
+        return for_
+
+    def compile_Break(self, node: ast.Break) -> Callable:
+        return self._jump(node, _Break)
+
+    def compile_Continue(self, node: ast.Continue) -> Callable:
+        return self._jump(node, _Continue)
+
+    def compile_Pass(self, node: ast.Pass) -> Callable:
+        return self._jump(node, None)
+
+    def _jump(self, node: ast.stmt, signal: Optional[type]) -> Callable:
+        """``break``, ``continue`` or ``pass``: a step, then the signal."""
+        line = node.lineno
+
+        def jump(rt, env):
+            _tick(rt, line)
+            if signal is not None:
+                raise signal()
+
+        return jump
+
+    def compile_Raise(self, node: ast.Raise) -> Callable:
+        line = node.lineno
+        cause = self.expr(node.cause) if node.cause is not None else None
+        exc = node.exc
+        reraise = exc is None
+        # ``raise E`` looks E up; ``raise E(...)`` evaluates only the call's
+        # arguments, positional then keyword. Either way E is merged here.
+        name = exc.id if isinstance(exc, ast.Name) else None
+        values = []
+        if isinstance(exc, ast.Call):
+            values = [self.expr(a) for a in exc.args]
+            values += [self.expr(kw.value) for kw in exc.keywords]
+        type_name = None if reraise else self.merge(name or exc.func.id)
+
+        def raise_(rt, env):
+            _tick(rt, line)
+            rt.context = node
+            if cause is not None:
+                cause(rt, env)
+            if reraise:
+                if rt.active_exceptions:
+                    raise SubjectError(rt.active_exceptions[-1])
+                rt._fault("RuntimeError", "no active exception to re-raise")
+            if name is not None:
+                found, value = env.lookup(name)
+                if found:
+                    if isinstance(value, ExceptionValue):
+                        raise SubjectError(value)
+                    rt._fault("TypeError", "exceptions must be exception values")
+                raise SubjectError(ExceptionValue(type_name, [], intentional=True))
+            args = [v(rt, env) for v in values]
+            raise SubjectError(ExceptionValue(type_name, args, intentional=True))
+
+        return raise_
+
+    def compile_Assert(self, node: ast.Assert) -> Callable:
+        line = node.lineno
+        test = self.expr(node.test)
+        message = self.expr(node.msg) if node.msg is not None else None
+
+        def assert_(rt, env):
+            _tick(rt, line)
+            rt.context = node
+            if not test(rt, env):
+                args = [message(rt, env)] if message is not None else []
+                raise SubjectError(ExceptionValue("AssertionError", args, intentional=True))
+
+        return assert_
+
+    def compile_Try(self, node: ast.Try) -> Callable:
+        line = node.lineno
+        body = self.block(node.body)
+        orelse = self.block(node.orelse)
+        final = self.block(node.finalbody)
+        handlers = [self._handler(h) for h in node.handlers]
+
+        def try_(rt, env):
+            _tick(rt, line)
+            try:
+                try:
+                    body(rt, env)
+                except SubjectError as err:
+                    ev = err.value
+                    for matches, name, handler_body in handlers:
+                        if matches(ev.type_name):
+                            if name:
+                                env.vars[name] = ev
+                            rt.active_exceptions.append(ev)
+                            try:
+                                handler_body(rt, env)
+                            finally:
+                                rt.active_exceptions.pop()
+                            break
+                    else:
+                        raise
+                else:
+                    orelse(rt, env)
+            finally:
+                final(rt, env)
+
+        return try_
+
+    def _handler(self, handler: ast.ExceptHandler):
+        """(matches(type name), bound name, body) of one ``except`` clause.
+        A clause catches its merged names, their builtin subclasses, and
+        everything when bare or naming Exception or BaseException."""
+        body = self.block(handler.body)
+        if handler.type is None:
+            return (lambda type_name: True), handler.name, body
+        elts = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        names = frozenset(self.merge(e.id) for e in elts)
+        if names & {"Exception", "BaseException"}:
+            return (lambda type_name: True), handler.name, body
+
+        def matches(type_name):
+            return type_name in names or not names.isdisjoint(
+                _CATCHING_NAMES.get(type_name, ())
+            )
+
+        return matches, handler.name, body
+
+    def compile_With(self, node: ast.With) -> Callable:
+        line = node.lineno
+        item = node.items[0]
+        context_node = item.context_expr
+        manager = self.expr(context_node)
+        name = item.optional_vars.id if item.optional_vars is not None else None
+        body = self.block(node.body)
+
+        def with_(rt, env):
+            _tick(rt, line)
+            rt.context = context_node
+            value = manager(rt, env)
+            if isinstance(value, VersatileObject):
+                value = value.__enter__()
+            if name is not None:
+                env.vars[name] = value
+            body(rt, env)
+
+        return with_
+
+    # assignment targets: closures bind(rt, env, value)
+
+    def target(self, node: ast.expr) -> Callable:
+        if isinstance(node, ast.Name):
+            name = node.id
+
+            def bind_name(rt, env, value):
+                env.vars[name] = value
+
+            return bind_name
+        if isinstance(node, ast.Tuple):
+            binds = [self.target(e) for e in node.elts]
+            count = len(binds)
+
+            def bind_tuple(rt, env, value):
+                items = list(rt._iterate(value))
+                if len(items) != count:
+                    rt._fault(
+                        "ValueError",
+                        f"cannot unpack {len(items)} values into {count} targets",
+                    )
+                for bind, item in zip(binds, items):
+                    bind(rt, env, item)
+
+            return bind_tuple
+        if isinstance(node, ast.Attribute):
+            base = self.expr(node.value)
+            raw = node.attr
+            merged = self.merge(raw)
+
+            def bind_attribute(rt, env, value):
+                rt._store_attribute(base(rt, env), raw, merged, value)
+
+            return bind_attribute
+        if isinstance(node, ast.Subscript):
+            base = self.expr(node.value)
+            index = self.index(node)
+
+            def bind_subscript(rt, env, value):
+                base_v = base(rt, env)
+                _, _, host_index = index(rt, env)
+                rt._store_subscript(base_v, host_index, value)
+
+            return bind_subscript
+        raise RuntimeError(f"engine cannot bind {type(node).__name__}")
+
+    def index(self, node: ast.Subscript) -> Callable:
+        """Closure evaluating a subscript index once to (key value, rendered
+        text, host index): the host index is a slice object for slices, the
+        key itself otherwise."""
+        s = node.slice
+        if isinstance(s, ast.Slice):
+            lower = self.expr(s.lower) if s.lower is not None else None
+            upper = self.expr(s.upper) if s.upper is not None else None
+
+            def slice_index(rt, env):
+                lo = lower(rt, env) if lower is not None else None
+                hi = upper(rt, env) if upper is not None else None
+                rendered = f"{serialize(lo) if lo is not None else ''}:{serialize(hi) if hi is not None else ''}"
+                return None, rendered, slice(lo, hi)
+
+            return slice_index
+        key_value = self.expr(s)
+
+        def key_index(rt, env):
+            key = key_value(rt, env)
+            return key, serialize(key), key
+
+        return key_index
+
+    # expressions; Name, Attribute, Subscript and Call also compile to a
+    # closure returning (value, access path) when ``with_path`` is set
+
+    def compile_Name(self, node: ast.Name, with_path: bool = False) -> Callable:
+        line = node.lineno
+        name = node.id
+        merged = self.merge(name)
+        path = _cap_path(merged)
+
+        def name_(rt, env):
+            _tick(rt, line)
+            scope = env
+            while scope is not None:
+                bound = scope.vars
+                if name in bound:
+                    value = bound[name]
+                    break
+                scope = scope.parent
+            else:
+                value = rt._missing_name(name, path, env)
+            return (value, merged) if with_path else value
+
+        return name_
+
+    def compile_Attribute(self, node: ast.Attribute, with_path: bool = False) -> Callable:
+        line = node.lineno
+        base = self.expr_p(node.value)
+        raw = node.attr
+        merged = self.merge(raw)
+        suffix = f".{merged}"
+
+        def attribute(rt, env):
+            _tick(rt, line)
+            base_v, base_p = base(rt, env)
+            path = _access_path(base_p, suffix)
+            value = rt._read_attribute(base_v, raw, merged, path)
+            return (value, path) if with_path else value
+
+        return attribute
+
+    def compile_Subscript(self, node: ast.Subscript, with_path: bool = False) -> Callable:
+        line = node.lineno
+        base = self.expr_p(node.value)
+        index = self.index(node)
+
+        def subscript(rt, env):
+            _tick(rt, line)
+            base_v, base_p = base(rt, env)
+            key, rendered, host_index = index(rt, env)
+            path = _access_path(base_p, f"[{rendered}]")
+            value = rt._read_subscript(base_v, key, rendered, host_index, path)
+            return (value, path) if with_path else value
+
+        return subscript
+
+    def compile_Constant(self, node: ast.Constant) -> Callable:
+        line = node.lineno
+        value = node.value
+
+        def constant(rt, env):
+            _tick(rt, line)
+            return value
+
+        return constant
+
+    def compile_List(self, node: ast.List) -> Callable:
+        return self._display(node, None)
+
+    def compile_Tuple(self, node: ast.Tuple) -> Callable:
+        return self._display(node, tuple)
+
+    def compile_Set(self, node: ast.Set) -> Callable:
+        return self._display(node, set)
+
+    def _display(self, node: ast.List | ast.Tuple | ast.Set, build: Optional[type]) -> Callable:
+        """``[...]``, ``(...)`` or ``{...}``: the items in order, then the
+        container built from their list."""
+        line = node.lineno
+        items = [self.expr(e) for e in node.elts]
+
+        def display(rt, env):
+            _tick(rt, line)
+            values = [item(rt, env) for item in items]
+            return values if build is None else rt._host(build, values)
+
+        return display
+
+    def compile_Dict(self, node: ast.Dict) -> Callable:
+        line = node.lineno
+        entries = [(self.expr(k), self.expr(v)) for k, v in zip(node.keys, node.values)]
+
+        def dict_(rt, env):
+            _tick(rt, line)
+            out: dict = {}
+            for key_value, item_value in entries:
+                key = key_value(rt, env)
+                value = item_value(rt, env)
+                rt._host(out.__setitem__, key, value)
+            return out
+
+        return dict_
+
+    def compile_BoolOp(self, node: ast.BoolOp) -> Callable:
+        line = node.lineno
+        is_or = isinstance(node.op, ast.Or)
+        heads = [self.expr(v) for v in node.values[:-1]]
+        last = self.expr(node.values[-1])
+
+        def bool_op(rt, env):
+            _tick(rt, line)
+            for head in heads:
+                value = head(rt, env)
+                if bool(value) is is_or:
+                    return value
+            return last(rt, env)
+
+        return bool_op
+
+    def compile_BinOp(self, node: ast.BinOp) -> Callable:
+        line = node.lineno
+        left = self.expr(node.left)
+        right = self.expr(node.right)
+        apply = _ARITH[BINOP_SYMBOLS[type(node.op)]]
+
+        def bin_op(rt, env):
+            _tick(rt, line)
+            return apply(rt, left(rt, env), right(rt, env))
+
+        return bin_op
+
+    def compile_UnaryOp(self, node: ast.UnaryOp) -> Callable:
+        line = node.lineno
+        operand = self.expr(node.operand)
+        negate = not isinstance(node.op, ast.Not)
+
+        def unary_op(rt, env):
+            _tick(rt, line)
+            value = operand(rt, env)
+            if not negate:
+                return not value
+            try:
+                return -value
+            except _HOST_FAULTS as exc:
+                raise _subject_fault(exc) from None
+
+        return unary_op
+
+    def compile_Compare(self, node: ast.Compare) -> Callable:
+        line = node.lineno
+        first = self.expr(node.left)
+        links = [
+            (_COMPARISONS[COMPARE_SYMBOLS[type(op)]], self.expr(c))
+            for op, c in zip(node.ops, node.comparators)
+        ]
+
+        def compare(rt, env):
+            _tick(rt, line)
+            left = first(rt, env)
+            for test, comparator in links:
+                right = comparator(rt, env)
+                if not test(rt, left, right):
+                    return False
+                left = right
+            return True
+
+        return compare
+
+    def compile_IfExp(self, node: ast.IfExp) -> Callable:
+        line = node.lineno
+        test = self.expr(node.test)
+        body = self.expr(node.body)
+        orelse = self.expr(node.orelse)
+
+        def if_exp(rt, env):
+            _tick(rt, line)
+            if test(rt, env):
+                return body(rt, env)
+            return orelse(rt, env)
+
+        return if_exp
+
+    def compile_Lambda(self, node: ast.Lambda) -> Callable:
+        line = node.lineno
+        params = [a.arg for a in node.args.args]
+        body = self.expr(node.body)
+
+        def lambda_(rt, env):
+            _tick(rt, line)
+            return FunctionValue("<lambda>", params, body, env, is_lambda=True)
+
+        return lambda_
+
+    def compile_JoinedStr(self, node: ast.JoinedStr) -> Callable:
+        line = node.lineno
+        # (None, text) for a literal part, (value closure, is !r) otherwise;
+        # the validator rejects format specs.
+        parts = [
+            (None, part.value)
+            if isinstance(part, ast.Constant)
+            else (self.expr(part.value), part.conversion == 114)
+            for part in node.values
+        ]
+
+        def joined_str(rt, env):
+            _tick(rt, line)
+            out = []
+            for value_of, item in parts:
+                if value_of is None:
+                    out.append(item)
+                    continue
+                value = value_of(rt, env)
+                out.append(serialize(value) if item else _subject_str(value))
+            return "".join(out)
+
+        return joined_str
+
+    def compile_comprehension(self, node: ast.ListComp | ast.GeneratorExp) -> Callable:
+        line = node.lineno
+        element = self.expr(node.elt)
+        is_list = type(node) is ast.ListComp
+        # One closure per ``for`` clause, innermost first; each walks its
+        # iterable, binds, filters, then runs the next clause or appends.
+        inner = None
+        for gen in reversed(node.generators):
+            inner = self._clause(gen, inner, element)
+
+        def comprehension(rt, env):
+            _tick(rt, line)
+            out: list = []
+            inner(rt, _Env(parent=env), out)
+            return out if is_list else GeneratorValue(items=out)
+
+        return comprehension
+
+    def _clause(self, gen: ast.comprehension, inner: Optional[Callable], element: Callable):
+        iterable = self.expr(gen.iter)
+        bind = self.target(gen.target)
+        conditions = [self.expr(c) for c in gen.ifs]
+
+        def clause(rt, env, out):
+            for item in rt._iterate(iterable(rt, env)):
+                bind(rt, env, item)
+                if all(c(rt, env) for c in conditions):
+                    if inner is None:
+                        out.append(element(rt, env))
+                    else:
+                        inner(rt, env, out)
+
+        return clause
+
+    # calls
+
+    def compile_Call(self, node: ast.Call, with_path: bool = False) -> Callable:
+        func = node.func
+        if isinstance(func, ast.Name):
+            return self._call_name(node, with_path)
+        if isinstance(func, ast.Attribute):
+            return self._call_attribute(node, with_path)
+        line = node.lineno
+        callee_value = self.expr_p(func)
+        arguments = self.arguments(node)
+
+        def call_value(rt, env):
+            _tick(rt, line)
+            fv, fp = callee_value(rt, env)
+            args, kwargs = arguments(rt, env)
+            callee = fp if fp else "<expr>"
+            value = rt._call_value(fv, args, kwargs, callee)
+            return (value, f"{callee}()") if with_path else value
+
+        return call_value
+
+    def arguments(self, node: ast.Call) -> Callable:
+        """Closure evaluating a call's arguments, positional then keyword,
+        to (args list, kwargs dict)."""
+        positional = [self.expr(a) for a in node.args]
+        keywords = [(kw.arg, self.expr(kw.value)) for kw in node.keywords]
+
+        def arguments(rt, env):
+            args = [p(rt, env) for p in positional]
+            kwargs: dict[str, Any] = {}
+            for name, value in keywords:
+                kwargs[name] = value(rt, env)
+            return args, kwargs
+
+        return arguments
+
+    def _call_name(self, node: ast.Call, with_path: bool) -> Callable:
+        """``f(...)``: a bound function value if a scope binds ``f``; else
+        isinstance, super, a builtin, or an external call."""
+        line = node.lineno
+        name = node.func.id
+        merged = self.merge(name)
+        bound_path = f"{merged}()"
+        arguments = self.arguments(node)
+        unbound, unbound_path = self._unbound_call(node, name, merged, arguments)
+
+        def call_name(rt, env):
+            _tick(rt, line)
+            scope = env
+            while scope is not None:
+                bound = scope.vars
+                if name in bound:
+                    fv = bound[name]
+                    args, kwargs = arguments(rt, env)
+                    value = rt._call_value(fv, args, kwargs, merged)
+                    return (value, bound_path) if with_path else value
+                scope = scope.parent
+            value = unbound(rt, env)
+            return (value, unbound_path) if with_path else value
+
+        return call_name
+
+    def _unbound_call(self, node: ast.Call, name: str, merged: str, arguments: Callable):
+        """(closure, access path) of a call whose name no scope binds."""
+        count = len(node.args)
+        keywords = [kw.arg for kw in node.keywords]
+        if name == "isinstance":
+            message = _call_shape_error(name, count, keywords)
+            if message is not None:
+                return partial(_shape_fault, message=message), None
+            value_of = self.expr(node.args[0])
+            names = isinstance_class_names(node.args[1], self.renamer)
+
+            def isinstance_call(rt, env):
+                return rt._isinstance_value(value_of(rt, env), names)
+
+            return isinstance_call, None
+        if name == "super":
+            message = _call_shape_error(name, count, keywords)
+            values = [self.expr(a) for a in node.args]
+
+            def super_call(rt, env):
+                if message is not None:
+                    rt._fault("TypeError", message)
+                for value in values:
+                    value(rt, env)
+                return rt._super_value()
+
+            return super_call, "super()"
+        if name in _BUILTINS:
+            message = _call_shape_error(name, count, keywords)
+            handler = _BUILTINS[name][0]
+
+            def builtin_call(rt, env):
+                args, kwargs = arguments(rt, env)
+                if message is not None:
+                    rt._fault("TypeError", message)
+                return handler(rt, args, kwargs)
+
+            return builtin_call, f"{name}()"
+
+        def external_call(rt, env):
+            args, kwargs = arguments(rt, env)
+            return rt._external_call(merged, args, kwargs)
+
+        return external_call, f"{merged}()"
+
+    def _call_attribute(self, node: ast.Call, with_path: bool) -> Callable:
+        """``base.name(...)``: a versatile's own callable attribute, a native
+        method of a concrete receiver, or an external call."""
+        line = node.lineno
+        func = node.func
+        base = self.expr_p(func.value)
+        raw = func.attr
+        merged = self.merge(raw)
+        suffix = f".{merged}"
+        native = raw in NATIVE_METHODS
+        arguments = self.arguments(node)
+
+        def call_attribute(rt, env):
+            _tick(rt, line)
+            base_v, base_p = base(rt, env)
+            callee = _access_path(base_p, suffix)
+            # The kind of call is settled before the arguments run.
+            if isinstance(base_v, VersatileObject):
+                if merged in base_v.attrs:
+                    args, kwargs = arguments(rt, env)
+                    value = rt._call_value(base_v.attrs[merged], args, kwargs, callee)
+                else:
+                    args, kwargs = arguments(rt, env)
+                    value = rt._external_call(callee, args, kwargs)
+            elif native and hasattr(base_v, raw):
+                args, kwargs = arguments(rt, env)
+                value = rt._call_native(base_v, raw, args, kwargs)
+            else:
+                args, kwargs = arguments(rt, env)
+                value = rt._external_call(callee, args, kwargs)
+            return (value, f"{callee}()") if with_path else value
+
+        return call_attribute
+
+
+def _shape_fault(rt: Interpreter, env: _Env, message: str):
+    rt._fault("TypeError", message)
+
+
+# Compilers by node type; the subset validator accepts exactly these types.
+_STATEMENTS: dict[type, Callable] = {
+    ast.FunctionDef: _Compiler.compile_FunctionDef,
+    ast.Return: _Compiler.compile_Return,
+    ast.Assign: _Compiler.compile_Assign,
+    ast.AugAssign: _Compiler.compile_AugAssign,
+    ast.Expr: _Compiler.compile_Expr,
+    ast.If: _Compiler.compile_If,
+    ast.While: _Compiler.compile_While,
+    ast.For: _Compiler.compile_For,
+    ast.Break: _Compiler.compile_Break,
+    ast.Continue: _Compiler.compile_Continue,
+    ast.Pass: _Compiler.compile_Pass,
+    ast.Raise: _Compiler.compile_Raise,
+    ast.Assert: _Compiler.compile_Assert,
+    ast.Try: _Compiler.compile_Try,
+    ast.With: _Compiler.compile_With,
 }
 
-_EVAL: dict[type, Callable] = {
-    ast.Name: Interpreter._eval_Name,
-    ast.Attribute: Interpreter._eval_Attribute,
-    ast.Subscript: Interpreter._eval_Subscript,
-    ast.Call: Interpreter._eval_Call,
-    ast.Constant: Interpreter._eval_Constant,
-    ast.List: Interpreter._eval_List,
-    ast.Tuple: Interpreter._eval_Tuple,
-    ast.Set: Interpreter._eval_Set,
-    ast.Dict: Interpreter._eval_Dict,
-    ast.BoolOp: Interpreter._eval_BoolOp,
-    ast.BinOp: Interpreter._eval_BinOp,
-    ast.UnaryOp: Interpreter._eval_UnaryOp,
-    ast.Compare: Interpreter._eval_Compare,
-    ast.IfExp: Interpreter._eval_IfExp,
-    ast.Lambda: Interpreter._eval_Lambda,
-    ast.JoinedStr: Interpreter._eval_JoinedStr,
-    ast.ListComp: Interpreter._eval_comprehension,
-    ast.GeneratorExp: Interpreter._eval_comprehension,
+_EXPRESSIONS: dict[type, Callable] = {
+    ast.Name: _Compiler.compile_Name,
+    ast.Attribute: _Compiler.compile_Attribute,
+    ast.Subscript: _Compiler.compile_Subscript,
+    ast.Call: _Compiler.compile_Call,
+    ast.Constant: _Compiler.compile_Constant,
+    ast.List: _Compiler.compile_List,
+    ast.Tuple: _Compiler.compile_Tuple,
+    ast.Set: _Compiler.compile_Set,
+    ast.Dict: _Compiler.compile_Dict,
+    ast.BoolOp: _Compiler.compile_BoolOp,
+    ast.BinOp: _Compiler.compile_BinOp,
+    ast.UnaryOp: _Compiler.compile_UnaryOp,
+    ast.Compare: _Compiler.compile_Compare,
+    ast.IfExp: _Compiler.compile_IfExp,
+    ast.Lambda: _Compiler.compile_Lambda,
+    ast.JoinedStr: _Compiler.compile_JoinedStr,
+    ast.ListComp: _Compiler.compile_comprehension,
+    ast.GeneratorExp: _Compiler.compile_comprehension,
 }
 
 # The builtin functions of the subject language, the only definition of the

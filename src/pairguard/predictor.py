@@ -11,6 +11,7 @@ it has never seen.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -52,6 +53,9 @@ class Distribution:
         for kind, w in weights.items():
             if not isinstance(kind, AbstractValue):
                 raise ValueError(f"not an abstract kind: {kind!r}")
+            # A NaN would pass the sum check below: NaN comparisons are false.
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight for {kind.value}: {w}")
             if w < 0:
                 raise ValueError(f"negative weight for {kind.value}: {w}")
             total += w
@@ -293,7 +297,10 @@ def _parse_weights(raw: object) -> Distribution:
             raise FormatError(f"unknown kind label: {label!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"weight for {label!r} must be a number")
-        weights[kind] = float(value)
+        try:
+            weights[kind] = float(value)
+        except OverflowError as exc:
+            raise FormatError(f"weight for {label!r} is out of range") from exc
     try:
         return Distribution(weights)
     except ValueError as exc:

@@ -299,7 +299,11 @@ def versatile_binop(op: str, lhs: Any, rhs: Any) -> Any:
 
 
 class FunctionValue:
-    """A function defined by the code under execution (or a lambda)."""
+    """A function defined by the code under execution (or a lambda).
+
+    ``body`` is the engine's compiled form of it: a closure running the
+    statements, or for a lambda one returning the expression's value.
+    """
 
     def __init__(
         self,

@@ -1,0 +1,118 @@
+"""Per-run fingerprints of every execution ``analyze`` makes.
+
+Covers every corpus pair (with its table predictor, where it has one) and
+the ``loops`` benchmark pairs, at one seed. One line per pair: its id, how
+many single-side runs ``analyze`` made, their total steps, and a sha256 over
+each run's (side, steps, sorted covered lines, exception type and intentional
+flag, return value, stdout).
+
+Regenerate the pinned files with ``python tests/_runs.py`` from the repo
+root; they are ``tests/fixtures/golden/runs_seed{0,7}.jsonl``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import pathlib
+import sys
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parent
+GOLDEN = HERE / "fixtures" / "golden"
+SEEDS = (0, 7)
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(HERE)]
+
+import _corpus  # noqa: E402
+from pairguard import EngineConfig, analyze, engine  # noqa: E402
+from pairguard.frontend import make_pair  # noqa: E402
+from pairguard.predictor import HeuristicPredictor  # noqa: E402
+
+
+def _load_workloads():
+    # perfbench is a directory of scripts, not a package; load it read-only.
+    spec = importlib.util.spec_from_file_location(
+        "_pairguard_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pairs(seed: int, scratch: pathlib.Path):
+    """(id, pair data, predictor) for the corpus and the seed's loops pairs."""
+    for pair_id in _corpus.all_ids():
+        yield pair_id, _corpus.load_pair_data(pair_id), _corpus.predictor_for(pair_id)
+    for case in _load_workloads().loops(scratch, seed).cases:
+        yield f"loops/{case.pair_id}", json.loads(case.path.read_text()), HeuristicPredictor()
+
+
+def _record(runs: list) -> None:
+    """Wrap ``Interpreter.run`` so each run appends its fingerprint."""
+    original = engine.Interpreter.run
+
+    def run(self):
+        out = original(self)
+        exc = out.exception
+        runs.append(
+            [
+                out.side,
+                self.steps,
+                sorted(out.covered_lines),
+                None if exc is None else [exc.type_name, exc.intentional],
+                out.return_value,
+                out.stdout,
+            ]
+        )
+        return out
+
+    return original, run
+
+
+def fingerprints(seed: int) -> list[str]:
+    """One JSON line per pair, in corpus then loops order."""
+    lines = []
+    runs: list = []
+    original, recording = _record(runs)
+    engine.Interpreter.run = recording
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            for pair_id, data, predictor in _pairs(seed, pathlib.Path(scratch)):
+                runs.clear()
+                pair = make_pair(
+                    data["old"], data["new"], renames=data.get("renames") or {},
+                    entry=data.get("entry"),
+                )
+                analyze(pair, EngineConfig(seed=seed), predictor=predictor)
+                digest = hashlib.sha256()
+                for run in runs:
+                    digest.update(json.dumps(run).encode("utf-8") + b"\n")
+                lines.append(
+                    json.dumps(
+                        {
+                            "id": pair_id,
+                            "runs": len(runs),
+                            "steps": sum(run[1] for run in runs),
+                            "sha256": digest.hexdigest(),
+                        },
+                        sort_keys=True,
+                    )
+                )
+    finally:
+        engine.Interpreter.run = original
+    return lines
+
+
+def golden_path(seed: int) -> pathlib.Path:
+    return GOLDEN / f"runs_seed{seed}.jsonl"
+
+
+if __name__ == "__main__":
+    for s in SEEDS:
+        golden_path(s).write_text("\n".join(fingerprints(s)) + "\n", encoding="utf-8")
+        print(f"wrote {golden_path(s)}")

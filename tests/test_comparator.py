@@ -159,13 +159,26 @@ class TestStateDimension:
 
 class TestDetailCap:
     def test_long_values_are_cut_with_their_full_length(self):
-        old, new = "1" * 5000, "1" * 4999 + "2"
+        old, new = "1" * 5000, "1" * 10 + "2" * 4990
         r = compare(outcome(return_value=old), outcome(side="new", return_value=new))
         assert r.status == DIFFERENCE
         assert r.detail.splitlines()[1:] == [
             f"old: {'1' * 1000}... [5000 characters]",
-            f"new: {'1' * 1000}... [5000 characters]",
+            f"new: {'1' * 10}{'2' * 990}... [5000 characters]",
         ]
+
+    def test_cut_keeps_a_late_difference_visible(self):
+        old, new = "1" * 5000, "1" * 4999 + "2"
+        r = compare(outcome(return_value=old), outcome(side="new", return_value=new))
+        assert r.detail.splitlines()[1:] == [
+            f"old: ...{'1' * 1000} [5000 characters, from 4000]",
+            f"new: ...{'1' * 999}2 [5000 characters, from 4000]",
+        ]
+
+    def test_cut_centres_a_middle_difference(self):
+        old, new = "1" * 5000, "1" * 2000 + "2" + "1" * 2999
+        lines = compare(outcome(return_value=old), outcome(side="new", return_value=new)).detail.splitlines()
+        assert lines[2] == f"new: ...{'1' * 500}2{'1' * 499}... [5000 characters, from 1500]"
 
     def test_long_path_is_cut(self):
         path = "self." + "a" * 2000

@@ -248,8 +248,11 @@ class TestRegressions:
         lines = v.difference.splitlines()
         assert lines[0] == "dimension: state"
         for line in lines[1:]:
-            assert len(line) < 1030
-            assert line.endswith("... [4155 characters]")
+            assert len(line) < 1050
+            assert line.endswith(" [4155 characters, from 3155]")
+        # The two hex numbers differ only in their last digit, which the
+        # window keeps.
+        assert lines[1].removeprefix("old: ") != lines[2].removeprefix("new: ")
 
     def test_str_replace_is_not_a_false_difference(self):
         old = "def f():\n    return 'a,b'.replace(',', ';')\n"

@@ -1,11 +1,13 @@
 import collections
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _runs
 from pairguard import analyze, engine, frontend
 from pairguard.driver import EngineConfig
 from pairguard.comparator import ABSTAIN, EQUIVALENT, compare
@@ -19,7 +21,7 @@ from pairguard.engine import (
 )
 from pairguard.frontend import extract_static_facts, make_pair
 from pairguard.predictor import Distribution, HeuristicPredictor, TablePredictor
-from pairguard.values import AbstractValue, VersatileObject
+from pairguard.values import AbstractValue, VersatileObject, serialize
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "pairs"
 
@@ -520,6 +522,55 @@ class TestControlFlow:
         assert out.exception is None
         assert out.return_value == repr(eval(expr))
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "'%50000000d' % 1",
+            "'%*d' % (10**8, 1)",
+            "'%*d' % (-10**8, 1)",
+            "'%.*f' % (10**8, 1.0)",
+            "'{:>{}}'.format(1, 10**8)",
+            "'{:{w}}'.format(1, w=10**8)",
+            "'{0:>100000000}'.format(1)",
+            "'{:.100000000f}'.format(1.0)",
+        ],
+    )
+    def test_huge_format_width_ends_on_the_step_budget(self, expr):
+        started = time.perf_counter()
+        out, _ = run_side(f"def f():\n    return {expr}\n")
+        assert out.exception.type_name == "StepBudgetExceeded"
+        assert time.perf_counter() - started < 2
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "'%5d|%-4s|%.2f' % (42, 'ab', 3.14159)",
+            "'%*d|%.*f' % (6, 7, 3, 2.5)",
+            "'%(a)s-%(b)05d' % {'a': 'x', 'b': 3}",
+            "'100%% %s' % 'done'",
+            "'%.3s|%.100000000s' % ('abcdef', 'ab')",
+            "'%d' % 'x'",
+            "'%d %d' % (1,)",
+            "'{:>8}|{:<6}|{:^7}'.format('r', 'l', 'c')",
+            "'{:0>{}}|{:{}.{}f}'.format(7, 4, 3.14159, 10, 2)",
+            "'{w:*^{n}}'.format(w='mid', n=11)",
+            "'{0}{1}{0}|{:,}'.format('a', 'b', 1234567)",
+            "'{:.100000000s}'.format('ab')",
+            "'{:d}'.format('x')",
+            "'{}{}'.format(1)",
+        ],
+    )
+    def test_ordinary_formatting_runs_like_cpython(self, expr):
+        out, _ = run_side(f"def f():\n    return {expr}\n")
+        try:
+            expected = serialize(eval(expr))
+        except Exception as exc:
+            assert out.exception.type_name == type(exc).__name__
+            assert out.exception.intentional is False
+        else:
+            assert out.exception is None
+            assert out.return_value == expected
+
     def test_step_budget_is_uncatchable(self):
         source = (
             "def f():\n"
@@ -901,8 +952,17 @@ def test_mirror_property_randomized(seed, iteration):
 def test_every_validated_node_type_has_a_handler():
     # The validator and the interpreter dispatch on the same node types, so
     # no accepted program can reach a node the interpreter cannot run.
-    assert set(frontend._STATEMENT_RULES) == set(engine._EXEC)
-    assert set(frontend._EXPRESSION_RULES) == set(engine._EVAL)
+    assert set(frontend._STATEMENT_RULES) == set(engine._STATEMENTS)
+    assert set(frontend._EXPRESSION_RULES) == set(engine._EXPRESSIONS)
+
+
+@pytest.mark.parametrize("seed", _runs.SEEDS)
+def test_every_run_matches_its_pinned_fingerprint(seed):
+    # Pins steps, coverage, exception, return value and stdout of every run
+    # analyze makes on the corpus and the loops benchmark pairs, so a change
+    # to how the engine dispatches cannot move any of them unseen.
+    golden = _runs.golden_path(seed).read_text().splitlines()
+    assert _runs.fingerprints(seed) == golden
 
 
 def test_call_log_entry_render():

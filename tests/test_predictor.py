@@ -51,6 +51,11 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution({AbstractValue.LIST: 1.5, AbstractValue.SET: -0.5})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Distribution({AbstractValue.OBJECT: bad, AbstractValue.LIST: 1.0})
+
     def test_argmax(self):
         d = Distribution({AbstractValue.STRING: 0.7, AbstractValue.LIST: 0.3})
         assert d.argmax() == AbstractValue.STRING
@@ -337,6 +342,18 @@ class TestTablePredictor:
     def test_malformed_tables_raise(self, tmp_path, payload):
         with pytest.raises(FormatError):
             load_table_predictor(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_weights_raise(self, tmp_path, weight):
+        # Python's json reads NaN and the infinities; a NaN weight once loaded
+        # and made every draw from the entry the other kind.
+        p = tmp_path / "table.json"
+        p.write_text(
+            '{"entries": [{"kind": "variable-read", "name": "a", '
+            f'"weights": {{"Object": {weight}, "List": 1.0}}}}]}}'
+        )
+        with pytest.raises(FormatError):
+            load_table_predictor(str(p))
 
     def test_duplicate_key_raises(self, tmp_path):
         entries = [
