@@ -30,7 +30,6 @@ from .frontend import (
     FunctionPair,
     Renamer,
     StaticFacts,
-    is_generator,
     isinstance_class_names,
 )
 from .predictor import Distribution, InjectionQuery, Predictor
@@ -955,6 +954,8 @@ class _Compiler:
         self.renamer = program.renamers[side]
         self.merge = self.renamer.merge
         self.generator_cap = program.cfg.generator_cap
+        fn = program.pair.old if side == "old" else program.pair.new
+        self.generators = fn.generators
 
     # dispatch
 
@@ -992,7 +993,7 @@ class _Compiler:
     def compile_FunctionDef(self, node: ast.FunctionDef) -> Callable:
         line = node.lineno
         name, params = node.name, [a.arg for a in node.args.args]
-        generator = is_generator(node)
+        generator = node in self.generators
         body = self.block(node.body)
 
         def function_def(rt, env):
@@ -1354,20 +1355,19 @@ class _Compiler:
             return bind_attribute
         if isinstance(node, ast.Subscript):
             base = self.expr(node.value)
-            index = self.index(node)
+            index = self.host_index(node)
 
             def bind_subscript(rt, env, value):
                 base_v = base(rt, env)
-                _, _, host_index = index(rt, env)
-                rt._store_subscript(base_v, host_index, value)
+                rt._store_subscript(base_v, index(rt, env), value)
 
             return bind_subscript
         raise RuntimeError(f"engine cannot bind {type(node).__name__}")
 
-    def index(self, node: ast.Subscript) -> Callable:
-        """Closure evaluating a subscript index once to (key value, rendered
-        text, host index): the host index is a slice object for slices, the
-        key itself otherwise."""
+    def host_index(self, node: ast.Subscript) -> Callable:
+        """Closure evaluating a subscript's index to the host index alone: a
+        slice object for slices, the key itself otherwise. A store needs
+        nothing more; a read renders the key through ``index``."""
         s = node.slice
         if isinstance(s, ast.Slice):
             lower = self.expr(s.lower) if s.lower is not None else None
@@ -1376,14 +1376,27 @@ class _Compiler:
             def slice_index(rt, env):
                 lo = lower(rt, env) if lower is not None else None
                 hi = upper(rt, env) if upper is not None else None
-                rendered = f"{serialize(lo) if lo is not None else ''}:{serialize(hi) if hi is not None else ''}"
-                return None, rendered, slice(lo, hi)
+                return slice(lo, hi)
 
             return slice_index
-        key_value = self.expr(s)
+        return self.expr(s)
+
+    def index(self, node: ast.Subscript) -> Callable:
+        """Closure evaluating a read subscript's index once to (key value,
+        rendered text, host index); a slice has no key value."""
+        host_index = self.host_index(node)
+        if isinstance(node.slice, ast.Slice):
+
+            def slice_index(rt, env):
+                sl = host_index(rt, env)
+                lo, hi = sl.start, sl.stop
+                rendered = f"{serialize(lo) if lo is not None else ''}:{serialize(hi) if hi is not None else ''}"
+                return None, rendered, sl
+
+            return slice_index
 
         def key_index(rt, env):
-            key = key_value(rt, env)
+            key = host_index(rt, env)
             return key, serialize(key), key
 
         return key_index

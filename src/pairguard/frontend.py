@@ -3,10 +3,12 @@
 The subject language is an indentation-blocked, dynamically typed language
 whose surface syntax is a strict subset of Python's, so parsing builds on the
 standard ``ast`` module followed by a validator that rejects everything
-outside the supported grammar. This module also computes changed lines
-between two versions, merges renamed identifiers, and extracts the static
-facts (literals, isinstance classes, caught exception types) the execution
-engine needs.
+outside the supported grammar. The validator's visit is the one walk of each
+version: as it checks a node it also records which functions yield and the
+raw static facts (literals, isinstance class arguments, calls guarded by
+``try``). This module also computes changed lines between two versions,
+merges renamed identifiers, and merges the recorded facts of both versions
+into the ``StaticFacts`` the execution engine needs.
 """
 
 from __future__ import annotations
@@ -45,7 +47,16 @@ _ALLOWED_UNARYOPS = (ast.Not, ast.USub)
 
 @dataclass
 class SourceFunction:
-    """One parsed function version."""
+    """One parsed function version, with what its validation recorded.
+
+    ``generators`` holds every ``def`` (the root included) whose own body
+    yields. The literal lists are in AST field order, the order the literal
+    pools are sampled in. ``isinstance_args`` holds the second argument of
+    each two-argument ``isinstance`` call, and ``guarded_calls`` each ``try``
+    with handlers naming exception types: those raw names and every call in
+    its body, nested ``def``s and ``try``s included. Names are not yet
+    rename-merged.
+    """
 
     name: str
     params: list[str]
@@ -54,6 +65,12 @@ class SourceFunction:
     node: ast.FunctionDef
     is_generator: bool
     code_lines: frozenset[int]
+    generators: frozenset[ast.FunctionDef]
+    literals_int: list[int]
+    literals_float: list[float]
+    literals_str: list[str]
+    isinstance_args: list[ast.expr]
+    guarded_calls: list[tuple[tuple[str, ...], list[ast.Call]]]
 
 
 @dataclass
@@ -87,11 +104,26 @@ def _reject(node: ast.AST, message: str, source: str) -> None:
 
 
 class _SubsetValidator:
-    """Reject constructs outside the subject-language grammar."""
+    """Reject constructs outside the subject-language grammar, recording the
+    facts a ``SourceFunction`` carries on the way.
+
+    Children are visited in AST field order, so literals are recorded in
+    that order: a dict's keys before its values, a comprehension's element
+    before its generators.
+    """
 
     def __init__(self, source: str):
         self.source = source
         self.loop_depth = 0
+        self.function: Optional[ast.FunctionDef] = None
+        self.generators: set[ast.FunctionDef] = set()
+        self.literals_int: list[int] = []
+        self.literals_float: list[float] = []
+        self.literals_str: list[str] = []
+        self.isinstance_args: list[ast.expr] = []
+        self.guarded_calls: list[tuple[tuple[str, ...], list[ast.Call]]] = []
+        # The call lists of the try bodies being visited, innermost last.
+        self.try_calls: list[list[ast.Call]] = []
 
     def reject(self, node, message):
         _reject(node, message, self.source)
@@ -109,7 +141,9 @@ class _SubsetValidator:
         for arg in a.args:
             if arg.annotation is not None:
                 self.reject(arg, "parameter annotations are not supported")
+        outer, self.function = self.function, node
         self.block(node.body)
+        self.function = outer
 
     def block(self, stmts: list):
         for stmt in stmts:
@@ -148,6 +182,7 @@ class _SubsetValidator:
 
     def stmt_Expr(self, node):
         if isinstance(node.value, ast.Yield):
+            self.generators.add(self.function)
             if node.value.value is not None:
                 self.expr(node.value.value)
             return
@@ -200,18 +235,24 @@ class _SubsetValidator:
             self.expr(node.msg)
 
     def stmt_Try(self, node):
+        calls: list[ast.Call] = []
+        self.try_calls.append(calls)
         self.block(node.body)
+        self.try_calls.pop()
+        caught: list[str] = []
         for h in node.handlers:
             if h.type is not None:
                 if isinstance(h.type, ast.Name):
-                    pass
+                    caught.append(h.type.id)
                 elif isinstance(h.type, ast.Tuple) and all(
                     isinstance(e, ast.Name) for e in h.type.elts
                 ):
-                    pass
+                    caught.extend(e.id for e in h.type.elts)
                 else:
                     self.reject(h, "except type must be a name or tuple of names")
             self.block(h.body)
+        if caught:
+            self.guarded_calls.append((tuple(caught), calls))
         self.block(node.orelse)
         self.block(node.finalbody)
 
@@ -241,6 +282,12 @@ class _SubsetValidator:
         self.reject(node, f"unsupported assignment target: {type(node).__name__}")
 
     def call_args(self, node: ast.Call):
+        # Every call passes here, ``raise C(...)`` included.
+        for calls in self.try_calls:
+            calls.append(node)
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
+            self.isinstance_args.append(node.args[1])
         for a in node.args:
             if isinstance(a, ast.Starred):
                 self.reject(a, "star arguments are not supported")
@@ -285,7 +332,20 @@ class _SubsetValidator:
     def expr_UnaryOp(self, node):
         if not isinstance(node.op, _ALLOWED_UNARYOPS):
             self.reject(node, f"unsupported unary operator: {type(node.op).__name__}")
-        self.expr(node.operand)
+        operand = node.operand
+        if (
+            isinstance(node.op, ast.USub)
+            and isinstance(operand, ast.Constant)
+            and type(operand.value) in (int, float)
+        ):
+            # A negated number is recorded as one negative literal.
+            v = -operand.value
+            if type(v) is int:
+                self.literals_int.append(v)
+            else:
+                self.literals_float.append(v)
+            return
+        self.expr(operand)
 
     def expr_Lambda(self, node):
         a = node.args
@@ -299,13 +359,15 @@ class _SubsetValidator:
         self.expr(node.orelse)
 
     def expr_Dict(self, node):
-        for k, v in zip(node.keys, node.values):
+        for k in node.keys:
             if k is None:
                 self.reject(node, "dict unpacking is not supported")
             self.expr(k)
+        for v in node.values:
             self.expr(v)
 
     def comprehension(self, node):
+        self.expr(node.elt)
         for gen in node.generators:
             if gen.is_async:
                 self.reject(node, "asynchronous comprehensions are not supported")
@@ -313,7 +375,6 @@ class _SubsetValidator:
             self.expr(gen.iter)
             for cond in gen.ifs:
                 self.expr(cond)
-        self.expr(node.elt)
 
     def expr_Compare(self, node):
         for op in node.ops:
@@ -329,11 +390,19 @@ class _SubsetValidator:
 
     def expr_Constant(self, node):
         v = node.value
-        if v is None or type(v) in (bool, int, float, str):
-            return
-        self.reject(node, f"unsupported literal: {type(v).__name__}")
+        t = type(v)
+        if t is int:
+            self.literals_int.append(v)
+        elif t is float:
+            self.literals_float.append(v)
+        elif t is str:
+            self.literals_str.append(v)
+        elif v is not None and t is not bool:
+            self.reject(node, f"unsupported literal: {t.__name__}")
 
     def expr_JoinedStr(self, node):
+        # Constant fragments are formatting scaffolding, not values the code
+        # compares against: they are checked but not recorded as literals.
         for part in node.values:
             if isinstance(part, ast.Constant):
                 if not isinstance(part.value, str):
@@ -396,19 +465,6 @@ _EXPRESSION_RULES = {
 }
 
 
-def is_generator(node: ast.FunctionDef) -> bool:
-    """Whether the function's own body (not nested functions) yields."""
-    todo = list(node.body)
-    while todo:
-        n = todo.pop()
-        if isinstance(n, (ast.FunctionDef, ast.Lambda)):
-            continue
-        if isinstance(n, ast.Yield):
-            return True
-        todo.extend(ast.iter_child_nodes(n))
-    return False
-
-
 def code_line_numbers(source: str) -> frozenset[int]:
     """1-based numbers of lines that are neither blank nor comment-only."""
     out = set()
@@ -444,15 +500,22 @@ def _parse_function(source: str) -> SourceFunction:
         node = tree.body[0] if tree.body else ast.Pass(lineno=1, col_offset=0)
         _reject(node, "expected exactly one function definition", source)
     node = functions[0]
-    _SubsetValidator(source).validate_function(node)
+    validator = _SubsetValidator(source)
+    validator.validate_function(node)
     return SourceFunction(
         name=node.name,
         params=[a.arg for a in node.args.args],
         body=node.body,
         line_count=len(source.splitlines()) or 1,
         node=node,
-        is_generator=is_generator(node),
+        is_generator=node in validator.generators,
         code_lines=code_line_numbers(source),
+        generators=frozenset(validator.generators),
+        literals_int=validator.literals_int,
+        literals_float=validator.literals_float,
+        literals_str=validator.literals_str,
+        isinstance_args=validator.isinstance_args,
+        guarded_calls=validator.guarded_calls,
     )
 
 
@@ -575,66 +638,19 @@ def isinstance_class_names(node: ast.expr, renamer: Renamer) -> list[str]:
     return [r] if r is not None else []
 
 
-def _collect_literals(node: ast.AST, facts: StaticFacts) -> None:
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.JoinedStr):
-            # Constant fragments of an f-string are formatting scaffolding,
-            # not values the code compares against; skip them but keep
-            # looking inside the interpolated expressions.
-            for part in child.values:
-                if isinstance(part, ast.FormattedValue):
-                    _collect_literals(part, facts)
-            continue
-        if isinstance(child, ast.Constant):
-            v = child.value
-            if type(v) is int:
-                facts.literals_int.append(v)
-            elif type(v) is float:
-                facts.literals_float.append(v)
-            elif type(v) is str:
-                facts.literals_str.append(v)
-            continue
-        if (
-            isinstance(child, ast.UnaryOp)
-            and isinstance(child.op, ast.USub)
-            and isinstance(child.operand, ast.Constant)
-            and type(child.operand.value) in (int, float)
-        ):
-            v = -child.operand.value
-            if type(v) is int:
-                facts.literals_int.append(v)
-            else:
-                facts.literals_float.append(v)
-            continue
-        _collect_literals(child, facts)
-
-
 def _collect_side(fn: SourceFunction, renamer: Renamer, facts: StaticFacts) -> None:
-    _collect_literals(fn.node, facts)
+    facts.literals_int.extend(fn.literals_int)
+    facts.literals_float.extend(fn.literals_float)
+    facts.literals_str.extend(fn.literals_str)
+    for arg in fn.isinstance_args:
+        facts.isinstance_classes.update(isinstance_class_names(arg, renamer))
     exception_sets: dict[str, set[str]] = {}
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "isinstance" and len(node.args) == 2:
-                facts.isinstance_classes.update(
-                    isinstance_class_names(node.args[1], renamer)
-                )
-        if isinstance(node, ast.Try):
-            caught: set[str] = set()
-            for h in node.handlers:
-                if isinstance(h.type, ast.Name):
-                    caught.add(renamer.merge(h.type.id))
-                elif isinstance(h.type, ast.Tuple):
-                    for e in h.type.elts:
-                        if isinstance(e, ast.Name):
-                            caught.add(renamer.merge(e.id))
-            if not caught:
-                continue
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Call):
-                        path = static_callee_path(sub.func, renamer)
-                        if path is not None:
-                            exception_sets.setdefault(path, set()).update(caught)
+    for raw_names, calls in fn.guarded_calls:
+        caught = {renamer.merge(n) for n in raw_names}
+        for call in calls:
+            path = static_callee_path(call.func, renamer)
+            if path is not None:
+                exception_sets.setdefault(path, set()).update(caught)
     for path, names in exception_sets.items():
         existing = set(facts.call_exception_map.get(path, frozenset()))
         facts.call_exception_map[path] = frozenset(existing | names)

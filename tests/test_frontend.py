@@ -1,9 +1,16 @@
+import ast
+import json
 import textwrap
 
+import _corpus
+import _runs
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairguard.frontend import (
     Renamer,
+    StaticFacts,
     code_line_numbers,
     diff_changed_lines,
     extract_static_facts,
@@ -13,7 +20,6 @@ from pairguard.frontend import (
     pretty_print,
     static_callee_path,
 )
-import ast
 
 
 def src(text):
@@ -116,6 +122,28 @@ def test_rejection_carries_position():
         assert exc.offset is not None
     else:
         pytest.fail("expected SyntaxError")
+
+
+# A single error keeps its message and position. With two unsupported
+# constructs in one node, the first in AST field order is reported: a dict's
+# keys before its values, a comprehension's element before its generators.
+@pytest.mark.parametrize(
+    "expr,message,offset",
+    [
+        ("{1: 2j}", "unsupported literal: complex", 16),
+        ("{**x}", "dict unpacking is not supported", 12),
+        ("[v for v in b'']", "unsupported literal: bytes", 24),
+        ("[2j for v in x]", "unsupported literal: complex", 13),
+        ("{1: 2j, **x}", "dict unpacking is not supported", 12),
+        ("{1: 2j, 3j: 4}", "unsupported literal: complex", 20),
+        ("[2j for v in b'']", "unsupported literal: complex", 13),
+        ("[2j async for v in x]", "unsupported literal: complex", 13),
+    ],
+)
+def test_rejection_message_and_position(expr, message, offset):
+    with pytest.raises(SyntaxError) as info:
+        parse_function(f"def f(x):\n    return {expr}\n")
+    assert (info.value.msg, info.value.lineno, info.value.offset) == (message, 2, offset)
 
 
 def test_parse_result_fields():
@@ -364,3 +392,253 @@ def test_identity_fixture_sources_parse(name):
     data = json.loads(fp.read_text())
     assert parse_function(data["old"]).name
     assert parse_function(data["new"]).name
+
+
+# ---------------------------------------------------------------------------
+# Reference: generator-ness and static facts as separate AST walks computed
+# them before the subset validator recorded them. The recorded facts must
+# equal these exactly, literal lists in order, because the literal pools feed
+# seeded sampling.
+
+
+def _ref_is_generator(node: ast.FunctionDef) -> bool:
+    """Whether the function's own body (not nested functions) yields."""
+    todo = list(node.body)
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(n, ast.Yield):
+            return True
+        todo.extend(ast.iter_child_nodes(n))
+    return False
+
+
+def _ref_collect_literals(node: ast.AST, facts: StaticFacts) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.JoinedStr):
+            for part in child.values:
+                if isinstance(part, ast.FormattedValue):
+                    _ref_collect_literals(part, facts)
+            continue
+        if isinstance(child, ast.Constant):
+            v = child.value
+            if type(v) is int:
+                facts.literals_int.append(v)
+            elif type(v) is float:
+                facts.literals_float.append(v)
+            elif type(v) is str:
+                facts.literals_str.append(v)
+            continue
+        if (
+            isinstance(child, ast.UnaryOp)
+            and isinstance(child.op, ast.USub)
+            and isinstance(child.operand, ast.Constant)
+            and type(child.operand.value) in (int, float)
+        ):
+            v = -child.operand.value
+            if type(v) is int:
+                facts.literals_int.append(v)
+            else:
+                facts.literals_float.append(v)
+            continue
+        _ref_collect_literals(child, facts)
+
+
+def _ref_collect_side(fn, renamer: Renamer, facts: StaticFacts) -> None:
+    _ref_collect_literals(fn.node, facts)
+    exception_sets: dict[str, set[str]] = {}
+    for node in ast.walk(fn.node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "isinstance" and len(node.args) == 2:
+                facts.isinstance_classes.update(
+                    isinstance_class_names(node.args[1], renamer)
+                )
+        if isinstance(node, ast.Try):
+            caught: set[str] = set()
+            for h in node.handlers:
+                if isinstance(h.type, ast.Name):
+                    caught.add(renamer.merge(h.type.id))
+                elif isinstance(h.type, ast.Tuple):
+                    for e in h.type.elts:
+                        if isinstance(e, ast.Name):
+                            caught.add(renamer.merge(e.id))
+            if not caught:
+                continue
+            for stmt in node.body:
+                for sub in ast.walk(stmt):
+                    if isinstance(sub, ast.Call):
+                        path = static_callee_path(sub.func, renamer)
+                        if path is not None:
+                            exception_sets.setdefault(path, set()).update(caught)
+    for path, names in exception_sets.items():
+        existing = set(facts.call_exception_map.get(path, frozenset()))
+        facts.call_exception_map[path] = frozenset(existing | names)
+
+
+def _ref_static_facts(pair) -> StaticFacts:
+    facts = StaticFacts()
+    _ref_collect_side(pair.old, Renamer(pair.renames, "old"), facts)
+    _ref_collect_side(pair.new, Renamer(pair.renames, "new"), facts)
+    return facts
+
+
+def assert_matches_reference(pair) -> None:
+    for fn in (pair.old, pair.new):
+        assert fn.is_generator == _ref_is_generator(fn.node)
+        for node in ast.walk(fn.node):
+            # The engine reads a nested def's flag from ``generators``.
+            if isinstance(node, ast.FunctionDef):
+                assert (node in fn.generators) == _ref_is_generator(node)
+    facts = extract_static_facts(pair)
+    ref = _ref_static_facts(pair)
+    assert facts.literals_int == ref.literals_int
+    # repr keeps -0.0 apart from 0.0.
+    assert [repr(v) for v in facts.literals_float] == [repr(v) for v in ref.literals_float]
+    assert facts.literals_str == ref.literals_str
+    assert facts.isinstance_classes == ref.isinstance_classes
+    assert facts.call_exception_map == ref.call_exception_map
+
+
+def _pair_from(data):
+    return make_pair(
+        data["old"], data["new"], renames=data.get("renames") or {}, entry=data.get("entry")
+    )
+
+
+@pytest.mark.parametrize("pair_id", _corpus.all_ids())
+def test_fixture_pair_facts_match_reference(pair_id):
+    assert_matches_reference(_pair_from(_corpus.load_pair_data(pair_id)))
+
+
+@pytest.mark.parametrize("workload", ["loops", "batch"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_benchmark_pair_facts_match_reference(workload, seed, tmp_path):
+    cases = getattr(_runs._load_workloads(), workload)(tmp_path, seed).cases
+    assert cases
+    for case in cases:
+        assert_matches_reference(_pair_from(json.loads(case.path.read_text())))
+
+
+class TestRecordedLiteralOrder:
+    def literals(self, expr):
+        pair = make_pair(f"def f(x):\n    return {expr}\n", "def f(x):\n    return 0\n")
+        return extract_static_facts(pair)
+
+    def test_dict_keys_before_values(self):
+        assert self.literals("{1: 2, 3: 4}").literals_int[:4] == [1, 3, 2, 4]
+
+    def test_comprehension_element_before_generators(self):
+        assert self.literals("[x + 5 for x in range(6)]").literals_int[:2] == [5, 6]
+
+    def test_negative_constants_and_fstrings(self):
+        f = self.literals("f'a{-2}b{x!r}c{-1.5}' + 'd'")
+        assert f.literals_int[:1] == [-2]
+        assert f.literals_float == [-1.5]
+        assert f.literals_str == ["d"]
+
+    def test_negated_bool_and_str_are_not_numbers(self):
+        f = self.literals("(-True, -'s', --3)")
+        assert f.literals_int[:1] == [-3]
+        assert f.literals_str == ["s"]
+
+    def test_explicit_cases_match_reference(self):
+        for expr in ["{1: 2, 3: 4}", "[x + 5 for x in range(6)]", "{-1: (y for y in x if 2)}"]:
+            assert_matches_reference(
+                make_pair(f"def f(x):\n    return {expr}\n", "def f(x):\n    return 0\n")
+            )
+
+
+# Generated subject functions: dicts, comprehensions, negative constants,
+# f-strings, isinstance calls, nested try statements and nested (generator)
+# defs, all inside the supported grammar.
+
+_LITERAL_TEXT = st.text("ab z", max_size=3)
+_LEAVES = st.one_of(
+    st.integers(-300, 300).map(repr),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(repr),
+    _LITERAL_TEXT.map(repr),
+    st.sampled_from(["True", "None", "x", "self.data", "items"]),
+)
+
+
+def _compound(children):
+    pairs = st.tuples(children, children)
+    callee = st.sampled_from(["load", "self.fetch", "get_conn().close", "isinstance"])
+    return st.one_of(
+        pairs.map(lambda p: f"({p[0]} + {p[1]})"),
+        children.map(lambda e: f"-{e}"),
+        st.lists(pairs, max_size=3).map(
+            lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"
+        ),
+        st.tuples(children, children, children).map(
+            lambda t: f"[{t[0]} for v in {t[1]} if {t[2]}]"
+        ),
+        pairs.map(lambda p: f"({p[0]} for v in {p[1]})"),
+        st.lists(children, max_size=3).map(lambda es: "[" + ", ".join(es) + "]"),
+        pairs.map(lambda p: f"{p[0]}[{p[1]}]"),
+        pairs.map(lambda p: f"{p[0]}[{p[1]}:]"),
+        st.tuples(children, st.one_of(st.sampled_from(["A", "(A, b.C)", "(Foo, 3)"]), children)).map(
+            lambda t: f"isinstance({t[0]}, {t[1]})"
+        ),
+        st.tuples(callee, st.lists(children, max_size=2)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"
+        ),
+    )
+
+
+_INNER = st.recursive(_LEAVES, _compound, max_leaves=6)
+_FSTRING = st.lists(
+    st.one_of(
+        _LITERAL_TEXT,
+        st.tuples(_INNER, st.sampled_from(["", "!r", "!s"])).map(lambda t: f"{{ {t[0]}{t[1]}}}"),
+    ),
+    max_size=4,
+).map(lambda parts: 'f"' + "".join(parts) + '"')
+_EXPRS = st.recursive(
+    st.one_of(_LEAVES, _FSTRING), lambda c: st.one_of(_compound(c), _FSTRING), max_leaves=8
+)
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
+
+
+def _simple_statement():
+    return st.one_of(
+        _EXPRS.map(lambda e: [f"x = {e}"]),
+        _EXPRS.map(lambda e: [f"yield {e}"]),
+        _EXPRS.map(lambda e: [f"print({e})"]),
+        _EXPRS.map(lambda e: [f"items[{e}] = -4"]),
+        _EXPRS.map(lambda e: [f"raise ValueError({e})"]),
+        _EXPRS.map(lambda e: [f"return {e}"]),
+        st.tuples(_EXPRS, _EXPRS).map(lambda t: [f"assert {t[0]}, {t[1]}"]),
+    )
+
+
+def _compound_statement(inner):
+    block = st.lists(inner, min_size=1, max_size=3).map(
+        lambda stmts: _indent([line for s in stmts for line in s])
+    )
+    handler = st.sampled_from(
+        ["except (ValueError, KeyError):", "except TypeError as err:", "except:", "finally:"]
+    )
+    return st.one_of(
+        st.tuples(_EXPRS, block, block).map(lambda t: [f"if {t[0]}:", *t[1], "else:", *t[2]]),
+        st.tuples(_EXPRS, block).map(lambda t: [f"for v in {t[0]}:", *t[1]]),
+        st.tuples(_EXPRS, block).map(lambda t: [f"with {t[0]} as h:", *t[1]]),
+        st.tuples(block, handler, block).map(lambda t: ["try:", *t[0], t[1], *t[2]]),
+        block.map(lambda b: ["def g(a):", *b]),
+    )
+
+
+_STATEMENTS = st.recursive(_simple_statement(), _compound_statement, max_leaves=6)
+_FUNCTIONS = st.lists(_STATEMENTS, min_size=1, max_size=4).map(
+    lambda stmts: "\n".join(["def f(x, items):", *_indent([ln for s in stmts for ln in s])]) + "\n"
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FUNCTIONS, _FUNCTIONS)
+def test_generated_function_facts_match_reference(old, new):
+    assert_matches_reference(make_pair(old, new, renames={"load": "fetch", "A": "B"}))
