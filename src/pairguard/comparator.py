@@ -88,7 +88,8 @@ def compare(old: ExecutionOutcome, new: ExecutionOutcome) -> IterationResult:
 
     Returns abstain when either side died of an unintended exception (the
     engine's fault rather than the code's), a difference naming the first
-    dimension that disagrees, or equivalent.
+    dimension that disagrees, or equivalent. Both outcomes come from one
+    iteration, so their injected states name the same paths.
     """
     reasons = []
     for outcome in (old, new):
@@ -116,14 +117,9 @@ def compare(old: ExecutionOutcome, new: ExecutionOutcome) -> IterationResult:
         )
 
     for path, ov in old.injected_state.items():
-        nv = new.injected_state.get(path)
+        nv = new.injected_state[path]
         if ov != nv:
-            return _difference(
-                "state", ov, "<absent>" if nv is None else nv, extra=("path", path)
-            )
-    for path, nv in new.injected_state.items():
-        if path not in old.injected_state:
-            return _difference("state", "<absent>", nv, extra=("path", path))
+            return _difference("state", ov, nv, extra=("path", path))
 
     if old.stdout != new.stdout:
         return _difference(

@@ -26,8 +26,6 @@ SEMANTICS_CHANGING = "semantics-changing"
 LIKELY_PRESERVING = "likely-semantics-preserving"
 INCONCLUSIVE = "inconclusive"
 
-CLASSIFICATIONS = (SEMANTICS_CHANGING, LIKELY_PRESERVING, INCONCLUSIVE)
-
 
 class ConfigError(ValueError):
     pass
@@ -42,8 +40,6 @@ class EngineConfig:
     exception_probability: float = 0.15
     max_structure_size: int = 4
     object_bias: float = 0.5
-    step_budget: int = 100000
-    generator_cap: int = 100
 
     def validate(self) -> None:
         if self.max_iterations < 1:
@@ -54,10 +50,6 @@ class EngineConfig:
                 raise ConfigError(f"{name} must be within [0, 1]")
         if self.max_structure_size < 0:
             raise ConfigError("max_structure_size must be nonnegative")
-        if self.step_budget < 1:
-            raise ConfigError("step_budget must be positive")
-        if self.generator_cap < 1:
-            raise ConfigError("generator_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,7 @@ def analyze(
     cfg.validate()
     predictor = predictor if predictor is not None else HeuristicPredictor()
     facts = extract_static_facts(pair)
-    # The timer covers compiling both sides, a per-pair cost like the runs.
+    # The timer covers the runs; both sides were compiled when parsed.
     started = time.perf_counter()
     program = ComparisonProgram(pair, facts, cfg, predictor)
     cum_old: set[int] = set()

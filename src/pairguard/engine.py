@@ -1,13 +1,15 @@
 """Guided execution engine.
 
-Each side (old or new) of a merged function pair is compiled once per pair
-into nested Python closures, one per statement and expression, and the
-closures run that side for every iteration. Reads of undefined variables,
-attribute reads, unresolvable calls, and crashing subscripts are intercepted
-and answered with predicted, concretized values. A consistency map shared
-between the two sides of one iteration guarantees both executions observe
-the same injected inputs, while every random decision is drawn from a stream
-keyed by the merged access path so small control-flow differences cannot
+Each side (old or new) of a merged function pair is compiled once, when the
+frontend parses it, into nested Python closures, one per statement and
+expression, and the closures run that side for every iteration. Compiling
+is also what checks the side against the subject-language grammar and
+records its static facts. Reads of undefined variables, attribute reads,
+unresolvable calls, and crashing subscripts are intercepted and answered
+with predicted, concretized values. A consistency map shared between the
+two sides of one iteration guarantees both executions observe the same
+injected inputs, while every random decision is drawn from a stream keyed
+by the merged access path so small control-flow differences cannot
 desynchronize the two runs.
 """
 
@@ -20,18 +22,10 @@ import io
 import random
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
 
-from .frontend import (
-    BINOP_SYMBOLS,
-    COMPARE_SYMBOLS,
-    FunctionPair,
-    Renamer,
-    StaticFacts,
-    isinstance_class_names,
-)
 from .predictor import Distribution, InjectionQuery, Predictor
 from .values import (
     ARITH_OPS,
@@ -55,6 +49,35 @@ from .values import (
 _PATH_CAP = 120
 _CONTEXT_CAP = 160
 _MAX_CALL_DEPTH = 200
+# Steps one run may take, and items one generator may yield, before it stops.
+_STEP_BUDGET = 100_000
+_GENERATOR_CAP = 100
+
+# The operators of the subject language by AST type, with the symbol each is
+# evaluated by; the compiler accepts exactly these.
+BINOP_SYMBOLS = {
+    ast.Add: "+",
+    ast.Sub: "-",
+    ast.Mult: "*",
+    ast.Div: "/",
+    ast.FloorDiv: "//",
+    ast.Mod: "%",
+    ast.Pow: "**",
+}
+COMPARE_SYMBOLS = {
+    ast.Eq: "==",
+    ast.NotEq: "!=",
+    ast.Lt: "<",
+    ast.LtE: "<=",
+    ast.Gt: ">",
+    ast.GtE: ">=",
+    ast.In: "in",
+    ast.NotIn: "not in",
+    ast.Is: "is",
+    ast.IsNot: "is not",
+}
+_ALLOWED_AUGOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
+_ALLOWED_UNARYOPS = (ast.Not, ast.USub)
 
 # Methods callable natively on concrete built-in receivers. Anything else
 # becomes an interception.
@@ -218,7 +241,7 @@ def _tick(rt: "Interpreter", line: int) -> None:
     as covered: what every compiled statement and expression does first."""
     n = rt.steps + 1
     rt.steps = n
-    if n > rt.budget:
+    if n > _STEP_BUDGET:
         raise _EngineInterrupt()
     rt.covered.add(line)
 
@@ -303,18 +326,30 @@ class ExecutionOutcome:
     covered_lines: frozenset[int]
 
 
+@dataclass
+class StaticFacts:
+    """Facts mined from the code that guide value injection, with names
+    rename-merged: literals in AST field order, the class names isinstance
+    calls test, and the exceptions each call inside a ``try`` can raise."""
+
+    literals_int: list[int] = field(default_factory=list)
+    literals_float: list[float] = field(default_factory=list)
+    literals_str: list[str] = field(default_factory=list)
+    isinstance_classes: set[str] = field(default_factory=set)
+    call_exception_map: dict[str, frozenset[str]] = field(default_factory=dict)
+
+
 class ComparisonProgram:
     """Everything derived from one pair that its paired runs share.
 
-    Built once per analysis; every execution of either side reads the same
-    static facts, concretizer pools, per-side renamers and per-side compiled
-    bodies. The context string of a statement is unparsed, and the
-    predictor asked about a query, the first time an injection needs it.
+    Built once per analysis from a frontend ``FunctionPair``, whose sides
+    were compiled when parsed; every execution of either side reads the same
+    static facts and concretizer pools. The context string of a statement is
+    unparsed, and the predictor asked about a query, the first time an
+    injection needs it.
     """
 
-    def __init__(
-        self, pair: FunctionPair, facts: StaticFacts, cfg: Any, predictor: Predictor
-    ):
+    def __init__(self, pair: Any, facts: StaticFacts, cfg: Any, predictor: Predictor):
         self.pair = pair
         self.facts = facts
         self.cfg = cfg
@@ -327,11 +362,6 @@ class ComparisonProgram:
             max_structure_size=cfg.max_structure_size,
             object_bias=cfg.object_bias,
         )
-        self.renamers = {side: Renamer(pair.renames, side) for side in ("old", "new")}
-        self.bodies = {
-            "old": _Compiler(self, "old").block(pair.old.body),
-            "new": _Compiler(self, "new").block(pair.new.body),
-        }
         self._contexts: dict[ast.AST, str] = {}
         self._distributions: dict[tuple[str, str, str], Distribution] = {}
 
@@ -391,8 +421,8 @@ def _access_path(base_path: Optional[str], suffix: str) -> str:
 class Interpreter:
     """Runtime state of one side's execution in one iteration.
 
-    The compiled closures of ``ComparisonProgram.bodies`` take it as their
-    first argument and charge their steps to it.
+    The compiled closures of each side's body take it as their first
+    argument and charge their steps to it.
     """
 
     __slots__ = (
@@ -400,7 +430,6 @@ class Interpreter:
         "program",
         "cmap",
         "iteration_seed",
-        "budget",
         "stdout",
         "call_log",
         "covered",
@@ -423,7 +452,6 @@ class Interpreter:
         self.program = program
         self.cmap = cmap
         self.iteration_seed = iteration_seed
-        self.budget = program.cfg.step_budget
         self.stdout = io.StringIO()
         self.call_log: list[CallLogEntry] = []
         self.covered: set[int] = set()
@@ -443,7 +471,7 @@ class Interpreter:
     def _charge(self, steps: int) -> None:
         """Charge the size of a host result before the host builds it."""
         self.steps += steps
-        if self.steps > self.budget:
+        if self.steps > _STEP_BUDGET:
             raise _EngineInterrupt()
 
     def _host(self, fn: Callable, *args, **kwargs):
@@ -481,9 +509,7 @@ class Interpreter:
     def run(self) -> ExecutionOutcome:
         fn = self.program.pair.old if self.side == "old" else self.program.pair.new
         root = _Env()
-        entry = FunctionValue(
-            fn.name, list(fn.params), self.program.bodies[self.side], root, fn.is_generator
-        )
+        entry = FunctionValue(fn.name, list(fn.params), fn.body, root, fn.is_generator)
         root.vars[fn.name] = entry
         self.covered.add(fn.node.lineno)
         return_s: Optional[str] = None
@@ -838,7 +864,7 @@ class Interpreter:
             items = sorted_iter(value)
         else:
             self._fault("TypeError", f"{serialize(value)} is not iterable")
-        budget = self.budget
+        budget = _STEP_BUDGET
         for item in items:
             self.steps += 1
             if self.steps > budget:
@@ -934,12 +960,87 @@ def _call_shape_error(name: str, count: int, keywords) -> Optional[str]:
     return None
 
 
+def reject(node: ast.AST, message: str, source: str) -> NoReturn:
+    """Raise the ``SyntaxError`` that reports ``node`` as outside the subject
+    language, with its line and column in ``source``."""
+    lineno = getattr(node, "lineno", 1)
+    col = getattr(node, "col_offset", 0)
+    lines = source.splitlines()
+    text = lines[lineno - 1] if 0 < lineno <= len(lines) else ""
+    raise SyntaxError(message, ("<pair>", lineno, col + 1, text))
+
+
+def static_callee_path(node: ast.expr, merge: Callable[[str], str]) -> Optional[str]:
+    """Merged dotted path of a callee expression, if it has a static shape."""
+    if isinstance(node, ast.Name):
+        return merge(node.id)
+    if isinstance(node, ast.Attribute):
+        base = static_callee_path(node.value, merge)
+        if base is None:
+            return None
+        return f"{base}.{merge(node.attr)}"
+    if isinstance(node, ast.Call):
+        base = static_callee_path(node.func, merge)
+        if base is None:
+            return None
+        return f"{base}()"
+    return None
+
+
+def _render_class_name(node: ast.expr, merge: Callable[[str], str]) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return merge(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _render_class_name(node.value, merge)
+        if base is None:
+            return None
+        return f"{base}.{merge(node.attr)}"
+    return None
+
+
+def isinstance_class_names(node: ast.expr, merge: Callable[[str], str]) -> list[str]:
+    """Class names named by the second argument of an isinstance call."""
+    if isinstance(node, ast.Tuple):
+        out = []
+        for e in node.elts:
+            r = _render_class_name(e, merge)
+            if r is not None:
+                out.append(r)
+        return out
+    r = _render_class_name(node, merge)
+    return [r] if r is not None else []
+
+
 # Expression types whose compiled form can also hand back an access path.
 _PATHED = frozenset({ast.Name, ast.Attribute, ast.Subscript, ast.Call})
 
 
+def compile_function(
+    node: ast.FunctionDef, source: str, merge: Callable[[str], str], facts: StaticFacts
+) -> tuple[Callable, frozenset[ast.FunctionDef]]:
+    """Check one side's function against the subject-language grammar while
+    compiling its body, and record the side's static facts into ``facts``.
+
+    Returns the compiled body and every ``def`` (``node`` included) whose own
+    body yields. Names are merged through ``merge``. Raises ``SyntaxError``
+    at the first construct, in AST field order, outside the grammar.
+    """
+    compiler = _Compiler(source, merge, facts)
+    body = compiler.function_body(node)
+    return body, frozenset(compiler.generators)
+
+
 class _Compiler:
-    """Turns one side's statements and expressions into closures.
+    """Checks one side's statements and expressions and turns them into
+    closures, recording the side's static facts on the way.
+
+    One table per node kind, ``_STATEMENTS`` and ``_EXPRESSIONS``, says what
+    the subject language accepts: a node whose type is not in it, or whose
+    parts break a rule, is rejected with a ``SyntaxError``. Each node is
+    compiled once and its children in AST field order, so rejections and the
+    recorded literals come in that order: an assignment's target before its
+    value, a dict's keys before its values, a comprehension's element before
+    its generators.
 
     Every closure takes ``(rt, env)``: the run's ``Interpreter`` and the
     current scope. Whatever depends only on the node (line, merged names,
@@ -950,17 +1051,49 @@ class _Compiler:
     needed.
     """
 
-    def __init__(self, program: ComparisonProgram, side: str):
-        self.renamer = program.renamers[side]
-        self.merge = self.renamer.merge
-        self.generator_cap = program.cfg.generator_cap
-        fn = program.pair.old if side == "old" else program.pair.new
-        self.generators = fn.generators
+    def __init__(self, source: str, merge: Callable[[str], str], facts: StaticFacts):
+        self.source = source
+        self.merge = merge
+        self.facts = facts
+        self.literals = {
+            int: facts.literals_int,
+            float: facts.literals_float,
+            str: facts.literals_str,
+        }
+        self.loop_depth = 0
+        self.function: Optional[ast.FunctionDef] = None
+        self.generators: set[ast.FunctionDef] = set()
+        # The callee paths of the calls in the try bodies being compiled,
+        # innermost last.
+        self.try_calls: list[list[str]] = []
+
+    def reject(self, node: ast.AST, message: str) -> NoReturn:
+        reject(node, message, self.source)
 
     # dispatch
 
+    def function_body(self, node: ast.FunctionDef) -> Callable:
+        """The compiled body of a ``def``, after checking its signature."""
+        if node.decorator_list:
+            self.reject(node, "decorators are not supported")
+        if node.returns is not None:
+            self.reject(node, "return annotations are not supported")
+        a = node.args
+        if a.posonlyargs or a.kwonlyargs or a.vararg or a.kwarg:
+            self.reject(node, "only plain positional parameters are supported")
+        if a.defaults or a.kw_defaults:
+            self.reject(node, "parameter defaults are not supported")
+        for arg in a.args:
+            if arg.annotation is not None:
+                self.reject(arg, "parameter annotations are not supported")
+        outer = self.function, self.loop_depth
+        self.function, self.loop_depth = node, 0
+        body = self.block(node.body)
+        self.function, self.loop_depth = outer
+        return body
+
     def block(self, stmts: list) -> Callable:
-        compiled = tuple(_STATEMENTS[type(s)](self, s) for s in stmts)
+        compiled = tuple(self.stmt(s) for s in stmts)
         if not compiled:
             return _nothing
         if len(compiled) == 1:
@@ -972,9 +1105,18 @@ class _Compiler:
 
         return block
 
+    def stmt(self, node: ast.stmt) -> Callable:
+        compile_ = _STATEMENTS.get(type(node))
+        if compile_ is None:
+            self.reject(node, f"unsupported statement: {type(node).__name__}")
+        return compile_(self, node)
+
     def expr(self, node: ast.expr) -> Callable:
         """Closure returning the expression's value."""
-        return _EXPRESSIONS[type(node)](self, node)
+        compile_ = _EXPRESSIONS.get(type(node))
+        if compile_ is None:
+            self.reject(node, f"unsupported expression: {type(node).__name__}")
+        return compile_(self, node)
 
     def expr_p(self, node: ast.expr) -> Callable:
         """Closure returning the expression's value and its access path, or
@@ -993,8 +1135,8 @@ class _Compiler:
     def compile_FunctionDef(self, node: ast.FunctionDef) -> Callable:
         line = node.lineno
         name, params = node.name, [a.arg for a in node.args.args]
+        body = self.function_body(node)
         generator = node in self.generators
-        body = self.block(node.body)
 
         def function_def(rt, env):
             _tick(rt, line)
@@ -1014,11 +1156,13 @@ class _Compiler:
         return return_
 
     def compile_Assign(self, node: ast.Assign) -> Callable:
+        if len(node.targets) != 1:
+            self.reject(node, "chained assignment is not supported")
         line = node.lineno
-        value = self.expr(node.value)
         target = node.targets[0]
         if isinstance(target, ast.Name):
             name = target.id
+            value = self.expr(node.value)
 
             def assign_name(rt, env):
                 _tick(rt, line)
@@ -1027,6 +1171,7 @@ class _Compiler:
 
             return assign_name
         bind = self.target(target)
+        value = self.expr(node.value)
 
         def assign(rt, env):
             _tick(rt, line)
@@ -1036,13 +1181,19 @@ class _Compiler:
         return assign
 
     def compile_AugAssign(self, node: ast.AugAssign) -> Callable:
+        """``target op= value``. As in CPython, an attribute or subscript
+        target's base and index are evaluated and the target read before the
+        right-hand side; a name is looked up after it, which only an
+        injection could tell apart. The grammar allows no other target."""
+        if not isinstance(node.op, _ALLOWED_AUGOPS):
+            self.reject(node, f"unsupported augmented operator: {type(node.op).__name__}")
         line = node.lineno
         apply = _ARITH[BINOP_SYMBOLS[type(node.op)]]
-        rhs = self.expr(node.value)
         target = node.target
         if isinstance(target, ast.Name):
             name = target.id
             path = _cap_path(self.merge(name))
+            rhs = self.expr(node.value)
 
             def augment_name(rt, env):
                 _tick(rt, line)
@@ -1065,37 +1216,37 @@ class _Compiler:
             raw = target.attr
             merged = self.merge(raw)
             suffix = f".{merged}"
+            rhs = self.expr(node.value)
 
             def augment_attribute(rt, env):
                 _tick(rt, line)
                 rt.context = node
-                right = rhs(rt, env)
                 base_v, base_p = base(rt, env)
                 path = _access_path(base_p, suffix)
                 current = rt._read_attribute(base_v, raw, merged, path)
-                rt._store_attribute(base_v, raw, merged, apply(rt, current, right))
+                rt._store_attribute(base_v, raw, merged, apply(rt, current, rhs(rt, env)))
 
             return augment_attribute
         index = self.index(target)
+        rhs = self.expr(node.value)
 
         def augment_subscript(rt, env):
             _tick(rt, line)
             rt.context = node
-            right = rhs(rt, env)
             base_v, base_p = base(rt, env)
             key, rendered, host_index = index(rt, env)
             path = _access_path(base_p, f"[{rendered}]")
             current = rt._read_subscript(base_v, key, rendered, host_index, path)
-            rt._store_subscript(base_v, host_index, apply(rt, current, right))
+            rt._store_subscript(base_v, host_index, apply(rt, current, rhs(rt, env)))
 
         return augment_subscript
 
     def compile_Expr(self, node: ast.Expr) -> Callable:
         line = node.lineno
         if isinstance(node.value, ast.Yield):
+            self.generators.add(self.function)
             item = node.value.value
             value = self.expr(item) if item is not None else None
-            cap = self.generator_cap
 
             def yield_(rt, env):
                 _tick(rt, line)
@@ -1105,7 +1256,7 @@ class _Compiler:
                     rt._fault("RuntimeError", "yield outside a generator")
                 sink = rt.sinks[-1]
                 sink.append(yielded)
-                if len(sink) >= cap:
+                if len(sink) >= _GENERATOR_CAP:
                     raise _StopMaterialize()
 
             return yield_
@@ -1136,10 +1287,12 @@ class _Compiler:
         return if_
 
     def compile_While(self, node: ast.While) -> Callable:
+        if node.orelse:
+            self.reject(node, "while-else is not supported")
         line = node.lineno
         test_node = node.test
         test = self.expr(test_node)
-        body = self.block(node.body)
+        body = self.loop_body(node)
 
         def while_(rt, env):
             _tick(rt, line)
@@ -1158,11 +1311,13 @@ class _Compiler:
         return while_
 
     def compile_For(self, node: ast.For) -> Callable:
+        if node.orelse:
+            self.reject(node, "for-else is not supported")
         line = node.lineno
+        bind = self.target(node.target)
         iter_node = node.iter
         iterable = self.expr(iter_node)
-        bind = self.target(node.target)
-        body = self.block(node.body)
+        body = self.loop_body(node)
 
         def for_(rt, env):
             _tick(rt, line)
@@ -1178,10 +1333,22 @@ class _Compiler:
 
         return for_
 
+    def loop_body(self, node: ast.While | ast.For) -> Callable:
+        """The compiled body of a loop, inside which break and continue are
+        allowed."""
+        self.loop_depth += 1
+        body = self.block(node.body)
+        self.loop_depth -= 1
+        return body
+
     def compile_Break(self, node: ast.Break) -> Callable:
+        if self.loop_depth == 0:
+            self.reject(node, "break outside a loop")
         return self._jump(node, _Break)
 
     def compile_Continue(self, node: ast.Continue) -> Callable:
+        if self.loop_depth == 0:
+            self.reject(node, "continue outside a loop")
         return self._jump(node, _Continue)
 
     def compile_Pass(self, node: ast.Pass) -> Callable:
@@ -1200,16 +1367,18 @@ class _Compiler:
 
     def compile_Raise(self, node: ast.Raise) -> Callable:
         line = node.lineno
-        cause = self.expr(node.cause) if node.cause is not None else None
         exc = node.exc
         reraise = exc is None
         # ``raise E`` looks E up; ``raise E(...)`` evaluates only the call's
         # arguments, positional then keyword. Either way E is merged here.
         name = exc.id if isinstance(exc, ast.Name) else None
         values = []
-        if isinstance(exc, ast.Call):
-            values = [self.expr(a) for a in exc.args]
-            values += [self.expr(kw.value) for kw in exc.keywords]
+        if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
+            positional, keywords = self.call_args(exc)
+            values = positional + [value for _, value in keywords]
+        elif not reraise and name is None:
+            self.reject(node, "raise target must be a name or a name call")
+        cause = self.expr(node.cause) if node.cause is not None else None
         type_name = None if reraise else self.merge(name or exc.func.id)
 
         def raise_(rt, env):
@@ -1248,11 +1417,22 @@ class _Compiler:
         return assert_
 
     def compile_Try(self, node: ast.Try) -> Callable:
+        """A ``try``; every call in its body, nested ones included, is
+        recorded as able to raise the types its handlers name."""
         line = node.lineno
+        calls: list[str] = []
+        self.try_calls.append(calls)
         body = self.block(node.body)
+        self.try_calls.pop()
+        caught: list[str] = []
+        handlers = [self._handler(h, caught) for h in node.handlers]
+        if caught:
+            names = frozenset(self.merge(n) for n in caught)
+            exception_map = self.facts.call_exception_map
+            for path in calls:
+                exception_map[path] = exception_map.get(path, frozenset()) | names
         orelse = self.block(node.orelse)
         final = self.block(node.finalbody)
-        handlers = [self._handler(h) for h in node.handlers]
 
         def try_(rt, env):
             _tick(rt, line)
@@ -1280,16 +1460,24 @@ class _Compiler:
 
         return try_
 
-    def _handler(self, handler: ast.ExceptHandler):
-        """(matches(type name), bound name, body) of one ``except`` clause.
-        A clause catches its merged names, their builtin subclasses, and
-        everything when bare or naming Exception or BaseException."""
+    def _handler(self, handler: ast.ExceptHandler, caught: list[str]):
+        """(matches(type name), bound name, body) of one ``except`` clause,
+        whose raw type names go onto ``caught``. A clause catches its merged
+        names, their builtin subclasses, and everything when bare or naming
+        Exception or BaseException."""
+        kind = handler.type
+        if kind is None:
+            raw = []
+        elif isinstance(kind, ast.Name):
+            raw = [kind.id]
+        elif isinstance(kind, ast.Tuple) and all(isinstance(e, ast.Name) for e in kind.elts):
+            raw = [e.id for e in kind.elts]
+        else:
+            self.reject(handler, "except type must be a name or tuple of names")
+        caught.extend(raw)
         body = self.block(handler.body)
-        if handler.type is None:
-            return (lambda type_name: True), handler.name, body
-        elts = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-        names = frozenset(self.merge(e.id) for e in elts)
-        if names & {"Exception", "BaseException"}:
+        names = frozenset(self.merge(n) for n in raw)
+        if kind is None or names & {"Exception", "BaseException"}:
             return (lambda type_name: True), handler.name, body
 
         def matches(type_name):
@@ -1300,10 +1488,14 @@ class _Compiler:
         return matches, handler.name, body
 
     def compile_With(self, node: ast.With) -> Callable:
+        if len(node.items) != 1:
+            self.reject(node, "with supports a single context item")
         line = node.lineno
         item = node.items[0]
         context_node = item.context_expr
         manager = self.expr(context_node)
+        if item.optional_vars is not None and not isinstance(item.optional_vars, ast.Name):
+            self.reject(node, "with target must be a plain name")
         name = item.optional_vars.id if item.optional_vars is not None else None
         body = self.block(node.body)
 
@@ -1321,7 +1513,7 @@ class _Compiler:
 
     # assignment targets: closures bind(rt, env, value)
 
-    def target(self, node: ast.expr) -> Callable:
+    def target(self, node: ast.expr, allow_tuple: bool = True) -> Callable:
         if isinstance(node, ast.Name):
             name = node.id
 
@@ -1329,8 +1521,8 @@ class _Compiler:
                 env.vars[name] = value
 
             return bind_name
-        if isinstance(node, ast.Tuple):
-            binds = [self.target(e) for e in node.elts]
+        if allow_tuple and isinstance(node, ast.Tuple):
+            binds = [self.target(e, allow_tuple=False) for e in node.elts]
             count = len(binds)
 
             def bind_tuple(rt, env, value):
@@ -1362,7 +1554,7 @@ class _Compiler:
                 rt._store_subscript(base_v, index(rt, env), value)
 
             return bind_subscript
-        raise RuntimeError(f"engine cannot bind {type(node).__name__}")
+        self.reject(node, f"unsupported assignment target: {type(node).__name__}")
 
     def host_index(self, node: ast.Subscript) -> Callable:
         """Closure evaluating a subscript's index to the host index alone: a
@@ -1370,6 +1562,8 @@ class _Compiler:
         nothing more; a read renders the key through ``index``."""
         s = node.slice
         if isinstance(s, ast.Slice):
+            if s.step is not None:
+                self.reject(node, "slice steps are not supported")
             lower = self.expr(s.lower) if s.lower is not None else None
             upper = self.expr(s.upper) if s.upper is not None else None
 
@@ -1457,14 +1651,13 @@ class _Compiler:
         return subscript
 
     def compile_Constant(self, node: ast.Constant) -> Callable:
-        line = node.lineno
         value = node.value
-
-        def constant(rt, env):
-            _tick(rt, line)
-            return value
-
-        return constant
+        literals = self.literals.get(type(value))
+        if literals is not None:
+            literals.append(value)
+        elif value is not None and type(value) is not bool:
+            self.reject(node, f"unsupported literal: {type(value).__name__}")
+        return _constant(node.lineno, value)
 
     def compile_List(self, node: ast.List) -> Callable:
         return self._display(node, None)
@@ -1490,7 +1683,12 @@ class _Compiler:
 
     def compile_Dict(self, node: ast.Dict) -> Callable:
         line = node.lineno
-        entries = [(self.expr(k), self.expr(v)) for k, v in zip(node.keys, node.values)]
+        keys = []
+        for k in node.keys:
+            if k is None:
+                self.reject(node, "dict unpacking is not supported")
+            keys.append(self.expr(k))
+        entries = list(zip(keys, [self.expr(v) for v in node.values]))
 
         def dict_(rt, env):
             _tick(rt, line)
@@ -1520,10 +1718,13 @@ class _Compiler:
         return bool_op
 
     def compile_BinOp(self, node: ast.BinOp) -> Callable:
+        symbol = BINOP_SYMBOLS.get(type(node.op))
+        if symbol is None:
+            self.reject(node, f"unsupported operator: {type(node.op).__name__}")
         line = node.lineno
         left = self.expr(node.left)
         right = self.expr(node.right)
-        apply = _ARITH[BINOP_SYMBOLS[type(node.op)]]
+        apply = _ARITH[symbol]
 
         def bin_op(rt, env):
             _tick(rt, line)
@@ -1532,9 +1733,17 @@ class _Compiler:
         return bin_op
 
     def compile_UnaryOp(self, node: ast.UnaryOp) -> Callable:
+        if not isinstance(node.op, _ALLOWED_UNARYOPS):
+            self.reject(node, f"unsupported unary operator: {type(node.op).__name__}")
         line = node.lineno
-        operand = self.expr(node.operand)
         negate = not isinstance(node.op, ast.Not)
+        number = node.operand
+        if negate and isinstance(number, ast.Constant) and type(number.value) in (int, float):
+            # A negated number is recorded as one negative literal.
+            self.literals[type(number.value)].append(-number.value)
+            operand = _constant(number.lineno, number.value)
+        else:
+            operand = self.expr(number)
 
         def unary_op(rt, env):
             _tick(rt, line)
@@ -1549,6 +1758,9 @@ class _Compiler:
         return unary_op
 
     def compile_Compare(self, node: ast.Compare) -> Callable:
+        for op in node.ops:
+            if type(op) not in COMPARE_SYMBOLS:
+                self.reject(node, f"unsupported comparison: {type(op).__name__}")
         line = node.lineno
         first = self.expr(node.left)
         links = [
@@ -1583,8 +1795,11 @@ class _Compiler:
         return if_exp
 
     def compile_Lambda(self, node: ast.Lambda) -> Callable:
+        a = node.args
+        if a.posonlyargs or a.kwonlyargs or a.vararg or a.kwarg or a.defaults or a.kw_defaults:
+            self.reject(node, "lambda supports only plain positional parameters")
         line = node.lineno
-        params = [a.arg for a in node.args.args]
+        params = [arg.arg for arg in a.args]
         body = self.expr(node.body)
 
         def lambda_(rt, env):
@@ -1594,15 +1809,23 @@ class _Compiler:
         return lambda_
 
     def compile_JoinedStr(self, node: ast.JoinedStr) -> Callable:
+        """An f-string. Its constant fragments are formatting scaffolding,
+        not values the code compares against, so they are not recorded as
+        literals."""
         line = node.lineno
-        # (None, text) for a literal part, (value closure, is !r) otherwise;
-        # the validator rejects format specs.
-        parts = [
-            (None, part.value)
-            if isinstance(part, ast.Constant)
-            else (self.expr(part.value), part.conversion == 114)
-            for part in node.values
-        ]
+        # (None, text) for a literal part, (value closure, is !r) otherwise.
+        parts = []
+        for part in node.values:
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                parts.append((None, part.value))
+            elif isinstance(part, ast.FormattedValue):
+                if part.conversion not in (-1, 114, 115):
+                    self.reject(part, "only {expr}, {expr!r} and {expr!s} are supported")
+                if part.format_spec is not None:
+                    self.reject(part, "format specifiers are not supported")
+                parts.append((self.expr(part.value), part.conversion == 114))
+            else:
+                self.reject(part, "unsupported f-string fragment")
 
         def joined_str(rt, env):
             _tick(rt, line)
@@ -1621,11 +1844,18 @@ class _Compiler:
         line = node.lineno
         element = self.expr(node.elt)
         is_list = type(node) is ast.ListComp
-        # One closure per ``for`` clause, innermost first; each walks its
-        # iterable, binds, filters, then runs the next clause or appends.
+        clauses = []
+        for gen in node.generators:
+            if gen.is_async:
+                self.reject(node, "asynchronous comprehensions are not supported")
+            bind = self.target(gen.target)
+            iterable = self.expr(gen.iter)
+            clauses.append((iterable, bind, [self.expr(c) for c in gen.ifs]))
+        # One closure per ``for`` clause, built innermost first; each walks
+        # its iterable, binds, filters, then runs the next clause or appends.
         inner = None
-        for gen in reversed(node.generators):
-            inner = self._clause(gen, inner, element)
+        for iterable, bind, conditions in reversed(clauses):
+            inner = _clause(iterable, bind, conditions, inner, element)
 
         def comprehension(rt, env):
             _tick(rt, line)
@@ -1634,22 +1864,6 @@ class _Compiler:
             return out if is_list else GeneratorValue(items=out)
 
         return comprehension
-
-    def _clause(self, gen: ast.comprehension, inner: Optional[Callable], element: Callable):
-        iterable = self.expr(gen.iter)
-        bind = self.target(gen.target)
-        conditions = [self.expr(c) for c in gen.ifs]
-
-        def clause(rt, env, out):
-            for item in rt._iterate(iterable(rt, env)):
-                bind(rt, env, item)
-                if all(c(rt, env) for c in conditions):
-                    if inner is None:
-                        out.append(element(rt, env))
-                    else:
-                        inner(rt, env, out)
-
-        return clause
 
     # calls
 
@@ -1661,7 +1875,7 @@ class _Compiler:
             return self._call_attribute(node, with_path)
         line = node.lineno
         callee_value = self.expr_p(func)
-        arguments = self.arguments(node)
+        arguments = _arguments(*self.call_args(node))
 
         def call_value(rt, env):
             _tick(rt, line)
@@ -1673,20 +1887,29 @@ class _Compiler:
 
         return call_value
 
-    def arguments(self, node: ast.Call) -> Callable:
-        """Closure evaluating a call's arguments, positional then keyword,
-        to (args list, kwargs dict)."""
-        positional = [self.expr(a) for a in node.args]
-        keywords = [(kw.arg, self.expr(kw.value)) for kw in node.keywords]
-
-        def arguments(rt, env):
-            args = [p(rt, env) for p in positional]
-            kwargs: dict[str, Any] = {}
-            for name, value in keywords:
-                kwargs[name] = value(rt, env)
-            return args, kwargs
-
-        return arguments
+    def call_args(self, node: ast.Call) -> tuple[list[Callable], list[tuple[str, Callable]]]:
+        """The compiled positional arguments and (name, compiled value)
+        keywords of a call, ``raise C(...)`` included, after recording the
+        call in the static facts."""
+        func = node.func
+        if self.try_calls:
+            path = static_callee_path(func, self.merge)
+            if path is not None:
+                for calls in self.try_calls:
+                    calls.append(path)
+        if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
+            self.facts.isinstance_classes.update(isinstance_class_names(node.args[1], self.merge))
+        positional = []
+        for a in node.args:
+            if isinstance(a, ast.Starred):
+                self.reject(a, "star arguments are not supported")
+            positional.append(self.expr(a))
+        keywords = []
+        for kw in node.keywords:
+            if kw.arg is None:
+                self.reject(node, "keyword-splat arguments are not supported")
+            keywords.append((kw.arg, self.expr(kw.value)))
+        return positional, keywords
 
     def _call_name(self, node: ast.Call, with_path: bool) -> Callable:
         """``f(...)``: a bound function value if a scope binds ``f``; else
@@ -1695,8 +1918,9 @@ class _Compiler:
         name = node.func.id
         merged = self.merge(name)
         bound_path = f"{merged}()"
-        arguments = self.arguments(node)
-        unbound, unbound_path = self._unbound_call(node, name, merged, arguments)
+        positional, keywords = self.call_args(node)
+        arguments = _arguments(positional, keywords)
+        unbound, unbound_path = self._unbound_call(node, name, merged, positional, arguments)
 
         def call_name(rt, env):
             _tick(rt, line)
@@ -1714,7 +1938,14 @@ class _Compiler:
 
         return call_name
 
-    def _unbound_call(self, node: ast.Call, name: str, merged: str, arguments: Callable):
+    def _unbound_call(
+        self,
+        node: ast.Call,
+        name: str,
+        merged: str,
+        positional: list[Callable],
+        arguments: Callable,
+    ):
         """(closure, access path) of a call whose name no scope binds."""
         count = len(node.args)
         keywords = [kw.arg for kw in node.keywords]
@@ -1722,8 +1953,8 @@ class _Compiler:
             message = _call_shape_error(name, count, keywords)
             if message is not None:
                 return partial(_shape_fault, message=message), None
-            value_of = self.expr(node.args[0])
-            names = isinstance_class_names(node.args[1], self.renamer)
+            value_of = positional[0]
+            names = isinstance_class_names(node.args[1], self.merge)
 
             def isinstance_call(rt, env):
                 return rt._isinstance_value(value_of(rt, env), names)
@@ -1731,12 +1962,11 @@ class _Compiler:
             return isinstance_call, None
         if name == "super":
             message = _call_shape_error(name, count, keywords)
-            values = [self.expr(a) for a in node.args]
 
             def super_call(rt, env):
                 if message is not None:
                     rt._fault("TypeError", message)
-                for value in values:
+                for value in positional:
                     value(rt, env)
                 return rt._super_value()
 
@@ -1769,7 +1999,7 @@ class _Compiler:
         merged = self.merge(raw)
         suffix = f".{merged}"
         native = raw in NATIVE_METHODS
-        arguments = self.arguments(node)
+        arguments = _arguments(*self.call_args(node))
 
         def call_attribute(rt, env):
             _tick(rt, line)
@@ -1794,11 +2024,57 @@ class _Compiler:
         return call_attribute
 
 
+def _constant(line: int, value: Any) -> Callable:
+    """The compiled form of a literal."""
+
+    def constant(rt, env):
+        _tick(rt, line)
+        return value
+
+    return constant
+
+
+def _clause(
+    iterable: Callable,
+    bind: Callable,
+    conditions: list[Callable],
+    inner: Optional[Callable],
+    element: Callable,
+) -> Callable:
+    """One compiled ``for`` clause of a comprehension."""
+
+    def clause(rt, env, out):
+        for item in rt._iterate(iterable(rt, env)):
+            bind(rt, env, item)
+            if all(c(rt, env) for c in conditions):
+                if inner is None:
+                    out.append(element(rt, env))
+                else:
+                    inner(rt, env, out)
+
+    return clause
+
+
+def _arguments(positional: list[Callable], keywords: list[tuple[str, Callable]]) -> Callable:
+    """Closure evaluating a call's compiled arguments, positional then
+    keyword, to (args list, kwargs dict)."""
+
+    def arguments(rt, env):
+        args = [p(rt, env) for p in positional]
+        kwargs: dict[str, Any] = {}
+        for name, value in keywords:
+            kwargs[name] = value(rt, env)
+        return args, kwargs
+
+    return arguments
+
+
 def _shape_fault(rt: Interpreter, env: _Env, message: str):
     rt._fault("TypeError", message)
 
 
-# Compilers by node type; the subset validator accepts exactly these types.
+# The subject language's statements and expressions: a compiler for each
+# node type it accepts, and no other.
 _STATEMENTS: dict[type, Callable] = {
     ast.FunctionDef: _Compiler.compile_FunctionDef,
     ast.Return: _Compiler.compile_Return,

@@ -37,7 +37,6 @@ class AbstractValue(Enum):
     OBJECT = "Object"
 
 
-KIND_LABELS = tuple(k.value for k in AbstractValue)
 LABEL_TO_KIND = {k.value: k for k in AbstractValue}
 
 # Base sampling pools. Literals harvested from the functions under analysis
@@ -593,13 +592,3 @@ def kind_of(value: Any) -> AbstractValue:
     if isinstance(value, (set, frozenset)):
         return AbstractValue.SET
     return AbstractValue.OBJECT
-
-
-def matches_kind(value: Any, kind: AbstractValue) -> bool:
-    """Whether a concretized value is acceptable for the requested kind."""
-    actual = kind_of(value)
-    if kind in (AbstractValue.OBJECT, AbstractValue.RESOURCE):
-        return actual in (AbstractValue.OBJECT, AbstractValue.CALLABLE)
-    if kind is AbstractValue.CALLABLE:
-        return actual is AbstractValue.CALLABLE
-    return actual is kind

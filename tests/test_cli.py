@@ -293,7 +293,7 @@ class TestPairValidation:
         assert "no such file" in err
 
     def test_fixture_corpus_loads_cleanly(self, capsys):
-        # The bundled corpus must never trip the validator.
+        # The bundled corpus must never be rejected as outside the grammar.
         code, out, err = run_cli(
             capsys,
             "analyze", str(FIXTURES / "pairs" / "identity_greet.json"),

@@ -54,8 +54,6 @@ class TestEngineConfig:
             {"exception_probability": 1.5},
             {"object_bias": 2.0},
             {"max_structure_size": -1},
-            {"step_budget": 0},
-            {"generator_cap": 0},
         ],
     )
     def test_validate_rejects(self, kw):

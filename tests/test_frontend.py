@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairguard.engine import isinstance_class_names, static_callee_path
 from pairguard.frontend import (
     Renamer,
     StaticFacts,
     code_line_numbers,
     diff_changed_lines,
     extract_static_facts,
-    isinstance_class_names,
     make_pair,
     parse_function,
-    pretty_print,
-    static_callee_path,
 )
 
 
@@ -108,10 +106,13 @@ def test_rejects_unsupported_grammar(source, hint):
         parse_function(source)
 
 
+# Parsed by the host grammar but outside the subset.
+WALRUS = "def f(x):\n    if (y := x):\n        return y\n"
+
+
 def test_walrus_rejected():
-    # Parsed by the host grammar but outside the subset.
     with pytest.raises(SyntaxError):
-        parse_function("def f(x):\n    if (y := x):\n        return y\n")
+        parse_function(WALRUS)
 
 
 def test_rejection_carries_position():
@@ -127,19 +128,19 @@ def test_rejection_carries_position():
 # A single error keeps its message and position. With two unsupported
 # constructs in one node, the first in AST field order is reported: a dict's
 # keys before its values, a comprehension's element before its generators.
-@pytest.mark.parametrize(
-    "expr,message,offset",
-    [
-        ("{1: 2j}", "unsupported literal: complex", 16),
-        ("{**x}", "dict unpacking is not supported", 12),
-        ("[v for v in b'']", "unsupported literal: bytes", 24),
-        ("[2j for v in x]", "unsupported literal: complex", 13),
-        ("{1: 2j, **x}", "dict unpacking is not supported", 12),
-        ("{1: 2j, 3j: 4}", "unsupported literal: complex", 20),
-        ("[2j for v in b'']", "unsupported literal: complex", 13),
-        ("[2j async for v in x]", "unsupported literal: complex", 13),
-    ],
-)
+_MESSAGE_AND_POSITION = [
+    ("{1: 2j}", "unsupported literal: complex", 16),
+    ("{**x}", "dict unpacking is not supported", 12),
+    ("[v for v in b'']", "unsupported literal: bytes", 24),
+    ("[2j for v in x]", "unsupported literal: complex", 13),
+    ("{1: 2j, **x}", "dict unpacking is not supported", 12),
+    ("{1: 2j, 3j: 4}", "unsupported literal: complex", 20),
+    ("[2j for v in b'']", "unsupported literal: complex", 13),
+    ("[2j async for v in x]", "unsupported literal: complex", 13),
+]
+
+
+@pytest.mark.parametrize("expr,message,offset", _MESSAGE_AND_POSITION)
 def test_rejection_message_and_position(expr, message, offset):
     with pytest.raises(SyntaxError) as info:
         parse_function(f"def f(x):\n    return {expr}\n")
@@ -151,7 +152,6 @@ def test_parse_result_fields():
     assert fn.name == "add"
     assert fn.params == ["a", "b"]
     assert fn.is_generator is False
-    assert fn.line_count == 3
     assert fn.code_lines == frozenset({1, 3})
 
 
@@ -219,7 +219,7 @@ def test_make_pair_requires_matching_entry():
 
 @pytest.mark.parametrize("terms", [600, 3000])
 def test_make_pair_rejects_deeply_nested_expression(terms):
-    # 600 terms exhaust the validator's recursion, 3000 the host parser's.
+    # 600 terms exhaust the compiler's recursion, 3000 the host parser's.
     deep = "def f():\n    return " + "+".join(["1"] * terms) + "\n"
     with pytest.raises(SyntaxError, match="nested too deeply"):
         make_pair(deep, "def f():\n    return 1\n")
@@ -268,7 +268,7 @@ class TestStaticPaths:
 
     def path_of(self, expr):
         node = ast.parse(expr, mode="eval").body
-        return static_callee_path(node, self.r())
+        return static_callee_path(node, self.r().merge)
 
     def test_name(self):
         assert self.path_of("fetch") == "fetch"
@@ -286,11 +286,11 @@ class TestStaticPaths:
     def test_rename_applies_per_segment(self):
         r = Renamer({"count": "total"}, "old")
         node = ast.parse("obj.count", mode="eval").body
-        assert static_callee_path(node, r) == "obj.count_renamed_total"
+        assert static_callee_path(node, r.merge) == "obj.count_renamed_total"
 
     def test_isinstance_names(self):
         node = ast.parse("isinstance(x, (Foo, bar.Baz))", mode="eval").body
-        assert isinstance_class_names(node.args[1], self.r()) == ["Foo", "bar.Baz"]
+        assert isinstance_class_names(node.args[1], self.r().merge) == ["Foo", "bar.Baz"]
 
 
 class TestStaticFacts:
@@ -367,13 +367,6 @@ class TestStaticFacts:
         assert 11 in f.literals_int and 22 in f.literals_int
 
 
-def test_pretty_print_round_trip():
-    fn = parse_function("def f(a):\n    if a:\n        return a * 2\n    return 0\n")
-    text = pretty_print(fn)
-    again = parse_function(text + "\n")
-    assert pretty_print(again) == text
-
-
 @pytest.mark.parametrize(
     "name",
     [
@@ -396,7 +389,7 @@ def test_identity_fixture_sources_parse(name):
 
 # ---------------------------------------------------------------------------
 # Reference: generator-ness and static facts as separate AST walks computed
-# them before the subset validator recorded them. The recorded facts must
+# them before the one walk of each side recorded them. The recorded facts must
 # equal these exactly, literal lists in order, because the literal pools feed
 # seeded sampling.
 
@@ -452,7 +445,7 @@ def _ref_collect_side(fn, renamer: Renamer, facts: StaticFacts) -> None:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id == "isinstance" and len(node.args) == 2:
                 facts.isinstance_classes.update(
-                    isinstance_class_names(node.args[1], renamer)
+                    isinstance_class_names(node.args[1], renamer.merge)
                 )
         if isinstance(node, ast.Try):
             caught: set[str] = set()
@@ -468,7 +461,7 @@ def _ref_collect_side(fn, renamer: Renamer, facts: StaticFacts) -> None:
             for stmt in node.body:
                 for sub in ast.walk(stmt):
                     if isinstance(sub, ast.Call):
-                        path = static_callee_path(sub.func, renamer)
+                        path = static_callee_path(sub.func, renamer.merge)
                         if path is not None:
                             exception_sets.setdefault(path, set()).update(caught)
     for path, names in exception_sets.items():
@@ -500,7 +493,387 @@ def assert_matches_reference(pair) -> None:
     assert facts.call_exception_map == ref.call_exception_map
 
 
+# ---------------------------------------------------------------------------
+# Reference: the subset validator, a walk of its own that checked each side
+# before the compiler did, as it stood when the compiler took its checks
+# over (fact recording left out; the references above check the facts). The
+# compiler must accept and reject the same sources, with the same message at
+# the same position.
+
+_REF_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
+_REF_COMPARISONS = (
+    ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn, ast.Is, ast.IsNot,
+)
+_REF_AUGOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
+_REF_UNARYOPS = (ast.Not, ast.USub)
+
+
+def _ref_reject(node, message, source):
+    lineno = getattr(node, "lineno", 1)
+    col = getattr(node, "col_offset", 0)
+    lines = source.splitlines()
+    text = lines[lineno - 1] if 0 < lineno <= len(lines) else ""
+    raise SyntaxError(message, ("<pair>", lineno, col + 1, text))
+
+
+class _RefValidator:
+    def __init__(self, source):
+        self.source = source
+        self.loop_depth = 0
+
+    def reject(self, node, message):
+        _ref_reject(node, message, self.source)
+
+    def validate_function(self, node):
+        if node.decorator_list:
+            self.reject(node, "decorators are not supported")
+        if node.returns is not None:
+            self.reject(node, "return annotations are not supported")
+        a = node.args
+        if a.posonlyargs or a.kwonlyargs or a.vararg or a.kwarg:
+            self.reject(node, "only plain positional parameters are supported")
+        if a.defaults or a.kw_defaults:
+            self.reject(node, "parameter defaults are not supported")
+        for arg in a.args:
+            if arg.annotation is not None:
+                self.reject(arg, "parameter annotations are not supported")
+        self.block(node.body)
+
+    def block(self, stmts):
+        for stmt in stmts:
+            self.stmt(stmt)
+
+    def stmt(self, node):
+        rule = _REF_STATEMENT_RULES.get(type(node))
+        if rule is None:
+            self.reject(node, f"unsupported statement: {type(node).__name__}")
+        rule(self, node)
+
+    def leaf(self, node):
+        pass
+
+    def stmt_FunctionDef(self, node):
+        saved = self.loop_depth
+        self.loop_depth = 0
+        self.validate_function(node)
+        self.loop_depth = saved
+
+    def stmt_Return(self, node):
+        if node.value is not None:
+            self.expr(node.value)
+
+    def stmt_Assign(self, node):
+        if len(node.targets) != 1:
+            self.reject(node, "chained assignment is not supported")
+        self.target(node.targets[0], allow_tuple=True)
+        self.expr(node.value)
+
+    def stmt_AugAssign(self, node):
+        if not isinstance(node.op, _REF_AUGOPS):
+            self.reject(node, f"unsupported augmented operator: {type(node.op).__name__}")
+        self.target(node.target, allow_tuple=False)
+        self.expr(node.value)
+
+    def stmt_Expr(self, node):
+        if isinstance(node.value, ast.Yield):
+            if node.value.value is not None:
+                self.expr(node.value.value)
+            return
+        self.expr(node.value)
+
+    def stmt_If(self, node):
+        self.expr(node.test)
+        self.block(node.body)
+        self.block(node.orelse)
+
+    def stmt_While(self, node):
+        if node.orelse:
+            self.reject(node, "while-else is not supported")
+        self.expr(node.test)
+        self.loop_depth += 1
+        self.block(node.body)
+        self.loop_depth -= 1
+
+    def stmt_For(self, node):
+        if node.orelse:
+            self.reject(node, "for-else is not supported")
+        self.target(node.target, allow_tuple=True)
+        self.expr(node.iter)
+        self.loop_depth += 1
+        self.block(node.body)
+        self.loop_depth -= 1
+
+    def stmt_Break(self, node):
+        if self.loop_depth == 0:
+            self.reject(node, "break outside a loop")
+
+    def stmt_Continue(self, node):
+        if self.loop_depth == 0:
+            self.reject(node, "continue outside a loop")
+
+    def stmt_Raise(self, node):
+        if node.exc is not None:
+            if isinstance(node.exc, ast.Name):
+                pass
+            elif isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                self.call_args(node.exc)
+            else:
+                self.reject(node, "raise target must be a name or a name call")
+        if node.cause is not None:
+            self.expr(node.cause)
+
+    def stmt_Assert(self, node):
+        self.expr(node.test)
+        if node.msg is not None:
+            self.expr(node.msg)
+
+    def stmt_Try(self, node):
+        self.block(node.body)
+        for h in node.handlers:
+            if h.type is not None:
+                if isinstance(h.type, ast.Name):
+                    pass
+                elif isinstance(h.type, ast.Tuple) and all(
+                    isinstance(e, ast.Name) for e in h.type.elts
+                ):
+                    pass
+                else:
+                    self.reject(h, "except type must be a name or tuple of names")
+            self.block(h.body)
+        self.block(node.orelse)
+        self.block(node.finalbody)
+
+    def stmt_With(self, node):
+        if len(node.items) != 1:
+            self.reject(node, "with supports a single context item")
+        item = node.items[0]
+        self.expr(item.context_expr)
+        if item.optional_vars is not None and not isinstance(item.optional_vars, ast.Name):
+            self.reject(node, "with target must be a plain name")
+        self.block(node.body)
+
+    def target(self, node, allow_tuple):
+        if isinstance(node, ast.Name):
+            return
+        if isinstance(node, ast.Attribute):
+            self.expr(node.value)
+            return
+        if isinstance(node, ast.Subscript):
+            self.expr(node.value)
+            self.subscript_index(node)
+            return
+        if allow_tuple and isinstance(node, ast.Tuple):
+            for e in node.elts:
+                self.target(e, allow_tuple=False)
+            return
+        self.reject(node, f"unsupported assignment target: {type(node).__name__}")
+
+    def call_args(self, node):
+        for a in node.args:
+            if isinstance(a, ast.Starred):
+                self.reject(a, "star arguments are not supported")
+            self.expr(a)
+        for kw in node.keywords:
+            if kw.arg is None:
+                self.reject(node, "keyword-splat arguments are not supported")
+            self.expr(kw.value)
+
+    def subscript_index(self, node):
+        s = node.slice
+        if isinstance(s, ast.Slice):
+            if s.step is not None:
+                self.reject(node, "slice steps are not supported")
+            if s.lower is not None:
+                self.expr(s.lower)
+            if s.upper is not None:
+                self.expr(s.upper)
+            return
+        self.expr(s)
+
+    def expr(self, node):
+        rule = _REF_EXPRESSION_RULES.get(type(node))
+        if rule is None:
+            self.reject(node, f"unsupported expression: {type(node).__name__}")
+        rule(self, node)
+
+    def elements(self, node):
+        for e in node.elts:
+            self.expr(e)
+
+    def expr_BoolOp(self, node):
+        for v in node.values:
+            self.expr(v)
+
+    def expr_BinOp(self, node):
+        if not isinstance(node.op, _REF_BINOPS):
+            self.reject(node, f"unsupported operator: {type(node.op).__name__}")
+        self.expr(node.left)
+        self.expr(node.right)
+
+    def expr_UnaryOp(self, node):
+        if not isinstance(node.op, _REF_UNARYOPS):
+            self.reject(node, f"unsupported unary operator: {type(node.op).__name__}")
+        self.expr(node.operand)
+
+    def expr_Lambda(self, node):
+        a = node.args
+        if a.posonlyargs or a.kwonlyargs or a.vararg or a.kwarg or a.defaults or a.kw_defaults:
+            self.reject(node, "lambda supports only plain positional parameters")
+        self.expr(node.body)
+
+    def expr_IfExp(self, node):
+        self.expr(node.test)
+        self.expr(node.body)
+        self.expr(node.orelse)
+
+    def expr_Dict(self, node):
+        for k in node.keys:
+            if k is None:
+                self.reject(node, "dict unpacking is not supported")
+            self.expr(k)
+        for v in node.values:
+            self.expr(v)
+
+    def comprehension(self, node):
+        self.expr(node.elt)
+        for gen in node.generators:
+            if gen.is_async:
+                self.reject(node, "asynchronous comprehensions are not supported")
+            self.target(gen.target, allow_tuple=True)
+            self.expr(gen.iter)
+            for cond in gen.ifs:
+                self.expr(cond)
+
+    def expr_Compare(self, node):
+        for op in node.ops:
+            if not isinstance(op, _REF_COMPARISONS):
+                self.reject(node, f"unsupported comparison: {type(op).__name__}")
+        self.expr(node.left)
+        for c in node.comparators:
+            self.expr(c)
+
+    def expr_Call(self, node):
+        self.expr(node.func)
+        self.call_args(node)
+
+    def expr_Constant(self, node):
+        v = node.value
+        if v is not None and type(v) not in (int, float, str, bool):
+            self.reject(node, f"unsupported literal: {type(v).__name__}")
+
+    def expr_JoinedStr(self, node):
+        for part in node.values:
+            if isinstance(part, ast.Constant):
+                if not isinstance(part.value, str):
+                    self.reject(part, "unsupported f-string fragment")
+            elif isinstance(part, ast.FormattedValue):
+                if part.conversion not in (-1, 114, 115):
+                    self.reject(part, "only {expr}, {expr!r} and {expr!s} are supported")
+                if part.format_spec is not None:
+                    self.reject(part, "format specifiers are not supported")
+                self.expr(part.value)
+            else:
+                self.reject(part, "unsupported f-string fragment")
+
+    def expr_Attribute(self, node):
+        self.expr(node.value)
+
+    def expr_Subscript(self, node):
+        self.expr(node.value)
+        self.subscript_index(node)
+
+
+_REF_STATEMENT_RULES = {
+    ast.FunctionDef: _RefValidator.stmt_FunctionDef,
+    ast.Return: _RefValidator.stmt_Return,
+    ast.Assign: _RefValidator.stmt_Assign,
+    ast.AugAssign: _RefValidator.stmt_AugAssign,
+    ast.Expr: _RefValidator.stmt_Expr,
+    ast.If: _RefValidator.stmt_If,
+    ast.While: _RefValidator.stmt_While,
+    ast.For: _RefValidator.stmt_For,
+    ast.Break: _RefValidator.stmt_Break,
+    ast.Continue: _RefValidator.stmt_Continue,
+    ast.Pass: _RefValidator.leaf,
+    ast.Raise: _RefValidator.stmt_Raise,
+    ast.Assert: _RefValidator.stmt_Assert,
+    ast.Try: _RefValidator.stmt_Try,
+    ast.With: _RefValidator.stmt_With,
+}
+
+_REF_EXPRESSION_RULES = {
+    ast.Name: _RefValidator.leaf,
+    ast.Attribute: _RefValidator.expr_Attribute,
+    ast.Subscript: _RefValidator.expr_Subscript,
+    ast.Call: _RefValidator.expr_Call,
+    ast.Constant: _RefValidator.expr_Constant,
+    ast.List: _RefValidator.elements,
+    ast.Tuple: _RefValidator.elements,
+    ast.Set: _RefValidator.elements,
+    ast.Dict: _RefValidator.expr_Dict,
+    ast.BoolOp: _RefValidator.expr_BoolOp,
+    ast.BinOp: _RefValidator.expr_BinOp,
+    ast.UnaryOp: _RefValidator.expr_UnaryOp,
+    ast.Compare: _RefValidator.expr_Compare,
+    ast.IfExp: _RefValidator.expr_IfExp,
+    ast.Lambda: _RefValidator.expr_Lambda,
+    ast.JoinedStr: _RefValidator.expr_JoinedStr,
+    ast.ListComp: _RefValidator.comprehension,
+    ast.GeneratorExp: _RefValidator.comprehension,
+}
+
+
+def _ref_verdict(source):
+    """None if the reference accepts ``source``, else the rejection's
+    (message, line, offset)."""
+    try:
+        try:
+            tree = ast.parse(source)
+            functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+            if isinstance(tree.body[0] if tree.body else None, ast.AsyncFunctionDef):
+                _ref_reject(tree.body[0], "asynchronous functions are not supported", source)
+            if len(tree.body) != 1 or len(functions) != 1:
+                node = tree.body[0] if tree.body else ast.Pass(lineno=1, col_offset=0)
+                _ref_reject(node, "expected exactly one function definition", source)
+            _RefValidator(source).validate_function(functions[0])
+        except RecursionError:
+            first_line = source.partition("\n")[0]
+            raise SyntaxError("expression nested too deeply", ("<pair>", 1, 1, first_line))
+    except SyntaxError as exc:
+        return exc.msg, exc.lineno, exc.offset
+    return None
+
+
+def _verdict(source):
+    try:
+        parse_function(source)
+    except SyntaxError as exc:
+        return exc.msg, exc.lineno, exc.offset
+    return None
+
+
+_POSITIONED = [
+    f"def f(x):\n    return {expr}\n" for expr, _, _ in _MESSAGE_AND_POSITION
+]
+
+
+@pytest.mark.parametrize(
+    "source",
+    ACCEPTED
+    + [source for source, _ in REJECTED]
+    + _POSITIONED
+    + [WALRUS],
+    ids=lambda s: s.splitlines()[0][:40] if s else "empty",
+)
+def test_rejections_match_reference_validator(source):
+    assert _verdict(source) == _ref_verdict(source)
+
+
 def _pair_from(data):
+    """The pair of a pair file, once the reference validator has accepted
+    both of its sides as well."""
+    assert _ref_verdict(data["old"]) is None
+    assert _ref_verdict(data["new"]) is None
     return make_pair(
         data["old"], data["new"], renames=data.get("renames") or {}, entry=data.get("entry")
     )
@@ -542,6 +915,24 @@ class TestRecordedLiteralOrder:
         assert f.literals_int[:1] == [-3]
         assert f.literals_str == ["s"]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "x[1] = 2",
+            "x[1] += 2",
+            "for v[1] in 2:\n        pass",
+            "try:\n        g(1)\n    except E:\n        g(2)\n    else:\n        g(3)\n"
+            "    finally:\n        g(4)",
+            "raise E(1, k=2) from 3",
+            # Each argument once: isinstance and super calls compile theirs once.
+            "return [isinstance(1, A), super(2)]",
+        ],
+    )
+    def test_statement_parts_in_field_order(self, body):
+        fn = parse_function(f"def f(x):\n    {body}\n")
+        assert fn.facts.literals_int == sorted(fn.facts.literals_int)
+        assert len(set(fn.facts.literals_int)) == len(fn.facts.literals_int)
+
     def test_explicit_cases_match_reference(self):
         for expr in ["{1: 2, 3: 4}", "[x + 5 for x in range(6)]", "{-1: (y for y in x if 2)}"]:
             assert_matches_reference(
@@ -551,7 +942,8 @@ class TestRecordedLiteralOrder:
 
 # Generated subject functions: dicts, comprehensions, negative constants,
 # f-strings, isinstance calls, nested try statements and nested (generator)
-# defs, all inside the supported grammar.
+# defs, all inside the supported grammar, and the same mixed with constructs
+# outside it.
 
 _LITERAL_TEXT = st.text("ab z", max_size=3)
 _LEAVES = st.one_of(
@@ -587,58 +979,104 @@ def _compound(children):
     )
 
 
-_INNER = st.recursive(_LEAVES, _compound, max_leaves=6)
-_FSTRING = st.lists(
-    st.one_of(
-        _LITERAL_TEXT,
-        st.tuples(_INNER, st.sampled_from(["", "!r", "!s"])).map(lambda t: f"{{ {t[0]}{t[1]}}}"),
-    ),
-    max_size=4,
-).map(lambda parts: 'f"' + "".join(parts) + '"')
-_EXPRS = st.recursive(
-    st.one_of(_LEAVES, _FSTRING), lambda c: st.one_of(_compound(c), _FSTRING), max_leaves=8
-)
+def _expressions(leaves):
+    inner = st.recursive(leaves, _compound, max_leaves=6)
+    fstring = st.lists(
+        st.one_of(
+            _LITERAL_TEXT,
+            st.tuples(inner, st.sampled_from(["", "!r", "!s"])).map(
+                lambda t: f"{{ {t[0]}{t[1]}}}"
+            ),
+        ),
+        max_size=4,
+    ).map(lambda parts: 'f"' + "".join(parts) + '"')
+    return st.recursive(
+        st.one_of(leaves, fstring), lambda c: st.one_of(_compound(c), fstring), max_leaves=8
+    )
 
 
 def _indent(lines):
     return ["    " + line for line in lines]
 
 
-def _simple_statement():
+def _simple_statement(exprs):
     return st.one_of(
-        _EXPRS.map(lambda e: [f"x = {e}"]),
-        _EXPRS.map(lambda e: [f"yield {e}"]),
-        _EXPRS.map(lambda e: [f"print({e})"]),
-        _EXPRS.map(lambda e: [f"items[{e}] = -4"]),
-        _EXPRS.map(lambda e: [f"raise ValueError({e})"]),
-        _EXPRS.map(lambda e: [f"return {e}"]),
-        st.tuples(_EXPRS, _EXPRS).map(lambda t: [f"assert {t[0]}, {t[1]}"]),
+        exprs.map(lambda e: [f"x = {e}"]),
+        exprs.map(lambda e: [f"yield {e}"]),
+        exprs.map(lambda e: [f"print({e})"]),
+        exprs.map(lambda e: [f"items[{e}] = -4"]),
+        exprs.map(lambda e: [f"raise ValueError({e})"]),
+        exprs.map(lambda e: [f"return {e}"]),
+        st.tuples(exprs, exprs).map(lambda t: [f"assert {t[0]}, {t[1]}"]),
     )
 
 
-def _compound_statement(inner):
-    block = st.lists(inner, min_size=1, max_size=3).map(
-        lambda stmts: _indent([line for s in stmts for line in s])
-    )
-    handler = st.sampled_from(
-        ["except (ValueError, KeyError):", "except TypeError as err:", "except:", "finally:"]
-    )
-    return st.one_of(
-        st.tuples(_EXPRS, block, block).map(lambda t: [f"if {t[0]}:", *t[1], "else:", *t[2]]),
-        st.tuples(_EXPRS, block).map(lambda t: [f"for v in {t[0]}:", *t[1]]),
-        st.tuples(_EXPRS, block).map(lambda t: [f"with {t[0]} as h:", *t[1]]),
-        st.tuples(block, handler, block).map(lambda t: ["try:", *t[0], t[1], *t[2]]),
-        block.map(lambda b: ["def g(a):", *b]),
+def _compound_statement(exprs):
+    def compound(inner):
+        block = st.lists(inner, min_size=1, max_size=3).map(
+            lambda stmts: _indent([line for s in stmts for line in s])
+        )
+        handler = st.sampled_from(
+            ["except (ValueError, KeyError):", "except TypeError as err:", "except:", "finally:"]
+        )
+        return st.one_of(
+            st.tuples(exprs, block, block).map(lambda t: [f"if {t[0]}:", *t[1], "else:", *t[2]]),
+            st.tuples(exprs, block).map(lambda t: [f"for v in {t[0]}:", *t[1]]),
+            st.tuples(exprs, block).map(lambda t: [f"with {t[0]} as h:", *t[1]]),
+            st.tuples(block, handler, block).map(lambda t: ["try:", *t[0], t[1], *t[2]]),
+            block.map(lambda b: ["def g(a):", *b]),
+        )
+
+    return compound
+
+
+def _functions(exprs, simple):
+    statements = st.recursive(simple, _compound_statement(exprs), max_leaves=6)
+    return st.lists(statements, min_size=1, max_size=4).map(
+        lambda stmts: "\n".join(["def f(x, items):", *_indent([ln for s in stmts for ln in s])])
+        + "\n"
     )
 
 
-_STATEMENTS = st.recursive(_simple_statement(), _compound_statement, max_leaves=6)
-_FUNCTIONS = st.lists(_STATEMENTS, min_size=1, max_size=4).map(
-    lambda stmts: "\n".join(["def f(x, items):", *_indent([ln for s in stmts for ln in s])]) + "\n"
-)
+_FUNCTIONS = _functions(_expressions(_LEAVES), _simple_statement(_expressions(_LEAVES)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_FUNCTIONS, _FUNCTIONS)
 def test_generated_function_facts_match_reference(old, new):
     assert_matches_reference(make_pair(old, new, renames={"load": "fetch", "A": "B"}))
+
+
+# Expressions and statements outside the grammar (and break and continue,
+# outside it only where no loop encloses them), for mixing into the above.
+_UNSUPPORTED_EXPRESSIONS = [
+    "(x & 1)", "(x @ x)", "(~x)", "(x < x <= x)", "2j", "b'x'", "...", "{v for v in x}",
+    "{v: v for v in x}", "(y := 1)", "g(*x)", "g(**x)", "g(2j, *x)", "x[::2]", "x[1:2, 3]",
+    "f'{x:>3}'", "f'{x!a}'", "(lambda a=1: a)", "(lambda *a: a)", "{**x}", "{1: 2j, **x}",
+    "[v async for v in x]", "[2j async for v in b'']", "await x", "(yield)", "[*x]",
+    "(x if x else 1j)", "x.y[::-1]",
+]
+_UNSUPPORTED_STATEMENTS = [
+    ["del x"], ["global g"], ["nonlocal g"], ["import os"], ["from os import path"],
+    ["x @= 1"], ["x <<= 1"], ["a = b = 1"], ["a: int = 1"], ["break"], ["continue"],
+    ["raise x.err"], ["raise x.err() from 1j"], ["[a, b] = x"], ["a, *b = x"], ["a, (b, c) = x"],
+    ["x.y[1:2:3] += 1"], ["class C:", "    pass"], ["with x as (b, c):", "    pass"],
+    ["with x, x:", "    pass"], ["def g(a=1):", "    pass"], ["@dec", "def g():", "    pass"],
+    ["def g() -> int:", "    pass"], ["def g(a: int):", "    pass"],
+    ["async def g():", "    pass"], ["while x:", "    break", "else:", "    pass"],
+    ["for v in x:", "    continue", "else:", "    pass"],
+    ["try:", "    pass", "except x.E:", "    pass"], ["match x:", "    case 1:", "        pass"],
+    ["for v in x:", "    def g():", "        break"],
+]
+_MIXED_LEAVES = st.one_of(_LEAVES, _LEAVES, st.sampled_from(_UNSUPPORTED_EXPRESSIONS))
+_MIXED_EXPRS = _expressions(_MIXED_LEAVES)
+_MIXED_FUNCTIONS = _functions(
+    _MIXED_EXPRS,
+    st.one_of(_simple_statement(_MIXED_EXPRS), st.sampled_from(_UNSUPPORTED_STATEMENTS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MIXED_FUNCTIONS)
+def test_generated_rejections_match_reference_validator(source):
+    assert _verdict(source) == _ref_verdict(source)

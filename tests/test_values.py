@@ -16,10 +16,19 @@ from pairguard.values import (
     concretize,
     deep_copy,
     kind_of,
-    matches_kind,
     serialize,
     versatile_binop,
 )
+
+
+def matches_kind(value, kind):
+    """Whether a concretized value is acceptable for the requested kind."""
+    actual = kind_of(value)
+    if kind in (AbstractValue.OBJECT, AbstractValue.RESOURCE):
+        return actual in (AbstractValue.OBJECT, AbstractValue.CALLABLE)
+    if kind is AbstractValue.CALLABLE:
+        return actual is AbstractValue.CALLABLE
+    return actual is kind
 
 
 def obj(seed=7, assigned=None):
