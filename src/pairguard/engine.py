@@ -19,6 +19,7 @@ import ast
 import builtins
 import hashlib
 import io
+import operator
 import random
 import re
 import string
@@ -37,7 +38,6 @@ from .values import (
     FunctionValue,
     GeneratorValue,
     VersatileCallable,
-    VersatileIndexError,
     VersatileObject,
     concretize,
     deep_copy,
@@ -344,9 +344,10 @@ class ComparisonProgram:
 
     Built once per analysis from a frontend ``FunctionPair``, whose sides
     were compiled when parsed; every execution of either side reads the same
-    static facts and concretizer pools. The context string of a statement is
-    unparsed, and the predictor asked about a query, the first time an
-    injection needs it.
+    static facts and concretizer pools. The context node of an injection site
+    (its statement, or a compound statement's header) is settled by the
+    compiler; its text is unparsed, and the predictor asked about a query,
+    the first time an injection needs it.
     """
 
     def __init__(self, pair: Any, facts: StaticFacts, cfg: Any, predictor: Predictor):
@@ -365,10 +366,8 @@ class ComparisonProgram:
         self._contexts: dict[ast.AST, str] = {}
         self._distributions: dict[tuple[str, str, str], Distribution] = {}
 
-    def context(self, node: Optional[ast.AST]) -> str:
+    def context(self, node: ast.AST) -> str:
         """Source text of a node, capped, as handed to the predictor."""
-        if node is None:
-            return ""
         text = self._contexts.get(node)
         if text is None:
             try:
@@ -418,6 +417,15 @@ def _access_path(base_path: Optional[str], suffix: str) -> str:
     return _cap_path(f"{base_path or '<expr>'}{suffix}")
 
 
+def _render_index(key: Any) -> str:
+    """Text of a subscript's host index in access paths and a versatile's
+    items: ``lo:hi`` for a slice, the serialized key otherwise."""
+    if type(key) is slice:
+        lo, hi = key.start, key.stop
+        return f"{'' if lo is None else serialize(lo)}:{'' if hi is None else serialize(hi)}"
+    return serialize(key)
+
+
 class Interpreter:
     """Runtime state of one side's execution in one iteration.
 
@@ -438,7 +446,6 @@ class Interpreter:
         "occurrences",
         "active_exceptions",
         "sinks",
-        "context",
     )
 
     def __init__(
@@ -460,8 +467,6 @@ class Interpreter:
         self.occurrences: dict[str, int] = {}
         self.active_exceptions: list[ExceptionValue] = []
         self.sinks: list[list] = []
-        # The statement part whose source text an injection is asked about.
-        self.context: Optional[ast.AST] = None
 
     # plumbing
 
@@ -479,22 +484,20 @@ class Interpreter:
         exceptions (unintended)."""
         try:
             return fn(*args, **kwargs)
-        except VersatileIndexError:
-            raise
         except _HOST_FAULTS as exc:
             raise _subject_fault(exc) from None
 
     def _fault(self, type_name: str, message: str):
         raise SubjectError(ExceptionValue(type_name, [message], intentional=False))
 
-    def _inject(self, kind: str, raw_name: str, path: str) -> Any:
-        """Injected value at ``path``, a key already capped by the caller."""
-        node = self.context
+    def _inject(self, kind: str, raw_name: str, path: str, context: ast.AST) -> Any:
+        """Injected value at ``path``, a key already capped by the caller;
+        the predictor is asked with the source text of ``context``."""
 
         def creator():
             rng = self._stream("value", path)
-            context = self.program.context(node)
-            abstract = self.program.distribution(kind, raw_name, context).sample(rng)
+            text = self.program.context(context)
+            abstract = self.program.distribution(kind, raw_name, text).sample(rng)
             return concretize(abstract, self.program.ccfg, rng)
 
         return self.cmap.lookup_or_create(path, self.side, creator)
@@ -618,57 +621,56 @@ class Interpreter:
         self._host(setattr, base, raw_attr, value)
 
     def _store_subscript(self, base: Any, host_index: Any, value: Any) -> None:
-        def do_store():
-            base[host_index] = value
+        if isinstance(base, VersatileObject):
+            base.store(f"[{_render_index(host_index)}]", value)
+        else:
+            self._host(operator.setitem, base, host_index, value)
 
-        self._host(do_store)
+    # reads with interception, asked about with ``context`` when they inject
 
-    # reads with interception
-
-    def _missing_name(self, name: str, path: str, env: _Env) -> Any:
+    def _missing_name(self, name: str, path: str, env: _Env, context: ast.AST) -> Any:
         """A name no enclosing scope binds: a builtin, or an injected value
         bound in the innermost scope."""
         if name in _BUILTINS:
             return BuiltinFunction(name)
-        value = self._inject("variable-read", name, path)
+        value = self._inject("variable-read", name, path, context)
         env.vars[name] = value
         return value
 
-    def _read_attribute(self, base: Any, raw_attr: str, merged: str, path: str) -> Any:
+    def _read_attribute(
+        self, base: Any, raw_attr: str, merged: str, path: str, context: ast.AST
+    ) -> Any:
         if isinstance(base, VersatileObject):
             if merged in base.attrs:
                 return base.attrs[merged]
-            value = self._inject("attribute-read", raw_attr, path)
+            value = self._inject("attribute-read", raw_attr, path, context)
             base.attrs[merged] = value
             return value
         if raw_attr in NATIVE_METHODS and hasattr(base, raw_attr):
             return BoundMethod(base, raw_attr)
-        return self._inject("attribute-read", raw_attr, path)
+        return self._inject("attribute-read", raw_attr, path, context)
 
     def _read_subscript(
-        self,
-        base: Any,
-        key: Any,
-        rendered: str,
-        host_index: Any,
-        path: str,
+        self, base: Any, rendered: str, host_index: Any, path: str, context: ast.AST
     ) -> Any:
+        """``base[host_index]``; a versatile answers from the items read or
+        stored before, and a miss on any base is injected."""
+        name = host_index if isinstance(host_index, str) else rendered
         if isinstance(base, VersatileObject):
             bracket = f"[{rendered}]"
-            if bracket in base.attrs:
-                return base.attrs[bracket]
+            if bracket not in base.attrs:
+                base.attrs[bracket] = self._inject("subscript-result", name, path, context)
+            return base.attrs[bracket]
         try:
             return base[host_index]
-        except (TypeError, KeyError, IndexError, VersatileIndexError):
-            query_name = key if isinstance(key, str) else rendered
-            value = self._inject("subscript-result", query_name, path)
-            if isinstance(base, VersatileObject):
-                base.attrs[f"[{rendered}]"] = value
-            return value
+        except (TypeError, KeyError, IndexError):
+            return self._inject("subscript-result", name, path, context)
 
     # calls
 
-    def _call_value(self, value: Any, args: list, kwargs: dict, path: str) -> Any:
+    def _call_value(
+        self, value: Any, args: list, kwargs: dict, path: str, context: ast.AST
+    ) -> Any:
         if isinstance(value, FunctionValue):
             return self._call_function(value, args, kwargs)
         if isinstance(value, BoundMethod):
@@ -676,9 +678,9 @@ class Interpreter:
         if isinstance(value, BuiltinFunction):
             return self._call_builtin(value.name, args, kwargs)
         if isinstance(value, VersatileCallable):
-            return self._external_call(path, args, kwargs, constructor=value)
+            return self._external_call(path, args, kwargs, context, constructor=value)
         if isinstance(value, VersatileObject):
-            return self._external_call(path, args, kwargs)
+            return self._external_call(path, args, kwargs, context)
         self._fault("TypeError", f"{serialize(value)} is not callable")
 
     def _call_native(self, receiver: Any, name: str, args: list, kwargs: dict) -> Any:
@@ -699,6 +701,7 @@ class Interpreter:
         path: str,
         args: list,
         kwargs: dict,
+        context: ast.AST,
         constructor: Optional[VersatileCallable] = None,
     ) -> Any:
         path = _cap_path(path)
@@ -722,7 +725,7 @@ class Interpreter:
             seed = derive_seed(constructor.seed, "call", constructor.call_count)
             return VersatileObject(seed, constructor.assigned_type)
         key = f"{path}()#{occurrence}"
-        return self._inject("call-return", path, key)
+        return self._inject("call-return", path, key, context)
 
     def _super_value(self) -> VersatileObject:
         occurrence = self._next_occurrence("super()")
@@ -1045,10 +1048,13 @@ class _Compiler:
     Every closure takes ``(rt, env)``: the run's ``Interpreter`` and the
     current scope. Whatever depends only on the node (line, merged names,
     paths, operator functions, builtin call shapes) is settled here, once
-    per pair. At run time each statement and expression closure first
-    charges its own step through ``_tick``. A statement that can inject
-    records its context node; ``Interpreter._inject`` unparses it only when
-    needed.
+    per pair. That includes the context node each injection site asks the
+    predictor with: the statement that contains it, or, inside a compound
+    statement's header, the ``if``/``while`` test, the ``for`` iterable or
+    the ``with`` item; a lambda body keeps the statement that defines it.
+    ``Interpreter._inject`` unparses that node only when needed. At run time
+    each statement and expression closure first charges its own step through
+    ``_tick``.
     """
 
     def __init__(self, source: str, merge: Callable[[str], str], facts: StaticFacts):
@@ -1061,6 +1067,8 @@ class _Compiler:
             str: facts.literals_str,
         }
         self.loop_depth = 0
+        # The context node of the injection sites being compiled.
+        self.context: Optional[ast.AST] = None
         self.function: Optional[ast.FunctionDef] = None
         self.generators: set[ast.FunctionDef] = set()
         # The callee paths of the calls in the try bodies being compiled,
@@ -1109,6 +1117,7 @@ class _Compiler:
         compile_ = _STATEMENTS.get(type(node))
         if compile_ is None:
             self.reject(node, f"unsupported statement: {type(node).__name__}")
+        self.context = node
         return compile_(self, node)
 
     def expr(self, node: ast.expr) -> Callable:
@@ -1150,7 +1159,6 @@ class _Compiler:
 
         def return_(rt, env):
             _tick(rt, line)
-            rt.context = node
             raise _Return(value(rt, env) if value is not None else None)
 
         return return_
@@ -1166,7 +1174,6 @@ class _Compiler:
 
             def assign_name(rt, env):
                 _tick(rt, line)
-                rt.context = node
                 env.vars[name] = value(rt, env)
 
             return assign_name
@@ -1175,7 +1182,6 @@ class _Compiler:
 
         def assign(rt, env):
             _tick(rt, line)
-            rt.context = node
             bind(rt, env, value(rt, env))
 
         return assign
@@ -1197,7 +1203,6 @@ class _Compiler:
 
             def augment_name(rt, env):
                 _tick(rt, line)
-                rt.context = node
                 right = rhs(rt, env)
                 scope = env
                 while scope is not None:
@@ -1207,7 +1212,7 @@ class _Compiler:
                         break
                     scope = scope.parent
                 else:
-                    current = rt._missing_name(name, path, env)
+                    current = rt._missing_name(name, path, env, node)
                 env.vars[name] = apply(rt, current, right)
 
             return augment_name
@@ -1220,10 +1225,9 @@ class _Compiler:
 
             def augment_attribute(rt, env):
                 _tick(rt, line)
-                rt.context = node
                 base_v, base_p = base(rt, env)
                 path = _access_path(base_p, suffix)
-                current = rt._read_attribute(base_v, raw, merged, path)
+                current = rt._read_attribute(base_v, raw, merged, path, node)
                 rt._store_attribute(base_v, raw, merged, apply(rt, current, rhs(rt, env)))
 
             return augment_attribute
@@ -1232,11 +1236,10 @@ class _Compiler:
 
         def augment_subscript(rt, env):
             _tick(rt, line)
-            rt.context = node
             base_v, base_p = base(rt, env)
-            key, rendered, host_index = index(rt, env)
+            rendered, host_index = index(rt, env)
             path = _access_path(base_p, f"[{rendered}]")
-            current = rt._read_subscript(base_v, key, rendered, host_index, path)
+            current = rt._read_subscript(base_v, rendered, host_index, path, node)
             rt._store_subscript(base_v, host_index, apply(rt, current, rhs(rt, env)))
 
         return augment_subscript
@@ -1250,10 +1253,7 @@ class _Compiler:
 
             def yield_(rt, env):
                 _tick(rt, line)
-                rt.context = node
                 yielded = value(rt, env) if value is not None else None
-                if not rt.sinks:
-                    rt._fault("RuntimeError", "yield outside a generator")
                 sink = rt.sinks[-1]
                 sink.append(yielded)
                 if len(sink) >= _GENERATOR_CAP:
@@ -1264,21 +1264,19 @@ class _Compiler:
 
         def expression(rt, env):
             _tick(rt, line)
-            rt.context = node
             value(rt, env)
 
         return expression
 
     def compile_If(self, node: ast.If) -> Callable:
         line = node.lineno
-        test_node = node.test
-        test = self.expr(test_node)
+        self.context = node.test
+        test = self.expr(node.test)
         body = self.block(node.body)
         orelse = self.block(node.orelse)
 
         def if_(rt, env):
             _tick(rt, line)
-            rt.context = test_node
             if test(rt, env):
                 body(rt, env)
             else:
@@ -1290,14 +1288,13 @@ class _Compiler:
         if node.orelse:
             self.reject(node, "while-else is not supported")
         line = node.lineno
-        test_node = node.test
-        test = self.expr(test_node)
+        self.context = node.test
+        test = self.expr(node.test)
         body = self.loop_body(node)
 
         def while_(rt, env):
             _tick(rt, line)
             while True:
-                rt.context = test_node
                 _tick(rt, line)
                 if not test(rt, env):
                     break
@@ -1314,14 +1311,13 @@ class _Compiler:
         if node.orelse:
             self.reject(node, "for-else is not supported")
         line = node.lineno
+        self.context = node.iter
         bind = self.target(node.target)
-        iter_node = node.iter
-        iterable = self.expr(iter_node)
+        iterable = self.expr(node.iter)
         body = self.loop_body(node)
 
         def for_(rt, env):
             _tick(rt, line)
-            rt.context = iter_node
             for item in rt._iterate(iterable(rt, env)):
                 bind(rt, env, item)
                 try:
@@ -1383,22 +1379,22 @@ class _Compiler:
 
         def raise_(rt, env):
             _tick(rt, line)
-            rt.context = node
-            if cause is not None:
-                cause(rt, env)
             if reraise:
                 if rt.active_exceptions:
                     raise SubjectError(rt.active_exceptions[-1])
                 rt._fault("RuntimeError", "no active exception to re-raise")
-            if name is not None:
-                found, value = env.lookup(name)
-                if found:
-                    if isinstance(value, ExceptionValue):
-                        raise SubjectError(value)
-                    rt._fault("TypeError", "exceptions must be exception values")
-                raise SubjectError(ExceptionValue(type_name, [], intentional=True))
-            args = [v(rt, env) for v in values]
-            raise SubjectError(ExceptionValue(type_name, args, intentional=True))
+            # As in CPython, the exception is evaluated before its cause.
+            if name is None:
+                error = ExceptionValue(type_name, [v(rt, env) for v in values], intentional=True)
+            else:
+                found, error = env.lookup(name)
+                if not found:
+                    error = ExceptionValue(type_name, [], intentional=True)
+            if cause is not None:
+                cause(rt, env)
+            if not isinstance(error, ExceptionValue):
+                rt._fault("TypeError", "exceptions must be exception values")
+            raise SubjectError(error)
 
         return raise_
 
@@ -1409,7 +1405,6 @@ class _Compiler:
 
         def assert_(rt, env):
             _tick(rt, line)
-            rt.context = node
             if not test(rt, env):
                 args = [message(rt, env)] if message is not None else []
                 raise SubjectError(ExceptionValue("AssertionError", args, intentional=True))
@@ -1492,8 +1487,8 @@ class _Compiler:
             self.reject(node, "with supports a single context item")
         line = node.lineno
         item = node.items[0]
-        context_node = item.context_expr
-        manager = self.expr(context_node)
+        self.context = item.context_expr
+        manager = self.expr(item.context_expr)
         if item.optional_vars is not None and not isinstance(item.optional_vars, ast.Name):
             self.reject(node, "with target must be a plain name")
         name = item.optional_vars.id if item.optional_vars is not None else None
@@ -1501,10 +1496,7 @@ class _Compiler:
 
         def with_(rt, env):
             _tick(rt, line)
-            rt.context = context_node
             value = manager(rt, env)
-            if isinstance(value, VersatileObject):
-                value = value.__enter__()
             if name is not None:
                 env.vars[name] = value
             body(rt, env)
@@ -1559,7 +1551,7 @@ class _Compiler:
     def host_index(self, node: ast.Subscript) -> Callable:
         """Closure evaluating a subscript's index to the host index alone: a
         slice object for slices, the key itself otherwise. A store needs
-        nothing more; a read renders the key through ``index``."""
+        nothing more; a read also renders it, through ``index``."""
         s = node.slice
         if isinstance(s, ast.Slice):
             if s.step is not None:
@@ -1576,24 +1568,15 @@ class _Compiler:
         return self.expr(s)
 
     def index(self, node: ast.Subscript) -> Callable:
-        """Closure evaluating a read subscript's index once to (key value,
-        rendered text, host index); a slice has no key value."""
+        """Closure evaluating a read subscript's index once to (rendered
+        text, host index)."""
         host_index = self.host_index(node)
-        if isinstance(node.slice, ast.Slice):
 
-            def slice_index(rt, env):
-                sl = host_index(rt, env)
-                lo, hi = sl.start, sl.stop
-                rendered = f"{serialize(lo) if lo is not None else ''}:{serialize(hi) if hi is not None else ''}"
-                return None, rendered, sl
-
-            return slice_index
-
-        def key_index(rt, env):
+        def index(rt, env):
             key = host_index(rt, env)
-            return key, serialize(key), key
+            return _render_index(key), key
 
-        return key_index
+        return index
 
     # expressions; Name, Attribute, Subscript and Call also compile to a
     # closure returning (value, access path) when ``with_path`` is set
@@ -1603,6 +1586,7 @@ class _Compiler:
         name = node.id
         merged = self.merge(name)
         path = _cap_path(merged)
+        context = self.context
 
         def name_(rt, env):
             _tick(rt, line)
@@ -1614,7 +1598,7 @@ class _Compiler:
                     break
                 scope = scope.parent
             else:
-                value = rt._missing_name(name, path, env)
+                value = rt._missing_name(name, path, env, context)
             return (value, merged) if with_path else value
 
         return name_
@@ -1625,12 +1609,13 @@ class _Compiler:
         raw = node.attr
         merged = self.merge(raw)
         suffix = f".{merged}"
+        context = self.context
 
         def attribute(rt, env):
             _tick(rt, line)
             base_v, base_p = base(rt, env)
             path = _access_path(base_p, suffix)
-            value = rt._read_attribute(base_v, raw, merged, path)
+            value = rt._read_attribute(base_v, raw, merged, path, context)
             return (value, path) if with_path else value
 
         return attribute
@@ -1639,13 +1624,14 @@ class _Compiler:
         line = node.lineno
         base = self.expr_p(node.value)
         index = self.index(node)
+        context = self.context
 
         def subscript(rt, env):
             _tick(rt, line)
             base_v, base_p = base(rt, env)
-            key, rendered, host_index = index(rt, env)
+            rendered, host_index = index(rt, env)
             path = _access_path(base_p, f"[{rendered}]")
-            value = rt._read_subscript(base_v, key, rendered, host_index, path)
+            value = rt._read_subscript(base_v, rendered, host_index, path, context)
             return (value, path) if with_path else value
 
         return subscript
@@ -1758,9 +1744,6 @@ class _Compiler:
         return unary_op
 
     def compile_Compare(self, node: ast.Compare) -> Callable:
-        for op in node.ops:
-            if type(op) not in COMPARE_SYMBOLS:
-                self.reject(node, f"unsupported comparison: {type(op).__name__}")
         line = node.lineno
         first = self.expr(node.left)
         links = [
@@ -1816,16 +1799,14 @@ class _Compiler:
         # (None, text) for a literal part, (value closure, is !r) otherwise.
         parts = []
         for part in node.values:
-            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+            if isinstance(part, ast.Constant):
                 parts.append((None, part.value))
-            elif isinstance(part, ast.FormattedValue):
-                if part.conversion not in (-1, 114, 115):
-                    self.reject(part, "only {expr}, {expr!r} and {expr!s} are supported")
-                if part.format_spec is not None:
-                    self.reject(part, "format specifiers are not supported")
-                parts.append((self.expr(part.value), part.conversion == 114))
-            else:
-                self.reject(part, "unsupported f-string fragment")
+                continue
+            if part.conversion not in (-1, 114, 115):
+                self.reject(part, "only {expr}, {expr!r} and {expr!s} are supported")
+            if part.format_spec is not None:
+                self.reject(part, "format specifiers are not supported")
+            parts.append((self.expr(part.value), part.conversion == 114))
 
         def joined_str(rt, env):
             _tick(rt, line)
@@ -1876,13 +1857,14 @@ class _Compiler:
         line = node.lineno
         callee_value = self.expr_p(func)
         arguments = _arguments(*self.call_args(node))
+        context = self.context
 
         def call_value(rt, env):
             _tick(rt, line)
             fv, fp = callee_value(rt, env)
             args, kwargs = arguments(rt, env)
             callee = fp if fp else "<expr>"
-            value = rt._call_value(fv, args, kwargs, callee)
+            value = rt._call_value(fv, args, kwargs, callee, context)
             return (value, f"{callee}()") if with_path else value
 
         return call_value
@@ -1921,6 +1903,7 @@ class _Compiler:
         positional, keywords = self.call_args(node)
         arguments = _arguments(positional, keywords)
         unbound, unbound_path = self._unbound_call(node, name, merged, positional, arguments)
+        context = self.context
 
         def call_name(rt, env):
             _tick(rt, line)
@@ -1930,7 +1913,7 @@ class _Compiler:
                 if name in bound:
                     fv = bound[name]
                     args, kwargs = arguments(rt, env)
-                    value = rt._call_value(fv, args, kwargs, merged)
+                    value = rt._call_value(fv, args, kwargs, merged, context)
                     return (value, bound_path) if with_path else value
                 scope = scope.parent
             value = unbound(rt, env)
@@ -1982,10 +1965,11 @@ class _Compiler:
                 return handler(rt, args, kwargs)
 
             return builtin_call, f"{name}()"
+        context = self.context
 
         def external_call(rt, env):
             args, kwargs = arguments(rt, env)
-            return rt._external_call(merged, args, kwargs)
+            return rt._external_call(merged, args, kwargs, context)
 
         return external_call, f"{merged}()"
 
@@ -2000,25 +1984,22 @@ class _Compiler:
         suffix = f".{merged}"
         native = raw in NATIVE_METHODS
         arguments = _arguments(*self.call_args(node))
+        context = self.context
 
         def call_attribute(rt, env):
             _tick(rt, line)
             base_v, base_p = base(rt, env)
             callee = _access_path(base_p, suffix)
             # The kind of call is settled before the arguments run.
-            if isinstance(base_v, VersatileObject):
-                if merged in base_v.attrs:
-                    args, kwargs = arguments(rt, env)
-                    value = rt._call_value(base_v.attrs[merged], args, kwargs, callee)
-                else:
-                    args, kwargs = arguments(rt, env)
-                    value = rt._external_call(callee, args, kwargs)
+            if isinstance(base_v, VersatileObject) and merged in base_v.attrs:
+                args, kwargs = arguments(rt, env)
+                value = rt._call_value(base_v.attrs[merged], args, kwargs, callee, context)
             elif native and hasattr(base_v, raw):
                 args, kwargs = arguments(rt, env)
                 value = rt._call_native(base_v, raw, args, kwargs)
             else:
                 args, kwargs = arguments(rt, env)
-                value = rt._external_call(callee, args, kwargs)
+                value = rt._external_call(callee, args, kwargs, context)
             return (value, f"{callee}()") if with_path else value
 
         return call_attribute

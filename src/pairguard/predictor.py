@@ -31,7 +31,9 @@ class InjectionQuery:
 
     ``kind`` says how the name was reached (variable read, attribute read,
     call return, subscript result), ``name`` is the identifier as written,
-    and ``context`` is the source line of the statement performing the read.
+    and ``context`` is the source text of the statement performing the read,
+    or of the compound-statement header part (test, iterable, ``with`` item)
+    that contains it.
     """
 
     kind: str

@@ -56,20 +56,6 @@ _PRIMITIVE_ELEMENT_KINDS = (
 _MASK64 = (1 << 64) - 1
 
 
-class VersatileIndexError(Exception):
-    """Internal signal: subscripting a versatile object.
-
-    Raised by ``VersatileObject.__getitem__`` and intercepted by the engine,
-    which turns the access into a value injection instead. Never observable
-    by the code under execution.
-    """
-
-    def __init__(self, obj: "VersatileObject", key: Any):
-        super().__init__("versatile subscript")
-        self.obj = obj
-        self.key = key
-
-
 def _child_seed(seed: int, index: int) -> int:
     # Fixed-point LCG step so child identity depends only on the parent seed.
     return (seed * 6364136223846793005 + 1442695040888963407 * (index + 1)) & _MASK64
@@ -91,9 +77,9 @@ class VersatileObject:
     def __init__(self, seed: int, assigned_type: Optional[str] = None):
         self.seed = seed & _MASK64
         self.assigned_type = assigned_type
-        # attrs caches every attribute ever resolved on this object so
-        # repeated reads stay consistent; stored holds only explicit writes,
-        # which are the part observable as state.
+        # attrs caches every attribute, and item (keyed ``[key]``), ever
+        # resolved on this object so repeated reads stay consistent; stored
+        # holds only explicit writes, which are the part observable as state.
         self.attrs: dict[str, Any] = {}
         self.stored: dict[str, Any] = {}
         self._children: Optional[list["VersatileObject"]] = None
@@ -190,18 +176,6 @@ class VersatileObject:
         return iter(self._children)
 
     def __contains__(self, item):
-        return False
-
-    def __getitem__(self, key):
-        raise VersatileIndexError(self, key)
-
-    def __setitem__(self, key, value):
-        self.store(f"[{serialize(key)}]", value)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
         return False
 
     def __str__(self):

@@ -1,13 +1,19 @@
-"""Per-run fingerprints of every execution ``analyze`` makes.
+"""Per-run fingerprints of every execution ``analyze`` makes, and a digest
+of the ``batch`` benchmark's CLI output.
 
-Covers every corpus pair (with its table predictor, where it has one) and
-the ``loops`` benchmark pairs, at one seed. One line per pair: its id, how
-many single-side runs ``analyze`` made, their total steps, and a sha256 over
-each run's (side, steps, sorted covered lines, exception type and intentional
-flag, return value, stdout).
+Fingerprints cover every corpus pair (with its table predictor, where it has
+one) and the ``loops`` benchmark pairs, at one seed. One line per pair: its
+id, how many single-side runs ``analyze`` made, their total steps, and a
+sha256 over each run's (side, steps, sorted covered lines, exception type and
+intentional flag, return value, stdout).
+
+The batch digest is a sha256 over ``pairguard analyze --format json`` on the
+seed's ``batch`` pairs with their table predictor, each record without its
+``wall_time_ms``.
 
 Regenerate the pinned files with ``python tests/_runs.py`` from the repo
-root; they are ``tests/fixtures/golden/runs_seed{0,7}.jsonl``.
+root; they are ``tests/fixtures/golden/runs_seed{0,7}.jsonl`` and
+``tests/fixtures/golden/batch_seed{0,7}.sha256``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 import _corpus  # noqa: E402
-from pairguard import EngineConfig, analyze, engine  # noqa: E402
+from pairguard import EngineConfig, analyze, cli, engine  # noqa: E402
 from pairguard.frontend import make_pair  # noqa: E402
 from pairguard.predictor import HeuristicPredictor  # noqa: E402
 
@@ -112,7 +118,30 @@ def golden_path(seed: int) -> pathlib.Path:
     return GOLDEN / f"runs_seed{seed}.jsonl"
 
 
+def batch_digest(seed: int) -> str:
+    """sha256 of the CLI's JSON records for the seed's ``batch`` pairs."""
+    with tempfile.TemporaryDirectory() as scratch:
+        workload = _load_workloads().batch(pathlib.Path(scratch), seed)
+        out = pathlib.Path(scratch) / "out.jsonl"
+        argv = ["analyze", str(workload.pair_dir), "--format", "json", "--seed", str(seed)]
+        code = cli.main(argv + ["--predictor", workload.dir_predictor, "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"pairguard analyze exited {code} on the batch pairs")
+        digest = hashlib.sha256()
+        for line in out.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            record.pop("wall_time_ms")
+            digest.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def batch_digest_path(seed: int) -> pathlib.Path:
+    return GOLDEN / f"batch_seed{seed}.sha256"
+
+
 if __name__ == "__main__":
     for s in SEEDS:
         golden_path(s).write_text("\n".join(fingerprints(s)) + "\n", encoding="utf-8")
         print(f"wrote {golden_path(s)}")
+        batch_digest_path(s).write_text(batch_digest(s) + "\n", encoding="utf-8")
+        print(f"wrote {batch_digest_path(s)}")

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+import _runs
 from pairguard import cli
 from pairguard.cli import main
 
@@ -326,3 +327,10 @@ class TestGoldenOutput:
             lines.append(json.dumps(record, sort_keys=True))
         golden = (FIXTURES / "golden" / f"corpus_seed{seed}.jsonl").read_text().splitlines()
         assert lines == golden
+
+    @pytest.mark.parametrize("seed", _runs.SEEDS)
+    def test_batch_matches_pinned_digest(self, seed):
+        # The batch benchmark's 2,000 pairs, regenerated from perfbench and
+        # run through the CLI with their table predictor.
+        pinned = _runs.batch_digest_path(seed).read_text().strip()
+        assert _runs.batch_digest(seed) == pinned

@@ -14,7 +14,8 @@ from pairguard import (
     analyze_sources,
 )
 from pairguard.frontend import make_pair
-from pairguard.predictor import load_table_predictor
+from pairguard.predictor import Distribution, TablePredictor, load_table_predictor
+from pairguard.values import AbstractValue
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -252,6 +253,20 @@ class TestRegressions:
         # window keeps.
         assert lines[1].removeprefix("old: ") != lines[2].removeprefix("new: ")
 
+    @pytest.mark.parametrize("field", ["{0[x]}", "{0.x}"])
+    def test_host_format_field_of_an_injected_object_abstains(self, field):
+        # str.format indexes or reads the object itself; the host's TypeError
+        # or AttributeError is an unintended exception, not a crash.
+        source = f"def f(v):\n    return '{field}'.format(v)\n"
+        pinned = TablePredictor(
+            {("variable-read", "v"): Distribution({AbstractValue.OBJECT: 1.0})}
+        )
+        v = analyze_sources(
+            source, source, cfg=EngineConfig(seed=0, max_iterations=1), predictor=pinned
+        )
+        assert v.classification == INCONCLUSIVE
+        assert v.abstained_iterations == 1
+
     def test_str_replace_is_not_a_false_difference(self):
         old = "def f():\n    return 'a,b'.replace(',', ';')\n"
         new = "def f():\n    return 'a;b'\n"
@@ -288,6 +303,33 @@ class TestRegressions:
         assert v.classification == INCONCLUSIVE
         assert v.abstained_iterations == 1
         assert elapsed <= 2.0, f"one step-budget iteration took {elapsed:.2f}s"
+
+
+class TestCoverageOfClauseLines:
+    """Code lines come from a text scan, but only compiled nodes record
+    coverage, so an ``except``, ``else:`` or ``finally:`` line is never
+    reached, even when its clause runs."""
+
+    @pytest.mark.xfail(strict=True, reason="clause header lines never record coverage")
+    def test_a_changed_except_line_is_reached_when_its_handler_runs(self):
+        old = (
+            "def f(x):\n"
+            "    try:\n"
+            "        return int(x)\n"
+            "    except ValueError:\n"
+            "        return -1\n"
+        )
+        new = old.replace("except ValueError:", "except (ValueError, TypeError):")
+        v = analyze_sources(old, new, cfg=EngineConfig(seed=0))
+        # Handlers run in the iterations that do not abstain.
+        assert v.abstained_iterations < v.iterations_run
+        assert v.coverage.changed_old > 0.0
+
+    @pytest.mark.xfail(strict=True, reason="clause header lines never record coverage")
+    def test_an_if_else_whose_branches_all_run_is_fully_covered(self):
+        source = "def f(a):\n    if a:\n        x = 1\n    else:\n        x = 2\n    return x\n"
+        v = analyze_sources(source, source, cfg=EngineConfig(seed=0))
+        assert v.coverage.overall == 1.0
 
 
 def test_analyze_sources_accepts_renames():

@@ -75,6 +75,27 @@ def run_pair(old, new=None, renames=None, cfg=None, predictor=None, iteration=0)
     return out_old, out_new, cmap
 
 
+def cpython_outcome(source):
+    """(stdout, repr of the return value or None, exception type name or
+    None) of calling the closed function ``f`` under CPython."""
+    namespace: dict = {}
+    exec(source, namespace)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            returned, raised = repr(namespace["f"]()), None
+        except Exception as exc:
+            returned, raised = None, type(exc).__name__
+    return stdout.getvalue(), returned, raised
+
+
+def engine_outcome(source):
+    """The same triple for one engine run of ``f``."""
+    out, _ = run_side(source)
+    raised = out.exception.type_name if out.exception is not None else None
+    return out.stdout, out.return_value, raised
+
+
 class TestDeriveSeed:
     def test_frozen_reference_value(self):
         # Pinned so stored corpora replay identically across releases.
@@ -177,6 +198,24 @@ class TestInjection:
         )
         assert "cfg_obj['mode']" in cm.entries
 
+    def test_slice_store_on_versatile_is_read_back(self):
+        out, cm = run_side(
+            "def f(v):\n    v[1:2] = [5, 6]\n    return v[1:2]\n",
+            predictor=pin(v=AbstractValue.OBJECT),
+        )
+        assert out.return_value == "[5, 6]"
+        assert "[1:2]: [5, 6]" in snapshot_injected(cm, "old")["v"]
+        assert "v[1:2]" not in cm.entries
+
+    def test_item_store_on_versatile_is_observable_state(self):
+        out, cm = run_side(
+            "def f(v):\n    v['k'] = 3\n    v['k'] += 4\n    return v['k']\n",
+            predictor=pin(v=AbstractValue.OBJECT),
+        )
+        assert out.return_value == "7"
+        assert "['k']: 7" in snapshot_injected(cm, "old")["v"]
+        assert list(cm.entries) == ["v"]
+
     def test_subscript_hit_on_concrete_is_native(self):
         out, cm = run_side("def f():\n    d = {'k': 5}\n    return d['k']\n")
         assert out.return_value == "5"
@@ -221,6 +260,48 @@ class TestPredictionMemo:
         analyze(pair, EngineConfig(seed=0, max_iterations=30), predictor)
         assert len(first) >= 2
         assert predictor.asked == {query: 2 for query in first}
+
+
+class TestInjectionContext:
+    """The predictor is asked with the statement that contains an access, or
+    the header of the compound statement whose header contains it."""
+
+    def asked(self, source):
+        """The (kind, name, context) queries one run of ``source`` asks."""
+        predictor = CountingPredictor()
+        run_side(source, predictor=predictor)
+        return predictor.asked
+
+    def test_a_call_does_not_leak_the_callees_statement(self):
+        source = (
+            "def f(x):\n"
+            "    def g():\n"
+            "        y = 1\n"
+            "        return y\n"
+            "    return g() + x.attr\n"
+        )
+        queries = self.asked(source)
+        assert ("variable-read", "x", "return g() + x.attr") in queries
+        assert all(context != "return y" for _, _, context in queries)
+
+    @pytest.mark.parametrize(
+        "header, context",
+        [
+            ("if x.ready:", "x.ready"),
+            ("while x.ready:", "x.ready"),
+            ("for item in x.items:", "x.items"),
+            ("with x.lock as h:", "x.lock"),
+        ],
+    )
+    def test_a_compound_statement_asks_with_its_header(self, header, context):
+        source = f"def f(x):\n    {header}\n        return 1\n    return 2\n"
+        assert ("variable-read", "x", context) in self.asked(source)
+
+    def test_a_lambda_body_asks_with_its_defining_statement(self):
+        source = "def f(x):\n    h = lambda: x.attr\n    return h()\n"
+        queries = self.asked(source)
+        assert ("variable-read", "x", "h = lambda: x.attr") in queries
+        assert ("attribute-read", "attr", "h = lambda: x.attr") in queries
 
 
 class TestExternalCalls:
@@ -852,13 +933,7 @@ class TestAugmentedAssignment:
     )
     def test_target_is_read_before_the_value_like_cpython(self, body):
         source = f"def f():\n    def p(v):\n        print(v)\n        return v\n    {body}\n"
-        namespace: dict = {}
-        exec(source, namespace)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            expected = repr(namespace["f"]())
-        out, _ = run_side(source)
-        assert (out.stdout, out.return_value) == (stdout.getvalue(), expected)
+        assert engine_outcome(source) == cpython_outcome(source)
 
     @pytest.mark.parametrize(
         "statement, callees",
@@ -872,6 +947,80 @@ class TestAugmentedAssignment:
             f"def f(self):\n    {statement}\n", predictor=pin(self=AbstractValue.OBJECT)
         )
         assert [e.callee for e in out.call_log] == callees
+
+
+class TestClosedProgramsAgreeWithCPython:
+    """Paths the corpus never reaches, checked against ``exec``: stdout, the
+    returned value and the type of an escaping exception."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # Callees that are neither a name nor an attribute.
+            "def g():\n        return lambda y: y + 1\n    return g()(1)",
+            "return (lambda: 1)()",
+            "xs = [lambda a: a * 2]\n    return xs[0](3)",
+            "xs = [1]\n    return xs[0]()",
+            # Keyword arguments to a subject function, and its argument errors.
+            "def g(a, b):\n        return a - b\n    return g(5, b=2), g(b=1, a=4)",
+            "def g(a):\n        return a\n    return g(1, 2)",
+            "def g(a):\n        return a\n    return g(b=1)",
+            "def g(a):\n        return a\n    return g(1, a=2)",
+            "def g(a, b):\n        return a\n    return g(1)",
+            # A native method read as a value, then called.
+            "split = 'a,b'.split\n    upper = 'x'.upper\n    return split(','), upper()",
+            "d = {'k': 1}\n    get = d.get\n    return get('k'), get('z', 0)",
+            # int, float and repr.
+            "return int('3'), int(2.0), int(), float('1.5'), float(2), float()",
+            "return int('x')",
+            "return repr('a'), repr([1, 'b', None]), repr(2.5)",
+            # raise of a bound exception, and of a bound non-exception.
+            "try:\n        raise ValueError('x')\n    except ValueError as e:\n"
+            "        err = e\n    try:\n        raise err\n    except ValueError:\n"
+            "        print('again')\n    return 1",
+            "x = 1\n    raise x",
+            # continue inside while.
+            "i = 0\n    out = []\n    while i < 6:\n        i += 1\n        if i % 2:\n"
+            "            continue\n        out.append(i)\n    return out",
+            # The exception is evaluated before its cause.
+            "raise ValueError(print(1)) from print(2)",
+            "def p(v):\n        print(v)\n        return v\n"
+            "    raise KeyError(p('k'), p(1)) from p(None)",
+        ],
+    )
+    def test_matches_exec(self, body):
+        source = f"def f():\n    {body}\n"
+        assert engine_outcome(source) == cpython_outcome(source)
+
+
+class TestInjectedOperands:
+    def test_augmented_parameter_is_injected_then_updated(self):
+        out, cm = run_side(
+            "def f(x):\n    x += 1\n    return x\n", predictor=pin(x=AbstractValue.INTEGER)
+        )
+        assert out.return_value == serialize(cm.entries["x"][0] + 1)
+
+    def test_bound_injected_callable_constructs_a_fresh_object_per_call(self):
+        out, cm = run_side(
+            "def f(factory):\n    make = factory\n    return make(1), make(2)\n",
+            predictor=pin(factory=AbstractValue.CALLABLE),
+        )
+        assert [e.render() for e in out.call_log] == ["make(1)", "make(2)"]
+        assert list(cm.entries) == ["factory"]
+        first, second = out.return_value.split("), ")
+        assert first.startswith("(VersatileObject(seed=")
+        assert second.startswith("VersatileObject(seed=")
+        assert first.split(",")[0] != second.split(",")[0]
+
+    def test_versatile_reached_by_subscript_is_called_externally(self):
+        objects = Distribution({AbstractValue.OBJECT: 1.0})
+        predictor = TablePredictor(
+            {("variable-read", "v"): objects, ("subscript-result", "0"): objects}
+        )
+        out, cm = run_side("def f(v):\n    return v[0](2)\n", predictor=predictor)
+        assert out.exception is None
+        assert [e.render() for e in out.call_log] == ["v[0](2)"]
+        assert "v[0]()#1" in cm.entries
 
 
 class TestCoverage:

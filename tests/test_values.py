@@ -11,7 +11,6 @@ from pairguard.values import (
     AbstractValue,
     ConcretizerConfig,
     VersatileCallable,
-    VersatileIndexError,
     VersatileObject,
     concretize,
     deep_copy,
@@ -113,20 +112,15 @@ class TestVersatileProtocols:
         o = obj(5, "Node")
         assert all(c.assigned_type == "Node" for c in o)
 
-    def test_getitem_raises_signal(self):
-        with pytest.raises(VersatileIndexError):
-            obj()["k"]
-
-    def test_setitem_records_stored_entry(self):
+    def test_host_has_no_item_or_context_manager_protocol(self):
+        # The engine reads and stores a versatile's items itself, and ``with``
+        # binds the manager's value as it is; host indexing is a TypeError.
         o = obj()
-        o["k"] = 3
-        assert o.stored["['k']"] == 3
-        assert "['k']" in serialize(o)
-
-    def test_context_manager_returns_self(self):
-        o = obj()
-        assert o.__enter__() is o
-        assert o.__exit__(None, None, None) is False
+        with pytest.raises(TypeError):
+            o["k"]
+        with pytest.raises(TypeError):
+            o["k"] = 3
+        assert not hasattr(o, "__enter__") and not hasattr(o, "__exit__")
 
     def test_callable_subclass(self):
         c = VersatileCallable(3)
