@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import re
 import sys
@@ -151,11 +152,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("analyze", help="analyze one pair file or a directory of them")
     run.add_argument("path", help="pair file (JSON) or directory of pair files")
-    run.add_argument("--max-iterations", type=int, default=300)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--exception-probability", type=float, default=0.15)
-    run.add_argument("--max-structure-size", type=int, default=4)
-    run.add_argument("--object-bias", type=float, default=0.5)
+    # One flag per EngineConfig knob, typed and defaulted as the knob is.
+    for knob in dataclasses.fields(EngineConfig):
+        flag = "--" + knob.name.replace("_", "-")
+        run.add_argument(flag, type=type(knob.default), default=knob.default)
     run.add_argument(
         "--predictor",
         default="heuristic",
@@ -167,11 +167,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     cfg = EngineConfig(
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        exception_probability=args.exception_probability,
-        max_structure_size=args.max_structure_size,
-        object_bias=args.object_bias,
+        **{knob.name: getattr(args, knob.name) for knob in dataclasses.fields(EngineConfig)}
     )
     try:
         cfg.validate()

@@ -3,7 +3,9 @@
 One iteration produces two ExecutionOutcomes; this module decides whether
 they differ, and if so where. Evaluation order is fixed so difference
 reports are reproducible: exception triage first, then returned state,
-injected state, printed output, and finally the external call logs.
+injected state, printed output, and finally the external call logs. An
+exception is rendered, for abstain reasons and exception details alike, and
+compared in its ``serialize`` form, ``Type(arg, ...)``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import CallLogEntry, ExceptionInfo, ExecutionOutcome
+from .engine import ExecutionOutcome
+from .values import ExceptionValue, serialize
 
 EQUIVALENT = "equivalent"
 DIFFERENCE = "difference"
@@ -75,41 +78,34 @@ def _difference(
     )
 
 
-def _render_exception(info: Optional[ExceptionInfo]) -> str:
-    return info.render() if info is not None else "<no exception>"
-
-
-def _call_key(entry: CallLogEntry):
-    return (entry.callee, entry.args, entry.kwargs)
+def _render_exception(exc: Optional[ExceptionValue]) -> str:
+    return serialize(exc) if exc is not None else "<no exception>"
 
 
 def compare(old: ExecutionOutcome, new: ExecutionOutcome) -> IterationResult:
     """Compare the two sides of one iteration.
 
-    Returns abstain when either side died of an unintended exception (the
+    Returns abstain when either side ended in an unintended exception (the
     engine's fault rather than the code's), a difference naming the first
-    dimension that disagrees, or equivalent. Both outcomes come from one
-    iteration, so their injected states name the same paths.
+    dimension that disagrees, or equivalent. The exceptions the two sides
+    ended with are equal when their serialized forms are. Both outcomes come
+    from one iteration, so their injected states name the same paths.
     """
     reasons = []
     for outcome in (old, new):
         exc = outcome.exception
         if exc is not None and not exc.intentional:
-            reasons.append(f"{outcome.side}: {exc.render()}")
+            reasons.append(f"{outcome.side}: {serialize(exc)}")
     if reasons:
         return IterationResult(
             status=ABSTAIN,
             abstain_reason="unintended exception; " + "; ".join(reasons),
         )
 
-    oe, ne = old.exception, new.exception
-    if (oe is None) != (ne is None):
-        return _difference(
-            "exception", _render_exception(oe), _render_exception(ne)
-        )
-    if oe is not None and ne is not None:
-        if (oe.type_name, oe.args) != (ne.type_name, ne.args):
-            return _difference("exception", oe.render(), ne.render())
+    if old.exception is not None or new.exception is not None:
+        oe, ne = _render_exception(old.exception), _render_exception(new.exception)
+        if oe != ne:
+            return _difference("exception", oe, ne)
 
     if old.return_value != new.return_value:
         return _difference(
@@ -135,7 +131,7 @@ def compare(old: ExecutionOutcome, new: ExecutionOutcome) -> IterationResult:
                 o.render() if o is not None else "<no call>",
                 n.render() if n is not None else "<no call>",
             )
-        if _call_key(o) != _call_key(n):
+        if o != n:
             return _difference("calls", o.render(), n.render())
 
     return IterationResult(status=EQUIVALENT)

@@ -298,31 +298,26 @@ class CallLogEntry:
     callee: str
     args: tuple[str, ...]
     kwargs: tuple[tuple[str, str], ...]
-    occurrence: int
 
     def render(self) -> str:
         parts = list(self.args) + [f"{k}={v}" for k, v in self.kwargs]
         return f"{self.callee}({', '.join(parts)})"
 
 
-@dataclass(frozen=True)
-class ExceptionInfo:
-    intentional: bool
-    type_name: str
-    args: tuple[str, ...]
-
-    def render(self) -> str:
-        return f"{self.type_name}({', '.join(self.args)})"
-
-
 @dataclass
 class ExecutionOutcome:
+    """What one side's run left behind. ``exception`` is the exception the
+    run ended with, or None after a return; the step budget and the call
+    depth cap end a run with an unintended ``StepBudgetExceeded`` or
+    ``RecursionError``. ``injected_state`` is filled in by the driver once
+    both sides have run."""
+
     side: str
     return_value: Optional[str]
     injected_state: dict[str, str]
     stdout: str
     call_log: list[CallLogEntry]
-    exception: Optional[ExceptionInfo]
+    exception: Optional[ExceptionValue]
     covered_lines: frozenset[int]
 
 
@@ -363,6 +358,11 @@ class ComparisonProgram:
             max_structure_size=cfg.max_structure_size,
             object_bias=cfg.object_bias,
         )
+        # The exception types each ``try``-guarded call path can raise, in the
+        # order an injected raise draws from.
+        self.call_exceptions = {
+            path: sorted(types) for path, types in facts.call_exception_map.items()
+        }
         self._contexts: dict[ast.AST, str] = {}
         self._distributions: dict[tuple[str, str, str], Distribution] = {}
 
@@ -516,19 +516,16 @@ class Interpreter:
         root.vars[fn.name] = entry
         self.covered.add(fn.node.lineno)
         return_s: Optional[str] = None
-        exception: Optional[ExceptionInfo] = None
+        exception: Optional[ExceptionValue] = None
         try:
             result = self._call_function(entry, [], {}, allow_missing=True)
             return_s = self._epilogue(result)
         except SubjectError as err:
-            ev = err.value
-            exception = ExceptionInfo(
-                ev.intentional, ev.type_name, tuple(serialize(a) for a in ev.args)
-            )
+            exception = err.value
         except _EngineInterrupt:
-            exception = ExceptionInfo(False, "StepBudgetExceeded", ())
+            exception = ExceptionValue("StepBudgetExceeded")
         except RecursionError:
-            exception = ExceptionInfo(False, "RecursionError", ())
+            exception = ExceptionValue("RecursionError")
         return ExecutionOutcome(
             side=self.side,
             return_value=None if exception is not None else return_s,
@@ -710,15 +707,13 @@ class Interpreter:
             callee=path,
             args=tuple(serialize(a) for a in args),
             kwargs=tuple(sorted((k, serialize(v)) for k, v in kwargs.items())),
-            occurrence=occurrence,
         )
         self.call_log.append(entry)
-        exc_types = self.program.facts.call_exception_map.get(path)
+        exc_types = self.program.call_exceptions.get(path)
         if exc_types:
             rng = self._stream("exc", path, occurrence)
             if rng.random() < self.program.cfg.exception_probability:
-                ordered = sorted(exc_types)
-                type_name = ordered[rng.randrange(len(ordered))]
+                type_name = exc_types[rng.randrange(len(exc_types))]
                 raise SubjectError(ExceptionValue(type_name, [], intentional=True))
         if constructor is not None:
             constructor.call_count += 1
@@ -726,16 +721,6 @@ class Interpreter:
             return VersatileObject(seed, constructor.assigned_type)
         key = f"{path}()#{occurrence}"
         return self._inject("call-return", path, key, context)
-
-    def _super_value(self) -> VersatileObject:
-        occurrence = self._next_occurrence("super()")
-        key = f"super()#{occurrence}"
-
-        def creator():
-            rng = self._stream("value", key)
-            return VersatileObject(rng.getrandbits(64), None)
-
-        return self.cmap.lookup_or_create(key, self.side, creator)
 
     _KIND_NAMES = {
         bool: "bool",
@@ -769,7 +754,14 @@ class Interpreter:
         return False
 
     def _builtin_super(self, args: list, kwargs: dict) -> VersatileObject:
-        return self._super_value()
+        """An untyped versatile, one per ``super()`` call of the run."""
+        key = f"super()#{self._next_occurrence('super()')}"
+
+        def creator():
+            rng = self._stream("value", key)
+            return VersatileObject(rng.getrandbits(64), None)
+
+        return self.cmap.lookup_or_create(key, self.side, creator)
 
     def _builtin_print(self, args: list, kwargs: dict) -> None:
         sep = kwargs.get("sep", " ")
@@ -1877,6 +1869,8 @@ class _Compiler:
         if self.try_calls:
             path = static_callee_path(func, self.merge)
             if path is not None:
+                # Capped as the external call that looks it up caps it.
+                path = _cap_path(path)
                 for calls in self.try_calls:
                     calls.append(path)
         if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
@@ -1894,8 +1888,8 @@ class _Compiler:
         return positional, keywords
 
     def _call_name(self, node: ast.Call, with_path: bool) -> Callable:
-        """``f(...)``: a bound function value if a scope binds ``f``; else
-        isinstance, super, a builtin, or an external call."""
+        """``f(...)``: a bound function value if a scope binds ``f``; else a
+        builtin or an external call."""
         line = node.lineno
         name = node.func.id
         merged = self.merge(name)
@@ -1929,33 +1923,21 @@ class _Compiler:
         positional: list[Callable],
         arguments: Callable,
     ):
-        """(closure, access path) of a call whose name no scope binds."""
-        count = len(node.args)
-        keywords = [kw.arg for kw in node.keywords]
-        if name == "isinstance":
-            message = _call_shape_error(name, count, keywords)
-            if message is not None:
-                return partial(_shape_fault, message=message), None
-            value_of = positional[0]
-            names = isinstance_class_names(node.args[1], self.merge)
-
-            def isinstance_call(rt, env):
-                return rt._isinstance_value(value_of(rt, env), names)
-
-            return isinstance_call, None
-        if name == "super":
-            message = _call_shape_error(name, count, keywords)
-
-            def super_call(rt, env):
-                if message is not None:
-                    rt._fault("TypeError", message)
-                for value in positional:
-                    value(rt, env)
-                return rt._super_value()
-
-            return super_call, "super()"
+        """(closure, access path) of a call whose name no scope binds. A
+        builtin call whose shape does not fit its ``_BUILTINS`` entry
+        evaluates its arguments, then raises the ``TypeError``."""
         if name in _BUILTINS:
-            message = _call_shape_error(name, count, keywords)
+            message = _call_shape_error(
+                name, len(node.args), [kw.arg for kw in node.keywords]
+            )
+            if name == "isinstance" and message is None:
+                value_of = positional[0]
+                names = isinstance_class_names(node.args[1], self.merge)
+
+                def isinstance_call(rt, env):
+                    return rt._isinstance_value(value_of(rt, env), names)
+
+                return isinstance_call, None
             handler = _BUILTINS[name][0]
 
             def builtin_call(rt, env):
@@ -2048,10 +2030,6 @@ def _arguments(positional: list[Callable], keywords: list[tuple[str, Callable]])
         return args, kwargs
 
     return arguments
-
-
-def _shape_fault(rt: Interpreter, env: _Env, message: str):
-    rt._fault("TypeError", message)
 
 
 # The subject language's statements and expressions: a compiler for each

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 import _runs
-from pairguard import cli
+from pairguard import EngineConfig, cli
 from pairguard.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -107,6 +107,27 @@ class TestFlags:
         )
         assert code == 0
         assert json.loads(out.strip())["verdict"] == "inconclusive"
+
+    def test_knob_defaults_are_engine_config_defaults(self, capsys):
+        defaults = EngineConfig()
+        spelled_out = [
+            "--max-iterations", str(defaults.max_iterations),
+            "--seed", str(defaults.seed),
+            "--exception-probability", str(defaults.exception_probability),
+            "--max-structure-size", str(defaults.max_structure_size),
+            "--object-bias", str(defaults.object_bias),
+        ]
+        records = []
+        for flags in ([], spelled_out):
+            code, out, _ = run_cli(
+                capsys, "analyze", str(FIXTURES / "pairs"), "--format", "json", *flags
+            )
+            assert code == 0
+            records.append([json.loads(line) for line in out.splitlines()])
+            for record in records[-1]:
+                record.pop("wall_time_ms")
+        assert len(records[0]) == 41
+        assert records[0] == records[1]
 
     def test_invalid_predictor_spec(self, tmp_path, capsys):
         p = write_pair(tmp_path)

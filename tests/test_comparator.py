@@ -10,7 +10,19 @@ from pairguard.comparator import (
     IterationResult,
     compare,
 )
-from pairguard.engine import CallLogEntry, ExceptionInfo, ExecutionOutcome
+from pairguard.driver import EngineConfig
+from pairguard.engine import (
+    CallLogEntry,
+    ComparisonProgram,
+    ConsistencyMap,
+    ExecutionOutcome,
+    derive_seed,
+    run_one,
+    snapshot_injected,
+)
+from pairguard.frontend import extract_static_facts, make_pair
+from pairguard.predictor import HeuristicPredictor
+from pairguard.values import ExceptionValue
 
 
 def outcome(
@@ -32,21 +44,16 @@ def outcome(
     )
 
 
-def call(callee, *args, occ=1, **kwargs):
-    return CallLogEntry(
-        callee,
-        tuple(args),
-        tuple(sorted((k, v) for k, v in kwargs.items())),
-        occ,
-    )
+def call(callee, *args, **kwargs):
+    return CallLogEntry(callee, tuple(args), tuple(sorted(kwargs.items())))
 
 
 def intentional(type_name, *args):
-    return ExceptionInfo(True, type_name, tuple(args))
+    return ExceptionValue(type_name, list(args), intentional=True)
 
 
 def unintended(type_name):
-    return ExceptionInfo(False, type_name, ())
+    return ExceptionValue(type_name)
 
 
 def test_dimension_vocabulary_is_fixed():
@@ -98,7 +105,7 @@ class TestAbstain:
 
 class TestExceptionDimension:
     def test_one_sided_intentional_exception(self):
-        a = outcome(exception=intentional("ValueError", "'x'"))
+        a = outcome(exception=intentional("ValueError", "x"))
         b = outcome(side="new")
         r = compare(a, b)
         assert r.status == DIFFERENCE
@@ -107,19 +114,19 @@ class TestExceptionDimension:
         assert "new: <no exception>" in r.detail
 
     def test_differing_intentional_exceptions(self):
-        a = outcome(exception=intentional("ValueError", "'x'"))
-        b = outcome(side="new", exception=intentional("KeyError", "'x'"))
+        a = outcome(exception=intentional("ValueError", "x"))
+        b = outcome(side="new", exception=intentional("KeyError", "x"))
         r = compare(a, b)
         assert r.dimension == "exception"
 
     def test_differing_args_count(self):
-        a = outcome(exception=intentional("ValueError", "'x'"))
-        b = outcome(side="new", exception=intentional("ValueError", "'x'", "'y'"))
+        a = outcome(exception=intentional("ValueError", "x"))
+        b = outcome(side="new", exception=intentional("ValueError", "x", "y"))
         assert compare(a, b).dimension == "exception"
 
     def test_equal_intentional_exceptions_continue(self):
-        a = outcome(exception=intentional("ValueError", "'x'"))
-        b = outcome(side="new", exception=intentional("ValueError", "'x'"))
+        a = outcome(exception=intentional("ValueError", "x"))
+        b = outcome(side="new", exception=intentional("ValueError", "x"))
         assert compare(a, b).status == EQUIVALENT
 
     def test_equal_exceptions_still_check_state(self):
@@ -210,7 +217,7 @@ class TestCallsDimension:
         assert compare(a, b).dimension == "calls"
 
     def test_extra_call_renders_no_call(self):
-        a = outcome(call_log=[call("go", "1"), call("go", "2", occ=2)])
+        a = outcome(call_log=[call("go", "1"), call("go", "2")])
         b = outcome(side="new", call_log=[call("go", "1")])
         r = compare(a, b)
         assert "new: <no call>" in r.detail
@@ -221,12 +228,62 @@ class TestCallsDimension:
         r = compare(a, b)
         assert "old: y()" in r.detail
 
-    def test_occurrence_index_not_part_of_identity(self):
-        # Same observable call sequence with differently numbered entries
-        # still matches; numbering is bookkeeping, not behavior.
-        a = outcome(call_log=[call("go", "1", occ=1)])
-        b = outcome(side="new", call_log=[call("go", "1", occ=2)])
-        assert compare(a, b).status == EQUIVALENT
+
+def compare_runs(old, new=None):
+    """The comparison of iteration 0 of real runs of a pair."""
+    pair = make_pair(old, new or old)
+    program = ComparisonProgram(
+        pair, extract_static_facts(pair), EngineConfig(), HeuristicPredictor()
+    )
+    cmap = ConsistencyMap()
+    seed = derive_seed(0, "iteration", 0)
+    out_old = run_one("old", program, cmap, seed)
+    out_new = run_one("new", program, cmap, seed)
+    out_old.injected_state = snapshot_injected(cmap, "old")
+    out_new.injected_state = snapshot_injected(cmap, "new")
+    return compare(out_old, out_new)
+
+
+class TestTextOfRealRuns:
+    """The exact abstain reasons and exception details real runs produce."""
+
+    @pytest.mark.parametrize(
+        "body, rendered",
+        [
+            ("while True:\n        pass", "StepBudgetExceeded()"),
+            # The engine's call-depth cap, and the host's own stack limit
+            # reached first when each call nests deeper expressions.
+            (
+                "def g():\n        return g()\n    return g()",
+                "RecursionError('maximum call depth exceeded')",
+            ),
+            ("def g():\n        return [[[[[g()]]]]]\n    return g()", "RecursionError()"),
+            (
+                "return 1 + 'a'",
+                """TypeError("unsupported operand type(s) for +: 'int' and 'str'")""",
+            ),
+        ],
+    )
+    def test_abstain_reason(self, body, rendered):
+        r = compare_runs(f"def f():\n    {body}\n")
+        assert r.status == ABSTAIN
+        assert r.abstain_reason == f"unintended exception; old: {rendered}; new: {rendered}"
+
+    def test_exception_detail_renders_each_argument(self):
+        # The third argument is a list nested 16 deep around an empty one:
+        # an exception's arguments are serialized one level below it, so
+        # the innermost list is past the depth cap.
+        nest = "n = []\n    for i in range(16):\n        n = [n]\n    "
+        r = compare_runs(
+            f"def f():\n    {nest}raise ValueError('x', [1, 2], n)\n",
+            f"def f():\n    {nest}raise ValueError('y', [1, 2], n)\n",
+        )
+        nested = "[" * 16 + "<depth>" + "]" * 16
+        assert r.detail == (
+            "dimension: exception\n"
+            f"old: ValueError('x', [1, 2], {nested})\n"
+            f"new: ValueError('y', [1, 2], {nested})"
+        )
 
 
 class TestDimensionOrdering:

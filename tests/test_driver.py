@@ -305,6 +305,24 @@ class TestRegressions:
         assert elapsed <= 2.0, f"one step-budget iteration took {elapsed:.2f}s"
 
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "callee", ["db.load", ".".join(f"segment{i:02}" for i in range(12)) + ".load"]
+    )
+    def test_guarded_call_raises_what_its_handlers_name(self, callee, seed):
+        # The second callee path is 124 characters, past the 120-character
+        # cap: the try records it capped, as the call looks it up, so its
+        # handlers' exception types are injected as for the short one.
+        old, new = (
+            f"def f(x):\n    try:\n        return {callee}(x)\n"
+            f"    except {handled}:\n        return -1\n"
+            for handled in ("ValueError", "KeyError")
+        )
+        v = analyze_sources(old, new, cfg=EngineConfig(seed=seed))
+        assert v.classification == SEMANTICS_CHANGING
+        assert v.difference_dimension in ("exception", "state")
+
+
 class TestCoverageOfClauseLines:
     """Code lines come from a text scan, but only compiled nodes record
     coverage, so an ``except``, ``else:`` or ``finally:`` line is never
