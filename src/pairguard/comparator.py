@@ -20,8 +20,6 @@ EQUIVALENT = "equivalent"
 DIFFERENCE = "difference"
 ABSTAIN = "abstain"
 
-DIMENSIONS = ("exception", "state", "output", "calls")
-
 
 @dataclass(frozen=True)
 class IterationResult:

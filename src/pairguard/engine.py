@@ -112,6 +112,12 @@ _HOST_FAULTS = (
 
 _VIEW_TYPES = (type({}.keys()), type({}.values()), type({}.items()))
 
+# Engine records that keep subject attributes in an ``attrs`` dict of their
+# own, apart from the fields the engine reads; a versatile's ``attrs`` holds
+# its stored and injected attributes alike.
+_RECORDS = (ExceptionValue, FunctionValue)
+_ATTRIBUTED = (VersatileObject, *_RECORDS)
+
 # Builtin exception name -> every builtin name an ``except`` clause can catch
 # it by under CPython's hierarchy (ZeroDivisionError is an ArithmeticError).
 _EXCEPTIONS = {
@@ -347,7 +353,6 @@ class ComparisonProgram:
 
     def __init__(self, pair: Any, facts: StaticFacts, cfg: Any, predictor: Predictor):
         self.pair = pair
-        self.facts = facts
         self.cfg = cfg
         self.predictor = predictor
         self.ccfg = ConcretizerConfig.with_literals(
@@ -528,7 +533,7 @@ class Interpreter:
             exception = ExceptionValue("RecursionError")
         return ExecutionOutcome(
             side=self.side,
-            return_value=None if exception is not None else return_s,
+            return_value=return_s,
             injected_state={},
             stdout=self.stdout.getvalue(),
             call_log=list(self.call_log),
@@ -612,10 +617,20 @@ class Interpreter:
     # stores
 
     def _store_attribute(self, base: Any, raw_attr: str, merged: str, value: Any) -> None:
+        """``base.attr = value``. A versatile records the store as state; an
+        exception or function keeps it in its own ``attrs``, except that
+        ``e.args = it`` sets the exception's arguments to the items of
+        ``it``. Any other value refuses the store, as CPython's builtins do."""
         if isinstance(base, VersatileObject):
             base.store(merged, value)
-            return
-        self._host(setattr, base, raw_attr, value)
+        elif isinstance(base, ExceptionValue) and raw_attr == "args":
+            base.args = list(self._iterate(value))
+        elif isinstance(base, _RECORDS):
+            base.attrs[merged] = value
+        else:
+            self._fault(
+                "AttributeError", f"'{type(base).__name__}' object has no attribute {raw_attr!r}"
+            )
 
     def _store_subscript(self, base: Any, host_index: Any, value: Any) -> None:
         if isinstance(base, VersatileObject):
@@ -637,9 +652,9 @@ class Interpreter:
     def _read_attribute(
         self, base: Any, raw_attr: str, merged: str, path: str, context: ast.AST
     ) -> Any:
+        if isinstance(base, _ATTRIBUTED) and merged in base.attrs:
+            return base.attrs[merged]
         if isinstance(base, VersatileObject):
-            if merged in base.attrs:
-                return base.attrs[merged]
             value = self._inject("attribute-read", raw_attr, path, context)
             base.attrs[merged] = value
             return value
@@ -774,11 +789,7 @@ class Interpreter:
         return self._host(len, args[0])
 
     def _builtin_range(self, args: list, kwargs: dict) -> range:
-        coerced = [
-            VersatileObject.INTERNAL_INT if isinstance(a, VersatileObject) else a
-            for a in args
-        ]
-        return self._host(range, *coerced)
+        return self._host(range, *map(_number, args))
 
     def _builtin_str(self, args: list, kwargs: dict) -> str:
         return _subject_str(args[0]) if args else ""
@@ -787,19 +798,14 @@ class Interpreter:
         return serialize(args[0])
 
     def _builtin_number(self, args: list, kwargs: dict, host: Callable) -> Any:
-        """int and float; a versatile argument converts as its internal int."""
-        if args and isinstance(args[0], VersatileObject):
-            return host(VersatileObject.INTERNAL_INT)
-        return self._host(host, *args)
+        """int and float."""
+        return self._host(host, *map(_number, args))
 
     def _builtin_bool(self, args: list, kwargs: dict) -> bool:
         return bool(*args)
 
     def _builtin_abs(self, args: list, kwargs: dict) -> Any:
-        v = args[0]
-        if isinstance(v, VersatileObject):
-            return abs(VersatileObject.INTERNAL_INT)
-        return self._host(abs, v)
+        return self._host(abs, _number(args[0]))
 
     def _builtin_min_max(self, args: list, kwargs: dict, host: Callable) -> Any:
         return self._host(host, self._iterate(args[0]) if len(args) == 1 else args)
@@ -815,9 +821,7 @@ class Interpreter:
         return self._host(sorted, self._iterate(args[0]), reverse=reverse)
 
     def _builtin_enumerate(self, args: list, kwargs: dict) -> list:
-        start = args[1] if len(args) == 2 else 0
-        if isinstance(start, VersatileObject):
-            start = VersatileObject.INTERNAL_INT
+        start = _number(args[1]) if len(args) == 2 else 0
         if not isinstance(start, int):
             self._fault("TypeError", "enumerate() start must be an integer")
         return [(start + i, v) for i, v in enumerate(self._iterate(args[0]))]
@@ -867,6 +871,12 @@ class Interpreter:
             yield item
 
 
+def _number(value: Any) -> Any:
+    """``value`` where a builtin needs a number: a versatile stands in as its
+    internal int."""
+    return VersatileObject.INTERNAL_INT if isinstance(value, VersatileObject) else value
+
+
 def _subject_str(value: Any) -> str:
     if isinstance(value, str):
         return value
@@ -914,16 +924,13 @@ _ARITH = {symbol: _arith(symbol) for symbol in ARITH_OPS}
 
 
 def _comparison(symbol: str) -> Callable[[Interpreter, Any, Any], bool]:
-    """``test(rt, left, right)`` for one comparison operator. Identity and
-    membership run on the host even next to a versatile."""
+    """``test(rt, left, right)`` for one comparison operator, run on the host.
+    A versatile operand answers an ordering or equality through its own
+    comparison methods (reflected when it is on the right), which apply
+    ``versatile_binop``; identity and membership need nothing of it."""
     fn = COMPARE_OPS[symbol]
-    on_host = symbol in ("is", "is not", "in", "not in")
 
     def test(rt, left, right):
-        if not on_host and (
-            isinstance(left, VersatileObject) or isinstance(right, VersatileObject)
-        ):
-            return bool(versatile_binop(symbol, left, right))
         try:
             result = fn(left, right)
         except _HOST_FAULTS as exc:
@@ -1956,7 +1963,7 @@ class _Compiler:
         return external_call, f"{merged}()"
 
     def _call_attribute(self, node: ast.Call, with_path: bool) -> Callable:
-        """``base.name(...)``: a versatile's own callable attribute, a native
+        """``base.name(...)``: an attribute read or stored before, a native
         method of a concrete receiver, or an external call."""
         line = node.lineno
         func = node.func
@@ -1973,7 +1980,7 @@ class _Compiler:
             base_v, base_p = base(rt, env)
             callee = _access_path(base_p, suffix)
             # The kind of call is settled before the arguments run.
-            if isinstance(base_v, VersatileObject) and merged in base_v.attrs:
+            if isinstance(base_v, _ATTRIBUTED) and merged in base_v.attrs:
                 args, kwargs = arguments(rt, env)
                 value = rt._call_value(base_v.attrs[merged], args, kwargs, callee, context)
             elif native and hasattr(base_v, raw):

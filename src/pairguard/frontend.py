@@ -42,11 +42,11 @@ class SourceFunction:
 
 @dataclass
 class FunctionPair:
-    """The two versions under comparison plus diff and rename metadata."""
+    """The two versions under comparison, names merged, and the lines each
+    version changes."""
 
     old: SourceFunction
     new: SourceFunction
-    renames: dict[str, str]
     changed_lines_old: frozenset[int]
     changed_lines_new: frozenset[int]
 
@@ -151,7 +151,6 @@ def make_pair(
     return FunctionPair(
         old=old,
         new=new,
-        renames=renames,
         changed_lines_old=frozenset(raw_old & old.code_lines),
         changed_lines_new=frozenset(raw_new & new.code_lines),
     )

@@ -14,7 +14,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .values import AbstractValue, LABEL_TO_KIND
 
@@ -85,15 +84,6 @@ class Distribution:
                 return kind
         # Float slack can leave r marginally above the final accumulator.
         return self._cumulative[-1][1]
-
-    def argmax(self) -> AbstractValue:
-        best = None
-        best_w = -1.0
-        for kind in AbstractValue:
-            w = self.weights[kind]
-            if w > best_w:
-                best, best_w = kind, w
-        return best
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -272,21 +262,20 @@ class HeuristicPredictor(Predictor):
 
 
 class TablePredictor(Predictor):
-    """Exact-match lookup table with a heuristic fallback."""
+    """Exact-match lookup table keyed by (query kind, name); a query the
+    table does not hold is answered by the heuristic predictor."""
 
-    def __init__(
-        self,
-        entries: dict[tuple[str, str], Distribution],
-        fallback: Optional[Predictor] = None,
-    ):
+    def __init__(self, entries: dict[tuple[str, str], Distribution]):
         self.entries = dict(entries)
-        self.fallback = fallback if fallback is not None else HeuristicPredictor()
 
     def predict(self, query: InjectionQuery) -> Distribution:
         hit = self.entries.get((query.kind, query.name))
         if hit is not None:
             return hit
-        return self.fallback.predict(query)
+        return _HEURISTIC.predict(query)
+
+
+_HEURISTIC = HeuristicPredictor()
 
 
 def _parse_weights(raw: object) -> Distribution:
@@ -309,7 +298,7 @@ def _parse_weights(raw: object) -> Distribution:
         raise FormatError(str(exc)) from exc
 
 
-def load_table_predictor(path: str, fallback: Optional[Predictor] = None) -> TablePredictor:
+def load_table_predictor(path: str) -> TablePredictor:
     """Load a table predictor from a JSON file.
 
     Expected shape::
@@ -346,4 +335,4 @@ def load_table_predictor(path: str, fallback: Optional[Predictor] = None) -> Tab
         if key in entries:
             raise FormatError(f"duplicate entry for {key}")
         entries[key] = _parse_weights(raw["weights"])
-    return TablePredictor(entries, fallback=fallback)
+    return TablePredictor(entries)

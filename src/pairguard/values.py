@@ -224,8 +224,6 @@ COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
 
 def _internal_for(value: Any) -> Any:
     """Internal representation a versatile presents next to ``value``."""
-    if isinstance(value, bool):
-        return VersatileObject.INTERNAL_INT
     if isinstance(value, int):
         return VersatileObject.INTERNAL_INT
     if isinstance(value, float):
@@ -245,30 +243,20 @@ def versatile_binop(op: str, lhs: Any, rhs: Any) -> Any:
     evaluates to the versatile operand itself.
     """
     lv = isinstance(lhs, VersatileObject)
-    rv = isinstance(rhs, VersatileObject)
-    if lv and rv:
+    if lv and isinstance(rhs, VersatileObject):
         if op in COMPARE_OPS:
             return COMPARE_OPS[op](lhs.seed, rhs.seed)
         return ARITH_OPS[op](VersatileObject.INTERNAL_INT, VersatileObject.INTERNAL_INT)
-    versatile = lhs if lv else rhs
-    other = rhs if lv else lhs
-    internal = _internal_for(other)
-    if internal is None:
-        if op == "!=":
-            return True
-        if op in COMPARE_OPS:
-            return False
-        return versatile
-    a, b = (internal, other) if lv else (other, internal)
-    fn = COMPARE_OPS.get(op) or ARITH_OPS[op]
-    try:
-        return fn(a, b)
-    except Exception:
-        if op == "!=":
-            return True
-        if op in COMPARE_OPS:
-            return False
-        return versatile
+    internal = _internal_for(rhs if lv else lhs)
+    if internal is not None:
+        a, b = (internal, rhs) if lv else (lhs, internal)
+        try:
+            return (COMPARE_OPS.get(op) or ARITH_OPS[op])(a, b)
+        except Exception:
+            pass
+    if op in COMPARE_OPS:
+        return op == "!="
+    return lhs if lv else rhs
 
 
 class FunctionValue:
@@ -276,6 +264,7 @@ class FunctionValue:
 
     ``body`` is the engine's compiled form of it: a closure running the
     statements, or for a lambda one returning the expression's value.
+    ``attrs`` holds the attributes subject code stores on it, by merged name.
     """
 
     def __init__(
@@ -293,6 +282,7 @@ class FunctionValue:
         self.env = env
         self.is_generator = is_generator
         self.is_lambda = is_lambda
+        self.attrs: dict[str, Any] = {}
 
     def __deepcopy__(self, memo):
         return self
@@ -318,7 +308,7 @@ class GeneratorValue:
     def take(self) -> Iterator:
         """Yield the items no earlier walk has taken."""
         if self.items is None:
-            self.items = [] if self._materializer is None else self._materializer()
+            self.items = self._materializer()
         while self.taken < len(self.items):
             self.taken += 1
             yield self.items[self.taken - 1]
@@ -350,13 +340,15 @@ class ExceptionValue:
 
     ``intentional`` distinguishes exceptions the code (or an injected call)
     raised on purpose from faults that merely reflect a gap in the guided
-    execution itself.
+    execution itself. ``attrs`` holds the attributes subject code stores on
+    it, by merged name; they are not part of its serialized form.
     """
 
     def __init__(self, type_name: str, args: Optional[list] = None, intentional: bool = False):
         self.type_name = type_name
         self.args = list(args) if args else []
         self.intentional = intentional
+        self.attrs: dict[str, Any] = {}
 
     def __repr__(self):
         return serialize(self)
@@ -539,30 +531,3 @@ def concretize(kind: AbstractValue, cfg: ConcretizerConfig, rng) -> Any:
         return _fresh_versatile(cfg, rng, callable_=True)
     # Resource and Object both map to a plain versatile object.
     return _fresh_versatile(cfg, rng)
-
-
-def kind_of(value: Any) -> AbstractValue:
-    """Abstract kind of a concrete runtime value."""
-    if value is None:
-        return AbstractValue.NONE
-    if isinstance(value, bool):
-        return AbstractValue.BOOLEAN
-    if isinstance(value, int):
-        return AbstractValue.INTEGER
-    if isinstance(value, float):
-        return AbstractValue.FLOAT
-    if isinstance(value, str):
-        return AbstractValue.STRING
-    if isinstance(value, VersatileCallable):
-        return AbstractValue.CALLABLE
-    if isinstance(value, VersatileObject):
-        return AbstractValue.OBJECT
-    if isinstance(value, list):
-        return AbstractValue.LIST
-    if isinstance(value, tuple):
-        return AbstractValue.TUPLE
-    if isinstance(value, dict):
-        return AbstractValue.DICTIONARY
-    if isinstance(value, (set, frozenset)):
-        return AbstractValue.SET
-    return AbstractValue.OBJECT

@@ -39,10 +39,10 @@ from pairguard.frontend import make_pair  # noqa: E402
 from pairguard.predictor import HeuristicPredictor  # noqa: E402
 
 
-def _load_workloads():
-    # perfbench is a directory of scripts, not a package; load it read-only.
+def _load_perfbench(name: str):
+    # perfbench is a directory of scripts, not a package; load one read-only.
     spec = importlib.util.spec_from_file_location(
-        "_pairguard_workloads", ROOT / "perfbench" / "workloads.py"
+        f"_pairguard_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
@@ -54,7 +54,7 @@ def _pairs(seed: int, scratch: pathlib.Path):
     """(id, pair data, predictor) for the corpus and the seed's loops pairs."""
     for pair_id in _corpus.all_ids():
         yield pair_id, _corpus.load_pair_data(pair_id), _corpus.predictor_for(pair_id)
-    for case in _load_workloads().loops(scratch, seed).cases:
+    for case in _load_perfbench("workloads").loops(scratch, seed).cases:
         yield f"loops/{case.pair_id}", json.loads(case.path.read_text()), HeuristicPredictor()
 
 
@@ -121,7 +121,7 @@ def golden_path(seed: int) -> pathlib.Path:
 def batch_digest(seed: int) -> str:
     """sha256 of the CLI's JSON records for the seed's ``batch`` pairs."""
     with tempfile.TemporaryDirectory() as scratch:
-        workload = _load_workloads().batch(pathlib.Path(scratch), seed)
+        workload = _load_perfbench("workloads").batch(pathlib.Path(scratch), seed)
         out = pathlib.Path(scratch) / "out.jsonl"
         argv = ["analyze", str(workload.pair_dir), "--format", "json", "--seed", str(seed)]
         code = cli.main(argv + ["--predictor", workload.dir_predictor, "--out", str(out)])

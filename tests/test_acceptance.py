@@ -24,10 +24,10 @@ from pairguard.values import (
     VersatileObject,
     concretize,
     deep_copy,
-    kind_of,
     serialize,
     versatile_binop,
 )
+from test_values import kind_of
 
 EXEMPLARS = ("retry_meta", "magic_check", "categorical_dtype", "param_allowed")
 IDENTITY = [i for i in _corpus.all_ids() if i.startswith("identity_")]

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 import _runs
-from pairguard import EngineConfig, cli
+from pairguard import EngineConfig, cli, driver, engine, predictor
 from pairguard.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -355,3 +355,16 @@ class TestGoldenOutput:
         # run through the CLI with their table predictor.
         pinned = _runs.batch_digest_path(seed).read_text().strip()
         assert _runs.batch_digest(seed) == pinned
+
+
+def test_every_trace_target_resolves():
+    """Each entry point ``perfbench/tracer.py`` wraps, and the engine's
+    ``ast`` module through which it counts ``unparse``, still exists: the
+    traced benchmark reports any it cannot find as missing."""
+    tracer = _runs._load_perfbench("tracer").Tracer()
+    modules = {m.__name__: m for m in (cli, driver, engine, predictor)}
+    try:
+        tracer.install(modules)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []

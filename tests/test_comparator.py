@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from pairguard.comparator import (
     ABSTAIN,
     DIFFERENCE,
-    DIMENSIONS,
     EQUIVALENT,
     IterationResult,
     compare,
@@ -54,10 +53,6 @@ def intentional(type_name, *args):
 
 def unintended(type_name):
     return ExceptionValue(type_name)
-
-
-def test_dimension_vocabulary_is_fixed():
-    assert DIMENSIONS == ("exception", "state", "output", "calls")
 
 
 class TestResultInvariant:

@@ -10,20 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _runs
-from pairguard import analyze
+from pairguard import analyze, analyze_sources
 from pairguard.driver import EngineConfig
 from pairguard.comparator import ABSTAIN, EQUIVALENT, compare
 from pairguard.engine import (
     CallLogEntry,
     ComparisonProgram,
     ConsistencyMap,
+    _COMPARISONS,
     derive_seed,
     run_one,
     snapshot_injected,
 )
 from pairguard.frontend import extract_static_facts, make_pair
 from pairguard.predictor import Distribution, HeuristicPredictor, TablePredictor
-from pairguard.values import AbstractValue, VersatileObject, serialize
+from pairguard.values import (
+    AbstractValue,
+    VersatileCallable,
+    VersatileObject,
+    serialize,
+    versatile_binop,
+)
+from test_values import _OPERANDS
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "pairs"
 
@@ -991,11 +999,82 @@ class TestClosedProgramsAgreeWithCPython:
             "return super(print('a'), 1, 2)",
             "return isinstance(print('a'))",
             "return isinstance(print('a'), int, x=1)",
+            # Attribute stores: exceptions and functions keep them, other
+            # values refuse them.
+            "try:\n        raise ValueError(1)\n    except ValueError as e:\n"
+            "        e.note = 3\n        return e.note",
+            "def g():\n        return 1\n    g.body = 1\n    return g()",
+            "def g():\n        return 1\n    g.tag = 'x'\n    g.tag += 'y'\n"
+            "    return g.tag, g()",
+            "def g():\n        return 2\n    h = lambda: 1\n    h.run = g\n    return h.run()",
+            "try:\n        raise ValueError(1)\n    except ValueError as e:\n"
+            "        e.args = 5",
+            "u = 'a'.upper\n    u.note = 1\n    return 1",
+            "def g():\n        yield 1\n    it = g()\n    it.note = 1\n    return 1",
         ],
     )
     def test_matches_exec(self, body):
         source = f"def f():\n    {body}\n"
         assert engine_outcome(source) == cpython_outcome(source)
+
+
+class TestSubjectAttributeStores:
+    """Stores onto the engine's exception and function records reach the
+    subject's attributes, never the fields the engine reads."""
+
+    RERAISE = (
+        "def f():\n    try:\n        raise ValueError(1)\n    except ValueError as e:\n"
+        "        {store}\n        raise e\n"
+    )
+
+    def test_args_store_sets_the_raised_arguments(self):
+        out, _ = run_side(self.RERAISE.format(store="e.args = ('a', 2)"))
+        assert out.exception.intentional
+        assert serialize(out.exception) == "ValueError('a', 2)"
+
+    def test_non_iterable_args_is_an_unintended_type_error(self):
+        source = self.RERAISE.format(store="e.args = 5")
+        out, _ = run_side(source)
+        assert out.exception.type_name == "TypeError"
+        assert not out.exception.intentional
+        v = analyze_sources(source, source, cfg=EngineConfig(max_iterations=5))
+        assert v.abstained_iterations == v.iterations_run == 5
+
+    def test_intentional_is_a_subject_attribute(self):
+        source = self.RERAISE.format(store="e.intentional = False")
+        out, _ = run_side(source)
+        assert out.exception.intentional
+        v = analyze_sources(source, source, cfg=EngineConfig(max_iterations=5))
+        assert v.abstained_iterations == 0
+
+
+_VERSATILES = (VersatileObject(99), VersatileCallable(98))
+_COMPARED = [*_OPERANDS, False, VersatileCallable(13), VersatileObject(99)]
+
+
+@pytest.mark.parametrize("symbol", ["==", "!=", "<", "<=", ">", ">="])
+def test_comparison_with_a_versatile_is_its_total_op(symbol):
+    # The host operator reaches the versatile's own (or reflected) method.
+    test = _COMPARISONS[symbol]
+    for v in _VERSATILES:
+        for other in _COMPARED:
+            for a, b in ((v, other), (other, v)):
+                assert test(None, a, b) == bool(versatile_binop(symbol, a, b)), (a, b)
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        ("list(range(v))", [0]),
+        ("list(range(v, 3))", [1, 2]),
+        ("int(v), float(v), abs(v)", (1, 1.0, 1)),
+        ("enumerate(['a'], v)", [(1, "a")]),
+    ],
+)
+def test_builtin_takes_a_versatile_as_its_internal_int(expr, expected):
+    out, cm = run_side(f"def f(v):\n    return {expr}\n", predictor=pin(v=AbstractValue.OBJECT))
+    assert isinstance(cm.entries["v"][0], VersatileObject)
+    assert out.return_value == serialize(expected)
 
 
 class TestInjectedOperands:

@@ -469,14 +469,16 @@ def _ref_collect_side(fn, renamer: Renamer, facts: StaticFacts) -> None:
         facts.call_exception_map[path] = frozenset(existing | names)
 
 
-def _ref_static_facts(pair) -> StaticFacts:
+def _ref_static_facts(pair, renames: dict[str, str]) -> StaticFacts:
     facts = StaticFacts()
-    _ref_collect_side(pair.old, Renamer(pair.renames, "old"), facts)
-    _ref_collect_side(pair.new, Renamer(pair.renames, "new"), facts)
+    _ref_collect_side(pair.old, Renamer(renames, "old"), facts)
+    _ref_collect_side(pair.new, Renamer(renames, "new"), facts)
     return facts
 
 
-def assert_matches_reference(pair) -> None:
+def assert_matches_reference(pair, renames=None) -> None:
+    """The pair's recorded facts equal the reference walk's, for a pair made
+    with the rename map ``renames``."""
     for fn in (pair.old, pair.new):
         assert fn.is_generator == _ref_is_generator(fn.node)
         for node in ast.walk(fn.node):
@@ -484,7 +486,7 @@ def assert_matches_reference(pair) -> None:
             if isinstance(node, ast.FunctionDef):
                 assert (node in fn.generators) == _ref_is_generator(node)
     facts = extract_static_facts(pair)
-    ref = _ref_static_facts(pair)
+    ref = _ref_static_facts(pair, renames or {})
     assert facts.literals_int == ref.literals_int
     # repr keeps -0.0 apart from 0.0.
     assert [repr(v) for v in facts.literals_float] == [repr(v) for v in ref.literals_float]
@@ -881,16 +883,18 @@ def _pair_from(data):
 
 @pytest.mark.parametrize("pair_id", _corpus.all_ids())
 def test_fixture_pair_facts_match_reference(pair_id):
-    assert_matches_reference(_pair_from(_corpus.load_pair_data(pair_id)))
+    data = _corpus.load_pair_data(pair_id)
+    assert_matches_reference(_pair_from(data), data.get("renames"))
 
 
 @pytest.mark.parametrize("workload", ["loops", "batch"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_benchmark_pair_facts_match_reference(workload, seed, tmp_path):
-    cases = getattr(_runs._load_workloads(), workload)(tmp_path, seed).cases
+    cases = getattr(_runs._load_perfbench("workloads"), workload)(tmp_path, seed).cases
     assert cases
     for case in cases:
-        assert_matches_reference(_pair_from(json.loads(case.path.read_text())))
+        data = json.loads(case.path.read_text())
+        assert_matches_reference(_pair_from(data), data.get("renames"))
 
 
 class TestRecordedLiteralOrder:
@@ -1044,7 +1048,8 @@ _FUNCTIONS = _functions(_expressions(_LEAVES), _simple_statement(_expressions(_L
 @settings(max_examples=80, deadline=None)
 @given(_FUNCTIONS, _FUNCTIONS)
 def test_generated_function_facts_match_reference(old, new):
-    assert_matches_reference(make_pair(old, new, renames={"load": "fetch", "A": "B"}))
+    renames = {"load": "fetch", "A": "B"}
+    assert_matches_reference(make_pair(old, new, renames=renames), renames)
 
 
 # Expressions and statements outside the grammar (and break and continue,

@@ -22,7 +22,8 @@ def q(name, kind="variable-read", context=""):
 
 
 def top(dist):
-    return dist.argmax()
+    """The kind with the most weight; a tie goes to the earliest kind."""
+    return max(AbstractValue, key=dist.get)
 
 
 class TestInjectionQuery:
@@ -58,7 +59,7 @@ class TestDistribution:
 
     def test_argmax(self):
         d = Distribution({AbstractValue.STRING: 0.7, AbstractValue.LIST: 0.3})
-        assert d.argmax() == AbstractValue.STRING
+        assert top(d) == AbstractValue.STRING
 
     def test_sample_degenerate(self):
         d = Distribution({AbstractValue.TUPLE: 1.0})
@@ -312,15 +313,6 @@ class TestTablePredictor:
         # variable-read misses the table and the heuristic also says dict here,
         # so pin the route via a name only the table knows.
         assert (("variable-read", "meta") in pred.entries) is False
-
-    def test_custom_fallback(self, tmp_path):
-        class Fixed:
-            def predict(self, query):
-                return Distribution({AbstractValue.SET: 1.0})
-
-        path = self.good(tmp_path, [])
-        pred = load_table_predictor(path, fallback=Fixed())
-        assert top(pred.predict(q("whatever"))) == AbstractValue.SET
 
     @pytest.mark.parametrize(
         "payload",

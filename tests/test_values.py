@@ -14,10 +14,36 @@ from pairguard.values import (
     VersatileObject,
     concretize,
     deep_copy,
-    kind_of,
     serialize,
     versatile_binop,
 )
+
+
+def kind_of(value):
+    """Abstract kind of a concrete runtime value."""
+    if value is None:
+        return AbstractValue.NONE
+    if isinstance(value, bool):
+        return AbstractValue.BOOLEAN
+    if isinstance(value, int):
+        return AbstractValue.INTEGER
+    if isinstance(value, float):
+        return AbstractValue.FLOAT
+    if isinstance(value, str):
+        return AbstractValue.STRING
+    if isinstance(value, VersatileCallable):
+        return AbstractValue.CALLABLE
+    if isinstance(value, VersatileObject):
+        return AbstractValue.OBJECT
+    if isinstance(value, list):
+        return AbstractValue.LIST
+    if isinstance(value, tuple):
+        return AbstractValue.TUPLE
+    if isinstance(value, dict):
+        return AbstractValue.DICTIONARY
+    if isinstance(value, (set, frozenset)):
+        return AbstractValue.SET
+    return AbstractValue.OBJECT
 
 
 def matches_kind(value, kind):
