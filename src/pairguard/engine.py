@@ -23,6 +23,7 @@ import operator
 import random
 import re
 import string
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NoReturn, Optional
@@ -203,6 +204,51 @@ def _percent_size(fmt: str, args: Any) -> int:
             kind in _TRUNCATING,
         )
     return size
+
+
+# str.replace takes its count by keyword too from Python 3.13 on.
+_REPLACE_KEYWORDS = frozenset({"count"} if sys.version_info >= (3, 13) else ())
+_JOINABLE = frozenset({str, list, tuple, dict, set, frozenset})
+
+
+def _added_size(size: int, *parts: str) -> int:
+    """64-character words a str result of at most ``size`` characters adds
+    to the distinct strs ``parts`` it is built from."""
+    built = sum(len(p) for p in {id(p): p for p in parts}.values())
+    return max(size - built, 0) // 64
+
+
+def _replace_size(s: str, args: list, kwargs: dict) -> int:
+    """Words ``s.replace(*args, **kwargs)`` can add to ``s`` and its
+    replacement; 0 where the host will refuse the arguments."""
+    if len(args) == 2 and kwargs.keys() <= _REPLACE_KEYWORDS:
+        count = kwargs.get("count", -1)
+    elif len(args) == 3 and not kwargs:
+        count = args[2]
+    else:
+        return 0
+    old, new = args[0], args[1]
+    if type(old) is not str or type(new) is not str or not isinstance(count, int):
+        return 0
+    n = len(s) // len(old) if old else len(s) + 1
+    if count >= 0:
+        n = min(n, count)
+    return _added_size(len(s) + n * max(len(new) - len(old), 0), s, new)
+
+
+def _join_size(sep: str, args: list, kwargs: dict) -> int:
+    """Words ``sep.join(items)`` adds to ``sep`` and the items, for a str or a
+    collection of strs; 0 where the host will refuse the arguments."""
+    if len(args) != 1 or kwargs or type(args[0]) not in _JOINABLE:
+        return 0
+    items = args[0]
+    if not all(type(item) is str for item in items):
+        return 0
+    size = sum(map(len, items)) + len(sep) * max(len(items) - 1, 0)
+    return _added_size(size, sep, *items)
+
+
+_STR_RESULT_SIZES = {"replace": _replace_size, "join": _join_size}
 
 
 class _FormatSizer(string.Formatter):
@@ -517,7 +563,7 @@ class Interpreter:
     def run(self) -> ExecutionOutcome:
         fn = self.program.pair.old if self.side == "old" else self.program.pair.new
         root = _Env()
-        entry = FunctionValue(fn.name, list(fn.params), fn.body, root, fn.is_generator)
+        entry = FunctionValue(fn.name, fn.params, fn.body, root)
         root.vars[fn.name] = entry
         self.covered.add(fn.node.lineno)
         return_s: Optional[str] = None
@@ -542,17 +588,14 @@ class Interpreter:
         )
 
     def _epilogue(self, result: Any) -> str:
-        """Unwrap generator returns and probe returned functions once."""
+        """Probe a returned function once, then unwrap a generator."""
+        probed = result.name if isinstance(result, FunctionValue) else None
+        if probed is not None:
+            result = self._call_function(result, [], {}, allow_missing=True)
         if isinstance(result, GeneratorValue):
-            return serialize(list(result.take()))
-        if isinstance(result, FunctionValue):
-            inner = self._call_function(result, [], {}, allow_missing=True)
-            if isinstance(inner, GeneratorValue):
-                rendered = serialize(list(inner.take()))
-            else:
-                rendered = serialize(inner)
-            return f"<function {result.name}() -> {rendered}>"
-        return serialize(result)
+            result = list(result.take())
+        rendered = serialize(result)
+        return rendered if probed is None else f"<function {probed}() -> {rendered}>"
 
     # function calls
 
@@ -590,24 +633,20 @@ class Interpreter:
                     "TypeError",
                     f"{fv.name}() missing required argument {missing[0]!r}",
                 )
-            if fv.is_lambda:
-                return fv.body(self, env)
-            if fv.is_generator:
-                return GeneratorValue(materializer=lambda: self._materialize(fv, env))
             try:
-                fv.body(self, env)
+                return fv.body(self, env)
             except _Return as r:
                 return r.value
-            return None
         finally:
             self.call_depth -= 1
 
-    def _materialize(self, fv: FunctionValue, env: _Env) -> list:
+    def _materialize(self, block: Callable, env: _Env) -> list:
+        """The items a yielding def's statements ``block`` yield, up to the cap."""
         sink: list = []
         self.sinks.append(sink)
         try:
             try:
-                fv.body(self, env)
+                block(self, env)
             except (_Return, _StopMaterialize):
                 pass
         finally:
@@ -703,6 +742,8 @@ class Interpreter:
                 raise
             except Exception:
                 pass  # the host call below raises the subject's own error
+        elif name in _STR_RESULT_SIZES and type(receiver) is str:
+            self._charge(_STR_RESULT_SIZES[name](receiver, args, kwargs))
         result = self._host(getattr(receiver, name), *args, **kwargs)
         if isinstance(result, _VIEW_TYPES):
             return list(result)
@@ -989,28 +1030,12 @@ def static_callee_path(node: ast.expr, merge: Callable[[str], str]) -> Optional[
     return None
 
 
-def _render_class_name(node: ast.expr, merge: Callable[[str], str]) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return merge(node.id)
-    if isinstance(node, ast.Attribute):
-        base = _render_class_name(node.value, merge)
-        if base is None:
-            return None
-        return f"{base}.{merge(node.attr)}"
-    return None
-
-
 def isinstance_class_names(node: ast.expr, merge: Callable[[str], str]) -> list[str]:
-    """Class names named by the second argument of an isinstance call."""
-    if isinstance(node, ast.Tuple):
-        out = []
-        for e in node.elts:
-            r = _render_class_name(e, merge)
-            if r is not None:
-                out.append(r)
-        return out
-    r = _render_class_name(node, merge)
-    return [r] if r is not None else []
+    """Class names named by the second argument of an isinstance call: the
+    dotted paths among it (or its tuple's items) that go through no call."""
+    items = node.elts if isinstance(node, ast.Tuple) else [node]
+    paths = [static_callee_path(e, merge) for e in items]
+    return [p for p in paths if p is not None and "(" not in p]
 
 
 # Expression types whose compiled form can also hand back an access path.
@@ -1019,17 +1044,13 @@ _PATHED = frozenset({ast.Name, ast.Attribute, ast.Subscript, ast.Call})
 
 def compile_function(
     node: ast.FunctionDef, source: str, merge: Callable[[str], str], facts: StaticFacts
-) -> tuple[Callable, frozenset[ast.FunctionDef]]:
+) -> Callable:
     """Check one side's function against the subject-language grammar while
-    compiling its body, and record the side's static facts into ``facts``.
-
-    Returns the compiled body and every ``def`` (``node`` included) whose own
-    body yields. Names are merged through ``merge``. Raises ``SyntaxError``
-    at the first construct, in AST field order, outside the grammar.
+    compiling what a call of it runs, and record the side's static facts into
+    ``facts``. Names are merged through ``merge``. Raises ``SyntaxError`` at
+    the first construct, in AST field order, outside the grammar.
     """
-    compiler = _Compiler(source, merge, facts)
-    body = compiler.function_body(node)
-    return body, frozenset(compiler.generators)
+    return _Compiler(source, merge, facts).function_body(node)
 
 
 class _Compiler:
@@ -1042,7 +1063,7 @@ class _Compiler:
     compiled once and its children in AST field order, so rejections and the
     recorded literals come in that order: an assignment's target before its
     value, a dict's keys before its values, a comprehension's element before
-    its generators.
+    its ``for`` clauses.
 
     Every closure takes ``(rt, env)``: the run's ``Interpreter`` and the
     current scope. Whatever depends only on the node (line, merged names,
@@ -1066,10 +1087,10 @@ class _Compiler:
             str: facts.literals_str,
         }
         self.loop_depth = 0
+        # Whether the body of the def being compiled yields so far.
+        self.yields = False
         # The context node of the injection sites being compiled.
         self.context: Optional[ast.AST] = None
-        self.function: Optional[ast.FunctionDef] = None
-        self.generators: set[ast.FunctionDef] = set()
         # The callee paths of the calls in the try bodies being compiled,
         # innermost last.
         self.try_calls: list[list[str]] = []
@@ -1080,7 +1101,9 @@ class _Compiler:
     # dispatch
 
     def function_body(self, node: ast.FunctionDef) -> Callable:
-        """The compiled body of a ``def``, after checking its signature."""
+        """What a call of a ``def`` runs, after checking its signature: the
+        compiled body, or for a def whose own body yields, a closure that
+        returns the generator the body's walk materializes."""
         if node.decorator_list:
             self.reject(node, "decorators are not supported")
         if node.returns is not None:
@@ -1093,11 +1116,18 @@ class _Compiler:
         for arg in a.args:
             if arg.annotation is not None:
                 self.reject(arg, "parameter annotations are not supported")
-        outer = self.function, self.loop_depth
-        self.function, self.loop_depth = node, 0
+        outer = self.yields, self.loop_depth
+        self.yields, self.loop_depth = False, 0
         body = self.block(node.body)
-        self.function, self.loop_depth = outer
-        return body
+        yields = self.yields
+        self.yields, self.loop_depth = outer
+        if not yields:
+            return body
+
+        def generator(rt, env):
+            return GeneratorValue(materializer=lambda: rt._materialize(body, env))
+
+        return generator
 
     def block(self, stmts: list) -> Callable:
         compiled = tuple(self.stmt(s) for s in stmts)
@@ -1144,11 +1174,10 @@ class _Compiler:
         line = node.lineno
         name, params = node.name, [a.arg for a in node.args.args]
         body = self.function_body(node)
-        generator = node in self.generators
 
         def function_def(rt, env):
             _tick(rt, line)
-            env.vars[name] = FunctionValue(name, params, body, env, is_generator=generator)
+            env.vars[name] = FunctionValue(name, params, body, env)
 
         return function_def
 
@@ -1246,7 +1275,7 @@ class _Compiler:
     def compile_Expr(self, node: ast.Expr) -> Callable:
         line = node.lineno
         if isinstance(node.value, ast.Yield):
-            self.generators.add(self.function)
+            self.yields = True
             item = node.value.value
             value = self.expr(item) if item is not None else None
 
@@ -1786,7 +1815,7 @@ class _Compiler:
 
         def lambda_(rt, env):
             _tick(rt, line)
-            return FunctionValue("<lambda>", params, body, env, is_lambda=True)
+            return FunctionValue("<lambda>", params, body, env)
 
         return lambda_
 

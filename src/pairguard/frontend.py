@@ -4,9 +4,9 @@ The subject language is an indentation-blocked, dynamically typed language
 whose surface syntax is a strict subset of Python's, so parsing builds on the
 standard ``ast`` module. The engine's compiler then makes the one walk of
 each version: it rejects everything outside the supported grammar, compiles
-the body the engine runs, and records which functions yield and the static
-facts (literals, isinstance class arguments, calls guarded by ``try``) with
-names rename-merged. This module also computes changed lines between two
+what a call of the function runs, and records the static facts (literals,
+isinstance class arguments, calls guarded by ``try``) with names
+rename-merged. This module also computes changed lines between two
 versions, merges renamed identifiers, and unions the recorded facts of both
 versions into the ``StaticFacts`` the execution engine needs.
 """
@@ -25,18 +25,15 @@ from .engine import StaticFacts, compile_function, reject
 class SourceFunction:
     """One parsed function version, compiled.
 
-    ``body`` is the compiled body the engine runs. ``generators`` holds
-    every ``def`` (the root included) whose own body yields, and ``facts``
-    this version's static facts, names merged through its side's renamer.
+    ``body`` is the closure a call of the function runs, and ``facts`` this
+    version's static facts, names merged through its side's renamer.
     """
 
     name: str
     params: list[str]
     node: ast.FunctionDef
-    is_generator: bool
     code_lines: frozenset[int]
     body: Callable
-    generators: frozenset[ast.FunctionDef]
     facts: StaticFacts
 
 
@@ -88,15 +85,13 @@ def _parse_function(source: str, renamer: Renamer) -> SourceFunction:
         reject(node, "expected exactly one function definition", source)
     node = functions[0]
     facts = StaticFacts()
-    body, generators = compile_function(node, source, renamer.merge, facts)
+    body = compile_function(node, source, renamer.merge, facts)
     return SourceFunction(
         name=node.name,
         params=[a.arg for a in node.args.args],
         node=node,
-        is_generator=node in generators,
         code_lines=code_line_numbers(source),
         body=body,
-        generators=generators,
         facts=facts,
     )
 
@@ -136,8 +131,8 @@ def make_pair(
     values = list(renames.values())
     if len(set(values)) != len(values):
         raise ValueError("rename map values must be distinct")
-    for k, v in renames.items():
-        if not isinstance(k, str) or not isinstance(v, str):
+    for name in (*renames, *values):
+        if not isinstance(name, str) or not name.isidentifier():
             raise ValueError("rename map entries must be identifiers")
     old = parse_function(old_source, Renamer(renames, "old"))
     new = parse_function(new_source, Renamer(renames, "new"))

@@ -262,26 +262,18 @@ def versatile_binop(op: str, lhs: Any, rhs: Any) -> Any:
 class FunctionValue:
     """A function defined by the code under execution (or a lambda).
 
-    ``body`` is the engine's compiled form of it: a closure running the
-    statements, or for a lambda one returning the expression's value.
+    ``body`` is the engine's compiled form of it, the closure every call
+    runs: a lambda's returns the expression's value, a yielding def's its
+    generator, and a plain def's runs the statements, whose ``return`` the
+    engine catches.
     ``attrs`` holds the attributes subject code stores on it, by merged name.
     """
 
-    def __init__(
-        self,
-        name: str,
-        params: list[str],
-        body: Any,
-        env: Any,
-        is_generator: bool = False,
-        is_lambda: bool = False,
-    ):
+    def __init__(self, name: str, params: list[str], body: Any, env: Any):
         self.name = name
         self.params = params
         self.body = body
         self.env = env
-        self.is_generator = is_generator
-        self.is_lambda = is_lambda
         self.attrs: dict[str, Any] = {}
 
     def __deepcopy__(self, memo):

@@ -1011,11 +1011,67 @@ class TestClosedProgramsAgreeWithCPython:
             "        e.args = 5",
             "u = 'a'.upper\n    u.note = 1\n    return 1",
             "def g():\n        yield 1\n    it = g()\n    it.note = 1\n    return 1",
+            # Nested defs: a generator walked by its caller, and a generator
+            # that calls a plain def nested in it.
+            "def g(n):\n        yield n\n        yield n + 1\n    out = []\n"
+            "    for v in g(2):\n        out.append(v)\n    return out, list(g(5))",
+            "def g():\n        def h(v):\n            return v * 3\n"
+            "        yield h(1)\n        yield h(2)\n    return list(g())",
+            # Native str.replace and str.join, and the arguments the host
+            # refuses.
+            "return ','.join(('a', 'b')), '-'.join('xyz'), '/'.join({'k': 1}), ''.join([])",
+            "return 'aaa'.replace('a', 'bb', 2), 'ab'.replace('', '-'), 'ab'.replace('a', 'c', -1)",
+            "return 'a'.replace(1, 'b')",
+            "return 'ab'.replace('a', 'b', 'x')",
+            "return ','.join([1, 2])",
         ],
     )
     def test_matches_exec(self, body):
         source = f"def f():\n    {body}\n"
         assert engine_outcome(source) == cpython_outcome(source)
+
+    def test_returned_generator_function_is_probed(self):
+        # CPython's repr of a function has an address; the engine probes it.
+        source = "def f():\n    def g():\n        yield 1\n    return g\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        probed = f"<function g() -> {list(namespace['f']()())!r}>"
+        assert probed == "<function g() -> [1]>"
+        assert engine_outcome(source) == ("", probed, None)
+
+    def test_documented_divergences(self):
+        # README "Supported language": str() and print of a caught exception
+        # render it as repr does, and a list method outside NATIVE_METHODS is
+        # an external call that leaves the list as it was.
+        source = (
+            "def f():\n    try:\n        raise ValueError(1)\n    except ValueError as e:\n"
+            "        print(e)\n        msg = str(e)\n    xs = [3, 1]\n    xs.sort()\n"
+            "    return msg, xs\n"
+        )
+        assert cpython_outcome(source) == ("1\n", "('1', [1, 3])", None)
+        assert engine_outcome(source) == ("ValueError(1)\n", "('ValueError(1)', [3, 1])", None)
+
+
+class TestNativeStringResults:
+    """A native str.replace or str.join charges the characters its result
+    adds to the strings it is built from before the host builds it."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "s = 'a' * 1000\n" + "    s = s.replace('a', 'aaaaaaaaaa')\n" * 7 + "    return len(s)",
+            "s = 'a' * 10000\n    return len(s.replace('a', s))",
+            "s = 'a' * 50000\n    return len(','.join([s] * 40000))",
+            "return len(('x' * 50000).join('y' * 40000))",
+            "return len(('x' * 50000).join(set(str(i) for i in range(3000))))",
+        ],
+    )
+    def test_large_result_ends_on_the_step_budget(self, body):
+        source = f"def f():\n    {body}\n"
+        out, _ = run_side(source)
+        assert out.exception.type_name == "StepBudgetExceeded"
+        v = analyze_sources(source, source, cfg=EngineConfig(max_iterations=1))
+        assert v.abstained_iterations == v.iterations_run == 1
 
 
 class TestSubjectAttributeStores:

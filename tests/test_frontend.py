@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairguard.engine import isinstance_class_names, static_callee_path
+from pairguard.engine import _Env, isinstance_class_names, static_callee_path
 from pairguard.frontend import (
     Renamer,
     StaticFacts,
@@ -18,6 +18,7 @@ from pairguard.frontend import (
     make_pair,
     parse_function,
 )
+from pairguard.values import GeneratorValue
 
 
 def src(text):
@@ -151,17 +152,39 @@ def test_parse_result_fields():
     fn = parse_function("def add(a, b):\n    # sum\n    return a + b\n")
     assert fn.name == "add"
     assert fn.params == ["a", "b"]
-    assert fn.is_generator is False
     assert fn.code_lines == frozenset({1, 3})
+
+
+class _Touched(Exception):
+    pass
+
+
+class _Untouchable:
+    """An interpreter stand-in: reading any of its fields raises ``_Touched``."""
+
+    def __getattr__(self, name):
+        raise _Touched(name)
+
+
+def _compiled_yields(fn) -> bool:
+    """Whether a call of ``fn``'s compiled body returns a generator. A
+    yielding def's body hands one back without running a statement; a plain
+    def's runs its first statement, which charges a step to the interpreter."""
+    try:
+        result = fn.body(_Untouchable(), _Env())
+    except _Touched:
+        return False
+    assert isinstance(result, GeneratorValue)
+    return True
 
 
 def test_generator_detection_ignores_nested_defs():
     outer = parse_function(
         "def f():\n    def g():\n        yield 1\n    return g()\n"
     )
-    assert outer.is_generator is False
-    gen = parse_function("def f(n):\n    yield n\n")
-    assert gen.is_generator is True
+    assert _compiled_yields(outer) is False
+    gen = parse_function("def f(n):\n    def g():\n        return 1\n    yield n\n")
+    assert _compiled_yields(gen) is True
 
 
 def test_code_line_numbers_skips_blank_and_comments():
@@ -229,6 +252,13 @@ def test_make_pair_rejects_duplicate_rename_targets():
     s = "def f(a):\n    return a\n"
     with pytest.raises(ValueError):
         make_pair(s, s, renames={"x": "z", "y": "z"})
+
+
+@pytest.mark.parametrize("renames", [{"x": "y(z"}, {"a.b": "c"}, {"x": ""}, {1: "y"}])
+def test_make_pair_rejects_non_identifier_renames(renames):
+    s = "def f(a):\n    return a\n"
+    with pytest.raises(ValueError, match="must be identifiers"):
+        make_pair(s, s, renames=renames)
 
 
 def test_fixture_retry_pair_diff():
@@ -389,9 +419,10 @@ def test_identity_fixture_sources_parse(name):
 
 # ---------------------------------------------------------------------------
 # Reference: generator-ness and static facts as separate AST walks computed
-# them before the one walk of each side recorded them. The recorded facts must
-# equal these exactly, literal lists in order, because the literal pools feed
-# seeded sampling.
+# them before the one walk of each side settled them. The compiled body must
+# return a generator exactly when the function's own body yields, and the
+# recorded facts must equal these exactly, literal lists in order, because
+# the literal pools feed seeded sampling.
 
 
 def _ref_is_generator(node: ast.FunctionDef) -> bool:
@@ -480,11 +511,8 @@ def assert_matches_reference(pair, renames=None) -> None:
     """The pair's recorded facts equal the reference walk's, for a pair made
     with the rename map ``renames``."""
     for fn in (pair.old, pair.new):
-        assert fn.is_generator == _ref_is_generator(fn.node)
-        for node in ast.walk(fn.node):
-            # The engine reads a nested def's flag from ``generators``.
-            if isinstance(node, ast.FunctionDef):
-                assert (node in fn.generators) == _ref_is_generator(node)
+        # Nested defs are pinned by running them (tests/test_engine.py).
+        assert _compiled_yields(fn) == _ref_is_generator(fn.node)
     facts = extract_static_facts(pair)
     ref = _ref_static_facts(pair, renames or {})
     assert facts.literals_int == ref.literals_int
