@@ -110,10 +110,13 @@ def analyze(
 ) -> Verdict:
     """Run up to cfg.max_iterations paired executions and classify the change.
 
-    Stops early at the first behavioral difference. The verdict is
-    inconclusive when no difference was found and either no changed line was
-    ever reached or every iteration had to be abstained; a pair with no
-    changed lines at all trivially satisfies the reached condition.
+    Stops early at the first behavioral difference. An iteration in which
+    neither side drew from its iteration seed depends only on the pair, so
+    it is run once and counted for every remaining iteration (as abstained
+    ones, if it abstained). The verdict is inconclusive when no difference
+    was found and either no changed line was ever reached or every
+    iteration had to be abstained; a pair with no changed lines at all
+    trivially satisfies the reached condition.
     """
     cfg = cfg if cfg is not None else EngineConfig()
     cfg.validate()
@@ -142,12 +145,17 @@ def analyze(
         cum_new |= out_new.covered_lines
 
         result = compare(out_old, out_new)
-        if result.status == ABSTAIN:
-            abstained += 1
-            continue
         if result.status == DIFFERENCE:
             difference = result.detail
             dimension = result.dimension
+            break
+        # An iteration that drew nothing from its seed depends only on the
+        # pair, so every remaining iteration would repeat it exactly.
+        repeats = 1 if cmap.seeded else cfg.max_iterations - i
+        iterations_run = i + repeats
+        if result.status == ABSTAIN:
+            abstained += repeats
+        if not cmap.seeded:
             break
 
     reached_old = cum_old & pair.changed_lines_old

@@ -166,7 +166,7 @@ def _result_size(op: str, left: Any, right: Any) -> int:
 
 
 # One printf-style conversion: mapping key, flags, width, precision, type.
-_PERCENT_SPEC = r"(?s)%(?:\([^)]*\))?[-#0 +]*(\*|\d+)?(?:\.(\*|\d*))?[hlL]?(.)"
+_PERCENT_SPEC = r"(?s)%(?:\(([^)]*)\))?[-#0 +]*(\*|\d+)?(?:\.(\*|\d*))?[hlL]?(.)"
 # A format-spec mini-language string, as str.format hands it to format().
 _FORMAT_SPEC = r"(?s)(?:.?[<>=^])?[-+ ]?z?#?0?(\d*)[,_]?(?:\.(\d+))?(.?)"
 _TRUNCATING = frozenset("sra")
@@ -183,11 +183,12 @@ def _padding_size(width: Any, precision: Any, truncates: bool) -> int:
 
 def _percent_size(fmt: str, args: Any) -> int:
     """Words the widths and precisions of ``fmt % args`` can build, with
-    ``*`` values taken from the arguments; 0 where the host will refuse."""
+    ``*`` values taken from the arguments, and the str arguments its ``%s``,
+    ``%r`` and ``%a`` fields copy; 0 where the host will refuse."""
     values = args if type(args) is tuple else (args,)
     index = size = 0
     for match in re.finditer(_PERCENT_SPEC, fmt):
-        width, precision, kind = match.groups()
+        key, width, precision, kind = match.groups()
         if kind == "%":
             continue
         if width == "*":
@@ -197,6 +198,11 @@ def _percent_size(fmt: str, args: Any) -> int:
         if precision == "*":
             precision = values[index] if index < len(values) else None
             index += 1
+        arg = values[index] if index < len(values) else None
+        if key is not None and type(args) is dict:
+            arg = args.get(key)
+        if kind in _TRUNCATING and type(arg) is str:
+            size += len(arg) // 64
         index += 1
         size += _padding_size(
             int(width) if isinstance(width, str) and width else width,
@@ -253,21 +259,22 @@ _STR_RESULT_SIZES = {"replace": _replace_size, "join": _join_size}
 
 class _FormatSizer(string.Formatter):
     """Formats a ``str.format`` call as the host would, charging each
-    field's resolved width and precision, nested ``{}`` ones included, to
-    the step budget before the field is built."""
+    field's resolved width and precision, nested ``{}`` ones included, and
+    the str it copies to the step budget before the field is built."""
 
     def __init__(self, rt: "Interpreter"):
         super().__init__()
         self.rt = rt
 
     def format_field(self, value: Any, format_spec: str) -> Any:
+        size = len(value) // 64 if isinstance(value, str) else 0
         match = re.fullmatch(_FORMAT_SPEC, format_spec)
         if match is not None:
             width, precision, kind = match.groups()
             truncates = isinstance(value, str) and kind in ("", "s")
-            self.rt._charge(
-                _padding_size(int(width or 0), int(precision) if precision else None, truncates)
-            )
+            precision = int(precision) if precision else None
+            size += _padding_size(int(width or 0), precision, truncates)
+        self.rt._charge(size)
         return super().format_field(value, format_spec)
 
 
@@ -321,11 +328,13 @@ class ConsistencyMap:
 
     Keyed by merged access path; the first execution to touch a path creates
     the entry, a ``(v_old, v_new)`` pair of the sampled value and a deep
-    copy, so both sides see equal but non-interfering inputs.
+    copy, so both sides see equal but non-interfering inputs. ``seeded``
+    records whether either side drew from the iteration seed.
     """
 
     def __init__(self):
         self.entries: dict[str, tuple[Any, Any]] = {}
+        self.seeded = False
 
     def lookup_or_create(self, path: str, side: str, creator: Callable[[], Any]) -> Any:
         entry = self.entries.get(path)
@@ -522,6 +531,7 @@ class Interpreter:
     # plumbing
 
     def _stream(self, *key: Any) -> random.Random:
+        self.cmap.seeded = True
         return random.Random(derive_seed(self.iteration_seed, *key))
 
     def _charge(self, steps: int) -> None:

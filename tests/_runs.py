@@ -1,11 +1,13 @@
-"""Per-run fingerprints of every execution ``analyze`` makes, and a digest
+"""Per-run fingerprints of every run ``analyze`` accounts for, and a digest
 of the ``batch`` benchmark's CLI output.
 
 Fingerprints cover every corpus pair (with its table predictor, where it has
 one) and the ``loops`` benchmark pairs, at one seed. One line per pair: its
-id, how many single-side runs ``analyze`` made, their total steps, and a
-sha256 over each run's (side, steps, sorted covered lines, exception type and
-intentional flag, return value, stdout).
+id, how many single-side runs ``analyze`` accounts for, their total steps,
+and a sha256 over each run's (side, steps, sorted covered lines, exception
+type and intentional flag, return value, stdout). An iteration that read
+nothing from its seed is run once and counted for the remaining ones; its
+two runs are repeated here once for each iteration it stands for.
 
 The batch digest is a sha256 over ``pairguard analyze --format json`` on the
 seed's ``batch`` pairs with their table predictor, each record without its
@@ -13,7 +15,8 @@ seed's ``batch`` pairs with their table predictor, each record without its
 
 Regenerate the pinned files with ``python tests/_runs.py`` from the repo
 root; they are ``tests/fixtures/golden/runs_seed{0,7}.jsonl`` and
-``tests/fixtures/golden/batch_seed{0,7}.sha256``.
+``tests/fixtures/golden/batch_seed{0,7}.sha256``. ``python tests/_runs.py
+--check`` compares them instead, writes nothing and exits 1 on a mismatch.
 """
 
 from __future__ import annotations
@@ -51,11 +54,19 @@ def _load_perfbench(name: str):
 
 
 def _pairs(seed: int, scratch: pathlib.Path):
-    """(id, pair data, predictor) for the corpus and the seed's loops pairs."""
+    """(id, pair, predictor) for the corpus and the seed's loops pairs."""
+
+    def pair(data):
+        return make_pair(
+            data["old"], data["new"], renames=data.get("renames") or {},
+            entry=data.get("entry"),
+        )
+
     for pair_id in _corpus.all_ids():
-        yield pair_id, _corpus.load_pair_data(pair_id), _corpus.predictor_for(pair_id)
+        yield pair_id, pair(_corpus.load_pair_data(pair_id)), _corpus.predictor_for(pair_id)
     for case in _load_perfbench("workloads").loops(scratch, seed).cases:
-        yield f"loops/{case.pair_id}", json.loads(case.path.read_text()), HeuristicPredictor()
+        data = json.loads(case.path.read_text())
+        yield f"loops/{case.pair_id}", pair(data), HeuristicPredictor()
 
 
 def _record(runs: list) -> None:
@@ -88,13 +99,11 @@ def fingerprints(seed: int) -> list[str]:
     engine.Interpreter.run = recording
     try:
         with tempfile.TemporaryDirectory() as scratch:
-            for pair_id, data, predictor in _pairs(seed, pathlib.Path(scratch)):
+            for pair_id, pair, predictor in _pairs(seed, pathlib.Path(scratch)):
                 runs.clear()
-                pair = make_pair(
-                    data["old"], data["new"], renames=data.get("renames") or {},
-                    entry=data.get("entry"),
-                )
-                analyze(pair, EngineConfig(seed=seed), predictor=predictor)
+                verdict = analyze(pair, EngineConfig(seed=seed), predictor=predictor)
+                # The last iteration stands for any that were not run.
+                runs.extend(runs[-2:] * (verdict.iterations_run - len(runs) // 2))
                 digest = hashlib.sha256()
                 for run in runs:
                     digest.update(json.dumps(run).encode("utf-8") + b"\n")
@@ -140,8 +149,22 @@ def batch_digest_path(seed: int) -> pathlib.Path:
 
 
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit("usage: python tests/_runs.py [--check]")
+    mismatched = False
     for s in SEEDS:
-        golden_path(s).write_text("\n".join(fingerprints(s)) + "\n", encoding="utf-8")
-        print(f"wrote {golden_path(s)}")
-        batch_digest_path(s).write_text(batch_digest(s) + "\n", encoding="utf-8")
-        print(f"wrote {batch_digest_path(s)}")
+        pinned = {
+            golden_path(s): "\n".join(fingerprints(s)) + "\n",
+            batch_digest_path(s): batch_digest(s) + "\n",
+        }
+        for path, text in pinned.items():
+            if not check:
+                path.write_text(text, encoding="utf-8")
+                print(f"wrote {path.relative_to(ROOT)}")
+            elif path.read_text(encoding="utf-8") == text:
+                print(f"matches {path.relative_to(ROOT)}")
+            else:
+                print(f"differs from {path.relative_to(ROOT)}")
+                mismatched = True
+    sys.exit(1 if mismatched else 0)

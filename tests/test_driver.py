@@ -12,7 +12,9 @@ from pairguard import (
     EngineConfig,
     analyze,
     analyze_sources,
+    driver,
 )
+from pairguard.engine import ConsistencyMap
 from pairguard.frontend import make_pair
 from pairguard.predictor import Distribution, TablePredictor, load_table_predictor
 from pairguard.values import AbstractValue
@@ -321,6 +323,96 @@ class TestRegressions:
         v = analyze_sources(old, new, cfg=EngineConfig(seed=seed))
         assert v.classification == SEMANTICS_CHANGING
         assert v.difference_dimension in ("exception", "state")
+
+
+class _AlwaysSeeded(ConsistencyMap):
+    """A map that reports every iteration as seeded, so that ``analyze``
+    runs each iteration instead of counting one for the rest."""
+
+    seeded = property(lambda self: True, lambda self, value: None)
+
+
+class TestReplay:
+    """An iteration that drew nothing from its seed is run once and counted
+    for every remaining iteration, with the verdict of running them all."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        real = driver.run_one
+
+        def counting(side, *args):
+            calls.append(side)
+            return real(side, *args)
+
+        monkeypatch.setattr(driver, "run_one", counting)
+        return calls
+
+    @staticmethod
+    def every_iteration_run(monkeypatch, old, new, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(driver, "ConsistencyMap", _AlwaysSeeded)
+            return analyze_sources(old, new, cfg=cfg)
+
+    def test_exception_draw_alone_is_not_replayed(self, runs):
+        # Every call raises, so no return value is injected and the map
+        # stays empty, but the exception was drawn from the seed.
+        source = "def f():\n    try:\n        load()\n    except ValueError:\n        return -1\n"
+        cfg = EngineConfig(seed=0, max_iterations=5, exception_probability=1.0)
+        v = analyze_sources(source, source, cfg=cfg)
+        assert v.classification == LIKELY_PRESERVING
+        assert v.iterations_run == 5
+        assert len(runs) == 10
+
+    def test_seed_read_by_the_new_side_only_is_not_replayed(self, runs):
+        old = "def f(x):\n    return 1\n"
+        new = "def f(x):\n    y = x\n    return 1\n"
+        v = analyze_sources(old, new, cfg=EngineConfig(seed=0, max_iterations=5))
+        assert v.classification == LIKELY_PRESERVING
+        assert v.iterations_run == 5
+        assert len(runs) == 10
+
+    def test_closed_unintended_exception_abstains_every_iteration(self, runs, monkeypatch):
+        source = "def f():\n    return 1 + 'a'\n"
+        v = analyze_sources(source, source, cfg=EngineConfig(seed=0))
+        assert v.classification == INCONCLUSIVE
+        assert v.iterations_run == v.abstained_iterations == 300
+        assert runs == ["old", "new"]
+        assert v == self.every_iteration_run(monkeypatch, source, source, EngineConfig(seed=0))
+
+    def test_closed_endless_loop_is_run_once(self, runs, monkeypatch):
+        source = "def f():\n    while True:\n        pass\n"
+        v = analyze_sources(source, source, cfg=EngineConfig(seed=0))
+        assert v.classification == INCONCLUSIVE
+        assert v.iterations_run == v.abstained_iterations == 300
+        assert v.coverage.overall == 1.0
+        assert runs == ["old", "new"]
+        # Running every iteration takes 100,000 steps a side each; compare
+        # at a smaller budget.
+        cfg = EngineConfig(seed=0, max_iterations=3)
+        assert analyze_sources(source, source, cfg=cfg) == self.every_iteration_run(
+            monkeypatch, source, source, cfg
+        )
+
+    @pytest.mark.parametrize(
+        "old, new, classification",
+        [
+            (
+                "def f():\n    s = 0\n    for i in range(3):\n        s += i\n    return s\n",
+                "def f():\n    return 3\n",
+                LIKELY_PRESERVING,
+            ),
+            ("def f():\n    return 3\n", "def f():\n    return 4\n", SEMANTICS_CHANGING),
+            ("def f(x):\n    return x\n", "def f(x):\n    return x\n", LIKELY_PRESERVING),
+        ],
+    )
+    def test_single_iteration_budget(self, runs, monkeypatch, old, new, classification):
+        cfg = EngineConfig(seed=0, max_iterations=1)
+        v = analyze_sources(old, new, cfg=cfg)
+        assert v.classification == classification
+        assert v.iterations_run == 1
+        assert runs == ["old", "new"]
+        assert v == self.every_iteration_run(monkeypatch, old, new, cfg)
 
 
 class TestCoverageOfClauseLines:

@@ -17,6 +17,7 @@ from pairguard.engine import (
     CallLogEntry,
     ComparisonProgram,
     ConsistencyMap,
+    Interpreter,
     _COMPARISONS,
     derive_seed,
     run_one,
@@ -1054,7 +1055,8 @@ class TestClosedProgramsAgreeWithCPython:
 
 class TestNativeStringResults:
     """A native str.replace or str.join charges the characters its result
-    adds to the strings it is built from before the host builds it."""
+    adds to the strings it is built from, and a str.format or ``%`` field
+    the str it copies, before the host builds the result."""
 
     @pytest.mark.parametrize(
         "body",
@@ -1064,6 +1066,10 @@ class TestNativeStringResults:
             "s = 'a' * 50000\n    return len(','.join([s] * 40000))",
             "return len(('x' * 50000).join('y' * 40000))",
             "return len(('x' * 50000).join(set(str(i) for i in range(3000))))",
+            "s = 'a' * 30000\n    return ('{0}' * 20000).format(s)",
+            "s = 'a' * 30000\n    return ('%s' * 5000) % tuple([s] * 5000)",
+            "s = 'a' * 30000\n    return ('%(s)s' * 5000) % {'s': s}",
+            "s = 'a' * 30000\n    return ('%r' * 5000) % tuple([s] * 5000)",
         ],
     )
     def test_large_result_ends_on_the_step_budget(self, body):
@@ -1281,6 +1287,36 @@ def test_every_run_matches_its_pinned_fingerprint(seed):
     # to how the engine dispatches cannot move any of them unseen.
     golden = _runs.golden_path(seed).read_text().splitlines()
     assert _runs.fingerprints(seed) == golden
+
+
+@pytest.mark.parametrize("seed", _runs.SEEDS)
+def test_an_unseeded_iteration_repeats_in_every_later_one(seed, tmp_path, monkeypatch):
+    # analyze runs an iteration that drew nothing from its seed once and
+    # counts it for the rest, and the fingerprints above expand it so. Here
+    # every later iteration of such a pair runs for real, without the driver,
+    # and must leave the same fingerprints as the first.
+    runs: list = []
+    monkeypatch.setattr(Interpreter, "run", _runs._record(runs)[1])
+    cfg = EngineConfig(seed=seed)
+
+    def iteration(program, i):
+        runs.clear()
+        cmap = ConsistencyMap()
+        iteration_seed = derive_seed(seed, "iteration", i)
+        for side in ("old", "new"):
+            run_one(side, program, cmap, iteration_seed)
+        return cmap.seeded, list(runs)
+
+    unseeded = 0
+    for pair_id, pair, predictor in _runs._pairs(seed, tmp_path):
+        program = ComparisonProgram(pair, extract_static_facts(pair), cfg, predictor)
+        first = iteration(program, 0)
+        if first[0]:
+            continue
+        unseeded += 1
+        for i in range(1, cfg.max_iterations):
+            assert iteration(program, i) == first, f"{pair_id}, iteration {i}"
+    assert unseeded > 0
 
 
 def test_call_log_entry_render():
