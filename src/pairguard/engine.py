@@ -327,13 +327,17 @@ class ConsistencyMap:
     """Injected values shared by the two executions of one iteration.
 
     Keyed by merged access path; the first execution to touch a path creates
-    the entry, a ``(v_old, v_new)`` pair of the sampled value and a deep
-    copy, so both sides see equal but non-interfering inputs. ``seeded``
-    records whether either side drew from the iteration seed.
+    the entry ``(v_old, v_new, rendered)``. ``v_old`` is the sampled value
+    and ``v_new`` a deep copy of it, so both sides see equal but
+    non-interfering inputs. When the copy is the value itself (an atom, or a
+    tuple of atoms: nothing a run can change), ``rendered`` keeps the
+    rendering made to check the copy, and the snapshot reuses it; otherwise
+    it is None. ``seeded`` records whether either side drew from the
+    iteration seed.
     """
 
     def __init__(self):
-        self.entries: dict[str, tuple[Any, Any]] = {}
+        self.entries: dict[str, tuple[Any, Any, Optional[str]]] = {}
         self.seeded = False
 
     def lookup_or_create(self, path: str, side: str, creator: Callable[[], Any]) -> Any:
@@ -341,9 +345,10 @@ class ConsistencyMap:
         if entry is None:
             v_old = creator()
             v_new = deep_copy(v_old)
-            if serialize(v_old) != serialize(v_new):
+            rendered = serialize(v_old)
+            if rendered != serialize(v_new):
                 raise RuntimeError(f"consistency violation at {path!r}")
-            entry = (v_old, v_new)
+            entry = (v_old, v_new, rendered if v_new is v_old else None)
             self.entries[path] = entry
         return entry[0] if side == "old" else entry[1]
 
@@ -351,7 +356,10 @@ class ConsistencyMap:
 def snapshot_injected(cmap: ConsistencyMap, side: str) -> dict[str, str]:
     """Serialized final value of every injected path, for one side."""
     index = 0 if side == "old" else 1
-    return {path: serialize(entry[index]) for path, entry in cmap.entries.items()}
+    return {
+        path: serialize(entry[index]) if entry[2] is None else entry[2]
+        for path, entry in cmap.entries.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -425,6 +433,10 @@ class ComparisonProgram:
         }
         self._contexts: dict[ast.AST, str] = {}
         self._distributions: dict[tuple[str, str, str], Distribution] = {}
+        # The one generator every keyed draw of the analysis reseeds, which
+        # gives the draws a new generator with that seed would give; its own
+        # seed is never drawn from.
+        self.rng = random.Random(0)
 
     def context(self, node: ast.AST) -> str:
         """Source text of a node, capped, as handed to the predictor."""
@@ -531,8 +543,12 @@ class Interpreter:
     # plumbing
 
     def _stream(self, *key: Any) -> random.Random:
+        """The program's generator, reseeded for the draws keyed by ``key``;
+        a caller finishes its draws before anything can reseed it again."""
         self.cmap.seeded = True
-        return random.Random(derive_seed(self.iteration_seed, *key))
+        rng = self.program.rng
+        rng.seed(derive_seed(self.iteration_seed, *key))
+        return rng
 
     def _charge(self, steps: int) -> None:
         """Charge the size of a host result before the host builds it."""
@@ -587,6 +603,9 @@ class Interpreter:
             exception = ExceptionValue("StepBudgetExceeded")
         except RecursionError:
             exception = ExceptionValue("RecursionError")
+        # The root binding closes the one cycle every run makes (the entry's
+        # env is root); without it, the run is freed by reference counting.
+        root.vars.clear()
         return ExecutionOutcome(
             side=self.side,
             return_value=return_s,

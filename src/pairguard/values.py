@@ -355,79 +355,209 @@ def serialize(value: Any, _depth: int = 0, _seen: Optional[set] = None) -> str:
     Sets and dictionary keys are ordered by their serialized form so the
     output never depends on hash seeds or insertion order. Recursion is
     bounded: cycles render as ``<cycle>`` and depth beyond the cap as
-    ``<depth>``.
+    ``<depth>``. Each type renders through its entry in ``_RENDERERS``; a
+    type without one renders as its nearest listed base, else as ``<Name>``.
     """
     if _depth > _SERIALIZE_DEPTH_CAP:
         return "<depth>"
-    if _seen is None:
-        _seen = set()
-    if value is None:
-        return "None"
-    if isinstance(value, bool):
+    cls = type(value)
+    render = _RENDERERS.get(cls)
+    if render is None:
+        render = next(
+            (_RENDERERS[base] for base in cls.__mro__[1:] if base in _RENDERERS),
+            _render_unknown,
+        )
+    return render(value, _depth, _seen)
+
+
+def _render_repr(value: Any, depth: int, seen: Optional[set]) -> str:
+    return repr(value)
+
+
+def _render_int(value: int, depth: int, seen: Optional[set]) -> str:
+    try:
         return repr(value)
-    if isinstance(value, (int, float, str)):
-        try:
-            return repr(value)
-        except ValueError:  # an int past the host's decimal digit limit
-            return hex(value)
-    if isinstance(value, range):
-        return repr(value)
-    if isinstance(value, VersatileObject):
-        if id(value) in _seen:
-            return "<cycle>"
-        _seen.add(id(value))
-        try:
-            attrs = ", ".join(
-                f"{k}: {serialize(v, _depth + 1, _seen)}"
-                for k, v in sorted(value.stored.items())
-            )
-            return (
-                f"{type(value).__name__}(seed={value.seed}, "
-                f"assigned_type={value.assigned_type!r}, attrs={{{attrs}}})"
-            )
-        finally:
-            _seen.discard(id(value))
-    if isinstance(value, (list, tuple, dict, set, frozenset)):
-        if id(value) in _seen:
-            return "<cycle>"
-        _seen.add(id(value))
-        try:
-            if isinstance(value, list):
-                return "[" + ", ".join(serialize(v, _depth + 1, _seen) for v in value) + "]"
-            if isinstance(value, tuple):
-                inner = [serialize(v, _depth + 1, _seen) for v in value]
-                if len(inner) == 1:
-                    return f"({inner[0]},)"
-                return "(" + ", ".join(inner) + ")"
-            if isinstance(value, dict):
-                pairs = sorted(
-                    (serialize(k, _depth + 1, _seen), serialize(v, _depth + 1, _seen))
-                    for k, v in value.items()
-                )
-                return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
-            items = sorted(serialize(v, _depth + 1, _seen) for v in value)
-            if not items:
-                return "set()"
-            return "{" + ", ".join(items) + "}"
-        finally:
-            _seen.discard(id(value))
-    if isinstance(value, ExceptionValue):
-        args = ", ".join(serialize(a, _depth + 1, _seen) for a in value.args)
-        return f"{value.type_name}({args})"
-    if isinstance(value, FunctionValue):
-        return f"<function {value.name}>"
-    if isinstance(value, GeneratorValue):
-        return "<generator>"
-    if isinstance(value, BoundMethod):
-        return f"<method {value.name}>"
-    if isinstance(value, BuiltinFunction):
-        return f"<builtin {value.name}>"
+    except ValueError:  # an int past the host's decimal digit limit
+        return hex(value)
+
+
+def _render_unknown(value: Any, depth: int, seen: Optional[set]) -> str:
     return f"<{type(value).__name__}>"
 
 
+def _guarded(render: Callable[[Any, int, set], str]) -> Callable[[Any, int, Optional[set]], str]:
+    """A container's renderer behind the cycle guard: ``seen`` holds the ids
+    of the containers being rendered further up, and the first container met
+    allocates it."""
+
+    def guarded(value: Any, depth: int, seen: Optional[set]) -> str:
+        if seen is None:
+            seen = set()
+        elif id(value) in seen:
+            return "<cycle>"
+        seen.add(id(value))
+        try:
+            return render(value, depth, seen)
+        finally:
+            seen.discard(id(value))
+
+    return guarded
+
+
+@_guarded
+def _render_versatile(value: VersatileObject, depth: int, seen: set) -> str:
+    attrs = ", ".join(
+        f"{k}: {serialize(v, depth + 1, seen)}" for k, v in sorted(value.stored.items())
+    )
+    return (
+        f"{type(value).__name__}(seed={value.seed}, "
+        f"assigned_type={value.assigned_type!r}, attrs={{{attrs}}})"
+    )
+
+
+@_guarded
+def _render_list(value: list, depth: int, seen: set) -> str:
+    return "[" + ", ".join([serialize(v, depth + 1, seen) for v in value]) + "]"
+
+
+@_guarded
+def _render_tuple(value: tuple, depth: int, seen: set) -> str:
+    inner = [serialize(v, depth + 1, seen) for v in value]
+    if len(inner) == 1:
+        return f"({inner[0]},)"
+    return "(" + ", ".join(inner) + ")"
+
+
+@_guarded
+def _render_dict(value: dict, depth: int, seen: set) -> str:
+    pairs = sorted(
+        (serialize(k, depth + 1, seen), serialize(v, depth + 1, seen)) for k, v in value.items()
+    )
+    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+
+
+@_guarded
+def _render_set(value: set | frozenset, depth: int, seen: set) -> str:
+    items = sorted([serialize(v, depth + 1, seen) for v in value])
+    if not items:
+        return "set()"
+    return "{" + ", ".join(items) + "}"
+
+
+def _render_exception(value: ExceptionValue, depth: int, seen: Optional[set]) -> str:
+    args = ", ".join(serialize(a, depth + 1, seen) for a in value.args)
+    return f"{value.type_name}({args})"
+
+
+_RENDERERS: dict[type, Callable[[Any, int, Optional[set]], str]] = {
+    type(None): _render_repr,
+    bool: _render_repr,
+    int: _render_int,
+    float: _render_repr,
+    str: _render_repr,
+    range: _render_repr,
+    VersatileObject: _render_versatile,
+    VersatileCallable: _render_versatile,
+    list: _render_list,
+    tuple: _render_tuple,
+    dict: _render_dict,
+    set: _render_set,
+    frozenset: _render_set,
+    ExceptionValue: _render_exception,
+    FunctionValue: lambda value, depth, seen: f"<function {value.name}>",
+    GeneratorValue: lambda value, depth, seen: "<generator>",
+    BoundMethod: lambda value, depth, seen: f"<method {value.name}>",
+    BuiltinFunction: lambda value, depth, seen: f"<builtin {value.name}>",
+}
+
+
+# Values deep_copy hands back as they are, as copy.deepcopy does: immutable
+# atoms, and function and generator values, which are shared by reference.
+# None of them renders differently after a run, whatever the run did.
+_SHARED = frozenset({type(None), bool, int, float, str, range, FunctionValue, GeneratorValue})
+_MISSING = object()
+
+
 def deep_copy(value: Any) -> Any:
-    """Deep copy honoring the by-reference semantics of function values."""
-    return copy.deepcopy(value)
+    """Deep copy with ``copy.deepcopy``'s result, copied by type.
+
+    Atoms, lists, tuples, dicts, sets and versatile objects are copied
+    directly; anything else goes to ``copy.deepcopy`` with the same memo. The
+    memo, keyed by ``id``, keeps aliasing and cycles as ``copy.deepcopy``
+    does: a value a versatile stores is one copy in ``attrs`` and ``stored``.
+    Like ``copy.deepcopy``, a tuple whose items all copy to themselves comes
+    back as the same object, and function and generator values are kept by
+    reference.
+    """
+    if type(value) in _SHARED:
+        return value
+    return _copy(value, {})
+
+
+def _copy(value: Any, memo: dict) -> Any:
+    cls = type(value)
+    if cls in _SHARED:
+        return value
+    copied = memo.get(id(value), _MISSING)
+    if copied is not _MISSING:
+        return copied
+    copier = _COPIERS.get(cls)
+    if copier is None:
+        return copy.deepcopy(value, memo)
+    return copier(value, memo)
+
+
+def _copy_list(value: list, memo: dict) -> list:
+    out: list = []
+    memo[id(value)] = out
+    out.extend([_copy(v, memo) for v in value])
+    return out
+
+
+def _copy_tuple(value: tuple, memo: dict) -> tuple:
+    items = [_copy(v, memo) for v in value]
+    # A cycle through a mutable item may have copied this tuple already.
+    copied = memo.get(id(value), _MISSING)
+    if copied is not _MISSING:
+        return copied
+    if all(a is b for a, b in zip(items, value)):
+        return value
+    out = tuple(items)
+    memo[id(value)] = out
+    return out
+
+
+def _copy_dict(value: dict, memo: dict) -> dict:
+    out: dict = {}
+    memo[id(value)] = out
+    for k, v in value.items():
+        out[_copy(k, memo)] = _copy(v, memo)
+    return out
+
+
+def _copy_set(value: set, memo: dict) -> set:
+    # Like copy.deepcopy, a set is built from its copied items, then memoized.
+    out = set([_copy(v, memo) for v in value])
+    memo[id(value)] = out
+    return out
+
+
+def _copy_versatile(value: VersatileObject, memo: dict) -> VersatileObject:
+    cls = type(value)
+    out = cls.__new__(cls)
+    memo[id(value)] = out
+    out.__dict__.update([(k, _copy(v, memo)) for k, v in value.__dict__.items()])
+    return out
+
+
+_COPIERS: dict[type, Callable[[Any, dict], Any]] = {
+    list: _copy_list,
+    tuple: _copy_tuple,
+    dict: _copy_dict,
+    set: _copy_set,
+    VersatileObject: _copy_versatile,
+    VersatileCallable: _copy_versatile,
+}
 
 
 def sorted_iter(value: set | frozenset) -> list:

@@ -27,7 +27,7 @@ from pairguard.values import (
     serialize,
     versatile_binop,
 )
-from test_values import kind_of
+from test_values import _random_value, kind_of
 
 EXEMPLARS = ("retry_meta", "magic_check", "categorical_dtype", "param_allowed")
 IDENTITY = [i for i in _corpus.all_ids() if i.startswith("identity_")]
@@ -144,24 +144,6 @@ def test_3_rename_suite():
         True,
         f"10 rename pairs preserving with maps; {diverged_without_map}/10 diverge without maps",
     )
-
-
-def _random_value(rng, depth=0):
-    roll = rng.random()
-    if depth >= 3 or roll < 0.45:
-        return rng.choice(
-            [None, True, False, rng.randrange(-50, 50), rng.random() * 10, "s" * rng.randrange(3)]
-        )
-    if roll < 0.60:
-        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
-    if roll < 0.72:
-        return {f"k{i}": _random_value(rng, depth + 1) for i in range(rng.randrange(3))}
-    if roll < 0.82:
-        return tuple(_random_value(rng, depth + 1) for _ in range(rng.randrange(3)))
-    obj = VersatileObject(rng.randrange(2**32), rng.choice([None, "Node", "Request"]))
-    if rng.random() < 0.5:
-        obj.store("field", _random_value(rng, depth + 1))
-    return obj
 
 
 def _mutate(value, rng):

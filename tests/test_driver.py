@@ -1,8 +1,12 @@
+import ast
+import gc
 import json
 import pathlib
 import time
 
 import pytest
+
+import _corpus
 
 from pairguard import (
     INCONCLUSIVE,
@@ -207,6 +211,33 @@ def test_whole_corpus_verdicts_at_seed_zero():
         if verdict.classification != want:
             mismatches.append((pair_id, verdict.classification, want))
     assert mismatches == []
+
+
+def _defines_one_function(source):
+    nodes = ast.walk(ast.parse(source))
+    return sum(isinstance(n, (ast.FunctionDef, ast.Lambda)) for n in nodes) == 1
+
+
+FLAT_PAIRS = [
+    pair_id
+    for pair_id in _corpus.all_ids()
+    if all(_defines_one_function(_corpus.load_pair_data(pair_id)[side]) for side in ("old", "new"))
+]
+
+
+@pytest.mark.parametrize("pair_id", FLAT_PAIRS)
+def test_runs_without_nested_functions_leave_no_cyclic_garbage(pair_id):
+    # Every run binds its entry function in a root environment that the
+    # function refers back to; the engine unbinds it when the run ends, so
+    # reference counting frees the run, its injected values included.
+    gc.collect()
+    gc.disable()
+    try:
+        _corpus.analyze_fixture(pair_id, cfg=EngineConfig(seed=0, max_iterations=20))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def test_analyze_sources_convenience():

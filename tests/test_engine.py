@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _runs
-from pairguard import analyze, analyze_sources
+from pairguard import analyze, analyze_sources, engine
 from pairguard.driver import EngineConfig
 from pairguard.comparator import ABSTAIN, EQUIVALENT, compare
 from pairguard.engine import (
@@ -150,6 +150,69 @@ class TestConsistencyMap:
         for key in ("z", "a", "m"):
             cm.lookup_or_create(key, "old", lambda: 0)
         assert list(snapshot_injected(cm, "old")) == ["z", "a", "m"]
+
+
+    def test_an_unchangeable_value_keeps_its_first_rendering(self):
+        cm = ConsistencyMap()
+        cm.lookup_or_create("n", "old", lambda: 3)
+        cm.lookup_or_create("t", "old", lambda: (1, "a"))
+        cm.lookup_or_create("xs", "old", lambda: [1])
+        assert cm.entries["n"] == (3, 3, "3")
+        assert cm.entries["t"][2] == "(1, 'a')"
+        assert cm.entries["xs"][2] is None
+
+
+class TestSnapshotReuse:
+    """The snapshot renders again only what a run could have changed."""
+
+    @staticmethod
+    def counted_snapshots(monkeypatch, old, new, **kinds):
+        out_old, out_new, cmap = run_pair(old, new, predictor=pin(**kinds))
+        rendered = []
+        real = engine.serialize
+
+        def counting(value, *args):
+            rendered.append(value)
+            return real(value, *args)
+
+        monkeypatch.setattr(engine, "serialize", counting)
+        snapshots = snapshot_injected(cmap, "old"), snapshot_injected(cmap, "new")
+        return snapshots, rendered, cmap
+
+    def test_injected_ints_are_not_rendered_again(self, monkeypatch):
+        (old, new), rendered, cmap = self.counted_snapshots(
+            monkeypatch,
+            "def f():\n    return a + b\n",
+            "def f():\n    return b + a\n",
+            a=AbstractValue.INTEGER,
+            b=AbstractValue.INTEGER,
+        )
+        assert rendered == []
+        assert list(old) == ["a", "b"]
+        assert old == new == {path: serialize(entry[0]) for path, entry in cmap.entries.items()}
+
+    def test_an_injected_list_is_rendered_again_on_each_side(self, monkeypatch):
+        (old, new), rendered, cmap = self.counted_snapshots(
+            monkeypatch,
+            "def f():\n    return len(xs)\n",
+            "def f():\n    xs.append(1)\n    return len(xs) - 1\n",
+            xs=AbstractValue.LIST,
+        )
+        v_old, v_new, _ = cmap.entries["xs"]
+        assert rendered == [v_old, v_new]
+        assert v_new == v_old + [1]
+        assert (old, new) == ({"xs": serialize(v_old)}, {"xs": serialize(v_new)})
+
+    def test_a_mutated_injected_list_reports_the_same_state_detail(self):
+        verdict = analyze_sources(
+            "def f():\n    return len(xs)\n",
+            "def f():\n    xs.append(1)\n    return len(xs) - 1\n",
+            cfg=EngineConfig(seed=0),
+            predictor=pin(xs=AbstractValue.LIST),
+        )
+        assert verdict.iterations_run == 1
+        assert verdict.difference_dimension == "state"
+        assert verdict.difference == "dimension: state\npath: xs\nold: []\nnew: [1]"
 
 
 class TestInjection:

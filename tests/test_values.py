@@ -1,3 +1,5 @@
+import collections
+import copy
 import random
 import sys
 
@@ -9,7 +11,12 @@ from pairguard.values import (
     HARD_INT_POOL,
     HARD_STR_POOL,
     AbstractValue,
+    BoundMethod,
+    BuiltinFunction,
     ConcretizerConfig,
+    ExceptionValue,
+    FunctionValue,
+    GeneratorValue,
     VersatileCallable,
     VersatileObject,
     concretize,
@@ -58,6 +65,26 @@ def matches_kind(value, kind):
 
 def obj(seed=7, assigned=None):
     return VersatileObject(seed, assigned)
+
+
+def _random_value(rng, depth=0):
+    """A random injected-style value: atoms, lists, dicts, tuples and
+    versatile objects, some with a stored field."""
+    roll = rng.random()
+    if depth >= 3 or roll < 0.45:
+        return rng.choice(
+            [None, True, False, rng.randrange(-50, 50), rng.random() * 10, "s" * rng.randrange(3)]
+        )
+    if roll < 0.60:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if roll < 0.72:
+        return {f"k{i}": _random_value(rng, depth + 1) for i in range(rng.randrange(3))}
+    if roll < 0.82:
+        return tuple(_random_value(rng, depth + 1) for _ in range(rng.randrange(3)))
+    obj = VersatileObject(rng.randrange(2**32), rng.choice([None, "Node", "Request"]))
+    if rng.random() < 0.5:
+        obj.store("field", _random_value(rng, depth + 1))
+    return obj
 
 
 class TestVersatileArithmetic:
@@ -297,6 +324,418 @@ def test_mutating_the_copy_never_touches_the_original(value, seed):
         elif isinstance(c, dict):
             c[rng.choice("abcd")] = rng.randrange(10)
     assert serialize(value) == before
+
+
+# The isinstance chain serialize was before it dispatched on type(value); the
+# table form must render every value exactly as this does.
+def _reference_serialize(value, _depth=0, _seen=None):
+    if _depth > 16:
+        return "<depth>"
+    if _seen is None:
+        _seen = set()
+    if value is None:
+        return "None"
+    if isinstance(value, bool):
+        return repr(value)
+    if isinstance(value, (int, float, str)):
+        try:
+            return repr(value)
+        except ValueError:
+            return hex(value)
+    if isinstance(value, range):
+        return repr(value)
+    if isinstance(value, VersatileObject):
+        if id(value) in _seen:
+            return "<cycle>"
+        _seen.add(id(value))
+        try:
+            attrs = ", ".join(
+                f"{k}: {_reference_serialize(v, _depth + 1, _seen)}"
+                for k, v in sorted(value.stored.items())
+            )
+            return (
+                f"{type(value).__name__}(seed={value.seed}, "
+                f"assigned_type={value.assigned_type!r}, attrs={{{attrs}}})"
+            )
+        finally:
+            _seen.discard(id(value))
+    if isinstance(value, (list, tuple, dict, set, frozenset)):
+        if id(value) in _seen:
+            return "<cycle>"
+        _seen.add(id(value))
+        try:
+            if isinstance(value, list):
+                return "[" + ", ".join(_reference_serialize(v, _depth + 1, _seen) for v in value) + "]"
+            if isinstance(value, tuple):
+                inner = [_reference_serialize(v, _depth + 1, _seen) for v in value]
+                if len(inner) == 1:
+                    return f"({inner[0]},)"
+                return "(" + ", ".join(inner) + ")"
+            if isinstance(value, dict):
+                pairs = sorted(
+                    (_reference_serialize(k, _depth + 1, _seen), _reference_serialize(v, _depth + 1, _seen))
+                    for k, v in value.items()
+                )
+                return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+            items = sorted(_reference_serialize(v, _depth + 1, _seen) for v in value)
+            if not items:
+                return "set()"
+            return "{" + ", ".join(items) + "}"
+        finally:
+            _seen.discard(id(value))
+    if isinstance(value, ExceptionValue):
+        args = ", ".join(_reference_serialize(a, _depth + 1, _seen) for a in value.args)
+        return f"{value.type_name}({args})"
+    if isinstance(value, FunctionValue):
+        return f"<function {value.name}>"
+    if isinstance(value, GeneratorValue):
+        return "<generator>"
+    if isinstance(value, BoundMethod):
+        return f"<method {value.name}>"
+    if isinstance(value, BuiltinFunction):
+        return f"<builtin {value.name}>"
+    return f"<{type(value).__name__}>"
+
+
+class _Count(int):
+    """A host int subclass: renders as its nearest listed base."""
+
+
+def _nested(depth, wrap):
+    value = 1
+    for _ in range(depth):
+        value = wrap(value)
+    return value
+
+
+def _stored_chain(depth):
+    head = VersatileObject(0)
+    node = head
+    for i in range(1, depth):
+        nxt = VersatileObject(i)
+        node.store("next", nxt)
+        node = nxt
+    return head
+
+
+def _cycles():
+    xs = [1]
+    xs.append(xs)
+    d = {"a": 1}
+    d["self"] = d
+    o = VersatileObject(3, "Node")
+    o.store("me", o)
+    # list -> dict -> versatile -> list
+    ring = [0]
+    inner = {"k": VersatileObject(4)}
+    inner["k"].store("back", ring)
+    ring.append(inner)
+    return [xs, d, o, ring]
+
+
+def _exception_args():
+    looped = []
+    exc = ExceptionValue("KeyError", ["k", [1, (2,)], VersatileObject(3), looped])
+    looped.append(exc)
+    return [exc, ExceptionValue("ValueError"), ExceptionValue("E", [True, 1])]
+
+
+_SERIALIZE_CASES = [
+    True,
+    1,
+    False,
+    0,
+    [True, 1, False, 0],
+    {True: 1, 0: False},
+    10**5000,
+    -(10**5000),
+    [10**5000, (10**5000,)],
+    _Count(5),
+    _nested(40, lambda v: [v]),
+    _nested(17, lambda v: [v]),
+    _nested(16, lambda v: [v]),
+    _nested(30, lambda v: {"k": v}),
+    _nested(20, lambda v: (v,)),
+    _nested(20, lambda v: frozenset([v])),
+    _stored_chain(25),
+    *_cycles(),
+    *_exception_args(),
+    FunctionValue("helper", ["x"], None, None),
+    GeneratorValue(items=[1, 2]),
+    BoundMethod([1], "append"),
+    BuiltinFunction("len"),
+    range(0, 3),
+    set(),
+    frozenset(),
+    {3, 1, 2},
+    (1,),
+    (),
+    float("nan"),
+    -0.0,
+    "quote's",
+    object(),
+    b"raw",
+    1j,
+    slice(1, 2),
+    collections.OrderedDict(b=1, a=2),
+    VersatileCallable(9, "Client"),
+]
+
+
+@pytest.mark.parametrize("value", _SERIALIZE_CASES, ids=lambda v: type(v).__name__)
+def test_serialize_matches_the_isinstance_chain(value):
+    assert serialize(value) == _reference_serialize(value)
+
+
+class TestSerializeEdges:
+    def test_bool_and_int_render_apart(self):
+        assert serialize(True) == "True" and serialize(1) == "1"
+
+    def test_int_past_the_digit_limit_is_hex(self):
+        big = 10 ** (sys.get_int_max_str_digits() + 1)
+        assert serialize(big) == hex(big)
+
+    def test_depth_past_sixteen(self):
+        assert "<depth>" not in serialize(_nested(16, lambda v: [v]))
+        assert serialize(_nested(17, lambda v: [v])) == "[" * 17 + "<depth>" + "]" * 17
+
+    def test_cycles_through_list_dict_and_versatile(self):
+        xs, d, o, ring = _cycles()
+        assert serialize(xs) == "[1, <cycle>]"
+        assert serialize(d) == "{'a': 1, 'self': <cycle>}"
+        assert serialize(o) == "VersatileObject(seed=3, assigned_type='Node', attrs={me: <cycle>})"
+        assert serialize(ring) == (
+            "[0, {'k': VersatileObject(seed=4, assigned_type=None, attrs={back: <cycle>})}]"
+        )
+
+    def test_exception_arguments(self):
+        exc, bare, mixed = _exception_args()
+        assert serialize(bare) == "ValueError()"
+        assert serialize(mixed) == "E(True, 1)"
+        assert serialize(exc).startswith("KeyError('k', [1, (2,)], VersatileObject(seed=3")
+
+    def test_record_and_unknown_types(self):
+        assert serialize(FunctionValue("g", [], None, None)) == "<function g>"
+        assert serialize(GeneratorValue(items=[])) == "<generator>"
+        assert serialize(BoundMethod("s", "upper")) == "<method upper>"
+        assert serialize(BuiltinFunction("len")) == "<builtin len>"
+        assert serialize(object()) == "<object>"
+        assert serialize(_Count(3)) == "3"
+
+
+_atoms = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(width=32)
+    | st.text(max_size=6)
+)
+_records = st.sampled_from(
+    [
+        FunctionValue("f", [], None, None),
+        GeneratorValue(items=[1]),
+        BoundMethod([], "append"),
+        BuiltinFunction("print"),
+        range(2, 5),
+        object(),
+    ]
+)
+_hashables = _atoms | st.tuples(_atoms, _atoms) | st.integers(0, 50).map(VersatileObject)
+
+
+def _versatile(args):
+    seed, assigned, stored, callable_ = args
+    value = (VersatileCallable if callable_ else VersatileObject)(seed, assigned)
+    for key, item in stored.items():
+        value.store(key, item)
+    if seed % 2:
+        list(value)  # materialize its children
+    return value
+
+
+_values = st.recursive(
+    _atoms | _records,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_hashables, inner, max_size=4)
+    | st.sets(_hashables, max_size=4)
+    | st.frozensets(_hashables, max_size=3)
+    | st.tuples(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([None, "Node"]),
+        st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, max_size=3),
+        st.booleans(),
+    ).map(_versatile)
+    | st.lists(inner, max_size=3).map(lambda args: ExceptionValue("ValueError", args)),
+    max_leaves=16,
+)
+
+
+def _mutables(value):
+    """Every list, dict and versatile object reachable from ``value``."""
+    found, stack, seen = [], [value], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, (list, dict, VersatileObject)):
+            found.append(node)
+        if isinstance(node, (list, tuple, set, frozenset)):
+            stack.extend(node)
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, VersatileObject):
+            stack.extend(node.stored.values())
+            stack.extend(node._children or ())
+        elif isinstance(node, ExceptionValue):
+            stack.extend(node.args)
+    return found
+
+
+def _entangle(value, rng, links=3):
+    """Add aliasing and cycles: link random mutable nodes of ``value`` to
+    each other, a node to itself included."""
+    nodes = _mutables(value)
+    for i in range(links if nodes else 0):
+        source, target = rng.choice(nodes), rng.choice(nodes)
+        if isinstance(source, list):
+            source.append(target)
+        elif isinstance(source, dict):
+            source[f"link{i}"] = target
+        else:
+            source.store(f"link{i}", target)
+    return value
+
+
+@settings(max_examples=300)
+@given(_values, st.integers(0, 2**32 - 1))
+def test_serialize_matches_the_isinstance_chain_on_generated_values(value, seed):
+    _entangle(value, random.Random(seed))
+    assert serialize(value) == _reference_serialize(value)
+
+
+_ATOM_TYPES = (type(None), bool, int, float, str)
+
+
+def _graph(original, copied):
+    """The copy's object graph walked beside the original's, as a list: each
+    node's type, an atom's repr, whether the copy kept the original object,
+    and for a node met before, the index of its first visit, so aliasing and
+    cycles show. A kept node is not walked into."""
+    nodes, first = [], {}
+
+    def walk(o, c):
+        if type(c) in _ATOM_TYPES:
+            nodes.append((type(c), repr(c), c is o))
+            return
+        if id(c) in first:
+            nodes.append(("again", first[id(c)]))
+            return
+        first[id(c)] = len(nodes)
+        nodes.append((type(c), c is o))
+        if c is o:
+            return
+        if isinstance(c, (list, tuple)):
+            nodes.append(len(c))
+            for a, b in zip(o, c):
+                walk(a, b)
+        elif isinstance(c, dict):
+            nodes.append(len(c))
+            for (ka, va), (kb, vb) in zip(o.items(), c.items()):
+                walk(ka, kb)
+                walk(va, vb)
+        elif isinstance(c, (set, frozenset)):
+            nodes.append(len(c))
+            for a, b in zip(sorted(o, key=serialize), sorted(c, key=serialize)):
+                walk(a, b)
+        else:
+            state = getattr(c, "__dict__", {})
+            nodes.append(list(state))
+            for key in state:
+                walk(vars(o)[key], state[key])
+
+    walk(original, copied)
+    return nodes
+
+
+def assert_copies_like_deepcopy(value):
+    ours = deep_copy(value)
+    assert _graph(value, ours) == _graph(value, copy.deepcopy(value))
+    assert serialize(ours) == serialize(value)
+    return ours
+
+
+class TestDeepCopyMatchesDeepcopy:
+    def test_random_injected_values(self):
+        rng = random.Random(20240817)
+        for i in range(1000):
+            value = _random_value(rng)
+            if i % 2:
+                _entangle(value, rng)
+            assert_copies_like_deepcopy(value)
+
+    def test_stored_field_stays_one_object(self):
+        o = VersatileObject(5, "Node")
+        o.store("items", [1, 2])
+        o.attrs["cached"] = VersatileObject(6)
+        c = assert_copies_like_deepcopy(o)
+        assert c.stored == {"items": [1, 2]}
+        assert c.attrs["items"] is c.stored["items"]
+        assert c.stored["items"] is not o.stored["items"]
+
+    def test_alias_across_containers(self):
+        shared = [1]
+        value = {"a": shared, "b": (shared, 2), "c": [shared]}
+        c = assert_copies_like_deepcopy(value)
+        assert c["a"] is c["b"][0] is c["c"][0]
+
+    def test_list_that_contains_itself(self):
+        xs = [1]
+        xs.append(xs)
+        c = assert_copies_like_deepcopy(xs)
+        assert c[1] is c and c is not xs
+
+    def test_tuple_in_a_cycle(self):
+        xs = []
+        t = (xs, 1)
+        xs.append(t)
+        c = assert_copies_like_deepcopy(t)
+        assert c[0][0] is c
+
+    def test_tuple_of_atoms_is_the_same_object(self):
+        for t in [(), (1, "a", None, 2.5, True), ((1, 2), ("x",))]:
+            assert deep_copy(t) is t
+        mixed = (1, [2])
+        assert deep_copy(mixed) is not mixed
+
+    def test_function_and_generator_values_are_kept(self):
+        fn = FunctionValue("f", ["x"], None, None)
+        gen = GeneratorValue(items=[1, 2])
+        assert deep_copy(fn) is fn
+        assert deep_copy(gen) is gen
+        c = assert_copies_like_deepcopy([fn, (gen,), {"f": fn}])
+        assert c[0] is fn and c[1][0] is gen and c[2]["f"] is fn
+
+    def test_children_and_call_count(self):
+        o = VersatileCallable(5, "Client")
+        o.call_count = 3
+        list(o)
+        c = assert_copies_like_deepcopy(o)
+        assert type(c) is VersatileCallable and c.call_count == 3
+        assert [x.seed for x in c] == [x.seed for x in o]
+
+    def test_other_types_go_to_deepcopy(self):
+        exc = ExceptionValue("KeyError", [[1], VersatileObject(2)])
+        c = assert_copies_like_deepcopy([exc, BoundMethod([1], "append"), frozenset({1, 2})])
+        assert c[0] is not exc and c[0].args[0] is not exc.args[0]
+
+
+@settings(max_examples=300)
+@given(_values, st.integers(0, 2**32 - 1))
+def test_deep_copy_matches_deepcopy_on_generated_values(value, seed):
+    _entangle(value, random.Random(seed))
+    assert_copies_like_deepcopy(value)
 
 
 class TestConcretize:
