@@ -178,16 +178,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     failed = False
-    pairs: list[Optional[dict]] = []
+    jobs = []
     for path in paths:
         try:
-            pairs.append(_load_pair(path))
+            jobs.append((_load_pair(path), cfg, predictor))
         except PairFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            pairs.append(None)
             failed = True
 
-    jobs = [(p, cfg, predictor) for p in pairs if p is not None]
     if args.jobs > 1 and len(jobs) > 1:
         # A chunk is pickled as one list, so cfg and predictor travel once
         # per chunk rather than once per pair; ~16 chunks per worker.
@@ -198,11 +196,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         finished = [_worker(job) for job in jobs]
 
     out_lines = []
-    by_order = iter(finished)
-    for pair in pairs:
-        if pair is None:
-            continue
-        result = next(by_order)
+    for result in finished:
         if "_error" in result:
             print(f"error: {result['id']}: {result['_error']}", file=sys.stderr)
             failed = True

@@ -11,7 +11,7 @@ compared in its ``serialize`` form, ``Type(arg, ...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .engine import ExecutionOutcome
 from .values import ExceptionValue, serialize
@@ -80,14 +80,19 @@ def _render_exception(exc: Optional[ExceptionValue]) -> str:
     return serialize(exc) if exc is not None else "<no exception>"
 
 
-def compare(old: ExecutionOutcome, new: ExecutionOutcome) -> IterationResult:
+def compare(
+    old: ExecutionOutcome,
+    new: ExecutionOutcome,
+    injected: Iterable[tuple[str, str, str]] = (),
+) -> IterationResult:
     """Compare the two sides of one iteration.
 
     Returns abstain when either side ended in an unintended exception (the
     engine's fault rather than the code's), a difference naming the first
     dimension that disagrees, or equivalent. The exceptions the two sides
-    ended with are equal when their serialized forms are. Both outcomes come
-    from one iteration, so their injected states name the same paths.
+    ended with are equal when their serialized forms are. ``injected`` is
+    the iteration's ``(path, old, new)`` rows of injected state, as
+    ``snapshot_injected`` gives them; the first row that differs is named.
     """
     reasons = []
     for outcome in (old, new):
@@ -110,8 +115,7 @@ def compare(old: ExecutionOutcome, new: ExecutionOutcome) -> IterationResult:
             "state", str(old.return_value), str(new.return_value)
         )
 
-    for path, ov in old.injected_state.items():
-        nv = new.injected_state[path]
+    for path, ov, nv in injected:
         if ov != nv:
             return _difference("state", ov, nv, extra=("path", path))
 

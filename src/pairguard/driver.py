@@ -138,13 +138,11 @@ def analyze(
         iteration_seed = derive_seed(cfg.seed, "iteration", i)
         out_old = run_one("old", program, cmap, iteration_seed)
         out_new = run_one("new", program, cmap, iteration_seed)
-        out_old.injected_state = snapshot_injected(cmap, "old")
-        out_new.injected_state = snapshot_injected(cmap, "new")
 
         cum_old |= out_old.covered_lines
         cum_new |= out_new.covered_lines
 
-        result = compare(out_old, out_new)
+        result = compare(out_old, out_new, snapshot_injected(cmap))
         if result.status == DIFFERENCE:
             difference = result.detail
             dimension = result.dimension

@@ -260,7 +260,9 @@ _STR_RESULT_SIZES = {"replace": _replace_size, "join": _join_size}
 class _FormatSizer(string.Formatter):
     """Formats a ``str.format`` call as the host would, charging each
     field's resolved width and precision, nested ``{}`` ones included, and
-    the str it copies to the step budget before the field is built."""
+    the str it copies to the step budget before the field is built; a
+    field that renders any other value is charged its rendering once built,
+    before the next field."""
 
     def __init__(self, rt: "Interpreter"):
         super().__init__()
@@ -275,7 +277,10 @@ class _FormatSizer(string.Formatter):
             precision = int(precision) if precision else None
             size += _padding_size(int(width or 0), precision, truncates)
         self.rt._charge(size)
-        return super().format_field(value, format_spec)
+        rendered = super().format_field(value, format_spec)
+        if not isinstance(value, str):
+            self.rt._charge(len(rendered) // 64)
+        return rendered
 
 
 class SubjectError(Exception):
@@ -353,13 +358,15 @@ class ConsistencyMap:
         return entry[0] if side == "old" else entry[1]
 
 
-def snapshot_injected(cmap: ConsistencyMap, side: str) -> dict[str, str]:
-    """Serialized final value of every injected path, for one side."""
-    index = 0 if side == "old" else 1
-    return {
-        path: serialize(entry[index]) if entry[2] is None else entry[2]
-        for path, entry in cmap.entries.items()
-    }
+def snapshot_injected(cmap: ConsistencyMap) -> list[tuple[str, str, str]]:
+    """``(path, old, new)``: the serialized final value of every injected
+    path on each side, in the order the paths were first read."""
+    return [
+        (path, rendered, rendered)
+        if rendered is not None
+        else (path, serialize(v_old), serialize(v_new))
+        for path, (v_old, v_new, rendered) in cmap.entries.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -378,16 +385,15 @@ class ExecutionOutcome:
     """What one side's run left behind. ``exception`` is the exception the
     run ended with, or None after a return; the step budget and the call
     depth cap end a run with an unintended ``StepBudgetExceeded`` or
-    ``RecursionError``. ``injected_state`` is filled in by the driver once
-    both sides have run."""
+    ``RecursionError``. The injected state both sides share is rendered
+    once per iteration, by ``snapshot_injected``."""
 
     side: str
     return_value: Optional[str]
-    injected_state: dict[str, str]
     stdout: str
     call_log: list[CallLogEntry]
     exception: Optional[ExceptionValue]
-    covered_lines: frozenset[int]
+    covered_lines: set[int]
 
 
 @dataclass
@@ -459,22 +465,28 @@ class ComparisonProgram:
         return dist
 
 
-class _Env:
-    """Lexical environment chain. Reads walk outward, writes bind locally."""
+# What reading a name no enclosing scope binds gives; never bound itself.
+_UNBOUND = object()
 
-    __slots__ = ("vars", "parent")
+
+class _Env(dict):
+    """One scope: its own bindings, and the scope it is nested in. A read
+    ``env[name]`` goes outward and gives ``_UNBOUND`` past the root; a
+    store ``env[name] = value`` binds in this scope."""
+
+    __slots__ = ("parent",)
 
     def __init__(self, parent: Optional["_Env"] = None):
-        self.vars: dict[str, Any] = {}
         self.parent = parent
 
-    def lookup(self, name: str):
-        env = self
-        while env is not None:
-            if name in env.vars:
-                return True, env.vars[name]
-            env = env.parent
-        return False, None
+    def __missing__(self, name: str) -> Any:
+        scope = self.parent
+        while scope is not None:
+            value = scope.get(name, _UNBOUND)
+            if value is not _UNBOUND:
+                return value
+            scope = scope.parent
+        return _UNBOUND
 
 
 def _cap_path(path: str) -> str:
@@ -590,7 +602,7 @@ class Interpreter:
         fn = self.program.pair.old if self.side == "old" else self.program.pair.new
         root = _Env()
         entry = FunctionValue(fn.name, fn.params, fn.body, root)
-        root.vars[fn.name] = entry
+        root[fn.name] = entry
         self.covered.add(fn.node.lineno)
         return_s: Optional[str] = None
         exception: Optional[ExceptionValue] = None
@@ -605,15 +617,14 @@ class Interpreter:
             exception = ExceptionValue("RecursionError")
         # The root binding closes the one cycle every run makes (the entry's
         # env is root); without it, the run is freed by reference counting.
-        root.vars.clear()
+        root.clear()
         return ExecutionOutcome(
             side=self.side,
             return_value=return_s,
-            injected_state={},
             stdout=self.stdout.getvalue(),
-            call_log=list(self.call_log),
+            call_log=self.call_log,
             exception=exception,
-            covered_lines=frozenset(self.covered),
+            covered_lines=self.covered,
         )
 
     def _epilogue(self, result: Any) -> str:
@@ -640,8 +651,7 @@ class Interpreter:
             self.call_depth -= 1
             self._fault("RecursionError", "maximum call depth exceeded")
         try:
-            env = _Env(parent=fv.env)
-            local = env.vars
+            env = _Env(fv.env)
             params = fv.params
             if len(args) > len(params):
                 self._fault(
@@ -649,15 +659,15 @@ class Interpreter:
                     f"{fv.name}() takes {len(params)} arguments but {len(args)} were given",
                 )
             for p, a in zip(params, args):
-                local[p] = a
+                env[p] = a
             for k, v in kwargs.items():
                 if k not in params:
                     self._fault("TypeError", f"{fv.name}() got an unexpected keyword argument {k!r}")
-                if k in local:
+                if k in env:
                     self._fault("TypeError", f"{fv.name}() got multiple values for argument {k!r}")
-                local[k] = v
-            if not allow_missing and len(local) < len(params):
-                missing = [p for p in params if p not in local]
+                env[k] = v
+            if not allow_missing and len(env) < len(params):
+                missing = [p for p in params if p not in env]
                 self._fault(
                     "TypeError",
                     f"{fv.name}() missing required argument {missing[0]!r}",
@@ -714,7 +724,7 @@ class Interpreter:
         if name in _BUILTINS:
             return BuiltinFunction(name)
         value = self._inject("variable-read", name, path, context)
-        env.vars[name] = value
+        env[name] = value
         return value
 
     def _read_attribute(
@@ -1206,7 +1216,7 @@ class _Compiler:
 
         def function_def(rt, env):
             _tick(rt, line)
-            env.vars[name] = FunctionValue(name, params, body, env)
+            env[name] = FunctionValue(name, params, body, env)
 
         return function_def
 
@@ -1231,7 +1241,7 @@ class _Compiler:
 
             def assign_name(rt, env):
                 _tick(rt, line)
-                env.vars[name] = value(rt, env)
+                env[name] = value(rt, env)
 
             return assign_name
         bind = self.target(target)
@@ -1261,16 +1271,10 @@ class _Compiler:
             def augment_name(rt, env):
                 _tick(rt, line)
                 right = rhs(rt, env)
-                scope = env
-                while scope is not None:
-                    bound = scope.vars
-                    if name in bound:
-                        current = bound[name]
-                        break
-                    scope = scope.parent
-                else:
+                current = env[name]
+                if current is _UNBOUND:
                     current = rt._missing_name(name, path, env, node)
-                env.vars[name] = apply(rt, current, right)
+                env[name] = apply(rt, current, right)
 
             return augment_name
         base = self.expr_p(target.value)
@@ -1444,8 +1448,8 @@ class _Compiler:
             if name is None:
                 error = ExceptionValue(type_name, [v(rt, env) for v in values], intentional=True)
             else:
-                found, error = env.lookup(name)
-                if not found:
+                error = env[name]
+                if error is _UNBOUND:
                     error = ExceptionValue(type_name, [], intentional=True)
             if cause is not None:
                 cause(rt, env)
@@ -1496,7 +1500,7 @@ class _Compiler:
                     for matches, name, handler_body in handlers:
                         if matches(ev.type_name):
                             if name:
-                                env.vars[name] = ev
+                                env[name] = ev
                             rt.active_exceptions.append(ev)
                             try:
                                 handler_body(rt, env)
@@ -1555,7 +1559,7 @@ class _Compiler:
             _tick(rt, line)
             value = manager(rt, env)
             if name is not None:
-                env.vars[name] = value
+                env[name] = value
             body(rt, env)
 
         return with_
@@ -1567,7 +1571,7 @@ class _Compiler:
             name = node.id
 
             def bind_name(rt, env, value):
-                env.vars[name] = value
+                env[name] = value
 
             return bind_name
         if allow_tuple and isinstance(node, ast.Tuple):
@@ -1647,14 +1651,8 @@ class _Compiler:
 
         def name_(rt, env):
             _tick(rt, line)
-            scope = env
-            while scope is not None:
-                bound = scope.vars
-                if name in bound:
-                    value = bound[name]
-                    break
-                scope = scope.parent
-            else:
+            value = env[name]
+            if value is _UNBOUND:
                 value = rt._missing_name(name, path, env, context)
             return (value, merged) if with_path else value
 
@@ -1898,7 +1896,7 @@ class _Compiler:
         def comprehension(rt, env):
             _tick(rt, line)
             out: list = []
-            inner(rt, _Env(parent=env), out)
+            inner(rt, _Env(env), out)
             return out if is_list else GeneratorValue(items=out)
 
         return comprehension
@@ -1966,17 +1964,13 @@ class _Compiler:
 
         def call_name(rt, env):
             _tick(rt, line)
-            scope = env
-            while scope is not None:
-                bound = scope.vars
-                if name in bound:
-                    fv = bound[name]
-                    args, kwargs = arguments(rt, env)
-                    value = rt._call_value(fv, args, kwargs, merged, context)
-                    return (value, bound_path) if with_path else value
-                scope = scope.parent
-            value = unbound(rt, env)
-            return (value, unbound_path) if with_path else value
+            fv = env[name]
+            if fv is _UNBOUND:
+                value = unbound(rt, env)
+                return (value, unbound_path) if with_path else value
+            args, kwargs = arguments(rt, env)
+            value = rt._call_value(fv, args, kwargs, merged, context)
+            return (value, bound_path) if with_path else value
 
         return call_name
 

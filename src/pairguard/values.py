@@ -294,16 +294,14 @@ class GeneratorValue:
 
     def __init__(self, materializer: Optional[Callable[[], list]] = None, items: Optional[list] = None):
         self._materializer = materializer
-        self.items = items
-        self.taken = 0
+        self._cursor = None if items is None else iter(items)
 
     def take(self) -> Iterator:
-        """Yield the items no earlier walk has taken."""
-        if self.items is None:
-            self.items = self._materializer()
-        while self.taken < len(self.items):
-            self.taken += 1
-            yield self.items[self.taken - 1]
+        """The one iterator over the items every walk shares, so a walk
+        gets only the items no earlier walk has taken."""
+        if self._cursor is None:
+            self._cursor = iter(self._materializer())
+        return self._cursor
 
     def __deepcopy__(self, memo):
         return self

@@ -27,7 +27,6 @@ from pairguard.values import ExceptionValue
 def outcome(
     side="old",
     return_value="None",
-    injected_state=None,
     stdout="",
     call_log=None,
     exception=None,
@@ -35,11 +34,10 @@ def outcome(
     return ExecutionOutcome(
         side=side,
         return_value=return_value,
-        injected_state=dict(injected_state or {}),
         stdout=stdout,
         call_log=list(call_log or []),
         exception=exception,
-        covered_lines=frozenset(),
+        covered_lines=set(),
     )
 
 
@@ -125,9 +123,9 @@ class TestExceptionDimension:
         assert compare(a, b).status == EQUIVALENT
 
     def test_equal_exceptions_still_check_state(self):
-        a = outcome(exception=intentional("E"), injected_state={"p": "1"})
-        b = outcome(side="new", exception=intentional("E"), injected_state={"p": "2"})
-        r = compare(a, b)
+        a = outcome(exception=intentional("E"))
+        b = outcome(side="new", exception=intentional("E"))
+        r = compare(a, b, [("p", "1", "2")])
         assert r.dimension == "state"
 
 
@@ -138,17 +136,27 @@ class TestStateDimension:
         assert r.detail == "dimension: state\nold: 1\nnew: 2"
 
     def test_injected_state_difference_names_path(self):
-        a = outcome(injected_state={"self": "V(a)"})
-        b = outcome(side="new", injected_state={"self": "V(b)"})
-        r = compare(a, b)
+        r = compare(outcome(), outcome(side="new"), [("self", "V(a)", "V(b)")])
         assert r.dimension == "state"
-        assert "path: self" in r.detail
+        assert r.detail == "dimension: state\npath: self\nold: V(a)\nnew: V(b)"
 
     def test_injected_state_respects_insertion_order(self):
-        a = outcome(injected_state={"b": "1", "a": "2"})
-        b = outcome(side="new", injected_state={"b": "9", "a": "9"})
-        r = compare(a, b)
+        r = compare(outcome(), outcome(side="new"), [("b", "1", "9"), ("a", "2", "9")])
         assert "path: b" in r.detail
+
+    @pytest.mark.parametrize("mutated, named", [(("b", "a"), "b"), (("a",), "a")])
+    def test_snapshot_rows_go_in_first_read_order(self, mutated, named):
+        # Paths read b, then a; the first of them whose new side a run
+        # changed is the one the difference names.
+        cmap = ConsistencyMap()
+        for path in ("b", "a"):
+            cmap.lookup_or_create(path, "old", lambda: [1])
+        for path in mutated:
+            cmap.lookup_or_create(path, "new", None).append(2)
+        rows = snapshot_injected(cmap)
+        assert [row[0] for row in rows] == ["b", "a"]
+        r = compare(outcome(), outcome(side="new"), rows)
+        assert r.detail == f"dimension: state\npath: {named}\nold: [1]\nnew: [1, 2]"
 
 
 class TestDetailCap:
@@ -176,7 +184,7 @@ class TestDetailCap:
 
     def test_long_path_is_cut(self):
         path = "self." + "a" * 2000
-        r = compare(outcome(injected_state={path: "1"}), outcome(side="new", injected_state={path: "2"}))
+        r = compare(outcome(), outcome(side="new"), [(path, "1", "2")])
         assert f"path: {path[:1000]}... [2005 characters]" in r.detail
 
     def test_values_at_the_cap_are_kept_whole(self):
@@ -234,9 +242,7 @@ def compare_runs(old, new=None):
     seed = derive_seed(0, "iteration", 0)
     out_old = run_one("old", program, cmap, seed)
     out_new = run_one("new", program, cmap, seed)
-    out_old.injected_state = snapshot_injected(cmap, "old")
-    out_new.injected_state = snapshot_injected(cmap, "new")
-    return compare(out_old, out_new)
+    return compare(out_old, out_new, snapshot_injected(cmap))
 
 
 class TestTextOfRealRuns:
@@ -298,9 +304,9 @@ class TestDimensionOrdering:
         assert compare(a, b).dimension == "output"
 
     def test_injected_state_beats_output(self):
-        a = outcome(injected_state={"p": "1"}, stdout="a")
-        b = outcome(side="new", injected_state={"p": "2"}, stdout="b")
-        r = compare(a, b)
+        a = outcome(stdout="a")
+        b = outcome(side="new", stdout="b")
+        r = compare(a, b, [("p", "1", "2")])
         assert r.dimension == "state"
         assert "path: p" in r.detail
 
@@ -309,11 +315,6 @@ outcomes = st.builds(
     outcome,
     side=st.just("old"),
     return_value=st.sampled_from(["None", "1", "'x'", "[1, 2]"]),
-    # The two outcomes of one iteration snapshot one consistency map, so
-    # they name the same paths.
-    injected_state=st.fixed_dictionaries(
-        {path: st.sampled_from(["1", "'v'", "VersatileObject(seed=3)"]) for path in ["a", "b.c", "d['k']"]}
-    ),
     stdout=st.sampled_from(["", "line\n"]),
     call_log=st.lists(
         st.builds(call, st.sampled_from(["go", "api.push"]), st.sampled_from(["1", "'x'"])),
@@ -323,41 +324,45 @@ outcomes = st.builds(
     | st.builds(intentional, st.sampled_from(["ValueError", "KeyError"]))
     | st.builds(unintended, st.sampled_from(["TypeError"])),
 )
+# The snapshot of one iteration: one (path, old, new) row per injected path.
+_rendered = st.sampled_from(["1", "'v'", "VersatileObject(seed=3)"])
+snapshots = st.tuples(
+    *(st.tuples(st.just(path), _rendered, _rendered) for path in ["a", "b.c", "d['k']"])
+)
 
 
-@given(outcomes)
-def test_reflexivity(o):
+@given(outcomes, snapshots)
+def test_reflexivity(o, injected):
     twin = outcome(
         side="new",
         return_value=o.return_value,
-        injected_state=o.injected_state,
         stdout=o.stdout,
         call_log=o.call_log,
         exception=o.exception,
     )
-    r = compare(o, twin)
+    r = compare(o, twin, [(path, ov, ov) for path, ov, _ in injected])
     if o.exception is not None and not o.exception.intentional:
         assert r.status == ABSTAIN
     else:
         assert r.status == EQUIVALENT
 
 
-@given(outcomes, outcomes)
-def test_status_is_symmetric(a, b):
+@given(outcomes, outcomes, snapshots)
+def test_status_is_symmetric(a, b, injected):
     b = outcome(
         side="new",
         return_value=b.return_value,
-        injected_state=b.injected_state,
         stdout=b.stdout,
         call_log=b.call_log,
         exception=b.exception,
     )
-    assert compare(a, b).status == compare(b, a).status
+    swapped = [(path, nv, ov) for path, ov, nv in injected]
+    assert compare(a, b, injected).status == compare(b, a, swapped).status
 
 
-@given(outcomes, outcomes)
-def test_difference_always_carries_detail_block(a, b):
-    r = compare(a, b)
+@given(outcomes, outcomes, snapshots)
+def test_difference_always_carries_detail_block(a, b, injected):
+    r = compare(a, b, injected)
     if r.status == DIFFERENCE:
         lines = r.detail.splitlines()
         assert lines[0] == f"dimension: {r.dimension}"

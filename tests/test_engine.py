@@ -79,9 +79,12 @@ def run_pair(old, new=None, renames=None, cfg=None, predictor=None, iteration=0)
     seed = derive_seed(program.cfg.seed, "iteration", iteration)
     out_old = run_one("old", program, cmap, seed)
     out_new = run_one("new", program, cmap, seed)
-    out_old.injected_state = snapshot_injected(cmap, "old")
-    out_new.injected_state = snapshot_injected(cmap, "new")
     return out_old, out_new, cmap
+
+
+def old_state(cmap):
+    """The old side's rendering of each injected path."""
+    return {path: old for path, old, _ in snapshot_injected(cmap)}
 
 
 def cpython_outcome(source):
@@ -143,13 +146,13 @@ class TestConsistencyMap:
         cm = ConsistencyMap()
         cm.lookup_or_create("a", "old", lambda: 1)
         cm.lookup_or_create("b", "new", lambda: 2)
-        assert list(snapshot_injected(cm, "old")) == list(snapshot_injected(cm, "new"))
+        assert snapshot_injected(cm) == [("a", "1", "1"), ("b", "2", "2")]
 
     def test_snapshot_preserves_insertion_order(self):
         cm = ConsistencyMap()
         for key in ("z", "a", "m"):
             cm.lookup_or_create(key, "old", lambda: 0)
-        assert list(snapshot_injected(cm, "old")) == ["z", "a", "m"]
+        assert [path for path, _, _ in snapshot_injected(cm)] == ["z", "a", "m"]
 
 
     def test_an_unchangeable_value_keeps_its_first_rendering(self):
@@ -176,11 +179,10 @@ class TestSnapshotReuse:
             return real(value, *args)
 
         monkeypatch.setattr(engine, "serialize", counting)
-        snapshots = snapshot_injected(cmap, "old"), snapshot_injected(cmap, "new")
-        return snapshots, rendered, cmap
+        return snapshot_injected(cmap), rendered, cmap
 
     def test_injected_ints_are_not_rendered_again(self, monkeypatch):
-        (old, new), rendered, cmap = self.counted_snapshots(
+        rows, rendered, cmap = self.counted_snapshots(
             monkeypatch,
             "def f():\n    return a + b\n",
             "def f():\n    return b + a\n",
@@ -188,11 +190,13 @@ class TestSnapshotReuse:
             b=AbstractValue.INTEGER,
         )
         assert rendered == []
-        assert list(old) == ["a", "b"]
-        assert old == new == {path: serialize(entry[0]) for path, entry in cmap.entries.items()}
+        assert rows == [
+            (path, serialize(entry[0]), serialize(entry[0])) for path, entry in cmap.entries.items()
+        ]
+        assert [path for path, _, _ in rows] == ["a", "b"]
 
     def test_an_injected_list_is_rendered_again_on_each_side(self, monkeypatch):
-        (old, new), rendered, cmap = self.counted_snapshots(
+        rows, rendered, cmap = self.counted_snapshots(
             monkeypatch,
             "def f():\n    return len(xs)\n",
             "def f():\n    xs.append(1)\n    return len(xs) - 1\n",
@@ -201,7 +205,7 @@ class TestSnapshotReuse:
         v_old, v_new, _ = cmap.entries["xs"]
         assert rendered == [v_old, v_new]
         assert v_new == v_old + [1]
-        assert (old, new) == ({"xs": serialize(v_old)}, {"xs": serialize(v_new)})
+        assert rows == [("xs", serialize(v_old), serialize(v_new))]
 
     def test_a_mutated_injected_list_reports_the_same_state_detail(self):
         verdict = analyze_sources(
@@ -253,7 +257,7 @@ class TestInjection:
             "def f(self):\n    self.payload\n    return self\n",
             predictor=pin(self=AbstractValue.OBJECT),
         )
-        rendered = snapshot_injected(cm, "old")["self"]
+        rendered = old_state(cm)["self"]
         assert "payload" not in rendered
 
     def test_attribute_store_is_observable_state(self):
@@ -261,7 +265,7 @@ class TestInjection:
             "def f(self):\n    self.beta = 3\n    return None\n",
             predictor=pin(self=AbstractValue.OBJECT),
         )
-        assert "beta: 3" in snapshot_injected(cm, "old")["self"]
+        assert "beta: 3" in old_state(cm)["self"]
 
     def test_subscript_miss_on_versatile_is_injected(self):
         out, cm = run_side(
@@ -276,7 +280,7 @@ class TestInjection:
             predictor=pin(v=AbstractValue.OBJECT),
         )
         assert out.return_value == "[5, 6]"
-        assert "[1:2]: [5, 6]" in snapshot_injected(cm, "old")["v"]
+        assert "[1:2]: [5, 6]" in old_state(cm)["v"]
         assert "v[1:2]" not in cm.entries
 
     def test_item_store_on_versatile_is_observable_state(self):
@@ -285,7 +289,7 @@ class TestInjection:
             predictor=pin(v=AbstractValue.OBJECT),
         )
         assert out.return_value == "7"
-        assert "['k']: 7" in snapshot_injected(cm, "old")["v"]
+        assert "['k']: 7" in old_state(cm)["v"]
         assert list(cm.entries) == ["v"]
 
     def test_subscript_hit_on_concrete_is_native(self):
@@ -1088,6 +1092,14 @@ class TestClosedProgramsAgreeWithCPython:
             "return 'a'.replace(1, 'b')",
             "return 'ab'.replace('a', 'b', 'x')",
             "return ','.join([1, 2])",
+            # Scopes: a read goes outward to the binding current when it
+            # runs, a store binds in the current scope, and a comprehension
+            # variable stays in the comprehension.
+            "x = 1\n    g = lambda: x\n    x = 2\n    return g()",
+            "x = 1\n    def g():\n        x = 2\n        return x\n    return g(), x",
+            "v = 'outer'\n    ys = [v * 2 for v in range(3)]\n    return ys, v",
+            "try:\n        raise KeyError('k')\n    except KeyError as e:\n"
+            "        err = e\n    def g():\n        raise err\n    return g()",
         ],
     )
     def test_matches_exec(self, body):
@@ -1114,12 +1126,27 @@ class TestClosedProgramsAgreeWithCPython:
         )
         assert cpython_outcome(source) == ("1\n", "('1', [1, 3])", None)
         assert engine_outcome(source) == ("ValueError(1)\n", "('ValueError(1)', [3, 1])", None)
+        # A name read before its scope's later assignment to it reads the
+        # enclosing binding, and ``except ... as e`` leaves ``e`` bound.
+        source = (
+            "def f():\n    x = 1\n    def g():\n        y = x\n        x = 2\n"
+            "        return y\n    return g()\n"
+        )
+        assert cpython_outcome(source) == ("", None, "UnboundLocalError")
+        assert engine_outcome(source) == ("", "1", None)
+        source = (
+            "def f():\n    e = 1\n    try:\n        raise ValueError(1)\n"
+            "    except ValueError as e:\n        pass\n    return e\n"
+        )
+        assert cpython_outcome(source) == ("", None, "UnboundLocalError")
+        assert engine_outcome(source) == ("", "ValueError(1)", None)
 
 
 class TestNativeStringResults:
     """A native str.replace or str.join charges the characters its result
     adds to the strings it is built from, and a str.format or ``%`` field
-    the str it copies, before the host builds the result."""
+    the str it copies, before the host builds the result; a str.format
+    field that renders any other value is charged its rendering."""
 
     @pytest.mark.parametrize(
         "body",
@@ -1130,6 +1157,7 @@ class TestNativeStringResults:
             "return len(('x' * 50000).join('y' * 40000))",
             "return len(('x' * 50000).join(set(str(i) for i in range(3000))))",
             "s = 'a' * 30000\n    return ('{0}' * 20000).format(s)",
+            "s = 'a' * 30000\n    return ('{0}' * 2000).format([s])",
             "s = 'a' * 30000\n    return ('%s' * 5000) % tuple([s] * 5000)",
             "s = 'a' * 30000\n    return ('%(s)s' * 5000) % {'s': s}",
             "s = 'a' * 30000\n    return ('%r' * 5000) % tuple([s] * 5000)",
@@ -1267,8 +1295,8 @@ class TestPairedExecution:
     def test_identical_versions_mirror_exactly(self, name):
         data = load_fixture(name)
         for iteration in range(6):
-            old, new, _ = run_pair(data["old"], data["new"], iteration=iteration)
-            result = compare(old, new)
+            old, new, cm = run_pair(data["old"], data["new"], iteration=iteration)
+            result = compare(old, new, snapshot_injected(cm))
             assert result.status in (EQUIVALENT, ABSTAIN)
             if result.status == ABSTAIN:
                 # Only a symmetric crash may abstain on an identity pair.
@@ -1277,19 +1305,19 @@ class TestPairedExecution:
     def test_mirror_holds_with_injected_exceptions(self):
         data = load_fixture("identity_risky_parse")
         cfg = EngineConfig(exception_probability=1.0)
-        old, new, _ = run_pair(data["old"], data["new"], cfg=cfg)
-        assert compare(old, new).status == EQUIVALENT
+        old, new, cm = run_pair(data["old"], data["new"], cfg=cfg)
+        assert compare(old, new, snapshot_injected(cm)).status == EQUIVALENT
 
     @pytest.mark.parametrize("name", RENAME_NAMES)
     def test_renamed_versions_mirror(self, name):
         data = load_fixture(name)
         for iteration in range(4):
-            old, new, _ = run_pair(
+            old, new, cm = run_pair(
                 data["old"], data["new"],
                 renames=data.get("renames") or {},
                 iteration=iteration,
             )
-            result = compare(old, new)
+            result = compare(old, new, snapshot_injected(cm))
             assert result.status in (EQUIVALENT, ABSTAIN)
 
     def test_rename_merges_injection_paths(self):
@@ -1318,6 +1346,7 @@ class TestPairedExecution:
         b_old, b_new, b_cm = run_pair(data["old"], data["new"], iteration=3)
         assert a_old == b_old
         assert a_new == b_new
+        assert snapshot_injected(a_cm) == snapshot_injected(b_cm)
 
     def test_different_iterations_change_injections(self):
         source = "def f(items):\n    return items\n"
@@ -1338,8 +1367,8 @@ def test_mirror_property_randomized(seed, iteration):
         "            out.append(item.label)\n"
         "    return out\n"
     )
-    old, new, _ = run_pair(source, cfg=EngineConfig(seed=seed), iteration=iteration)
-    result = compare(old, new)
+    old, new, cm = run_pair(source, cfg=EngineConfig(seed=seed), iteration=iteration)
+    result = compare(old, new, snapshot_injected(cm))
     assert result.status in (EQUIVALENT, ABSTAIN)
 
 
