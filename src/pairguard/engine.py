@@ -878,8 +878,8 @@ class Interpreter:
         return serialize(args[0])
 
     def _builtin_number(self, args: list, kwargs: dict, host: Callable) -> Any:
-        """int and float."""
-        return self._host(host, *map(_number, args))
+        """int and float; int takes a ``base``."""
+        return self._host(host, *map(_number, args), **_numbers(kwargs))
 
     def _builtin_bool(self, args: list, kwargs: dict) -> bool:
         return bool(*args)
@@ -901,10 +901,8 @@ class Interpreter:
         return self._host(sorted, self._iterate(args[0]), reverse=reverse)
 
     def _builtin_enumerate(self, args: list, kwargs: dict) -> list:
-        start = _number(args[1]) if len(args) == 2 else 0
-        if not isinstance(start, int):
-            self._fault("TypeError", "enumerate() start must be an integer")
-        return [(start + i, v) for i, v in enumerate(self._iterate(args[0]))]
+        items = self._iterate(args[0])
+        return list(self._host(enumerate, items, *map(_number, args[1:]), **_numbers(kwargs)))
 
     def _builtin_collection(self, args: list, kwargs: dict, host: Callable) -> Any:
         """list, tuple and set: the items of the argument, or empty."""
@@ -955,6 +953,11 @@ def _number(value: Any) -> Any:
     """``value`` where a builtin needs a number: a versatile stands in as its
     internal int."""
     return VersatileObject.INTERNAL_INT if isinstance(value, VersatileObject) else value
+
+
+def _numbers(kwargs: dict) -> dict:
+    """``kwargs`` with each value as ``_number`` gives it."""
+    return {k: _number(v) for k, v in kwargs.items()}
 
 
 def _subject_str(value: Any) -> str:
@@ -2146,7 +2149,7 @@ _BUILTINS: dict[str, tuple[Callable, int, float, Optional[frozenset[str]]]] = {
     "all": (Interpreter._builtin_all, 1, 1, _NO_KWARGS),
     "range": (Interpreter._builtin_range, 1, 3, _NO_KWARGS),
     "str": (Interpreter._builtin_str, 0, 1, _NO_KWARGS),
-    "int": (partial(Interpreter._builtin_number, host=int), 0, 1, _NO_KWARGS),
+    "int": (partial(Interpreter._builtin_number, host=int), 0, 2, frozenset({"base"})),
     "float": (partial(Interpreter._builtin_number, host=float), 0, 1, _NO_KWARGS),
     "bool": (Interpreter._builtin_bool, 0, 1, _NO_KWARGS),
     "repr": (Interpreter._builtin_repr, 1, 1, _NO_KWARGS),
@@ -2154,7 +2157,7 @@ _BUILTINS: dict[str, tuple[Callable, int, float, Optional[frozenset[str]]]] = {
     "dict": (Interpreter._builtin_dict, 0, 1, None),
     "set": (partial(Interpreter._builtin_collection, host=set), 0, 1, _NO_KWARGS),
     "tuple": (partial(Interpreter._builtin_collection, host=tuple), 0, 1, _NO_KWARGS),
-    "enumerate": (Interpreter._builtin_enumerate, 1, 2, _NO_KWARGS),
+    "enumerate": (Interpreter._builtin_enumerate, 1, 2, frozenset({"start"})),
     "sorted": (Interpreter._builtin_sorted, 1, 1, frozenset({"reverse"})),
     "min": (partial(Interpreter._builtin_min_max, host=min), 1, _MANY, _NO_KWARGS),
     "max": (partial(Interpreter._builtin_min_max, host=max), 1, _MANY, _NO_KWARGS),

@@ -6,9 +6,9 @@ standard ``ast`` module. The engine's compiler then makes the one walk of
 each version: it rejects everything outside the supported grammar, compiles
 what a call of the function runs, and records the static facts (literals,
 isinstance class arguments, calls guarded by ``try``) with names
-rename-merged. This module also computes changed lines between two
-versions, merges renamed identifiers, and unions the recorded facts of both
-versions into the ``StaticFacts`` the execution engine needs.
+rename-merged, both versions into the one ``StaticFacts`` of their pair.
+This module also computes changed lines between two versions and merges
+renamed identifiers.
 """
 
 from __future__ import annotations
@@ -23,29 +23,27 @@ from .engine import StaticFacts, compile_function, reject
 
 @dataclass
 class SourceFunction:
-    """One parsed function version, compiled.
-
-    ``body`` is the closure a call of the function runs, and ``facts`` this
-    version's static facts, names merged through its side's renamer.
-    """
+    """One parsed function version, compiled; ``body`` is the closure a call
+    of the function runs."""
 
     name: str
     params: list[str]
     node: ast.FunctionDef
     code_lines: frozenset[int]
     body: Callable
-    facts: StaticFacts
 
 
 @dataclass
 class FunctionPair:
-    """The two versions under comparison, names merged, and the lines each
-    version changes."""
+    """The two versions under comparison, names merged, the lines each
+    version changes, and the static facts of both, the old version's
+    literals before the new one's."""
 
     old: SourceFunction
     new: SourceFunction
     changed_lines_old: frozenset[int]
     changed_lines_new: frozenset[int]
+    facts: StaticFacts
 
 
 def code_line_numbers(source: str) -> frozenset[int]:
@@ -58,16 +56,23 @@ def code_line_numbers(source: str) -> frozenset[int]:
     return frozenset(out)
 
 
-def parse_function(source: str, renamer: Optional[Renamer] = None) -> SourceFunction:
+def parse_function(
+    source: str, renamer: Optional[Renamer] = None, facts: Optional[StaticFacts] = None
+) -> SourceFunction:
     """Parse and compile a single function definition written in the subject
-    language, merging its names through ``renamer`` (by default none are).
+    language, merging its names through ``renamer`` (by default none are)
+    and recording its static facts into ``facts`` (by default a fresh record).
 
     Raises SyntaxError (with line and column) for malformed input and for any
     construct outside the supported grammar, including expressions nested too
     deeply to parse or compile.
     """
     try:
-        return _parse_function(source, renamer if renamer is not None else Renamer({}, "old"))
+        return _parse_function(
+            source,
+            renamer if renamer is not None else Renamer({}, "old"),
+            facts if facts is not None else StaticFacts(),
+        )
     except RecursionError:
         first_line = source.partition("\n")[0]
         raise SyntaxError(
@@ -75,7 +80,7 @@ def parse_function(source: str, renamer: Optional[Renamer] = None) -> SourceFunc
         ) from None
 
 
-def _parse_function(source: str, renamer: Renamer) -> SourceFunction:
+def _parse_function(source: str, renamer: Renamer, facts: StaticFacts) -> SourceFunction:
     tree = ast.parse(source)
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     if isinstance(tree.body[0] if tree.body else None, ast.AsyncFunctionDef):
@@ -84,7 +89,6 @@ def _parse_function(source: str, renamer: Renamer) -> SourceFunction:
         node = tree.body[0] if tree.body else ast.Pass(lineno=1, col_offset=0)
         reject(node, "expected exactly one function definition", source)
     node = functions[0]
-    facts = StaticFacts()
     body = compile_function(node, source, renamer.merge, facts)
     return SourceFunction(
         name=node.name,
@@ -92,7 +96,6 @@ def _parse_function(source: str, renamer: Renamer) -> SourceFunction:
         node=node,
         code_lines=code_line_numbers(source),
         body=body,
-        facts=facts,
     )
 
 
@@ -121,8 +124,9 @@ def make_pair(
     renames: Optional[dict[str, str]] = None,
     entry: Optional[str] = None,
 ) -> FunctionPair:
-    """Parse and compile both versions, each side's names merged through its
-    renamer, and assemble the pair with its changed-line sets.
+    """Parse and compile both versions, old first, each side's names merged
+    through its renamer and its static facts recorded into the pair's one
+    record, and assemble the pair with its changed-line sets.
 
     Changed-line sets keep only lines that execution can actually reach,
     i.e. comment-only and blank lines are dropped.
@@ -134,8 +138,9 @@ def make_pair(
     for name in (*renames, *values):
         if not isinstance(name, str) or not name.isidentifier():
             raise ValueError("rename map entries must be identifiers")
-    old = parse_function(old_source, Renamer(renames, "old"))
-    new = parse_function(new_source, Renamer(renames, "new"))
+    facts = StaticFacts()
+    old = parse_function(old_source, Renamer(renames, "old"), facts)
+    new = parse_function(new_source, Renamer(renames, "new"), facts)
     if entry is not None:
         for side, fn in (("old", old), ("new", new)):
             if fn.name != entry:
@@ -148,6 +153,7 @@ def make_pair(
         new=new,
         changed_lines_old=frozenset(raw_old & old.code_lines),
         changed_lines_new=frozenset(raw_new & new.code_lines),
+        facts=facts,
     )
 
 
@@ -171,15 +177,5 @@ class Renamer:
 
 
 def extract_static_facts(pair: FunctionPair) -> StaticFacts:
-    """Union of both versions' static facts, the old version's literals
-    before the new one's."""
-    facts = StaticFacts()
-    exception_map = facts.call_exception_map
-    for side in (pair.old.facts, pair.new.facts):
-        facts.literals_int.extend(side.literals_int)
-        facts.literals_float.extend(side.literals_float)
-        facts.literals_str.extend(side.literals_str)
-        facts.isinstance_classes |= side.isinstance_classes
-        for path, names in side.call_exception_map.items():
-            exception_map[path] = exception_map.get(path, frozenset()) | names
-    return facts
+    """The static facts of both versions of ``pair``."""
+    return pair.facts

@@ -67,7 +67,9 @@ class VersatileObject:
     It carries internal representations (1, 1.0, "a") used whenever the
     context demands a number or a string, supports iteration over a small
     deterministic set of children, and absorbs operations it cannot satisfy
-    by evaluating to itself rather than failing.
+    by evaluating to itself rather than failing. Its arithmetic and
+    comparison methods are each ``versatile_binop``, installed from
+    ``_OPERATOR_METHODS`` below.
     """
 
     INTERNAL_INT = 1
@@ -88,72 +90,8 @@ class VersatileObject:
         self.attrs[key] = value
         self.stored[key] = value
 
-    # arithmetic
-
-    def __add__(self, other):
-        return versatile_binop("+", self, other)
-
-    def __radd__(self, other):
-        return versatile_binop("+", other, self)
-
-    def __sub__(self, other):
-        return versatile_binop("-", self, other)
-
-    def __rsub__(self, other):
-        return versatile_binop("-", other, self)
-
-    def __mul__(self, other):
-        return versatile_binop("*", self, other)
-
-    def __rmul__(self, other):
-        return versatile_binop("*", other, self)
-
-    def __truediv__(self, other):
-        return versatile_binop("/", self, other)
-
-    def __rtruediv__(self, other):
-        return versatile_binop("/", other, self)
-
-    def __floordiv__(self, other):
-        return versatile_binop("//", self, other)
-
-    def __rfloordiv__(self, other):
-        return versatile_binop("//", other, self)
-
-    def __mod__(self, other):
-        return versatile_binop("%", self, other)
-
-    def __rmod__(self, other):
-        return versatile_binop("%", other, self)
-
-    def __pow__(self, other):
-        return versatile_binop("**", self, other)
-
-    def __rpow__(self, other):
-        return versatile_binop("**", other, self)
-
     def __neg__(self):
         return -self.INTERNAL_INT
-
-    # comparisons
-
-    def __eq__(self, other):
-        return versatile_binop("==", self, other)
-
-    def __ne__(self, other):
-        return versatile_binop("!=", self, other)
-
-    def __lt__(self, other):
-        return versatile_binop("<", self, other)
-
-    def __le__(self, other):
-        return versatile_binop("<=", self, other)
-
-    def __gt__(self, other):
-        return versatile_binop(">", self, other)
-
-    def __ge__(self, other):
-        return versatile_binop(">=", self, other)
 
     def __hash__(self):
         return hash(("versatile", self.seed))
@@ -257,6 +195,37 @@ def versatile_binop(op: str, lhs: Any, rhs: Any) -> Any:
     if op in COMPARE_OPS:
         return op == "!="
     return lhs if lv else rhs
+
+
+# The host operator methods of a versatile, each its total op: symbol ->
+# method name. An arithmetic symbol also gets the reflected method.
+_OPERATOR_METHODS = {
+    "+": "add",
+    "-": "sub",
+    "*": "mul",
+    "/": "truediv",
+    "//": "floordiv",
+    "%": "mod",
+    "**": "pow",
+    "==": "eq",
+    "!=": "ne",
+    "<": "lt",
+    "<=": "le",
+    ">": "gt",
+    ">=": "ge",
+}
+
+
+def _operator_method(symbol: str, reflected: bool) -> Callable[[Any, Any], Any]:
+    if reflected:
+        return lambda self, other: versatile_binop(symbol, other, self)
+    return lambda self, other: versatile_binop(symbol, self, other)
+
+
+for _symbol, _name in _OPERATOR_METHODS.items():
+    setattr(VersatileObject, f"__{_name}__", _operator_method(_symbol, False))
+    if _symbol in ARITH_OPS:
+        setattr(VersatileObject, f"__r{_name}__", _operator_method(_symbol, True))
 
 
 class FunctionValue:

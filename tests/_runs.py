@@ -16,7 +16,9 @@ seed's ``batch`` pairs with their table predictor, each record without its
 Regenerate the pinned files with ``python tests/_runs.py`` from the repo
 root; they are ``tests/fixtures/golden/runs_seed{0,7}.jsonl`` and
 ``tests/fixtures/golden/batch_seed{0,7}.sha256``. ``python tests/_runs.py
---check`` compares them instead, writes nothing and exits 1 on a mismatch.
+--check`` compares them instead, writes nothing and exits 1 on a mismatch;
+under a fingerprint file that differs it lists each pair that moved, with
+its pinned and current runs and steps.
 """
 
 from __future__ import annotations
@@ -127,6 +129,25 @@ def golden_path(seed: int) -> pathlib.Path:
     return GOLDEN / f"runs_seed{seed}.jsonl"
 
 
+def moved_pairs(pinned: str, current: str) -> list[str]:
+    """One line per pair whose fingerprint differs between a pinned and a
+    current fingerprint file: its id, then its runs and steps in each."""
+
+    def by_id(text):
+        return {record["id"]: record for record in map(json.loads, text.splitlines())}
+
+    old, new = by_id(pinned), by_id(current)
+    lines = []
+    for pair_id in {**old, **new}:
+        was, now = old.get(pair_id), new.get(pair_id)
+        if was != now:
+            counts = [
+                "-" if r is None else f"runs {r['runs']} steps {r['steps']}" for r in (was, now)
+            ]
+            lines.append(f"  {pair_id}: {counts[0]} -> {counts[1]}")
+    return lines
+
+
 def batch_digest(seed: int) -> str:
     """sha256 of the CLI's JSON records for the seed's ``batch`` pairs."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -166,5 +187,8 @@ if __name__ == "__main__":
                 print(f"matches {path.relative_to(ROOT)}")
             else:
                 print(f"differs from {path.relative_to(ROOT)}")
+                if path == golden_path(s):
+                    for line in moved_pairs(path.read_text(encoding="utf-8"), text):
+                        print(line)
                 mismatched = True
     sys.exit(1 if mismatched else 0)

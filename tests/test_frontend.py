@@ -961,9 +961,10 @@ class TestRecordedLiteralOrder:
         ],
     )
     def test_statement_parts_in_field_order(self, body):
-        fn = parse_function(f"def f(x):\n    {body}\n")
-        assert fn.facts.literals_int == sorted(fn.facts.literals_int)
-        assert len(set(fn.facts.literals_int)) == len(fn.facts.literals_int)
+        facts = StaticFacts()
+        parse_function(f"def f(x):\n    {body}\n", facts=facts)
+        assert facts.literals_int == sorted(facts.literals_int)
+        assert len(set(facts.literals_int)) == len(facts.literals_int)
 
     def test_explicit_cases_match_reference(self):
         for expr in ["{1: 2, 3: 4}", "[x + 5 for x in range(6)]", "{-1: (y for y in x if 2)}"]:

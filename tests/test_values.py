@@ -208,6 +208,45 @@ def test_versatile_binop_is_total(op):
         versatile_binop(op, other, o)
 
 
+_ARITH_METHODS = {
+    "+": "add",
+    "-": "sub",
+    "*": "mul",
+    "/": "truediv",
+    "//": "floordiv",
+    "%": "mod",
+    "**": "pow",
+}
+_COMPARE_METHODS = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+
+
+def _same(a, b):
+    # A versatile result is the operand itself; anything else compares by
+    # value and type, so 1 and True or 1 and 1.0 stay apart.
+    if isinstance(a, VersatileObject) or isinstance(b, VersatileObject):
+        return a is b
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("cls", [VersatileObject, VersatileCallable])
+@pytest.mark.parametrize("symbol", _ARITH_METHODS)
+def test_arithmetic_methods_are_the_total_op(cls, symbol):
+    v = cls(99)
+    name = _ARITH_METHODS[symbol]
+    for other in _OPERANDS:
+        assert _same(getattr(v, f"__{name}__")(other), versatile_binop(symbol, v, other))
+        assert _same(getattr(v, f"__r{name}__")(other), versatile_binop(symbol, other, v))
+
+
+@pytest.mark.parametrize("cls", [VersatileObject, VersatileCallable])
+@pytest.mark.parametrize("symbol", _COMPARE_METHODS)
+def test_comparison_methods_are_the_total_op(cls, symbol):
+    v = cls(99)
+    method = getattr(v, f"__{_COMPARE_METHODS[symbol]}__")
+    for other in _OPERANDS:
+        assert _same(method(other), versatile_binop(symbol, v, other))
+
+
 def test_native_dispatch_reaches_binop():
     # Reflected methods cover the versatile-on-the-right cases too.
     o = VersatileObject(99)
