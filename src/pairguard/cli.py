@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -144,7 +145,9 @@ def _format_text(result: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pairguard",
         description="Classify the behavioral impact of a change between two function versions.",
@@ -164,7 +167,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--out", default=None, help="write results to this file")
     run.add_argument("--jobs", type=int, default=1, help="pairs analyzed in parallel")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     cfg = EngineConfig(
         **{knob.name: getattr(args, knob.name) for knob in dataclasses.fields(EngineConfig)}

@@ -8,7 +8,7 @@ into a three-way verdict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .comparator import ABSTAIN, DIFFERENCE, compare
@@ -113,10 +113,14 @@ def analyze(
     Stops early at the first behavioral difference. An iteration in which
     neither side drew from its iteration seed depends only on the pair, so
     it is run once and counted for every remaining iteration (as abstained
-    ones, if it abstained). The verdict is inconclusive when no difference
-    was found and either no changed line was ever reached or every
-    iteration had to be abstained; a pair with no changed lines at all
-    trivially satisfies the reached condition.
+    ones, if it abstained). For a pair whose sides are ``identical`` only
+    the old side runs: the new side is the same program reading equal
+    values drawn from the same keyed seeds, so its outcome, covered lines
+    and seed use would be the old side's, and the iteration is equivalent
+    unless the run ended in an unintended exception (abstain). The verdict
+    is inconclusive when no difference was found and either no changed
+    line was ever reached or every iteration had to be abstained; a pair
+    with no changed lines at all trivially satisfies the reached condition.
     """
     cfg = cfg if cfg is not None else EngineConfig()
     cfg.validate()
@@ -134,15 +138,20 @@ def analyze(
 
     for i in range(cfg.max_iterations):
         iterations_run = i + 1
-        cmap = ConsistencyMap()
+        cmap = ConsistencyMap(identical=pair.identical)
         iteration_seed = derive_seed(cfg.seed, "iteration", i)
         out_old = run_one("old", program, cmap, iteration_seed)
-        out_new = run_one("new", program, cmap, iteration_seed)
+        if pair.identical:
+            out_new = replace(out_old, side="new")
+            injected = ()
+        else:
+            out_new = run_one("new", program, cmap, iteration_seed)
+            injected = snapshot_injected(cmap)
 
         cum_old |= out_old.covered_lines
         cum_new |= out_new.covered_lines
 
-        result = compare(out_old, out_new, snapshot_injected(cmap))
+        result = compare(out_old, out_new, injected)
         if result.status == DIFFERENCE:
             difference = result.detail
             dimension = result.dimension

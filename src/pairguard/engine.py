@@ -339,21 +339,29 @@ class ConsistencyMap:
     rendering made to check the copy, and the snapshot reuses it; otherwise
     it is None. ``seeded`` records whether either side drew from the
     iteration seed.
+
+    The map of an ``identical`` pair, whose old side alone runs, stores
+    each drawn value as both sides' entry, ``(v, v, None)``: nothing is
+    copied, so there is no copy to check, and the driver takes no snapshot.
     """
 
-    def __init__(self):
+    def __init__(self, identical: bool = False):
         self.entries: dict[str, tuple[Any, Any, Optional[str]]] = {}
         self.seeded = False
+        self.identical = identical
 
     def lookup_or_create(self, path: str, side: str, creator: Callable[[], Any]) -> Any:
         entry = self.entries.get(path)
         if entry is None:
             v_old = creator()
-            v_new = deep_copy(v_old)
-            rendered = serialize(v_old)
-            if rendered != serialize(v_new):
-                raise RuntimeError(f"consistency violation at {path!r}")
-            entry = (v_old, v_new, rendered if v_new is v_old else None)
+            if self.identical:
+                entry = (v_old, v_old, None)
+            else:
+                v_new = deep_copy(v_old)
+                rendered = serialize(v_old)
+                if rendered != serialize(v_new):
+                    raise RuntimeError(f"consistency violation at {path!r}")
+                entry = (v_old, v_new, rendered if v_new is v_old else None)
             self.entries[path] = entry
         return entry[0] if side == "old" else entry[1]
 

@@ -37,13 +37,16 @@ class SourceFunction:
 class FunctionPair:
     """The two versions under comparison, names merged, the lines each
     version changes, and the static facts of both, the old version's
-    literals before the new one's."""
+    literals before the new one's. ``identical`` is set when the two
+    sources are one text and no name is renamed: both sides then compile
+    to the same program, and a run of the new side repeats the old one."""
 
     old: SourceFunction
     new: SourceFunction
     changed_lines_old: frozenset[int]
     changed_lines_new: frozenset[int]
     facts: StaticFacts
+    identical: bool = False
 
 
 def code_line_numbers(source: str) -> frozenset[int]:
@@ -129,7 +132,9 @@ def make_pair(
     record, and assemble the pair with its changed-line sets.
 
     Changed-line sets keep only lines that execution can actually reach,
-    i.e. comment-only and blank lines are dropped.
+    i.e. comment-only and blank lines are dropped. Both sides are compiled
+    even when identical: each side's literals count in the pools that
+    injected values are drawn from.
     """
     renames = dict(renames) if renames else {}
     values = list(renames.values())
@@ -154,6 +159,7 @@ def make_pair(
         changed_lines_old=frozenset(raw_old & old.code_lines),
         changed_lines_new=frozenset(raw_new & new.code_lines),
         facts=facts,
+        identical=not renames and old_source == new_source,
     )
 
 

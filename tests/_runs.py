@@ -7,7 +7,9 @@ id, how many single-side runs ``analyze`` accounts for, their total steps,
 and a sha256 over each run's (side, steps, sorted covered lines, exception
 type and intentional flag, return value, stdout). An iteration that read
 nothing from its seed is run once and counted for the remaining ones; its
-two runs are repeated here once for each iteration it stands for.
+two runs are repeated here once for each iteration it stands for. A pair
+whose sides are identical runs only its old side; each of its runs is
+repeated here as the new side's.
 
 The batch digest is a sha256 over ``pairguard analyze --format json`` on the
 seed's ``batch`` pairs with their table predictor, each record without its
@@ -104,6 +106,9 @@ def fingerprints(seed: int) -> list[str]:
             for pair_id, pair, predictor in _pairs(seed, pathlib.Path(scratch)):
                 runs.clear()
                 verdict = analyze(pair, EngineConfig(seed=seed), predictor=predictor)
+                if pair.identical:
+                    # Only the old side ran; the new side's run is its repeat.
+                    runs[:] = [r for run in runs for r in (run, ["new", *run[1:]])]
                 # The last iteration stands for any that were not run.
                 runs.extend(runs[-2:] * (verdict.iterations_run - len(runs) // 2))
                 digest = hashlib.sha256()

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import _corpus
-from pairguard import EngineConfig
+from pairguard import EngineConfig, analyze
 from pairguard.cli import main as cli_main
 from pairguard.engine import ComparisonProgram, ConsistencyMap, derive_seed, run_one
 from pairguard.frontend import extract_static_facts, make_pair
@@ -100,9 +100,14 @@ def test_1_exemplar_pair_verdicts():
 
 
 def test_2_identity_suite():
+    # An identity pair runs its old side alone; its twin, whose new side
+    # ends in one more blank line, runs both sides and must agree.
     seeds = range(5)
     try:
         for pair_id in IDENTITY:
+            data = _corpus.load_pair_data(pair_id)
+            twin = make_pair(data["old"], data["new"] + "\n", entry=data.get("entry"))
+            assert not twin.identical
             for seed in seeds:
                 started = time.monotonic()
                 verdict = _corpus.analyze_fixture(pair_id, cfg=EngineConfig(seed=seed))
@@ -111,10 +116,19 @@ def test_2_identity_suite():
                 assert verdict.classification == "likely-semantics-preserving", (
                     f"{pair_id} seed {seed}: {verdict.classification}"
                 )
+                twin_verdict = analyze(
+                    twin, EngineConfig(seed=seed), predictor=_corpus.predictor_for(pair_id)
+                )
+                assert twin_verdict == verdict, f"{pair_id} seed {seed}: twin gives {twin_verdict}"
     except AssertionError as exc:
         report(2, False, str(exc))
         raise
-    report(2, True, f"{len(IDENTITY)} identity pairs preserving on all {len(list(seeds))} seeds at k=300")
+    report(
+        2,
+        True,
+        f"{len(IDENTITY)} identity pairs preserving on all {len(list(seeds))} seeds at k=300,"
+        " each equal to its two-run twin",
+    )
 
 
 def test_3_rename_suite():

@@ -334,13 +334,8 @@ class TestGoldenOutput:
     must regenerate them and say why.
     """
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_corpus_matches_golden(self, capsys, seed):
-        code, out, err = run_cli(
-            capsys, "analyze", str(FIXTURES / "pairs"), "--format", "json", "--seed", str(seed)
-        )
-        assert code == 0
-        assert err == ""
+    @staticmethod
+    def assert_golden(out, seed):
         lines = []
         for line in out.splitlines():
             record = json.loads(line)
@@ -348,6 +343,31 @@ class TestGoldenOutput:
             lines.append(json.dumps(record, sort_keys=True))
         golden = (FIXTURES / "golden" / f"corpus_seed{seed}.jsonl").read_text().splitlines()
         assert lines == golden
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_corpus_matches_golden(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "analyze", str(FIXTURES / "pairs"), "--format", "json", "--seed", str(seed)
+        )
+        assert code == 0
+        assert err == ""
+        self.assert_golden(out, seed)
+
+    def test_calls_in_one_process_share_the_parser_not_its_values(self, tmp_path, capsys):
+        # The parser is built once per process; a call's flags must not
+        # carry over to the next call, which falls back to the defaults
+        # (k = 300, seed 0) for every flag it leaves out.
+        code, _, err = run_cli(capsys, "analyze", str(write_pair(tmp_path)), "--max-iterations", "0")
+        assert code == 2
+        assert "max_iterations" in err
+        pairs = str(FIXTURES / "pairs")
+        code, out, err = run_cli(capsys, "analyze", pairs, "--format", "json", "--seed", "7")
+        assert (code, err) == (0, "")
+        self.assert_golden(out, 7)
+        code, out, err = run_cli(capsys, "analyze", pairs, "--format", "json")
+        assert (code, err) == (0, "")
+        self.assert_golden(out, 0)
+        assert cli._parser() is cli._parser()
 
     @pytest.mark.parametrize("seed", _runs.SEEDS)
     def test_batch_matches_pinned_digest(self, seed):

@@ -164,6 +164,14 @@ class TestConsistencyMap:
         assert cm.entries["t"][2] == "(1, 'a')"
         assert cm.entries["xs"][2] is None
 
+    def test_an_identical_pairs_map_stores_each_value_once(self, monkeypatch):
+        monkeypatch.setattr(engine, "deep_copy", lambda v: pytest.fail("copied"))
+        monkeypatch.setattr(engine, "serialize", lambda v: pytest.fail("rendered"))
+        cm = ConsistencyMap(identical=True)
+        xs = cm.lookup_or_create("xs", "old", lambda: [1])
+        v_old, v_new, rendered = cm.entries["xs"]
+        assert v_old is xs and v_new is xs and rendered is None
+
 
 class TestSnapshotReuse:
     """The snapshot renders again only what a run could have changed."""

@@ -5,9 +5,10 @@ import textwrap
 import _corpus
 import _runs
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pairguard import EngineConfig, analyze
 from pairguard.engine import _Env, isinstance_class_names, static_callee_path
 from pairguard.frontend import (
     Renamer,
@@ -232,6 +233,21 @@ def test_make_pair_changed_lines_drop_comment_lines():
     pair = make_pair(old, new)
     assert pair.changed_lines_old == frozenset({3})
     assert pair.changed_lines_new == frozenset({3})
+
+
+@pytest.mark.parametrize(
+    "new, renames, identical",
+    [
+        ("def f(a):\n    return g(a)\n", None, True),
+        ("def f(a):\n    return g(a)\n\n", None, False),
+        ("def f(a):\n    return g(a)  # same\n", None, False),
+        # One text, but the old side's g merges to g_renamed_h and the new
+        # side's stays g.
+        ("def f(a):\n    return g(a)\n", {"g": "h"}, False),
+    ],
+)
+def test_make_pair_marks_identical_sides(new, renames, identical):
+    assert make_pair("def f(a):\n    return g(a)\n", new, renames=renames).identical is identical
 
 
 def test_make_pair_requires_matching_entry():
@@ -1079,6 +1095,21 @@ _FUNCTIONS = _functions(_expressions(_LEAVES), _simple_statement(_expressions(_L
 def test_generated_function_facts_match_reference(old, new):
     renames = {"load": "fetch", "A": "B"}
     assert_matches_reference(make_pair(old, new, renames=renames), renames)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_FUNCTIONS, st.sampled_from([0, 7]))
+def test_identical_sides_give_the_verdict_of_running_both(source, seed):
+    # A pair whose sides are one text runs its old side alone; the twin whose
+    # new side ends in one more blank line runs both and must agree.
+    try:
+        pair = make_pair(source, source)
+    except SyntaxError:
+        assume(False)
+    twin = make_pair(source, source + "\n")
+    assert pair.identical and not twin.identical
+    cfg = EngineConfig(seed=seed, max_iterations=4)
+    assert analyze(pair, cfg) == analyze(twin, cfg)
 
 
 # Expressions and statements outside the grammar (and break and continue,
