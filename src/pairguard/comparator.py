@@ -76,6 +76,13 @@ def _difference(
     )
 
 
+def ended_unintended(outcome: ExecutionOutcome) -> bool:
+    """Whether a run ended in an unintended exception, the engine's fault
+    rather than the code's; an iteration with such a run abstains."""
+    exc = outcome.exception
+    return exc is not None and not exc.intentional
+
+
 def _render_exception(exc: Optional[ExceptionValue]) -> str:
     return serialize(exc) if exc is not None else "<no exception>"
 
@@ -94,11 +101,11 @@ def compare(
     the iteration's ``(path, old, new)`` rows of injected state, as
     ``snapshot_injected`` gives them; the first row that differs is named.
     """
-    reasons = []
-    for outcome in (old, new):
-        exc = outcome.exception
-        if exc is not None and not exc.intentional:
-            reasons.append(f"{outcome.side}: {serialize(exc)}")
+    reasons = [
+        f"{outcome.side}: {serialize(outcome.exception)}"
+        for outcome in (old, new)
+        if ended_unintended(outcome)
+    ]
     if reasons:
         return IterationResult(
             status=ABSTAIN,

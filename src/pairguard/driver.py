@@ -8,10 +8,10 @@ into a three-way verdict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .comparator import ABSTAIN, DIFFERENCE, compare
+from .comparator import ABSTAIN, DIFFERENCE, EQUIVALENT, compare, ended_unintended
 from .engine import (
     ComparisonProgram,
     ConsistencyMap,
@@ -113,11 +113,14 @@ def analyze(
     Stops early at the first behavioral difference. An iteration in which
     neither side drew from its iteration seed depends only on the pair, so
     it is run once and counted for every remaining iteration (as abstained
-    ones, if it abstained). For a pair whose sides are ``identical`` only
-    the old side runs: the new side is the same program reading equal
-    values drawn from the same keyed seeds, so its outcome, covered lines
-    and seed use would be the old side's, and the iteration is equivalent
-    unless the run ended in an unintended exception (abstain). The verdict
+    ones, if it abstained). For a pair whose sides are ``identical`` (one
+    program once names are merged; see ``FunctionPair``) only the old side
+    runs: the new side is the same program, with the same line numbers,
+    reading equal values drawn from the same keyed seeds, so its outcome,
+    covered lines and seed use would be the old side's. Its covered lines
+    count for both sides, and the iteration abstains if the run ended in
+    an unintended exception and is equivalent otherwise, with no
+    comparison. The verdict
     is inconclusive when no difference was found and either no changed
     line was ever reached or every iteration had to be abstained; a pair
     with no changed lines at all trivially satisfies the reached condition.
@@ -141,26 +144,24 @@ def analyze(
         cmap = ConsistencyMap(identical=pair.identical)
         iteration_seed = derive_seed(cfg.seed, "iteration", i)
         out_old = run_one("old", program, cmap, iteration_seed)
+        cum_old |= out_old.covered_lines
         if pair.identical:
-            out_new = replace(out_old, side="new")
-            injected = ()
+            cum_new |= out_old.covered_lines
+            status = ABSTAIN if ended_unintended(out_old) else EQUIVALENT
         else:
             out_new = run_one("new", program, cmap, iteration_seed)
-            injected = snapshot_injected(cmap)
-
-        cum_old |= out_old.covered_lines
-        cum_new |= out_new.covered_lines
-
-        result = compare(out_old, out_new, injected)
-        if result.status == DIFFERENCE:
-            difference = result.detail
-            dimension = result.dimension
-            break
+            cum_new |= out_new.covered_lines
+            result = compare(out_old, out_new, snapshot_injected(cmap))
+            if result.status == DIFFERENCE:
+                difference = result.detail
+                dimension = result.dimension
+                break
+            status = result.status
         # An iteration that drew nothing from its seed depends only on the
         # pair, so every remaining iteration would repeat it exactly.
         repeats = 1 if cmap.seeded else cfg.max_iterations - i
         iterations_run = i + repeats
-        if result.status == ABSTAIN:
+        if status == ABSTAIN:
             abstained += repeats
         if not cmap.seeded:
             break

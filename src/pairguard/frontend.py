@@ -7,16 +7,17 @@ each version: it rejects everything outside the supported grammar, compiles
 what a call of the function runs, and records the static facts (literals,
 isinstance class arguments, calls guarded by ``try``) with names
 rename-merged, both versions into the one ``StaticFacts`` of their pair.
-This module also computes changed lines between two versions and merges
-renamed identifiers.
+This module also computes changed lines between two versions, merges
+renamed identifiers, and decides whether a pair's two sides are one program.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import difflib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .engine import StaticFacts, compile_function, reject
 
@@ -37,9 +38,18 @@ class SourceFunction:
 class FunctionPair:
     """The two versions under comparison, names merged, the lines each
     version changes, and the static facts of both, the old version's
-    literals before the new one's. ``identical`` is set when the two
-    sources are one text and no name is renamed: both sides then compile
-    to the same program, and a run of the new side repeats the old one."""
+    literals before the new one's.
+
+    ``identical`` is set when both sides compile to the same program once
+    names are merged, so that a run of the new side repeats the old one:
+    with no renames, when the sources are one text; with renames, when the
+    merged trees are equal with their line numbers, every renamed name is
+    a plain ``ast.Name`` on its side, and none is a builtin. Any other role
+    reaches a run through its raw name: a ``def`` name renders in a
+    function value, a parameter in the missing-argument fault, a keyword
+    in the external call log, an attribute in the native-method check,
+    ``e.args`` and the attribute-store fault, and a builtin in builtin
+    dispatch and in the matching of host exception types."""
 
     old: SourceFunction
     new: SourceFunction
@@ -135,6 +145,15 @@ def make_pair(
     i.e. comment-only and blank lines are dropped. Both sides are compiled
     even when identical: each side's literals count in the pools that
     injected values are drawn from.
+
+    With no renames the pair is identical when the sources are one text.
+    With renames it is identical when (a) the two ``FunctionDef`` trees are
+    equal field by field once each side's names are merged, line numbers
+    included and columns left out, constants compared by type and ``repr``;
+    (b) on each side every occurrence of a renamed name is an ``ast.Name``;
+    and (c) no renamed name is a builtin (see ``FunctionPair``). Raises
+    ValueError when a merged name ``o_renamed_n`` already occurs as an
+    identifier in either source, which would merge two variables into one.
     """
     renames = dict(renames) if renames else {}
     values = list(renames.values())
@@ -144,14 +163,27 @@ def make_pair(
         if not isinstance(name, str) or not name.isidentifier():
             raise ValueError("rename map entries must be identifiers")
     facts = StaticFacts()
-    old = parse_function(old_source, Renamer(renames, "old"), facts)
-    new = parse_function(new_source, Renamer(renames, "new"), facts)
+    old_renamer, new_renamer = Renamer(renames, "old"), Renamer(renames, "new")
+    old = parse_function(old_source, old_renamer, facts)
+    new = parse_function(new_source, new_renamer, facts)
     if entry is not None:
         for side, fn in (("old", old), ("new", new)):
             if fn.name != entry:
                 raise ValueError(
                     f"entry {entry!r} does not match the {side} function {fn.name!r}"
                 )
+    identical = old_source == new_source
+    if renames:
+        old_names, old_other = _identifiers(old.node)
+        new_names, new_other = _identifiers(new.node)
+        merged = set(old_renamer.table.values())
+        for side, names in (("old", old_names), ("new", new_names)):
+            taken = merged & names
+            if taken:
+                raise ValueError(
+                    f"merged name {min(taken)!r} already occurs in the {side} function"
+                )
+        identical = _one_program(old, new, old_other, new_other, old_renamer, new_renamer)
     raw_old, raw_new = diff_changed_lines(old_source, new_source)
     return FunctionPair(
         old=old,
@@ -159,8 +191,78 @@ def make_pair(
         changed_lines_old=frozenset(raw_old & old.code_lines),
         changed_lines_new=frozenset(raw_new & new.code_lines),
         facts=facts,
-        identical=not renames and old_source == new_source,
+        identical=identical,
     )
+
+
+_BUILTIN_NAMES = frozenset(vars(builtins))
+
+
+def _identifiers(node: ast.AST) -> tuple[set[str], set[str]]:
+    """Every identifier in ``node``'s tree, and those of them that are not
+    an ``ast.Name`` id: def, parameter, keyword, attribute and handler
+    names."""
+    names: set[str] = set()
+    other: set[str] = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif not isinstance(n, ast.Constant):
+            for field in n._fields:
+                value = getattr(n, field, None)
+                if isinstance(value, str):
+                    other.add(value)
+                elif isinstance(value, list):
+                    other.update(v for v in value if isinstance(v, str))
+    return names | other, other
+
+
+def _one_program(
+    old: SourceFunction,
+    new: SourceFunction,
+    old_other: set[str],
+    new_other: set[str],
+    old_renamer: Renamer,
+    new_renamer: Renamer,
+) -> bool:
+    """Conditions (a)-(c) of ``make_pair`` for a renamed pair, given each
+    side's identifiers that are not ``ast.Name`` ids."""
+    renamed_old, renamed_new = old_renamer.table.keys(), new_renamer.table.keys()
+    if not _BUILTIN_NAMES.isdisjoint(renamed_old | renamed_new):
+        return False
+    if not (old_other.isdisjoint(renamed_old) and new_other.isdisjoint(renamed_new)):
+        return False
+    # (b) holds, so the merge leaves every identifier but a Name id as it is.
+    return _same_tree(old.node, new.node, old_renamer.merge, new_renamer.merge)
+
+
+def _same_tree(a: Any, b: Any, merge_a: Callable, merge_b: Callable) -> bool:
+    """Whether two trees are equal field by field with ``ast.Name`` ids
+    merged, line numbers compared and columns not; a constant by type and
+    ``repr``, since ``1 == True == 1.0``."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if not _same_tree(x, y, merge_a, merge_b):
+                return False
+        return True
+    if not isinstance(a, ast.AST):
+        return a == b
+    if getattr(a, "lineno", None) != getattr(b, "lineno", None) or getattr(
+        a, "end_lineno", None
+    ) != getattr(b, "end_lineno", None):
+        return False
+    if isinstance(a, ast.Name):
+        return merge_a(a.id) == merge_b(b.id) and type(a.ctx) is type(b.ctx)
+    if isinstance(a, ast.Constant):
+        return type(a.value) is type(b.value) and repr(a.value) == repr(b.value)
+    for field in a._fields:
+        if not _same_tree(getattr(a, field, None), getattr(b, field, None), merge_a, merge_b):
+            return False
+    return True
 
 
 class Renamer:

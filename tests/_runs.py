@@ -8,8 +8,8 @@ and a sha256 over each run's (side, steps, sorted covered lines, exception
 type and intentional flag, return value, stdout). An iteration that read
 nothing from its seed is run once and counted for the remaining ones; its
 two runs are repeated here once for each iteration it stands for. A pair
-whose sides are identical runs only its old side; each of its runs is
-repeated here as the new side's.
+whose sides are identical (one program once names are merged) runs only its
+old side; each of its runs is repeated here as the new side's.
 
 The batch digest is a sha256 over ``pairguard analyze --format json`` on the
 seed's ``batch`` pairs with their table predictor, each record without its

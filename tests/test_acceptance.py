@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v``; the summary lines are
 written straight to the real stdout so they survive pytest's capture.
 """
 
+import dataclasses
 import json
 import random
 import statistics
@@ -132,20 +133,33 @@ def test_2_identity_suite():
 
 
 def test_3_rename_suite():
+    # A rename pair whose merged sides are one program runs its old side
+    # alone; its two-run twin must agree at every seed.
     diverged_without_map = 0
+    one_run = 0
     try:
         assert len(RENAMES) == 10, f"expected 10 rename pairs, found {len(RENAMES)}"
         for pair_id in RENAMES:
+            data = _corpus.load_pair_data(pair_id)
+            pair = make_pair(
+                data["old"], data["new"], renames=data["renames"], entry=data.get("entry")
+            )
+            one_run += pair.identical
+            predictor = _corpus.predictor_for(pair_id)
             for seed in range(5):
-                verdict = _corpus.analyze_fixture(pair_id, cfg=EngineConfig(seed=seed))
+                verdict = analyze(pair, EngineConfig(seed=seed), predictor=predictor)
                 assert verdict.classification == "likely-semantics-preserving", (
                     f"{pair_id} seed {seed}: {verdict.classification}"
                 )
+                if pair.identical:
+                    twin = dataclasses.replace(pair, identical=False)
+                    twin_verdict = analyze(twin, EngineConfig(seed=seed), predictor=predictor)
+                    assert twin_verdict == verdict, (
+                        f"{pair_id} seed {seed}: two-run twin gives {twin_verdict}"
+                    )
         for pair_id in RENAMES:
             data = _corpus.load_pair_data(pair_id)
             pair = make_pair(data["old"], data["new"], renames={})
-            from pairguard import analyze
-
             verdict = analyze(pair, EngineConfig(seed=0), predictor=_corpus.predictor_for(pair_id))
             if verdict.classification != "likely-semantics-preserving":
                 diverged_without_map += 1
@@ -156,7 +170,8 @@ def test_3_rename_suite():
     report(
         3,
         True,
-        f"10 rename pairs preserving with maps; {diverged_without_map}/10 diverge without maps",
+        f"10 rename pairs preserving with maps on 5 seeds, the {one_run} one-run pairs each"
+        f" equal to its two-run twin; {diverged_without_map}/10 diverge without maps",
     )
 
 

@@ -242,6 +242,22 @@ class TestBatch:
         records = [json.loads(l) for l in out.strip().splitlines()]
         assert [(r["id"], r["verdict"]) for r in records] == [("ok", "semantics-changing")]
 
+    def test_colliding_merged_name_reported_and_rest_processed(self, tmp_path, capsys):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        write_pair(d, name="ok")
+        write_pair(
+            d,
+            name="taken",
+            old="def f():\n    t = a\n    return a_renamed_b\n",
+            new="def f():\n    t = b\n    return b\n",
+            renames={"a": "b"},
+        )
+        code, out, err = run_cli(capsys, "analyze", str(d), "--format", "json")
+        assert code == 2
+        assert "error: taken: merged name 'a_renamed_b' already occurs in the old function" in err
+        assert [json.loads(l)["id"] for l in out.strip().splitlines()] == ["ok"]
+
     def test_unexpected_fault_reported_and_rest_processed(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import json
 import pathlib
@@ -228,6 +229,40 @@ def test_identical_sides_give_the_verdict_of_running_both(pair_id, seed):
     cfg = EngineConfig(seed=seed)
     predictor = _corpus.predictor_for(pair_id)
     assert analyze(pair, cfg, predictor) == analyze(twin, cfg, predictor)
+
+
+RENAMES = [i for i in _corpus.all_ids() if i.startswith("rename_")]
+# A parameter (name) and an attribute (count) are renamed there.
+TWO_RUN_RENAMES = {"rename_greet", "rename_read_metric"}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("pair_id", RENAMES)
+def test_renamed_sides_give_the_verdict_of_running_both(pair_id, seed):
+    # A rename pair whose merged sides are one program runs its old side
+    # alone; its two-run twin must agree. With renames, sameness is of the
+    # merged trees, so one more blank line does not force two runs.
+    data = _corpus.load_pair_data(pair_id)
+    pair = make_pair(data["old"], data["new"], renames=data["renames"])
+    assert pair.identical == (pair_id not in TWO_RUN_RENAMES)
+    assert make_pair(data["old"], data["new"] + "\n", renames=data["renames"]).identical == (
+        pair.identical
+    )
+    cfg = EngineConfig(seed=seed)
+    predictor = _corpus.predictor_for(pair_id)
+    assert analyze(pair, cfg, predictor) == analyze(
+        dataclasses.replace(pair, identical=False), cfg, predictor
+    )
+
+
+@pytest.mark.parametrize("pair_id", ["identity_greet", "rename_count_items"])
+def test_one_run_iteration_takes_no_snapshot_and_makes_no_comparison(pair_id, monkeypatch):
+    def unused(*args):
+        raise AssertionError("called on the one-run path")
+
+    monkeypatch.setattr(driver, "snapshot_injected", unused)
+    monkeypatch.setattr(driver, "compare", unused)
+    assert _corpus.analyze_fixture(pair_id).classification == LIKELY_PRESERVING
 
 
 def _defines_one_function(source):

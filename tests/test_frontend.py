@@ -1,6 +1,11 @@
 import ast
+import builtins
+import io
 import json
+import re
 import textwrap
+import tokenize
+from dataclasses import replace
 
 import _corpus
 import _runs
@@ -8,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pairguard import EngineConfig, analyze
+from pairguard import SEMANTICS_CHANGING, EngineConfig, analyze
 from pairguard.engine import _Env, isinstance_class_names, static_callee_path
 from pairguard.frontend import (
     Renamer,
@@ -248,6 +253,46 @@ def test_make_pair_changed_lines_drop_comment_lines():
 )
 def test_make_pair_marks_identical_sides(new, renames, identical):
     assert make_pair("def f(a):\n    return g(a)\n", new, renames=renames).identical is identical
+
+
+@pytest.mark.parametrize(
+    "old, new, renames, identical",
+    [
+        ("def f(a):\n    return g(a)\n", "def f(a):\n    return h(a)\n", {"g": "h"}, True),
+        # With renames, sameness is of the merged trees, not of the texts.
+        ("def f(a):\n    return g(a)\n", "def f(a):\n    return h(a)\n\n", {"g": "h"}, True),
+        ("def f(a):\n    return g(a)\n", "def f(a):\n    return h( a )  # n\n", {"g": "h"}, True),
+        ("def f(a):\n    return g(a)\n", "def f(a):\n\n    return h(a)\n", {"g": "h"}, False),
+        ("def f(a):\n    return g(1)\n", "def f(a):\n    return h(True)\n", {"g": "h"}, False),
+        ("def f(a):\n    return g(1)\n", "def f(a):\n    return h(1.0)\n", {"g": "h"}, False),
+        ("def f(a):\n    return g(a)\n", "def f(a):\n    return g(a)\n", {"a": "a"}, False),
+        # The same raw attribute, but only the old side's is a renamed name.
+        ("def f(x):\n    return a + x.a\n", "def f(x):\n    return b + x.a\n", {"a": "b"}, False),
+        # A rename of a name neither side uses merges nothing.
+        ("def f(a):\n    return g(a)\n", "def f(a):\n    return g(a)\n", {"u": "w"}, True),
+    ],
+)
+def test_make_pair_marks_renamed_sides_that_merge_to_one_program(old, new, renames, identical):
+    assert make_pair(old, new, renames=renames).identical is identical
+
+
+@pytest.mark.parametrize("side", ["old", "new"])
+def test_make_pair_rejects_a_merged_name_a_source_uses(side):
+    # Two distinct variables would read one injected value: with a_renamed_b
+    # in the old source, old "t = a; return a_renamed_b" against new
+    # "t = b; return b" would pass for a rename.
+    taken = "def f():\n    t = a\n    return a_renamed_b\n"
+    plain = "def f():\n    t = b\n    return b\n"
+    old, new = (taken, plain) if side == "old" else (plain, taken)
+    with pytest.raises(ValueError, match=f"'a_renamed_b' already occurs in the {side} function"):
+        make_pair(old, new, renames={"a": "b"})
+
+
+@pytest.mark.parametrize("use", ["x.a_renamed_b", "g(a_renamed_b=1)"])
+def test_make_pair_rejects_a_merged_name_in_any_identifier_role(use):
+    old = f"def f(x):\n    return a + {use}\n"
+    with pytest.raises(ValueError, match="already occurs"):
+        make_pair(old, old.replace("a +", "b +"), renames={"a": "b"})
 
 
 def test_make_pair_requires_matching_entry():
@@ -1079,10 +1124,18 @@ def _compound_statement(exprs):
     return compound
 
 
+# Every name a generated body can bind in f's scope: a last statement that
+# returns or prints them all lets a property tell two runs apart.
+_BOUND = "x, items, v, h, err, g"
+
+
 def _functions(exprs, simple):
     statements = st.recursive(simple, _compound_statement(exprs), max_leaves=6)
-    return st.lists(statements, min_size=1, max_size=4).map(
-        lambda stmts: "\n".join(["def f(x, items):", *_indent([ln for s in stmts for ln in s])])
+    last = st.sampled_from([f"return ({_BOUND})", f"print({_BOUND})"])
+    return st.tuples(st.lists(statements, min_size=1, max_size=4), last).map(
+        lambda t: "\n".join(
+            ["def f(x, items):", *_indent([ln for s in t[0] for ln in s] + [t[1]])]
+        )
         + "\n"
     )
 
@@ -1110,6 +1163,140 @@ def test_identical_sides_give_the_verdict_of_running_both(source, seed):
     assert pair.identical and not twin.identical
     cfg = EngineConfig(seed=seed, max_iterations=4)
     assert analyze(pair, cfg) == analyze(twin, cfg)
+
+
+# Renames of one identifier of a generated function to another of the same
+# length. v, h, load, self and A are plain names there; err is a handler
+# name, g a def name, a, x and items parameters.
+_TOKEN_RENAMES = {
+    "v": "w", "h": "k", "load": "read", "self": "this", "A": "Z",
+    "err": "exc", "g": "q", "a": "p", "x": "y", "items": "elems",
+}
+
+
+def _name_tokens(source):
+    return [
+        tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.NAME
+    ]
+
+
+def _rename_tokens(source, old, new):
+    """``source`` with every NAME token ``old`` replaced by ``new``, a name
+    of the same length, so that every column stays where it was."""
+    lines = source.splitlines(keepends=True)
+    for tok in _name_tokens(source):
+        if tok.string == old:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col] + new + lines[row - 1][col + len(old):]
+    return "".join(lines)
+
+
+def _identifier_fields(node):
+    """(field, value) of every identifier field of ``node``, a Name's id
+    included; a Constant has none."""
+    if isinstance(node, ast.Constant):
+        return []
+    return [(f, v) for f, v in ast.iter_fields(node) if isinstance(v, str)]
+
+
+def _merged_dump(source, table):
+    """The function's tree with every identifier merged through ``table``
+    and columns cleared, dumped with its line numbers."""
+    tree = ast.parse(source).body[0]
+    for node in ast.walk(tree):
+        for field, value in _identifier_fields(node):
+            setattr(node, field, table.get(value, value))
+        for attr in ("col_offset", "end_col_offset"):
+            if hasattr(node, attr):
+                setattr(node, attr, 0)
+    return ast.dump(tree, include_attributes=True)
+
+
+def _only_plain_names(source, name):
+    """Whether every occurrence of ``name`` in ``source``'s tree is a Name."""
+    return not any(
+        value == name and not isinstance(node, ast.Name)
+        for node in ast.walk(ast.parse(source))
+        for _, value in _identifier_fields(node)
+    )
+
+
+def _one_program(old, new, renames):
+    """Conditions (a)-(c) of ``make_pair``, worked out from the trees."""
+    merged = {o: f"{o}_renamed_{n}" for o, n in renames.items()}
+    same_tree = _merged_dump(old, merged) == _merged_dump(
+        new, {n: merged[o] for o, n in renames.items()}
+    )
+    plain = all(
+        _only_plain_names(old, o) and _only_plain_names(new, n) for o, n in renames.items()
+    )
+    no_builtin = not any(name in vars(builtins) for item in renames.items() for name in item)
+    return same_tree and plain and no_builtin
+
+
+@settings(max_examples=120, deadline=None)
+@given(_FUNCTIONS, st.data())
+def test_renamed_sides_are_identical_iff_one_program(source, data):
+    # A renamed pair takes the one-run path exactly when conditions (a)-(c)
+    # hold, and the path gives the verdict of running both sides.
+    try:
+        make_pair(source, source)
+    except SyntaxError:
+        assume(False)
+    present = sorted({tok.string for tok in _name_tokens(source)} & set(_TOKEN_RENAMES))
+    old_name = data.draw(st.sampled_from(present))
+    renames = {old_name: _TOKEN_RENAMES[old_name]}
+    new_source = _rename_tokens(source, old_name, renames[old_name])
+    pair = make_pair(source, new_source, renames=renames)
+    assert pair.identical == _one_program(source, new_source, renames)
+    cfg = EngineConfig(seed=data.draw(st.sampled_from([0, 7])), max_iterations=4)
+    assert analyze(pair, cfg) == analyze(replace(pair, identical=False), cfg)
+
+
+# One pair per role that keeps a renamed name out of the one-run path. Each
+# merges to one tree, yet the raw name reaches what a run shows, so running
+# both sides finds a difference that a one-run iteration would miss.
+_EXCLUDED_ROLES = {
+    # A function value renders its def's name.
+    "def": (
+        "def f(a):\n    def helper(x):\n        return x\n    return helper\n",
+        {"helper": "assist"},
+    ),
+    # The missing-argument fault names the parameter.
+    "parameter": (
+        "def f(a):\n    def g(p):\n        return p\n    try:\n        return g()\n"
+        "    except TypeError as e:\n        return str(e)\n",
+        {"p": "q"},
+    ),
+    # The external call log records keyword names.
+    "keyword": ("def f(a):\n    return load(key=a)\n", {"key": "tag"}),
+    # The attribute-store fault names the attribute.
+    "attribute": (
+        "def f(a):\n    n = 1\n    try:\n        n.size = 2\n"
+        "    except AttributeError as e:\n        return str(e)\n",
+        {"size": "span"},
+    ),
+    # A builtin is dispatched by its raw name; the new side's is not one.
+    "builtin": ("def f(xs):\n    return len(xs)\n", {"len": "size"}),
+}
+
+
+@pytest.mark.parametrize("role", sorted(_EXCLUDED_ROLES))
+def test_renamed_role_that_a_run_shows_keeps_two_runs(role):
+    old, renames = _EXCLUDED_ROLES[role]
+    new = old
+    for o, n in renames.items():
+        new = re.sub(rf"\b{o}\b", n, new)
+    merged = {o: f"{o}_renamed_{n}" for o, n in renames.items()}
+    assert _merged_dump(old, merged) == _merged_dump(
+        new, {n: merged[o] for o, n in renames.items()}
+    )
+    pair = make_pair(old, new, renames=renames)
+    assert not pair.identical
+    cfg = EngineConfig(seed=0)
+    assert analyze(pair, cfg).classification == SEMANTICS_CHANGING
+    assert analyze(replace(pair, identical=True), cfg).classification != SEMANTICS_CHANGING
 
 
 # Expressions and statements outside the grammar (and break and continue,
