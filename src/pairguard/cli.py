@@ -178,6 +178,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         cfg.validate()
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be at least 1")
         predictor = _build_predictor(args.predictor)
         paths = _pair_paths(Path(args.path))
     except (ConfigError, FormatError, PairFileError) as exc:
@@ -215,7 +217,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 2 if failed else 0

@@ -340,12 +340,11 @@ class ConsistencyMap:
     it is None. ``seeded`` records whether either side drew from the
     iteration seed.
 
-    The map of an ``identical`` pair, whose two sides are one program once
-    names are merged (one text with no renames; with renames, equal merged
-    trees in which every renamed name is a plain, non-builtin ``ast.Name``),
-    serves its old side alone and stores each drawn value as both sides'
-    entry, ``(v, v, None)``: nothing is copied, so there is no copy to
-    check, and the driver takes no snapshot and makes no comparison.
+    The map of an ``identical`` pair (one program once names are merged;
+    see ``FunctionPair``) serves its old side alone and stores each drawn
+    value as both sides' entry, ``(v, v, None)``: nothing is copied, so
+    there is no copy to check, and the driver takes no snapshot and makes
+    no comparison.
     """
 
     def __init__(self, identical: bool = False):

@@ -41,15 +41,18 @@ class FunctionPair:
     literals before the new one's.
 
     ``identical`` is set when both sides compile to the same program once
-    names are merged, so that a run of the new side repeats the old one:
-    with no renames, when the sources are one text; with renames, when the
-    merged trees are equal with their line numbers, every renamed name is
-    a plain ``ast.Name`` on its side, and none is a builtin. Any other role
-    reaches a run through its raw name: a ``def`` name renders in a
-    function value, a parameter in the missing-argument fault, a keyword
-    in the external call log, an attribute in the native-method check,
-    ``e.args`` and the attribute-store fault, and a builtin in builtin
-    dispatch and in the matching of host exception types."""
+    names are merged, so that a run of the new side repeats the old one.
+    With no renames, that is when the sources are one text. With renames,
+    it is when (a) the two ``FunctionDef`` trees are equal field by field
+    once each side's names are merged, line numbers included and columns
+    left out, constants compared by type and ``repr``; (b) on each side
+    every occurrence of a renamed name is an ``ast.Name``; and (c) no
+    renamed name is a builtin. Any other role reaches a run through its raw
+    name: a ``def`` name renders in a function value, a parameter in the
+    missing-argument fault, a keyword in the external call log, an
+    attribute in the native-method check, ``e.args`` and the
+    attribute-store fault, and a builtin in builtin dispatch and in the
+    matching of host exception types."""
 
     old: SourceFunction
     new: SourceFunction
@@ -146,14 +149,11 @@ def make_pair(
     even when identical: each side's literals count in the pools that
     injected values are drawn from.
 
-    With no renames the pair is identical when the sources are one text.
-    With renames it is identical when (a) the two ``FunctionDef`` trees are
-    equal field by field once each side's names are merged, line numbers
-    included and columns left out, constants compared by type and ``repr``;
-    (b) on each side every occurrence of a renamed name is an ``ast.Name``;
-    and (c) no renamed name is a builtin (see ``FunctionPair``). Raises
-    ValueError when a merged name ``o_renamed_n`` already occurs as an
-    identifier in either source, which would merge two variables into one.
+    ``identical`` follows the one-program rule of ``FunctionPair``. A
+    renamed pair's sides are walked once each into a merged form that
+    (a) compares, collecting the identifiers that (b) and (c) check.
+    Raises ValueError when a merged name ``o_renamed_n`` already occurs as
+    an identifier in either source, which would merge two variables.
     """
     renames = dict(renames) if renames else {}
     values = list(renames.values())
@@ -174,16 +174,17 @@ def make_pair(
                 )
     identical = old_source == new_source
     if renames:
-        old_names, old_other = _identifiers(old.node)
-        new_names, new_other = _identifiers(new.node)
-        merged = set(old_renamer.table.values())
-        for side, names in (("old", old_names), ("new", new_names)):
-            taken = merged & names
+        merged, forms, plain = set(old_renamer.table.values()), [], True
+        for side, fn, renamer in (("old", old, old_renamer), ("new", new, new_renamer)):
+            form, names, other = _merged_form(fn.node, renamer.merge)
+            taken = merged & (names | other)
             if taken:
                 raise ValueError(
                     f"merged name {min(taken)!r} already occurs in the {side} function"
                 )
-        identical = _one_program(old, new, old_other, new_other, old_renamer, new_renamer)
+            forms.append(form)
+            plain = plain and renamer.table.keys().isdisjoint(other.union(vars(builtins)))
+        identical = plain and forms[0] == forms[1]
     raw_old, raw_new = diff_changed_lines(old_source, new_source)
     return FunctionPair(
         old=old,
@@ -195,74 +196,34 @@ def make_pair(
     )
 
 
-_BUILTIN_NAMES = frozenset(vars(builtins))
-
-
-def _identifiers(node: ast.AST) -> tuple[set[str], set[str]]:
-    """Every identifier in ``node``'s tree, and those of them that are not
-    an ``ast.Name`` id: def, parameter, keyword, attribute and handler
-    names."""
+def _merged_form(node: ast.FunctionDef, merge: Callable[[str], str]) -> tuple:
+    """One side's tree as a hashable form, in one walk, with the side's
+    ``ast.Name`` ids and its other identifiers: def, parameter, keyword,
+    attribute and handler names. A node is its type, line numbers (columns
+    left out) and fields in order; a Name is its merged id and context
+    type; a constant is its type and ``repr``, since ``1 == True == 1.0``."""
     names: set[str] = set()
     other: set[str] = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            names.add(n.id)
-        elif not isinstance(n, ast.Constant):
-            for field in n._fields:
-                value = getattr(n, field, None)
-                if isinstance(value, str):
-                    other.add(value)
-                elif isinstance(value, list):
-                    other.update(v for v in value if isinstance(v, str))
-    return names | other, other
 
+    def form(value: Any) -> Any:
+        if isinstance(value, list):
+            return tuple(map(form, value))
+        if isinstance(value, str):
+            other.add(value)
+            return value
+        if not isinstance(value, ast.AST):
+            return value
+        head = (type(value), getattr(value, "lineno", None), getattr(value, "end_lineno", None))
+        if isinstance(value, ast.Name):
+            names.add(value.id)
+            return (*head, merge(value.id), type(value.ctx))
+        if isinstance(value, ast.Constant):
+            return (*head, type(value.value), repr(value.value))
+        return (*head, *map(form, [getattr(value, field, None) for field in value._fields]))
 
-def _one_program(
-    old: SourceFunction,
-    new: SourceFunction,
-    old_other: set[str],
-    new_other: set[str],
-    old_renamer: Renamer,
-    new_renamer: Renamer,
-) -> bool:
-    """Conditions (a)-(c) of ``make_pair`` for a renamed pair, given each
-    side's identifiers that are not ``ast.Name`` ids."""
-    renamed_old, renamed_new = old_renamer.table.keys(), new_renamer.table.keys()
-    if not _BUILTIN_NAMES.isdisjoint(renamed_old | renamed_new):
-        return False
-    if not (old_other.isdisjoint(renamed_old) and new_other.isdisjoint(renamed_new)):
-        return False
-    # (b) holds, so the merge leaves every identifier but a Name id as it is.
-    return _same_tree(old.node, new.node, old_renamer.merge, new_renamer.merge)
-
-
-def _same_tree(a: Any, b: Any, merge_a: Callable, merge_b: Callable) -> bool:
-    """Whether two trees are equal field by field with ``ast.Name`` ids
-    merged, line numbers compared and columns not; a constant by type and
-    ``repr``, since ``1 == True == 1.0``."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return False
-        for x, y in zip(a, b):
-            if not _same_tree(x, y, merge_a, merge_b):
-                return False
-        return True
-    if not isinstance(a, ast.AST):
-        return a == b
-    if getattr(a, "lineno", None) != getattr(b, "lineno", None) or getattr(
-        a, "end_lineno", None
-    ) != getattr(b, "end_lineno", None):
-        return False
-    if isinstance(a, ast.Name):
-        return merge_a(a.id) == merge_b(b.id) and type(a.ctx) is type(b.ctx)
-    if isinstance(a, ast.Constant):
-        return type(a.value) is type(b.value) and repr(a.value) == repr(b.value)
-    for field in a._fields:
-        if not _same_tree(getattr(a, field, None), getattr(b, field, None), merge_a, merge_b):
-            return False
-    return True
+    result = form(node)
+    del form  # form's closure refers to form; unbinding it leaves no cycle
+    return result, names, other
 
 
 class Renamer:

@@ -142,6 +142,27 @@ class TestFlags:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        p = write_pair(tmp_path)
+        code, out, err = run_cli(capsys, "analyze", str(p), "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --jobs must be at least 1\n"
+
+    @pytest.mark.parametrize("target", [".", "missing/results.jsonl"])
+    def test_unwritable_out_reported(self, tmp_path, capsys, target):
+        # A directory, or a file in a missing directory: the results cannot
+        # be written, which is reported like an unreadable pair file.
+        p = write_pair(tmp_path)
+        out_path = tmp_path / target
+        code, out, err = run_cli(capsys, "analyze", str(p), "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
     def test_missing_table_file(self, tmp_path, capsys):
         p = write_pair(tmp_path)
         code, _, err = run_cli(

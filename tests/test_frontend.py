@@ -270,6 +270,31 @@ def test_make_pair_marks_identical_sides(new, renames, identical):
         ("def f(x):\n    return a + x.a\n", "def f(x):\n    return b + x.a\n", {"a": "b"}, False),
         # A rename of a name neither side uses merges nothing.
         ("def f(a):\n    return g(a)\n", "def f(a):\n    return g(a)\n", {"u": "w"}, True),
+        # A string constant is not an identifier, so its text is not renamed.
+        ("def f(a):\n    return g('g')\n", "def f(a):\n    return h('g')\n", {"g": "h"}, True),
+        # A lambda parameter and a handler name are not plain names.
+        (
+            "def f(a):\n    return (lambda u: u + 1)(a)\n",
+            "def f(a):\n    return (lambda w: w + 1)(a)\n",
+            {"u": "w"},
+            False,
+        ),
+        (
+            "def f(a):\n    try:\n        return g(a)\n    except ValueError as err:\n"
+            "        return str(err)\n",
+            "def f(a):\n    try:\n        return g(a)\n    except ValueError as exc:\n"
+            "        return str(exc)\n",
+            {"err": "exc"},
+            False,
+        ),
+        # A longer name shifts columns, inside an f-string and a comprehension
+        # target too; columns are left out.
+        (
+            'def f(a):\n    return [f"{v}: {v * 2}" for v in a if v]\n',
+            'def f(a):\n    return [f"{value}: {value * 2}" for value in a if value]\n',
+            {"v": "value"},
+            True,
+        ),
     ],
 )
 def test_make_pair_marks_renamed_sides_that_merge_to_one_program(old, new, renames, identical):
@@ -1040,28 +1065,71 @@ class TestRecordedLiteralOrder:
 # outside it.
 
 _LITERAL_TEXT = st.text("ab z", max_size=3)
+_TEXTS = _LITERAL_TEXT.map(repr)
+_NUMBERS = st.one_of(
+    st.integers(0, 300).map(repr),
+    st.floats(0, 1e3, allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+def _negate(e):
+    # Parenthesized, so that a subscript after it cannot make it negate the
+    # subscript's result instead.
+    return f"(-{e})"
+
+
+def _sum(pair):
+    return f"({pair[0]} + {pair[1]})"
+
+
+# Numeric expressions, True among them: what a negation may apply to.
+_NUMERIC = st.recursive(
+    st.one_of(_NUMBERS, st.just("True")),
+    lambda c: st.one_of(c.map(_negate), st.tuples(c, c).map(_sum)),
+    max_leaves=3,
+)
 _LEAVES = st.one_of(
-    st.integers(-300, 300).map(repr),
-    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(repr),
-    _LITERAL_TEXT.map(repr),
+    _NUMBERS,
+    _NUMBERS.map(_negate),
+    _TEXTS,
     st.sampled_from(["True", "None", "x", "self.data", "items"]),
 )
 
 
+def _lists(children):
+    return st.lists(children, max_size=3).map(lambda es: "[" + ", ".join(es) + "]")
+
+
+def _iterables(children):
+    """What a loop or comprehension walks: a list display, a str literal, or
+    a name or call whose injected value is predicted to be iterated."""
+    return st.one_of(
+        _lists(children),
+        _TEXTS,
+        st.sampled_from(["x", "items", "self.data", "load()"]),
+    )
+
+
 def _compound(children):
+    # A negation takes a number, an addition two operands of one kind, and a
+    # comprehension walks an iterable, so that a generated body runs on past
+    # them rather than end in a TypeError.
     pairs = st.tuples(children, children)
+    lists = _lists(children)
     callee = st.sampled_from(["load", "self.fetch", "get_conn().close", "isinstance"])
     return st.one_of(
-        pairs.map(lambda p: f"({p[0]} + {p[1]})"),
-        children.map(lambda e: f"-{e}"),
+        st.one_of(
+            st.tuples(_NUMERIC, _NUMERIC), st.tuples(_TEXTS, _TEXTS), st.tuples(lists, lists)
+        ).map(_sum),
+        _NUMERIC.map(_negate),
         st.lists(pairs, max_size=3).map(
             lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"
         ),
-        st.tuples(children, children, children).map(
+        st.tuples(children, _iterables(children), children).map(
             lambda t: f"[{t[0]} for v in {t[1]} if {t[2]}]"
         ),
-        pairs.map(lambda p: f"({p[0]} for v in {p[1]})"),
-        st.lists(children, max_size=3).map(lambda es: "[" + ", ".join(es) + "]"),
+        st.tuples(children, _iterables(children)).map(lambda p: f"({p[0]} for v in {p[1]})"),
+        lists,
         pairs.map(lambda p: f"{p[0]}[{p[1]}]"),
         pairs.map(lambda p: f"{p[0]}[{p[1]}:]"),
         st.tuples(children, st.one_of(st.sampled_from(["A", "(A, b.C)", "(Foo, 3)"]), children)).map(
@@ -1115,7 +1183,7 @@ def _compound_statement(exprs):
         )
         return st.one_of(
             st.tuples(exprs, block, block).map(lambda t: [f"if {t[0]}:", *t[1], "else:", *t[2]]),
-            st.tuples(exprs, block).map(lambda t: [f"for v in {t[0]}:", *t[1]]),
+            st.tuples(_iterables(exprs), block).map(lambda t: [f"for v in {t[0]}:", *t[1]]),
             st.tuples(exprs, block).map(lambda t: [f"with {t[0]} as h:", *t[1]]),
             st.tuples(block, handler, block).map(lambda t: ["try:", *t[0], t[1], *t[2]]),
             block.map(lambda b: ["def g(a):", *b]),
@@ -1165,12 +1233,14 @@ def test_identical_sides_give_the_verdict_of_running_both(source, seed):
     assert analyze(pair, cfg) == analyze(twin, cfg)
 
 
-# Renames of one identifier of a generated function to another of the same
-# length. v, h, load, self and A are plain names there; err is a handler
-# name, g a def name, a, x and items parameters.
+# Renames of one identifier of a generated function to another name of the
+# same length or of a different one, which shifts columns. v, h, load, self
+# and A are plain names there; err is a handler name, g a def name, a, x and
+# items parameters.
 _TOKEN_RENAMES = {
-    "v": "w", "h": "k", "load": "read", "self": "this", "A": "Z",
-    "err": "exc", "g": "q", "a": "p", "x": "y", "items": "elems",
+    "v": ("w", "value"), "h": ("k", "handle"), "load": ("read", "ld"),
+    "self": ("this", "me"), "A": ("Z", "Alpha"), "err": ("exc", "error"),
+    "g": ("q", "gen"), "a": ("p", "arg"), "x": ("y", "xs"), "items": ("elems", "its"),
 }
 
 
@@ -1182,10 +1252,10 @@ def _name_tokens(source):
 
 
 def _rename_tokens(source, old, new):
-    """``source`` with every NAME token ``old`` replaced by ``new``, a name
-    of the same length, so that every column stays where it was."""
+    """``source`` with every NAME token ``old`` replaced by ``new``, right to
+    left on each line, so that a token's column is still where it was."""
     lines = source.splitlines(keepends=True)
-    for tok in _name_tokens(source):
+    for tok in reversed(_name_tokens(source)):
         if tok.string == old:
             row, col = tok.start
             lines[row - 1] = lines[row - 1][:col] + new + lines[row - 1][col + len(old):]
@@ -1246,7 +1316,7 @@ def test_renamed_sides_are_identical_iff_one_program(source, data):
         assume(False)
     present = sorted({tok.string for tok in _name_tokens(source)} & set(_TOKEN_RENAMES))
     old_name = data.draw(st.sampled_from(present))
-    renames = {old_name: _TOKEN_RENAMES[old_name]}
+    renames = {old_name: data.draw(st.sampled_from(_TOKEN_RENAMES[old_name]))}
     new_source = _rename_tokens(source, old_name, renames[old_name])
     pair = make_pair(source, new_source, renames=renames)
     assert pair.identical == _one_program(source, new_source, renames)
