@@ -589,14 +589,14 @@ class Interpreter:
     def _fault(self, type_name: str, message: str):
         raise SubjectError(ExceptionValue(type_name, [message], intentional=False))
 
-    def _inject(self, kind: str, raw_name: str, path: str, context: ast.AST) -> Any:
+    def _inject(self, kind: str, name: str, path: str, context: ast.AST) -> Any:
         """Injected value at ``path``, a key already capped by the caller;
         the predictor is asked with the source text of ``context``."""
 
         def creator():
             rng = self._stream("value", path)
             text = self.program.context(context)
-            abstract = self.program.distribution(kind, raw_name, text).sample(rng)
+            abstract = self.program.distribution(kind, name, text).sample(rng)
             return concretize(abstract, self.program.ccfg, rng)
 
         return self.cmap.lookup_or_create(path, self.side, creator)
@@ -611,8 +611,8 @@ class Interpreter:
     def run(self) -> ExecutionOutcome:
         fn = self.program.pair.old if self.side == "old" else self.program.pair.new
         root = _Env()
-        entry = FunctionValue(fn.name, fn.params, fn.body, root)
-        root[fn.name] = entry
+        entry = FunctionValue(fn.node.name, fn.params, fn.body, root)
+        root[fn.node.name] = entry
         self.covered.add(fn.node.lineno)
         return_s: Optional[str] = None
         exception: Optional[ExceptionValue] = None
@@ -704,20 +704,20 @@ class Interpreter:
 
     # stores
 
-    def _store_attribute(self, base: Any, raw_attr: str, merged: str, value: Any) -> None:
+    def _store_attribute(self, base: Any, attr: str, value: Any) -> None:
         """``base.attr = value``. A versatile records the store as state; an
         exception or function keeps it in its own ``attrs``, except that
         ``e.args = it`` sets the exception's arguments to the items of
         ``it``. Any other value refuses the store, as CPython's builtins do."""
         if isinstance(base, VersatileObject):
-            base.store(merged, value)
-        elif isinstance(base, ExceptionValue) and raw_attr == "args":
+            base.store(attr, value)
+        elif isinstance(base, ExceptionValue) and attr == "args":
             base.args = list(self._iterate(value))
         elif isinstance(base, _RECORDS):
-            base.attrs[merged] = value
+            base.attrs[attr] = value
         else:
             self._fault(
-                "AttributeError", f"'{type(base).__name__}' object has no attribute {raw_attr!r}"
+                "AttributeError", f"'{type(base).__name__}' object has no attribute {attr!r}"
             )
 
     def _store_subscript(self, base: Any, host_index: Any, value: Any) -> None:
@@ -737,18 +737,16 @@ class Interpreter:
         env[name] = value
         return value
 
-    def _read_attribute(
-        self, base: Any, raw_attr: str, merged: str, path: str, context: ast.AST
-    ) -> Any:
-        if isinstance(base, _ATTRIBUTED) and merged in base.attrs:
-            return base.attrs[merged]
+    def _read_attribute(self, base: Any, attr: str, path: str, context: ast.AST) -> Any:
+        if isinstance(base, _ATTRIBUTED) and attr in base.attrs:
+            return base.attrs[attr]
         if isinstance(base, VersatileObject):
-            value = self._inject("attribute-read", raw_attr, path, context)
-            base.attrs[merged] = value
+            value = self._inject("attribute-read", attr, path, context)
+            base.attrs[attr] = value
             return value
-        if raw_attr in NATIVE_METHODS and hasattr(base, raw_attr):
-            return BoundMethod(base, raw_attr)
-        return self._inject("attribute-read", raw_attr, path, context)
+        if attr in NATIVE_METHODS and hasattr(base, attr):
+            return BoundMethod(base, attr)
+        return self._inject("attribute-read", attr, path, context)
 
     def _read_subscript(
         self, base: Any, rendered: str, host_index: Any, path: str, context: ast.AST
@@ -1065,28 +1063,28 @@ def reject(node: ast.AST, message: str, source: str) -> NoReturn:
     raise SyntaxError(message, ("<pair>", lineno, col + 1, text))
 
 
-def static_callee_path(node: ast.expr, merge: Callable[[str], str]) -> Optional[str]:
-    """Merged dotted path of a callee expression, if it has a static shape."""
+def static_callee_path(node: ast.expr) -> Optional[str]:
+    """Dotted path of a callee expression, if it has a static shape."""
     if isinstance(node, ast.Name):
-        return merge(node.id)
+        return node.id
     if isinstance(node, ast.Attribute):
-        base = static_callee_path(node.value, merge)
+        base = static_callee_path(node.value)
         if base is None:
             return None
-        return f"{base}.{merge(node.attr)}"
+        return f"{base}.{node.attr}"
     if isinstance(node, ast.Call):
-        base = static_callee_path(node.func, merge)
+        base = static_callee_path(node.func)
         if base is None:
             return None
         return f"{base}()"
     return None
 
 
-def isinstance_class_names(node: ast.expr, merge: Callable[[str], str]) -> list[str]:
+def isinstance_class_names(node: ast.expr) -> list[str]:
     """Class names named by the second argument of an isinstance call: the
     dotted paths among it (or its tuple's items) that go through no call."""
     items = node.elts if isinstance(node, ast.Tuple) else [node]
-    paths = [static_callee_path(e, merge) for e in items]
+    paths = [static_callee_path(e) for e in items]
     return [p for p in paths if p is not None and "(" not in p]
 
 
@@ -1094,15 +1092,13 @@ def isinstance_class_names(node: ast.expr, merge: Callable[[str], str]) -> list[
 _PATHED = frozenset({ast.Name, ast.Attribute, ast.Subscript, ast.Call})
 
 
-def compile_function(
-    node: ast.FunctionDef, source: str, merge: Callable[[str], str], facts: StaticFacts
-) -> Callable:
+def compile_function(node: ast.FunctionDef, source: str, facts: StaticFacts) -> Callable:
     """Check one side's function against the subject-language grammar while
     compiling what a call of it runs, and record the side's static facts into
-    ``facts``. Names are merged through ``merge``. Raises ``SyntaxError`` at
-    the first construct, in AST field order, outside the grammar.
+    ``facts``. Raises ``SyntaxError`` at the first construct, in AST field
+    order, outside the grammar.
     """
-    return _Compiler(source, merge, facts).function_body(node)
+    return _Compiler(source, facts).function_body(node)
 
 
 class _Compiler:
@@ -1118,7 +1114,7 @@ class _Compiler:
     its ``for`` clauses.
 
     Every closure takes ``(rt, env)``: the run's ``Interpreter`` and the
-    current scope. Whatever depends only on the node (line, merged names,
+    current scope. Whatever depends only on the node (line, names,
     paths, operator functions, builtin call shapes) is settled here, once
     per pair. That includes the context node each injection site asks the
     predictor with: the statement that contains it, or, inside a compound
@@ -1129,9 +1125,8 @@ class _Compiler:
     ``_tick``.
     """
 
-    def __init__(self, source: str, merge: Callable[[str], str], facts: StaticFacts):
+    def __init__(self, source: str, facts: StaticFacts):
         self.source = source
-        self.merge = merge
         self.facts = facts
         self.literals = {
             int: facts.literals_int,
@@ -1278,7 +1273,7 @@ class _Compiler:
         target = node.target
         if isinstance(target, ast.Name):
             name = target.id
-            path = _cap_path(self.merge(name))
+            path = _cap_path(name)
             rhs = self.expr(node.value)
 
             def augment_name(rt, env):
@@ -1292,17 +1287,16 @@ class _Compiler:
             return augment_name
         base = self.expr_p(target.value)
         if isinstance(target, ast.Attribute):
-            raw = target.attr
-            merged = self.merge(raw)
-            suffix = f".{merged}"
+            attr = target.attr
+            suffix = f".{attr}"
             rhs = self.expr(node.value)
 
             def augment_attribute(rt, env):
                 _tick(rt, line)
                 base_v, base_p = base(rt, env)
                 path = _access_path(base_p, suffix)
-                current = rt._read_attribute(base_v, raw, merged, path, node)
-                rt._store_attribute(base_v, raw, merged, apply(rt, current, rhs(rt, env)))
+                current = rt._read_attribute(base_v, attr, path, node)
+                rt._store_attribute(base_v, attr, apply(rt, current, rhs(rt, env)))
 
             return augment_attribute
         index = self.index(target)
@@ -1440,7 +1434,7 @@ class _Compiler:
         exc = node.exc
         reraise = exc is None
         # ``raise E`` looks E up; ``raise E(...)`` evaluates only the call's
-        # arguments, positional then keyword. Either way E is merged here.
+        # arguments, positional then keyword.
         name = exc.id if isinstance(exc, ast.Name) else None
         values = []
         if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
@@ -1449,7 +1443,7 @@ class _Compiler:
         elif not reraise and name is None:
             self.reject(node, "raise target must be a name or a name call")
         cause = self.expr(node.cause) if node.cause is not None else None
-        type_name = None if reraise else self.merge(name or exc.func.id)
+        type_name = None if reraise else name or exc.func.id
 
         def raise_(rt, env):
             _tick(rt, line)
@@ -1496,7 +1490,7 @@ class _Compiler:
         caught: list[str] = []
         handlers = [self._handler(h, caught) for h in node.handlers]
         if caught:
-            names = frozenset(self.merge(n) for n in caught)
+            names = frozenset(caught)
             exception_map = self.facts.call_exception_map
             for path in calls:
                 exception_map[path] = exception_map.get(path, frozenset()) | names
@@ -1531,21 +1525,21 @@ class _Compiler:
 
     def _handler(self, handler: ast.ExceptHandler, caught: list[str]):
         """(matches(type name), bound name, body) of one ``except`` clause,
-        whose raw type names go onto ``caught``. A clause catches its merged
-        names, their builtin subclasses, and everything when bare or naming
-        Exception or BaseException."""
+        whose type names go onto ``caught``. A clause catches its names, their
+        builtin subclasses, and everything when bare or naming Exception or
+        BaseException."""
         kind = handler.type
         if kind is None:
-            raw = []
+            named = []
         elif isinstance(kind, ast.Name):
-            raw = [kind.id]
+            named = [kind.id]
         elif isinstance(kind, ast.Tuple) and all(isinstance(e, ast.Name) for e in kind.elts):
-            raw = [e.id for e in kind.elts]
+            named = [e.id for e in kind.elts]
         else:
             self.reject(handler, "except type must be a name or tuple of names")
-        caught.extend(raw)
+        caught.extend(named)
         body = self.block(handler.body)
-        names = frozenset(self.merge(n) for n in raw)
+        names = frozenset(named)
         if kind is None or names & {"Exception", "BaseException"}:
             return (lambda type_name: True), handler.name, body
 
@@ -1604,11 +1598,10 @@ class _Compiler:
             return bind_tuple
         if isinstance(node, ast.Attribute):
             base = self.expr(node.value)
-            raw = node.attr
-            merged = self.merge(raw)
+            attr = node.attr
 
             def bind_attribute(rt, env, value):
-                rt._store_attribute(base(rt, env), raw, merged, value)
+                rt._store_attribute(base(rt, env), attr, value)
 
             return bind_attribute
         if isinstance(node, ast.Subscript):
@@ -1658,8 +1651,7 @@ class _Compiler:
     def compile_Name(self, node: ast.Name, with_path: bool = False) -> Callable:
         line = node.lineno
         name = node.id
-        merged = self.merge(name)
-        path = _cap_path(merged)
+        path = _cap_path(name)
         context = self.context
 
         def name_(rt, env):
@@ -1667,23 +1659,22 @@ class _Compiler:
             value = env[name]
             if value is _UNBOUND:
                 value = rt._missing_name(name, path, env, context)
-            return (value, merged) if with_path else value
+            return (value, name) if with_path else value
 
         return name_
 
     def compile_Attribute(self, node: ast.Attribute, with_path: bool = False) -> Callable:
         line = node.lineno
         base = self.expr_p(node.value)
-        raw = node.attr
-        merged = self.merge(raw)
-        suffix = f".{merged}"
+        attr = node.attr
+        suffix = f".{attr}"
         context = self.context
 
         def attribute(rt, env):
             _tick(rt, line)
             base_v, base_p = base(rt, env)
             path = _access_path(base_p, suffix)
-            value = rt._read_attribute(base_v, raw, merged, path, context)
+            value = rt._read_attribute(base_v, attr, path, context)
             return (value, path) if with_path else value
 
         return attribute
@@ -1943,14 +1934,14 @@ class _Compiler:
         call in the static facts."""
         func = node.func
         if self.try_calls:
-            path = static_callee_path(func, self.merge)
+            path = static_callee_path(func)
             if path is not None:
                 # Capped as the external call that looks it up caps it.
                 path = _cap_path(path)
                 for calls in self.try_calls:
                     calls.append(path)
         if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
-            self.facts.isinstance_classes.update(isinstance_class_names(node.args[1], self.merge))
+            self.facts.isinstance_classes.update(isinstance_class_names(node.args[1]))
         positional = []
         for a in node.args:
             if isinstance(a, ast.Starred):
@@ -1968,11 +1959,10 @@ class _Compiler:
         builtin or an external call."""
         line = node.lineno
         name = node.func.id
-        merged = self.merge(name)
-        bound_path = f"{merged}()"
+        bound_path = f"{name}()"
         positional, keywords = self.call_args(node)
         arguments = _arguments(positional, keywords)
-        unbound, unbound_path = self._unbound_call(node, name, merged, positional, arguments)
+        unbound, unbound_path = self._unbound_call(node, name, positional, arguments)
         context = self.context
 
         def call_name(rt, env):
@@ -1982,18 +1972,13 @@ class _Compiler:
                 value = unbound(rt, env)
                 return (value, unbound_path) if with_path else value
             args, kwargs = arguments(rt, env)
-            value = rt._call_value(fv, args, kwargs, merged, context)
+            value = rt._call_value(fv, args, kwargs, name, context)
             return (value, bound_path) if with_path else value
 
         return call_name
 
     def _unbound_call(
-        self,
-        node: ast.Call,
-        name: str,
-        merged: str,
-        positional: list[Callable],
-        arguments: Callable,
+        self, node: ast.Call, name: str, positional: list[Callable], arguments: Callable
     ):
         """(closure, access path) of a call whose name no scope binds. A
         builtin call whose shape does not fit its ``_BUILTINS`` entry
@@ -2004,7 +1989,7 @@ class _Compiler:
             )
             if name == "isinstance" and message is None:
                 value_of = positional[0]
-                names = isinstance_class_names(node.args[1], self.merge)
+                names = isinstance_class_names(node.args[1])
 
                 def isinstance_call(rt, env):
                     return rt._isinstance_value(value_of(rt, env), names)
@@ -2023,9 +2008,9 @@ class _Compiler:
 
         def external_call(rt, env):
             args, kwargs = arguments(rt, env)
-            return rt._external_call(merged, args, kwargs, context)
+            return rt._external_call(name, args, kwargs, context)
 
-        return external_call, f"{merged}()"
+        return external_call, f"{name}()"
 
     def _call_attribute(self, node: ast.Call, with_path: bool) -> Callable:
         """``base.name(...)``: an attribute read or stored before, a native
@@ -2033,10 +2018,9 @@ class _Compiler:
         line = node.lineno
         func = node.func
         base = self.expr_p(func.value)
-        raw = func.attr
-        merged = self.merge(raw)
-        suffix = f".{merged}"
-        native = raw in NATIVE_METHODS
+        attr = func.attr
+        suffix = f".{attr}"
+        native = attr in NATIVE_METHODS
         arguments = _arguments(*self.call_args(node))
         context = self.context
 
@@ -2045,12 +2029,12 @@ class _Compiler:
             base_v, base_p = base(rt, env)
             callee = _access_path(base_p, suffix)
             # The kind of call is settled before the arguments run.
-            if isinstance(base_v, _ATTRIBUTED) and merged in base_v.attrs:
+            if isinstance(base_v, _ATTRIBUTED) and attr in base_v.attrs:
                 args, kwargs = arguments(rt, env)
-                value = rt._call_value(base_v.attrs[merged], args, kwargs, callee, context)
-            elif native and hasattr(base_v, raw):
+                value = rt._call_value(base_v.attrs[attr], args, kwargs, callee, context)
+            elif native and hasattr(base_v, attr):
                 args, kwargs = arguments(rt, env)
-                value = rt._call_native(base_v, raw, args, kwargs)
+                value = rt._call_native(base_v, attr, args, kwargs)
             else:
                 args, kwargs = arguments(rt, env)
                 value = rt._external_call(callee, args, kwargs, context)

@@ -29,10 +29,11 @@ class InjectionQuery:
     """One request for a missing value.
 
     ``kind`` says how the name was reached (variable read, attribute read,
-    call return, subscript result), ``name`` is the identifier as written,
-    and ``context`` is the source text of the statement performing the read,
-    or of the compound-statement header part (test, iterable, ``with`` item)
-    that contains it.
+    call return, subscript result), ``name`` is the identifier the run
+    reads, and ``context`` is the source text of the statement performing
+    the read, or of the compound-statement header part (test, iterable,
+    ``with`` item) that contains it. Both are as the run executes them: on a
+    renamed pair, a renamed name reads as its merged name ``o_renamed_n``.
     """
 
     kind: str

@@ -513,6 +513,8 @@ def _copy_versatile(value: VersatileObject, memo: dict) -> VersatileObject:
     cls = type(value)
     out = cls.__new__(cls)
     memo[id(value)] = out
+    # The atoms first: a cycle back through a set hashes the copy by its seed.
+    out.seed, out.assigned_type = value.seed, value.assigned_type
     out.__dict__.update([(k, _copy(v, memo)) for k, v in value.__dict__.items()])
     return out
 

@@ -232,22 +232,18 @@ def test_identical_sides_give_the_verdict_of_running_both(pair_id, seed):
 
 
 RENAMES = [i for i in _corpus.all_ids() if i.startswith("rename_")]
-# A parameter (name) and an attribute (count) are renamed there.
-TWO_RUN_RENAMES = {"rename_greet", "rename_read_metric"}
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("pair_id", RENAMES)
 def test_renamed_sides_give_the_verdict_of_running_both(pair_id, seed):
-    # A rename pair whose merged sides are one program runs its old side
-    # alone; its two-run twin must agree. With renames, sameness is of the
-    # merged trees, so one more blank line does not force two runs.
+    # Every corpus rename pair's merged sides are one program, so it runs
+    # its old side alone; its two-run twin must agree. With renames, sameness
+    # is of the merged trees, so one more blank line does not force two runs.
     data = _corpus.load_pair_data(pair_id)
     pair = make_pair(data["old"], data["new"], renames=data["renames"])
-    assert pair.identical == (pair_id not in TWO_RUN_RENAMES)
-    assert make_pair(data["old"], data["new"] + "\n", renames=data["renames"]).identical == (
-        pair.identical
-    )
+    assert pair.identical
+    assert make_pair(data["old"], data["new"] + "\n", renames=data["renames"]).identical
     cfg = EngineConfig(seed=seed)
     predictor = _corpus.predictor_for(pair_id)
     assert analyze(pair, cfg, predictor) == analyze(
@@ -552,13 +548,10 @@ class TestCoverageOfClauseLines:
         assert v.coverage.overall == 1.0
 
 
-@pytest.mark.xfail(
-    strict=True, reason="a def binds a FunctionValue under its raw name, which renders"
-)
 def test_renamed_nested_def_is_preserving():
-    # Under the rename map the two sides merge to one program, but each
-    # side's def renders its own raw name: <function helper() -> None>
-    # against <function assist() -> None>.
+    # Under the rename map the two sides merge to one program, and each
+    # side's def renders the merged name: <function helper_renamed_assist()
+    # -> None> on both.
     old = "def f(a):\n    def helper(x):\n        return x\n    return helper\n"
     new = old.replace("helper", "assist")
     v = analyze_sources(old, new, renames={"helper": "assist"}, cfg=EngineConfig(seed=0))

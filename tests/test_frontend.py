@@ -1,5 +1,4 @@
 import ast
-import builtins
 import io
 import json
 import re
@@ -13,10 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pairguard import SEMANTICS_CHANGING, EngineConfig, analyze
-from pairguard.engine import _Env, isinstance_class_names, static_callee_path
+from pairguard import LIKELY_PRESERVING, SEMANTICS_CHANGING, EngineConfig, analyze
+from pairguard.engine import _BUILTINS, _Env, isinstance_class_names, static_callee_path
 from pairguard.frontend import (
-    Renamer,
     StaticFacts,
     code_line_numbers,
     diff_changed_lines,
@@ -265,19 +263,20 @@ def test_make_pair_marks_identical_sides(new, renames, identical):
         ("def f(a):\n    return g(a)\n", "def f(a):\n\n    return h(a)\n", {"g": "h"}, False),
         ("def f(a):\n    return g(1)\n", "def f(a):\n    return h(True)\n", {"g": "h"}, False),
         ("def f(a):\n    return g(1)\n", "def f(a):\n    return h(1.0)\n", {"g": "h"}, False),
-        ("def f(a):\n    return g(a)\n", "def f(a):\n    return g(a)\n", {"a": "a"}, False),
-        # The same raw attribute, but only the old side's is a renamed name.
+        ("def f(a):\n    return g(a)\n", "def f(a):\n    return g(a)\n", {"a": "a"}, True),
+        # The same attribute as written, but only the old side's is a renamed
+        # name.
         ("def f(x):\n    return a + x.a\n", "def f(x):\n    return b + x.a\n", {"a": "b"}, False),
         # A rename of a name neither side uses merges nothing.
         ("def f(a):\n    return g(a)\n", "def f(a):\n    return g(a)\n", {"u": "w"}, True),
         # A string constant is not an identifier, so its text is not renamed.
         ("def f(a):\n    return g('g')\n", "def f(a):\n    return h('g')\n", {"g": "h"}, True),
-        # A lambda parameter and a handler name are not plain names.
+        # A lambda parameter and a handler name merge as a Name does.
         (
             "def f(a):\n    return (lambda u: u + 1)(a)\n",
             "def f(a):\n    return (lambda w: w + 1)(a)\n",
             {"u": "w"},
-            False,
+            True,
         ),
         (
             "def f(a):\n    try:\n        return g(a)\n    except ValueError as err:\n"
@@ -285,8 +284,10 @@ def test_make_pair_marks_identical_sides(new, renames, identical):
             "def f(a):\n    try:\n        return g(a)\n    except ValueError as exc:\n"
             "        return str(exc)\n",
             {"err": "exc"},
-            False,
+            True,
         ),
+        # A builtin keeps its name, which it is dispatched by.
+        ("def f(a):\n    return len(a)\n", "def f(a):\n    return size(a)\n", {"len": "size"}, False),
         # A longer name shifts columns, inside an f-string and a comprehension
         # target too; columns are left out.
         (
@@ -320,18 +321,45 @@ def test_make_pair_rejects_a_merged_name_in_any_identifier_role(use):
         make_pair(old, old.replace("a +", "b +"), renames={"a": "b"})
 
 
-def test_make_pair_requires_matching_entry():
-    s = "def f(a):\n    return a\n"
-    with pytest.raises(ValueError, match="entry"):
-        make_pair(s, s, entry="g")
+@pytest.mark.parametrize(
+    "new, renames, entry, message",
+    [
+        ("def f(a):\n    return f\n", None, "g", "entry 'g' does not match the old function 'f'"),
+        # A renamed root def is checked by the name each side writes, so no
+        # entry matches both.
+        ("def g(a):\n    return g\n", {"f": "g"}, "f", "does not match the new function 'g'"),
+        ("def g(a):\n    return g\n", {"f": "g"}, "g", "does not match the old function 'f'"),
+    ],
+)
+def test_make_pair_requires_matching_entry(new, renames, entry, message):
+    with pytest.raises(ValueError, match=message):
+        make_pair("def f(a):\n    return f\n", new, renames=renames, entry=entry)
+
+
+def _sum_pair(terms, renames=None):
+    """A pair whose old side returns a sum of ``terms`` reads of ``a``."""
+    old = "def f(a):\n    return " + "+".join(["a"] * terms) + "\n"
+    return make_pair(old, old.replace("a", "b"), renames=renames)
 
 
 @pytest.mark.parametrize("terms", [600, 3000])
 def test_make_pair_rejects_deeply_nested_expression(terms):
-    # 600 terms exhaust the compiler's recursion, 3000 the host parser's.
-    deep = "def f():\n    return " + "+".join(["1"] * terms) + "\n"
-    with pytest.raises(SyntaxError, match="nested too deeply"):
-        make_pair(deep, "def f():\n    return 1\n")
+    # 600 terms exhaust the compiler's recursion, 3000 the host parser's,
+    # with a rename map as without one.
+    for renames in (None, {"a": "b"}):
+        with pytest.raises(SyntaxError, match="nested too deeply"):
+            _sum_pair(terms, renames)
+    # The rename's rewrite rejects no sum that the compiler accepts: the
+    # longest sum accepted without renames is accepted with them.
+    accepted, rejected = 1, terms
+    while rejected - accepted > 1:
+        middle = (accepted + rejected) // 2
+        try:
+            _sum_pair(middle)
+            accepted = middle
+        except SyntaxError:
+            rejected = middle
+    assert _sum_pair(accepted, {"a": "b"}).identical
 
 
 def test_make_pair_rejects_duplicate_rename_targets():
@@ -359,32 +387,37 @@ def test_fixture_retry_pair_diff():
     assert pair.changed_lines_new == frozenset({3})
 
 
-class TestRenamer:
-    def test_old_side_maps_old_name(self):
-        r = Renamer({"count": "total"}, "old")
-        assert r.merge("count") == "count_renamed_total"
-        assert r.merge("total") == "total"
+def test_make_pair_merges_each_side_through_its_own_table():
+    # count -> total: the old side merges count, the new side total, and
+    # each leaves the other name, and f, as written.
+    old = "def f(count):\n    return count + total\n"
+    new = "def f(total):\n    return total + count\n"
+    pair = make_pair(old, new, renames={"count": "total"})
+    for fn, kept in ((pair.old, "total"), (pair.new, "count")):
+        assert fn.name == "f"
+        assert fn.params == ["count_renamed_total"]
+        assert ast.unparse(fn.node) == (
+            f"def f(count_renamed_total):\n    return count_renamed_total + {kept}"
+        )
+    assert not pair.identical
 
-    def test_new_side_maps_new_name(self):
-        r = Renamer({"count": "total"}, "new")
-        assert r.merge("total") == "count_renamed_total"
-        assert r.merge("count") == "count"
 
-    def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError):
-            Renamer({}, "middle")
-
-    def test_passthrough(self):
-        assert Renamer({}, "old").merge("x") == "x"
+def test_make_pair_merges_a_renamed_name_in_every_role_but_a_builtin():
+    old = (
+        "def f(v):\n    def v(v):\n        return v.v(v=lambda v: len(v))\n"
+        "    try:\n        return v(v)\n    except E as v:\n        return v\n"
+    )
+    new = old.replace("v", "w").replace("len", "size")
+    pair = make_pair(old, new, renames={"v": "w", "len": "size"})
+    merged = ast.unparse(ast.parse(old.replace("v", "v_renamed_w")))
+    assert ast.unparse(pair.old.node) == merged
+    assert ast.unparse(pair.new.node) == merged.replace("len", "len_renamed_size")
 
 
 class TestStaticPaths:
-    def r(self):
-        return Renamer({}, "old")
-
     def path_of(self, expr):
         node = ast.parse(expr, mode="eval").body
-        return static_callee_path(node, self.r().merge)
+        return static_callee_path(node)
 
     def test_name(self):
         assert self.path_of("fetch") == "fetch"
@@ -399,14 +432,9 @@ class TestStaticPaths:
         assert self.path_of("handlers[0]") is None
         assert self.path_of("(a or b).go") is None
 
-    def test_rename_applies_per_segment(self):
-        r = Renamer({"count": "total"}, "old")
-        node = ast.parse("obj.count", mode="eval").body
-        assert static_callee_path(node, r.merge) == "obj.count_renamed_total"
-
     def test_isinstance_names(self):
         node = ast.parse("isinstance(x, (Foo, bar.Baz))", mode="eval").body
-        assert isinstance_class_names(node.args[1], self.r().merge) == ["Foo", "bar.Baz"]
+        assert isinstance_class_names(node.args[1]) == ["Foo", "bar.Baz"]
 
 
 class TestStaticFacts:
@@ -555,30 +583,28 @@ def _ref_collect_literals(node: ast.AST, facts: StaticFacts) -> None:
         _ref_collect_literals(child, facts)
 
 
-def _ref_collect_side(fn, renamer: Renamer, facts: StaticFacts) -> None:
-    _ref_collect_literals(fn.node, facts)
+def _ref_collect_side(tree: ast.FunctionDef, facts: StaticFacts) -> None:
+    _ref_collect_literals(tree, facts)
     exception_sets: dict[str, set[str]] = {}
-    for node in ast.walk(fn.node):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id == "isinstance" and len(node.args) == 2:
-                facts.isinstance_classes.update(
-                    isinstance_class_names(node.args[1], renamer.merge)
-                )
+                facts.isinstance_classes.update(isinstance_class_names(node.args[1]))
         if isinstance(node, ast.Try):
             caught: set[str] = set()
             for h in node.handlers:
                 if isinstance(h.type, ast.Name):
-                    caught.add(renamer.merge(h.type.id))
+                    caught.add(h.type.id)
                 elif isinstance(h.type, ast.Tuple):
                     for e in h.type.elts:
                         if isinstance(e, ast.Name):
-                            caught.add(renamer.merge(e.id))
+                            caught.add(e.id)
             if not caught:
                 continue
             for stmt in node.body:
                 for sub in ast.walk(stmt):
                     if isinstance(sub, ast.Call):
-                        path = static_callee_path(sub.func, renamer.merge)
+                        path = static_callee_path(sub.func)
                         if path is not None:
                             exception_sets.setdefault(path, set()).update(caught)
     for path, names in exception_sets.items():
@@ -586,21 +612,37 @@ def _ref_collect_side(fn, renamer: Renamer, facts: StaticFacts) -> None:
         facts.call_exception_map[path] = frozenset(existing | names)
 
 
-def _ref_static_facts(pair, renames: dict[str, str]) -> StaticFacts:
-    facts = StaticFacts()
-    _ref_collect_side(pair.old, Renamer(renames, "old"), facts)
-    _ref_collect_side(pair.new, Renamer(renames, "new"), facts)
-    return facts
+def _tables(renames):
+    """The old and the new side's tables: each side's name of a rename to
+    the merged name."""
+    merged = {o: f"{o}_renamed_{n}" for o, n in renames.items()}
+    return merged, {n: merged[o] for o, n in renames.items()}
 
 
-def assert_matches_reference(pair, renames=None) -> None:
-    """The pair's recorded facts equal the reference walk's, for a pair made
-    with the rename map ``renames``."""
+def _merged_tree(source, table):
+    """The function's tree with every identifier that ``table`` maps merged,
+    a builtin's name left as written."""
+    tree = ast.parse(source).body[0]
+    for node in ast.walk(tree):
+        for field, value in _identifier_fields(node):
+            if value not in _BUILTINS:
+                setattr(node, field, table.get(value, value))
+    return tree
+
+
+def assert_matches_reference(old, new, renames=None, entry=None) -> None:
+    """The facts ``make_pair`` records for ``old`` and ``new`` under the
+    rename map ``renames`` equal the reference walk's over trees parsed and
+    merged here."""
+    renames = renames or {}
+    pair = make_pair(old, new, renames=renames, entry=entry)
     for fn in (pair.old, pair.new):
         # Nested defs are pinned by running them (tests/test_engine.py).
         assert _compiled_yields(fn) == _ref_is_generator(fn.node)
     facts = extract_static_facts(pair)
-    ref = _ref_static_facts(pair, renames or {})
+    ref = StaticFacts()
+    for source, table in zip((old, new), _tables(renames)):
+        _ref_collect_side(_merged_tree(source, table), ref)
     assert facts.literals_int == ref.literals_int
     # repr keeps -0.0 apart from 0.0.
     assert [repr(v) for v in facts.literals_float] == [repr(v) for v in ref.literals_float]
@@ -985,20 +1027,17 @@ def test_rejections_match_reference_validator(source):
     assert _verdict(source) == _ref_verdict(source)
 
 
-def _pair_from(data):
-    """The pair of a pair file, once the reference validator has accepted
-    both of its sides as well."""
+def _assert_pair_file_matches_reference(data):
+    """The reference validator accepts both sides of a pair file, and the
+    pair's facts match the reference."""
     assert _ref_verdict(data["old"]) is None
     assert _ref_verdict(data["new"]) is None
-    return make_pair(
-        data["old"], data["new"], renames=data.get("renames") or {}, entry=data.get("entry")
-    )
+    assert_matches_reference(data["old"], data["new"], data.get("renames"), data.get("entry"))
 
 
 @pytest.mark.parametrize("pair_id", _corpus.all_ids())
 def test_fixture_pair_facts_match_reference(pair_id):
-    data = _corpus.load_pair_data(pair_id)
-    assert_matches_reference(_pair_from(data), data.get("renames"))
+    _assert_pair_file_matches_reference(_corpus.load_pair_data(pair_id))
 
 
 @pytest.mark.parametrize("workload", ["loops", "batch"])
@@ -1007,8 +1046,7 @@ def test_benchmark_pair_facts_match_reference(workload, seed, tmp_path):
     cases = getattr(_runs._load_perfbench("workloads"), workload)(tmp_path, seed).cases
     assert cases
     for case in cases:
-        data = json.loads(case.path.read_text())
-        assert_matches_reference(_pair_from(data), data.get("renames"))
+        _assert_pair_file_matches_reference(json.loads(case.path.read_text()))
 
 
 class TestRecordedLiteralOrder:
@@ -1054,9 +1092,7 @@ class TestRecordedLiteralOrder:
 
     def test_explicit_cases_match_reference(self):
         for expr in ["{1: 2, 3: 4}", "[x + 5 for x in range(6)]", "{-1: (y for y in x if 2)}"]:
-            assert_matches_reference(
-                make_pair(f"def f(x):\n    return {expr}\n", "def f(x):\n    return 0\n")
-            )
+            assert_matches_reference(f"def f(x):\n    return {expr}\n", "def f(x):\n    return 0\n")
 
 
 # Generated subject functions: dicts, comprehensions, negative constants,
@@ -1138,6 +1174,7 @@ def _compound(children):
         st.tuples(callee, st.lists(children, max_size=2)).map(
             lambda t: f"{t[0]}({', '.join(t[1])})"
         ),
+        children.map(lambda e: f"load(key={e})"),
     )
 
 
@@ -1214,8 +1251,7 @@ _FUNCTIONS = _functions(_expressions(_LEAVES), _simple_statement(_expressions(_L
 @settings(max_examples=80, deadline=None)
 @given(_FUNCTIONS, _FUNCTIONS)
 def test_generated_function_facts_match_reference(old, new):
-    renames = {"load": "fetch", "A": "B"}
-    assert_matches_reference(make_pair(old, new, renames=renames), renames)
+    assert_matches_reference(old, new, {"load": "fetch", "A": "B"})
 
 
 @settings(max_examples=120, deadline=None)
@@ -1236,11 +1272,13 @@ def test_identical_sides_give_the_verdict_of_running_both(source, seed):
 # Renames of one identifier of a generated function to another name of the
 # same length or of a different one, which shifts columns. v, h, load, self
 # and A are plain names there; err is a handler name, g a def name, a, x and
-# items parameters.
+# items parameters, data, fetch and close attributes, and key a keyword.
 _TOKEN_RENAMES = {
     "v": ("w", "value"), "h": ("k", "handle"), "load": ("read", "ld"),
     "self": ("this", "me"), "A": ("Z", "Alpha"), "err": ("exc", "error"),
     "g": ("q", "gen"), "a": ("p", "arg"), "x": ("y", "xs"), "items": ("elems", "its"),
+    "data": ("info", "payload"), "fetch": ("grab", "retrieve"), "close": ("shut", "finish"),
+    "key": ("tag", "label"),
 }
 
 
@@ -1271,45 +1309,21 @@ def _identifier_fields(node):
 
 
 def _merged_dump(source, table):
-    """The function's tree with every identifier merged through ``table``
-    and columns cleared, dumped with its line numbers."""
-    tree = ast.parse(source).body[0]
+    """The function's merged tree with columns cleared, dumped with its line
+    numbers."""
+    tree = _merged_tree(source, table)
     for node in ast.walk(tree):
-        for field, value in _identifier_fields(node):
-            setattr(node, field, table.get(value, value))
         for attr in ("col_offset", "end_col_offset"):
             if hasattr(node, attr):
                 setattr(node, attr, 0)
     return ast.dump(tree, include_attributes=True)
 
 
-def _only_plain_names(source, name):
-    """Whether every occurrence of ``name`` in ``source``'s tree is a Name."""
-    return not any(
-        value == name and not isinstance(node, ast.Name)
-        for node in ast.walk(ast.parse(source))
-        for _, value in _identifier_fields(node)
-    )
-
-
-def _one_program(old, new, renames):
-    """Conditions (a)-(c) of ``make_pair``, worked out from the trees."""
-    merged = {o: f"{o}_renamed_{n}" for o, n in renames.items()}
-    same_tree = _merged_dump(old, merged) == _merged_dump(
-        new, {n: merged[o] for o, n in renames.items()}
-    )
-    plain = all(
-        _only_plain_names(old, o) and _only_plain_names(new, n) for o, n in renames.items()
-    )
-    no_builtin = not any(name in vars(builtins) for item in renames.items() for name in item)
-    return same_tree and plain and no_builtin
-
-
 @settings(max_examples=120, deadline=None)
 @given(_FUNCTIONS, st.data())
 def test_renamed_sides_are_identical_iff_one_program(source, data):
-    # A renamed pair takes the one-run path exactly when conditions (a)-(c)
-    # hold, and the path gives the verdict of running both sides.
+    # A renamed pair takes the one-run path exactly when its merged trees are
+    # equal, and the path gives the verdict of running both sides.
     try:
         make_pair(source, source)
     except SyntaxError:
@@ -1319,15 +1333,18 @@ def test_renamed_sides_are_identical_iff_one_program(source, data):
     renames = {old_name: data.draw(st.sampled_from(_TOKEN_RENAMES[old_name]))}
     new_source = _rename_tokens(source, old_name, renames[old_name])
     pair = make_pair(source, new_source, renames=renames)
-    assert pair.identical == _one_program(source, new_source, renames)
+    old_table, new_table = _tables(renames)
+    assert pair.identical == (
+        _merged_dump(source, old_table) == _merged_dump(new_source, new_table)
+    )
     cfg = EngineConfig(seed=data.draw(st.sampled_from([0, 7])), max_iterations=4)
     assert analyze(pair, cfg) == analyze(replace(pair, identical=False), cfg)
 
 
-# One pair per role that keeps a renamed name out of the one-run path. Each
-# merges to one tree, yet the raw name reaches what a run shows, so running
-# both sides finds a difference that a one-run iteration would miss.
-_EXCLUDED_ROLES = {
+# One pair per role a renamed name can take that a run shows: what shows is
+# the merged name on both sides, so each pair is one program, and one run
+# gives the verdict of two.
+_RENAMED_ROLES = {
     # A function value renders its def's name.
     "def": (
         "def f(a):\n    def helper(x):\n        return x\n    return helper\n",
@@ -1347,22 +1364,31 @@ _EXCLUDED_ROLES = {
         "    except AttributeError as e:\n        return str(e)\n",
         {"size": "span"},
     ),
-    # A builtin is dispatched by its raw name; the new side's is not one.
-    "builtin": ("def f(xs):\n    return len(xs)\n", {"len": "size"}),
 }
 
 
-@pytest.mark.parametrize("role", sorted(_EXCLUDED_ROLES))
-def test_renamed_role_that_a_run_shows_keeps_two_runs(role):
-    old, renames = _EXCLUDED_ROLES[role]
-    new = old
+def _renamed(source, renames):
     for o, n in renames.items():
-        new = re.sub(rf"\b{o}\b", n, new)
-    merged = {o: f"{o}_renamed_{n}" for o, n in renames.items()}
-    assert _merged_dump(old, merged) == _merged_dump(
-        new, {n: merged[o] for o, n in renames.items()}
-    )
-    pair = make_pair(old, new, renames=renames)
+        source = re.sub(rf"\b{o}\b", n, source)
+    return source
+
+
+@pytest.mark.parametrize("role", sorted(_RENAMED_ROLES))
+def test_renamed_name_merges_in_every_role_a_run_shows(role):
+    old, renames = _RENAMED_ROLES[role]
+    pair = make_pair(old, _renamed(old, renames), renames=renames)
+    assert pair.identical
+    cfg = EngineConfig(seed=0)
+    assert analyze(pair, cfg).classification == LIKELY_PRESERVING
+    assert analyze(replace(pair, identical=False), cfg).classification == LIKELY_PRESERVING
+
+
+def test_renamed_builtin_keeps_two_runs():
+    # A builtin is dispatched by its name, which the rewrite leaves as
+    # written; the new side's is not one, so running both sides finds the
+    # difference that a one-run iteration would miss.
+    old, renames = "def f(xs):\n    return len(xs)\n", {"len": "size"}
+    pair = make_pair(old, _renamed(old, renames), renames=renames)
     assert not pair.identical
     cfg = EngineConfig(seed=0)
     assert analyze(pair, cfg).classification == SEMANTICS_CHANGING
