@@ -114,14 +114,17 @@ def _parse_function(
 def _merge(node: ast.FunctionDef, table: dict[str, str], side: str) -> tuple:
     """Rewrite every identifier of ``node`` that ``table`` maps, in every
     role (a Name's id, a def, parameter, keyword, attribute or handler
-    name), except a builtin's name, which the engine dispatches by. Return
-    the tree as a hashable form made on the same walk: one row per node in
-    ``ast.walk`` order, of its type, line numbers (columns left out) and
-    fields, with a child node as ``ast.AST``; a constant's row holds its
-    type and ``repr``, since ``1 == True == 1.0``. Raises ValueError when
-    the tree already uses one of ``table``'s merged names, which would merge
-    two variables."""
+    name), except a Name of a builtin that ``node`` binds nowhere: that
+    Name dispatches the builtin by its name. Return the tree as a hashable
+    form made on the same walk: one row per node in ``ast.walk`` order, of
+    its type, line numbers (columns left out) and fields, with a child node
+    as ``ast.AST``; a constant's row holds its type and ``repr``, since
+    ``1 == True == 1.0``. Raises ValueError when the tree already uses one
+    of ``table``'s merged names, which would merge two variables."""
     merged = set(table.values())
+    builtins = table.keys() & _BUILTINS
+    if builtins:
+        builtins -= _bound_names(node)
     rows = []
     for sub in ast.walk(node):
         row = [type(sub), getattr(sub, "lineno", None), getattr(sub, "end_lineno", None)]
@@ -134,7 +137,7 @@ def _merge(node: ast.FunctionDef, table: dict[str, str], side: str) -> tuple:
                     raise ValueError(
                         f"merged name {value!r} already occurs in the {side} function"
                     )
-                if value in table and value not in _BUILTINS:
+                if value in table and not (value in builtins and isinstance(sub, ast.Name)):
                     value = table[value]
                     setattr(sub, field, value)
             elif isinstance(value, list):
@@ -144,6 +147,22 @@ def _merge(node: ast.FunctionDef, table: dict[str, str], side: str) -> tuple:
             row.append(value)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _bound_names(node: ast.FunctionDef) -> set[str]:
+    """Every name that ``node`` binds in some scope: def and parameter
+    names, store targets and handler names."""
+    bound = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.FunctionDef):
+            bound.add(sub.name)
+        elif isinstance(sub, ast.arg):
+            bound.add(sub.arg)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            bound.add(sub.id)
+        elif isinstance(sub, ast.ExceptHandler) and sub.name:
+            bound.add(sub.name)
+    return bound
 
 
 def diff_changed_lines(old_text: str, new_text: str) -> tuple[set[int], set[int]]:

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import re
+import symtable
 import textwrap
 import tokenize
 from dataclasses import replace
@@ -349,9 +350,12 @@ def test_make_pair_rejects_deeply_nested_expression(terms):
     for renames in (None, {"a": "b"}):
         with pytest.raises(SyntaxError, match="nested too deeply"):
             _sum_pair(terms, renames)
-    # The rename's rewrite rejects no sum that the compiler accepts: the
-    # longest sum accepted without renames is accepted with them.
-    accepted, rejected = 1, terms
+
+
+def test_make_pair_rejects_no_renamed_sum_the_compiler_accepts():
+    # The longest sum accepted without renames, below the 600 terms that
+    # are rejected, is accepted with them.
+    accepted, rejected = 1, 600
     while rejected - accepted > 1:
         middle = (accepted + rejected) // 2
         try:
@@ -403,15 +407,21 @@ def test_make_pair_merges_each_side_through_its_own_table():
 
 
 def test_make_pair_merges_a_renamed_name_in_every_role_but_a_builtin():
+    # len reads the builtin only as a name no scope binds; as an attribute
+    # and a keyword it is merged.
     old = (
-        "def f(v):\n    def v(v):\n        return v.v(v=lambda v: len(v))\n"
+        "def f(v):\n    def v(v):\n        return v.len(len=lambda v: len(v))\n"
         "    try:\n        return v(v)\n    except E as v:\n        return v\n"
     )
     new = old.replace("v", "w").replace("len", "size")
     pair = make_pair(old, new, renames={"v": "w", "len": "size"})
-    merged = ast.unparse(ast.parse(old.replace("v", "v_renamed_w")))
+    merged = ast.unparse(
+        ast.parse(
+            old.replace("v", "v_renamed_w").replace(".len(len=", ".len_renamed_size(len_renamed_size=")
+        )
+    )
     assert ast.unparse(pair.old.node) == merged
-    assert ast.unparse(pair.new.node) == merged.replace("len", "len_renamed_size")
+    assert ast.unparse(pair.new.node) == merged.replace(" len(", " len_renamed_size(")
 
 
 class TestStaticPaths:
@@ -619,13 +629,28 @@ def _tables(renames):
     return merged, {n: merged[o] for o, n in renames.items()}
 
 
+def _bound_anywhere(source):
+    """Every name that some scope of ``source`` assigns or takes as a
+    parameter, by the host's symbol tables."""
+    bound = set()
+    tables = [symtable.symtable(source, "<pair>", "exec")]
+    while tables:
+        table = tables.pop()
+        bound.update(
+            s.get_name() for s in table.get_symbols() if s.is_assigned() or s.is_parameter()
+        )
+        tables.extend(table.get_children())
+    return bound
+
+
 def _merged_tree(source, table):
     """The function's tree with every identifier that ``table`` maps merged,
-    a builtin's name left as written."""
+    except a Name of a builtin that no scope of the function binds."""
     tree = ast.parse(source).body[0]
+    dispatched = _BUILTINS.keys() - _bound_anywhere(source)
     for node in ast.walk(tree):
         for field, value in _identifier_fields(node):
-            if value not in _BUILTINS:
+            if not (isinstance(node, ast.Name) and value in dispatched):
                 setattr(node, field, table.get(value, value))
     return tree
 
@@ -1272,13 +1297,17 @@ def test_identical_sides_give_the_verdict_of_running_both(source, seed):
 # Renames of one identifier of a generated function to another name of the
 # same length or of a different one, which shifts columns. v, h, load, self
 # and A are plain names there; err is a handler name, g a def name, a, x and
-# items parameters, data, fetch and close attributes, and key a keyword.
+# items parameters, data, fetch and close attributes, key a keyword, and print
+# and isinstance builtins. A builtin's name among the new names (a parameter
+# x or items renamed to list or max, an attribute data renamed to max, a
+# keyword key renamed to str) is one the function binds, or no Name.
 _TOKEN_RENAMES = {
     "v": ("w", "value"), "h": ("k", "handle"), "load": ("read", "ld"),
     "self": ("this", "me"), "A": ("Z", "Alpha"), "err": ("exc", "error"),
-    "g": ("q", "gen"), "a": ("p", "arg"), "x": ("y", "xs"), "items": ("elems", "its"),
-    "data": ("info", "payload"), "fetch": ("grab", "retrieve"), "close": ("shut", "finish"),
-    "key": ("tag", "label"),
+    "g": ("q", "gen"), "a": ("p", "arg"), "x": ("y", "xs", "list"),
+    "items": ("elems", "its", "max"), "data": ("info", "payload", "max"),
+    "fetch": ("grab", "retrieve"), "close": ("shut", "finish"), "key": ("tag", "label", "str"),
+    "print": ("say", "show"), "isinstance": ("isa", "is_a"),
 }
 
 
@@ -1364,6 +1393,11 @@ _RENAMED_ROLES = {
         "    except AttributeError as e:\n        return str(e)\n",
         {"size": "span"},
     ),
+    # A builtin's name reads no builtin where the function binds it, or as
+    # an attribute.
+    "builtin variable": ("def f(a):\n    m = a.first\n    return m.size\n", {"m": "max"}),
+    "builtin parameter": ("def f(list):\n    return len(list) + list.count\n", {"list": "items"}),
+    "builtin attribute": ("def f(x):\n    return x.max + 1\n", {"max": "biggest"}),
 }
 
 

@@ -709,45 +709,15 @@ _MUTABLE_TYPES = (list, dict, set, VersatileObject, ExceptionValue)
 
 
 def assert_copies_faithfully(value):
-    """``deep_copy``'s copy walked beside ``value``, for a value that
-    ``copy.deepcopy`` cannot copy: each node of the type of the original's,
-    no mutable node kept, and one copy for each original node, so aliasing
-    and cycles are the original's."""
+    """``deep_copy``'s copy of a value that ``copy.deepcopy`` cannot copy:
+    walked beside the original, it gives the walk of the original beside
+    it (so types, atoms, aliasing and cycles are the original's), and it
+    keeps no mutable node."""
     ours = deep_copy(value)
-    copies: dict[int, object] = {}
-
-    def walk(o, c):
-        assert type(c) is type(o)
-        if type(o) in _ATOM_TYPES:
-            assert c == o
-            return
-        if id(o) in copies:
-            assert copies[id(o)] is c
-            return
-        assert all(c is not seen for seen in copies.values())
-        copies[id(o)] = c
-        if isinstance(o, _MUTABLE_TYPES):
-            assert c is not o
-        if isinstance(o, (list, tuple)):
-            assert len(c) == len(o)
-            for a, b in zip(o, c):
-                walk(a, b)
-        elif isinstance(o, dict):
-            assert len(c) == len(o)
-            for (ka, va), (kb, vb) in zip(o.items(), c.items()):
-                walk(ka, kb)
-                walk(va, vb)
-        elif isinstance(o, (set, frozenset)):
-            assert len(c) == len(o)
-            for a, b in zip(sorted(o, key=serialize), sorted(c, key=serialize)):
-                walk(a, b)
-        elif c is not o:
-            state = getattr(c, "__dict__", {})
-            assert list(state) == list(getattr(o, "__dict__", {}))
-            for key in state:
-                walk(vars(o)[key], state[key])
-
-    walk(value, ours)
+    graph = _graph(value, ours)
+    assert graph == _graph(ours, value)
+    kept = [(t, True) for t in _MUTABLE_TYPES]
+    assert not any(node in kept for node in graph)
     assert serialize(ours) == serialize(value)
 
 
