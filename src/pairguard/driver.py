@@ -15,7 +15,9 @@ from .comparator import ABSTAIN, DIFFERENCE, EQUIVALENT, compare, ended_unintend
 from .engine import (
     ComparisonProgram,
     ConsistencyMap,
-    derive_seed,
+    key_suffix,
+    primed_hasher,
+    primed_seed,
     run_one,
     snapshot_injected,
 )
@@ -132,6 +134,8 @@ def analyze(
     # The timer covers the runs; both sides were compiled when parsed.
     started = time.perf_counter()
     program = ComparisonProgram(pair, facts, cfg, predictor)
+    # Iteration i's seed is derive_seed(cfg.seed, "iteration", i).
+    iterations = primed_hasher(cfg.seed, "iteration")
     cum_old: set[int] = set()
     cum_new: set[int] = set()
     abstained = 0
@@ -142,11 +146,10 @@ def analyze(
     for i in range(cfg.max_iterations):
         iterations_run = i + 1
         cmap = ConsistencyMap(identical=pair.identical)
-        iteration_seed = derive_seed(cfg.seed, "iteration", i)
+        iteration_seed = primed_seed(iterations, key_suffix(i))
         out_old = run_one("old", program, cmap, iteration_seed)
         cum_old |= out_old.covered_lines
         if pair.identical:
-            cum_new |= out_old.covered_lines
             status = ABSTAIN if ended_unintended(out_old) else EQUIVALENT
         else:
             out_new = run_one("new", program, cmap, iteration_seed)
@@ -166,6 +169,8 @@ def analyze(
         if not cmap.seeded:
             break
 
+    if pair.identical:
+        cum_new = set(cum_old)
     reached_old = cum_old & pair.changed_lines_old
     reached_new = cum_new & pair.changed_lines_new
     coverage = _build_coverage(pair, cum_old, cum_new, reached_old, reached_new)

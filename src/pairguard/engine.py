@@ -15,12 +15,12 @@ desynchronize the two runs.
 
 from __future__ import annotations
 
+import _random
 import ast
 import builtins
 import hashlib
 import io
 import operator
-import random
 import re
 import string
 import sys
@@ -42,6 +42,7 @@ from .values import (
     VersatileObject,
     concretize,
     deep_copy,
+    randbelow,
     serialize,
     sorted_iter,
     versatile_binop,
@@ -133,13 +134,40 @@ _CATCHING_NAMES = {
 
 
 def derive_seed(*parts: Any) -> int:
-    """Stable 64-bit seed from arbitrary repr-able parts.
+    """Stable 64-bit seed from arbitrary repr-able parts: the first 8 bytes
+    of the blake2b hash of ``repr(parts)``.
 
     Uses a keyed hash rather than Python's salted ``hash`` so streams are
-    identical across processes and runs.
+    identical across processes and runs. This is the reference: the seeds
+    of iterations and keyed draws hash the same text in two pieces, a
+    ``primed_hasher`` for the parts they share and a ``key_suffix`` for the
+    rest (see ``primed_seed``).
     """
     digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def primed_hasher(*parts: Any) -> hashlib.blake2b:
+    """A blake2b hasher, as ``derive_seed`` makes it, fed how ``repr`` of a
+    tuple whose first items are ``parts`` begins: ``(``, then each part's
+    ``repr`` followed by ``, ``."""
+    return hashlib.blake2b(
+        ("(" + "".join([f"{p!r}, " for p in parts])).encode("utf-8"), digest_size=8
+    )
+
+
+def key_suffix(*key: Any) -> bytes:
+    """How ``repr`` of a tuple whose last items are the non-empty ``key``
+    ends: their ``repr`` joined by ``, ``, then ``)``."""
+    return (", ".join(map(repr, key)) + ")").encode("utf-8")
+
+
+def primed_seed(primed: hashlib.blake2b, suffix: bytes) -> int:
+    """``derive_seed(*parts, *key)`` from ``primed_hasher(*parts)`` and
+    ``key_suffix(*key)``, which together hash the same bytes."""
+    hasher = primed.copy()
+    hasher.update(suffix)
+    return int.from_bytes(hasher.digest(), "big")
 
 
 _SEQUENCES = frozenset({str, list, tuple})
@@ -316,7 +344,6 @@ class _StopMaterialize(Exception):
 
 class _Return(Exception):
     def __init__(self, value):
-        super().__init__()
         self.value = value
 
 
@@ -355,17 +382,22 @@ class ConsistencyMap:
     def lookup_or_create(self, path: str, side: str, creator: Callable[[], Any]) -> Any:
         entry = self.entries.get(path)
         if entry is None:
-            v_old = creator()
-            if self.identical:
-                entry = (v_old, v_old, None)
-            else:
-                v_new = deep_copy(v_old)
-                rendered = serialize(v_old)
-                if rendered != serialize(v_new):
-                    raise RuntimeError(f"consistency violation at {path!r}")
-                entry = (v_old, v_new, rendered if v_new is v_old else None)
-            self.entries[path] = entry
+            entry = self.create(path, creator())
         return entry[0] if side == "old" else entry[1]
+
+    def create(self, path: str, v_old: Any) -> tuple[Any, Any, Optional[str]]:
+        """Make and store the entry of ``path``, which has none, for the
+        drawn value ``v_old``."""
+        if self.identical:
+            entry = (v_old, v_old, None)
+        else:
+            v_new = deep_copy(v_old)
+            rendered = serialize(v_old)
+            if rendered != serialize(v_new):
+                raise RuntimeError(f"consistency violation at {path!r}")
+            entry = (v_old, v_new, rendered if v_new is v_old else None)
+        self.entries[path] = entry
+        return entry
 
 
 def snapshot_injected(cmap: ConsistencyMap) -> list[tuple[str, str, str]]:
@@ -427,7 +459,8 @@ class ComparisonProgram:
     static facts and concretizer pools. The context node of an injection site
     (its statement, or a compound statement's header) is settled by the
     compiler; its text is unparsed, and the predictor asked about a query,
-    the first time an injection needs it.
+    the first time an injection needs it. A query names a merged name as the
+    old side writes it, in its name and in its context text.
     """
 
     def __init__(self, pair: Any, facts: StaticFacts, cfg: Any, predictor: Predictor):
@@ -448,31 +481,74 @@ class ComparisonProgram:
             path: sorted(types) for path, types in facts.call_exception_map.items()
         }
         self._contexts: dict[ast.AST, str] = {}
-        self._distributions: dict[tuple[str, str, str], Distribution] = {}
-        # The one generator every keyed draw of the analysis reseeds, which
-        # gives the draws a new generator with that seed would give; its own
-        # seed is never drawn from.
-        self.rng = random.Random(0)
+        # Answers by query, and by site: query kind, name and context node.
+        self._answers: dict[InjectionQuery, Distribution] = {}
+        self._sites: dict[tuple[str, str, ast.AST], Distribution] = {}
+        # A merged name -> the name the old side writes, and a pattern that
+        # finds the merged names in a text.
+        self._old_names = pair.old_names
+        self._merged = (
+            re.compile(r"\b(?:" + "|".join(map(re.escape, pair.old_names)) + r")\b")
+            if pair.old_names
+            else None
+        )
+        # The one generator every keyed draw of the analysis reseeds: the C
+        # core of ``random.Random``, so a reseed is one C call, and a draw
+        # takes what it would from a new ``random.Random`` with that seed.
+        # Its own seed is never drawn from.
+        self.rng = _random.Random(0)
+        # Each draw key's ``key_suffix``, and the hasher primed with the
+        # iteration seed of the last reseed.
+        self._suffixes: dict[tuple, bytes] = {}
+        self._primed_for: Optional[int] = None
+        self._primed: Optional[hashlib.blake2b] = None
 
     def context(self, node: ast.AST) -> str:
-        """Source text of a node, capped, as handed to the predictor."""
+        """Source text of a node, in the old side's names, capped, as handed
+        to the predictor."""
         text = self._contexts.get(node)
         if text is None:
             try:
-                text = ast.unparse(node)[:_CONTEXT_CAP]
+                text = ast.unparse(node)
             except Exception:
                 text = ""
+            text = self._as_written(text)[:_CONTEXT_CAP]
             self._contexts[node] = text
         return text
 
-    def distribution(self, kind: str, name: str, context: str) -> Distribution:
-        """The predictor's answer to one query; both predictors are pure."""
-        key = (kind, name, context)
-        dist = self._distributions.get(key)
+    def _as_written(self, text: str) -> str:
+        """``text`` with each merged name as the old side writes it."""
+        if self._merged is None:
+            return text
+        return self._merged.sub(lambda m: self._old_names[m.group()], text)
+
+    def distribution(self, kind: str, name: str, node: ast.AST) -> Distribution:
+        """The predictor's answer for a read of ``name``, reached as ``kind``,
+        whose context is ``node``; both predictors are pure, so each site and
+        each query is asked about once."""
+        site = (kind, name, node)
+        dist = self._sites.get(site)
         if dist is None:
-            dist = self.predictor.predict(InjectionQuery(kind, name, context))
-            self._distributions[key] = dist
+            query = InjectionQuery(kind, self._as_written(name), self.context(node))
+            dist = self._answers.get(query)
+            if dist is None:
+                dist = self._answers[query] = self.predictor.predict(query)
+            self._sites[site] = dist
         return dist
+
+    def reseed(self, iteration_seed: int, key: tuple) -> _random.Random:
+        """The generator, reseeded with ``derive_seed(iteration_seed, *key)``:
+        the key's cached suffix hashed on a copy of the hasher primed with
+        the iteration seed, which is primed again only when that seed
+        changes."""
+        suffix = self._suffixes.get(key)
+        if suffix is None:
+            suffix = self._suffixes[key] = key_suffix(*key)
+        if iteration_seed != self._primed_for:
+            self._primed_for = iteration_seed
+            self._primed = primed_hasher(iteration_seed)
+        self.rng.seed(primed_seed(self._primed, suffix))
+        return self.rng
 
 
 # What reading a name no enclosing scope binds gives; never bound itself.
@@ -564,13 +640,12 @@ class Interpreter:
 
     # plumbing
 
-    def _stream(self, *key: Any) -> random.Random:
-        """The program's generator, reseeded for the draws keyed by ``key``;
-        a caller finishes its draws before anything can reseed it again."""
+    def _stream(self, *key: Any) -> _random.Random:
+        """The program's generator, reseeded for the draws keyed by ``key``
+        (``ComparisonProgram.reseed``); a caller finishes its draws before
+        anything can reseed it again."""
         self.cmap.seeded = True
-        rng = self.program.rng
-        rng.seed(derive_seed(self.iteration_seed, *key))
-        return rng
+        return self.program.reseed(self.iteration_seed, key)
 
     def _charge(self, steps: int) -> None:
         """Charge the size of a host result before the host builds it."""
@@ -592,14 +667,13 @@ class Interpreter:
     def _inject(self, kind: str, name: str, path: str, context: ast.AST) -> Any:
         """Injected value at ``path``, a key already capped by the caller;
         the predictor is asked with the source text of ``context``."""
-
-        def creator():
+        entry = self.cmap.entries.get(path)
+        if entry is None:
+            program = self.program
             rng = self._stream("value", path)
-            text = self.program.context(context)
-            abstract = self.program.distribution(kind, name, text).sample(rng)
-            return concretize(abstract, self.program.ccfg, rng)
-
-        return self.cmap.lookup_or_create(path, self.side, creator)
+            abstract = program.distribution(kind, name, context).sample(rng)
+            entry = self.cmap.create(path, concretize(abstract, program.ccfg, rng))
+        return entry[0] if self.side == "old" else entry[1]
 
     def _next_occurrence(self, path: str) -> int:
         n = self.occurrences.get(path, 0) + 1
@@ -816,7 +890,7 @@ class Interpreter:
         if exc_types:
             rng = self._stream("exc", path, occurrence)
             if rng.random() < self.program.cfg.exception_probability:
-                type_name = exc_types[rng.randrange(len(exc_types))]
+                type_name = exc_types[randbelow(rng, len(exc_types))]
                 raise SubjectError(ExceptionValue(type_name, [], intentional=True))
         if constructor is not None:
             constructor.call_count += 1

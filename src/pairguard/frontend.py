@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 import difflib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .engine import _BUILTINS, StaticFacts, compile_function, reject
@@ -46,7 +46,9 @@ class FunctionPair:
     its tree alone, names merged, so with no renames that is when the
     sources are one text, and with renames when the two merged
     ``FunctionDef`` trees are equal field by field, line numbers included
-    and columns left out, constants compared by type and ``repr``."""
+    and columns left out, constants compared by type and ``repr``.
+
+    ``old_names`` maps each merged name to the name the old side writes."""
 
     old: SourceFunction
     new: SourceFunction
@@ -54,6 +56,7 @@ class FunctionPair:
     changed_lines_new: frozenset[int]
     facts: StaticFacts
     identical: bool = False
+    old_names: dict[str, str] = field(default_factory=dict)
 
 
 def code_line_numbers(source: str) -> frozenset[int]:
@@ -233,6 +236,7 @@ def make_pair(
         changed_lines_new=frozenset(raw_new & new.code_lines),
         facts=facts,
         identical=identical,
+        old_names={m: o for o, m in merged.items()},
     )
 
 

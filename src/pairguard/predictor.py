@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .values import AbstractValue, LABEL_TO_KIND
@@ -32,8 +33,9 @@ class InjectionQuery:
     call return, subscript result), ``name`` is the identifier the run
     reads, and ``context`` is the source text of the statement performing
     the read, or of the compound-statement header part (test, iterable,
-    ``with`` item) that contains it. Both are as the run executes them: on a
-    renamed pair, a renamed name reads as its merged name ``o_renamed_n``.
+    ``with`` item) that contains it. On a renamed pair the run reads a
+    renamed name as its merged name ``o_renamed_n``; the query says ``o``,
+    as the old side writes it, in its name and in its context.
     """
 
     kind: str
@@ -48,7 +50,7 @@ class InjectionQuery:
 class Distribution:
     """Probability distribution over the twelve abstract kinds."""
 
-    __slots__ = ("weights", "_cumulative")
+    __slots__ = ("weights", "_sums", "_kinds")
 
     def __init__(self, weights: dict[AbstractValue, float]):
         total = 0.0
@@ -64,27 +66,28 @@ class Distribution:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total}, expected 1.0")
         self.weights = {k: weights.get(k, 0.0) for k in AbstractValue}
-        # Running sums over the positive weights in the fixed enum order.
-        cumulative = []
+        # Running sums over the positive weights in the fixed enum order, and
+        # the kind each sum ends; the last kind once more, for a draw past
+        # the last sum.
+        sums, kinds = [], []
         acc = 0.0
         for kind, w in self.weights.items():
             if w <= 0.0:
                 continue
             acc += w
-            cumulative.append((acc, kind))
-        self._cumulative = tuple(cumulative)
+            sums.append(acc)
+            kinds.append(kind)
+        self._sums = tuple(sums)
+        self._kinds = (*kinds, kinds[-1])
 
     def get(self, kind: AbstractValue) -> float:
         return self.weights[kind]
 
     def sample(self, rng) -> AbstractValue:
-        """Draw one kind; iteration order is the fixed enum order."""
-        r = rng.random()
-        for acc, kind in self._cumulative:
-            if r < acc:
-                return kind
-        # Float slack can leave r marginally above the final accumulator.
-        return self._cumulative[-1][1]
+        """Draw one kind: the first, in the fixed enum order, whose running
+        sum exceeds ``rng.random()``, or the last kind when float slack
+        leaves the draw not below the last sum."""
+        return self._kinds[bisect_right(self._sums, rng.random())]
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):

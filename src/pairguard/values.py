@@ -4,7 +4,11 @@ concretizer that turns a predicted kind into an actual value.
 Everything injected into a guided execution flows through this module, so the
 representations here are deliberately small and deterministic: serialization
 is canonical (sorted sets and dict keys, stable float/str repr) and every
-random decision is driven by a caller-supplied ``random.Random``.
+random decision is drawn from a caller-supplied generator with
+``random.Random``'s C core: ``random()`` for a probability, ``getrandbits(64)`` for
+a versatile's seed, and ``randbelow`` for every index, so a draw takes what
+``random.Random``'s ``choice``, ``randint`` and ``randrange`` take from a
+generator in the same state.
 """
 
 from __future__ import annotations
@@ -570,9 +574,23 @@ class ConcretizerConfig:
         )
 
 
+def randbelow(rng, n: int) -> int:
+    """A draw from ``range(n)``, ``n`` at least 1, made as CPython 3.10 to
+    3.13 make it for ``random.Random``'s ``choice`` of ``n`` items,
+    ``randrange(n)`` and ``randint(0, n - 1)``
+    (``_randbelow_with_getrandbits``): the same result from the same state,
+    and the same state after."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _fresh_versatile(cfg: ConcretizerConfig, rng, callable_: bool = False) -> VersatileObject:
     seed = rng.getrandbits(64)
-    assigned_type = rng.choice(cfg.class_pool) if cfg.class_pool else None
+    pool = cfg.class_pool
+    assigned_type = pool[randbelow(rng, len(pool))] if pool else None
     if callable_:
         return VersatileCallable(seed, assigned_type)
     return VersatileObject(seed, assigned_type)
@@ -581,44 +599,54 @@ def _fresh_versatile(cfg: ConcretizerConfig, rng, callable_: bool = False) -> Ve
 def _element_kind(cfg: ConcretizerConfig, rng) -> AbstractValue:
     if rng.random() < cfg.object_bias:
         return AbstractValue.OBJECT
-    return rng.choice(_PRIMITIVE_ELEMENT_KINDS)
+    return _PRIMITIVE_ELEMENT_KINDS[randbelow(rng, len(_PRIMITIVE_ELEMENT_KINDS))]
 
 
 def concretize(kind: AbstractValue, cfg: ConcretizerConfig, rng) -> Any:
-    """Produce a concrete value of the given abstract kind.
+    """Produce a concrete value of the given abstract kind, through its entry
+    in ``_CONCRETIZERS``.
 
     Containers pick one element kind for all their elements; dictionary keys
     come from the string pool (duplicates collapse, so dictionaries can come
     out smaller than the drawn size).
     """
-    if kind is AbstractValue.NONE:
-        return None
-    if kind is AbstractValue.BOOLEAN:
-        return rng.choice((True, False))
-    if kind is AbstractValue.INTEGER:
-        return rng.choice(cfg.int_pool)
-    if kind is AbstractValue.FLOAT:
-        return rng.choice(cfg.float_pool)
-    if kind is AbstractValue.STRING:
-        return rng.choice(cfg.str_pool)
-    if kind in (AbstractValue.LIST, AbstractValue.TUPLE, AbstractValue.SET):
-        size = rng.randint(0, cfg.max_structure_size)
-        elem = _element_kind(cfg, rng)
-        items = [concretize(elem, cfg, rng) for _ in range(size)]
-        if kind is AbstractValue.LIST:
-            return items
-        if kind is AbstractValue.TUPLE:
-            return tuple(items)
-        return set(items)
-    if kind is AbstractValue.DICTIONARY:
-        size = rng.randint(0, cfg.max_structure_size)
-        elem = _element_kind(cfg, rng)
-        out = {}
-        for _ in range(size):
-            key = rng.choice(cfg.str_pool)
-            out[key] = concretize(elem, cfg, rng)
-        return out
-    if kind is AbstractValue.CALLABLE:
-        return _fresh_versatile(cfg, rng, callable_=True)
+    return _CONCRETIZERS[kind](cfg, rng)
+
+
+def _sequence(build: type) -> Callable[[ConcretizerConfig, Any], Any]:
+    """The concretizer of a list, tuple or set, which ``build`` makes from
+    the list of drawn items."""
+
+    def sequence(cfg: ConcretizerConfig, rng) -> Any:
+        size = randbelow(rng, cfg.max_structure_size + 1)
+        element = _CONCRETIZERS[_element_kind(cfg, rng)]
+        return build([element(cfg, rng) for _ in range(size)])
+
+    return sequence
+
+
+def _dictionary(cfg: ConcretizerConfig, rng) -> dict:
+    size = randbelow(rng, cfg.max_structure_size + 1)
+    element = _CONCRETIZERS[_element_kind(cfg, rng)]
+    out = {}
+    for _ in range(size):
+        key = cfg.str_pool[randbelow(rng, len(cfg.str_pool))]
+        out[key] = element(cfg, rng)
+    return out
+
+
+_CONCRETIZERS: dict[AbstractValue, Callable[[ConcretizerConfig, Any], Any]] = {
+    AbstractValue.NONE: lambda cfg, rng: None,
+    AbstractValue.BOOLEAN: lambda cfg, rng: (True, False)[randbelow(rng, 2)],
+    AbstractValue.INTEGER: lambda cfg, rng: cfg.int_pool[randbelow(rng, len(cfg.int_pool))],
+    AbstractValue.FLOAT: lambda cfg, rng: cfg.float_pool[randbelow(rng, len(cfg.float_pool))],
+    AbstractValue.STRING: lambda cfg, rng: cfg.str_pool[randbelow(rng, len(cfg.str_pool))],
+    AbstractValue.LIST: _sequence(list),
+    AbstractValue.TUPLE: _sequence(tuple),
+    AbstractValue.SET: _sequence(set),
+    AbstractValue.DICTIONARY: _dictionary,
+    AbstractValue.CALLABLE: lambda cfg, rng: _fresh_versatile(cfg, rng, callable_=True),
     # Resource and Object both map to a plain versatile object.
-    return _fresh_versatile(cfg, rng)
+    AbstractValue.RESOURCE: _fresh_versatile,
+    AbstractValue.OBJECT: _fresh_versatile,
+}

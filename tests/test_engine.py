@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import time
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _runs
-from pairguard import analyze, analyze_sources, engine
+from pairguard import analyze, analyze_sources, driver, engine
 from pairguard.driver import EngineConfig
 from pairguard.comparator import ABSTAIN, EQUIVALENT, compare
 from pairguard.engine import (
@@ -20,11 +21,14 @@ from pairguard.engine import (
     Interpreter,
     _COMPARISONS,
     derive_seed,
+    key_suffix,
+    primed_hasher,
+    primed_seed,
     run_one,
     snapshot_injected,
 )
 from pairguard.frontend import extract_static_facts, make_pair
-from pairguard.predictor import Distribution, HeuristicPredictor, TablePredictor
+from pairguard.predictor import Distribution, HeuristicPredictor, Predictor, TablePredictor
 from pairguard.values import (
     AbstractValue,
     VersatileCallable,
@@ -125,6 +129,145 @@ class TestDeriveSeed:
     @given(st.lists(st.integers(0, 50) | st.text(max_size=6), max_size=4))
     def test_range_is_64_bit(self, parts):
         assert 0 <= derive_seed(*parts) < 2**64
+
+
+# Draw keys as the engine builds them: quotes, backslashes and non-ASCII text
+# in a path, a path capped with ``...``, and int occurrences.
+_KEYS = [
+    ("value", "x"),
+    ("value", "d['it\\'s']"),
+    ("value", 'm["a\\\\b"].c'),
+    ("value", "naïve.π['ü']"),
+    ("value", engine._access_path("x" + ".field" * 30, ".last")),
+    ("value", "super()#2"),
+    ("exc", "client.fetch", 1),
+    ("exc", "g()", 12),
+]
+
+
+class TestKeyedSeeds:
+    """Iteration and draw seeds hashed from primed hashers equal
+    ``derive_seed``'s, so every drawn value is unchanged."""
+
+    ITERATION_SEEDS = (0, 1, 2**64 - 1, derive_seed(7, "iteration", 3))
+
+    def test_primed_seed_is_derive_seed(self):
+        for iteration_seed in self.ITERATION_SEEDS:
+            primed = primed_hasher(iteration_seed)
+            for key in _KEYS:
+                seed = primed_seed(primed, key_suffix(*key))
+                assert seed == derive_seed(iteration_seed, *key), key
+
+    def test_reseed_draws_what_a_new_generator_draws(self):
+        program = build_program("def f():\n    return x\n")
+        # Interleaved iteration seeds prime the hasher again each time.
+        for key in _KEYS:
+            for iteration_seed in self.ITERATION_SEEDS:
+                rng = program.reseed(iteration_seed, key)
+                reference = random.Random(derive_seed(iteration_seed, *key))
+                assert (rng.getrandbits(64), rng.random(), rng.getrandbits(3)) == (
+                    reference.getrandbits(64), reference.random(), reference.getrandbits(3)
+                )
+
+    @pytest.mark.parametrize("seed", [-1, 0, 7, 2**70])
+    def test_iteration_seeds_are_derive_seed(self, seed, monkeypatch):
+        seen = []
+
+        def recording_run_one(side, program, cmap, iteration_seed):
+            seen.append(iteration_seed)
+            return run_one(side, program, cmap, iteration_seed)
+
+        monkeypatch.setattr(driver, "run_one", recording_run_one)
+        verdict = analyze_sources(
+            "def f():\n    return x\n",
+            "def f():\n    y = x\n    return y\n",
+            cfg=EngineConfig(seed=seed, max_iterations=12),
+        )
+        assert verdict.iterations_run == 12
+        assert seen == [derive_seed(seed, "iteration", i) for i in range(12) for _ in ("old", "new")]
+
+    def test_a_path_read_twice_reseeds_once(self):
+        program = build_program(
+            "def f():\n    return x.a, x.a\n", predictor=pin(x=AbstractValue.INTEGER)
+        )
+
+        class CountingGenerator(type(program.rng)):
+            reseeds = 0
+
+            def seed(self, n):
+                self.reseeds += 1
+                super().seed(n)
+
+        program.rng = CountingGenerator()
+        cmap = ConsistencyMap()
+        seed = derive_seed(0, "iteration", 0)
+        old = run_one("old", program, cmap, seed)
+        new = run_one("new", program, cmap, seed)
+        assert old.return_value == new.return_value
+        assert list(cmap.entries) == ["x", "x.a"]
+        assert program.rng.reseeds == 2
+
+
+class _RecordingPredictor(Predictor):
+    """The heuristic, recording each query it answers."""
+
+    def __init__(self):
+        self.queries = []
+
+    def predict(self, query):
+        self.queries.append(query)
+        return HeuristicPredictor().predict(query)
+
+
+class TestRenamedNamesAskedAsWritten:
+    """On a renamed pair the predictor is asked in the names the old side
+    writes, in the query's name and its context text; the access path stays
+    merged."""
+
+    OLD = "def f():\n    return values\n"
+    NEW = "def f():\n    return value\n"
+    RENAMES = {"values": "value"}
+
+    def test_the_heuristic_reads_the_old_name(self):
+        recording = _RecordingPredictor()
+        _, _, cmap = run_pair(self.OLD, self.NEW, renames=self.RENAMES, predictor=recording)
+        assert list(cmap.entries) == ["values_renamed_value"]
+        assert [(q.kind, q.name, q.context) for q in recording.queries] == [
+            ("variable-read", "values", "return values")
+        ]
+        # The plural rule on ``values`` (List 0.56), not the mixed default
+        # that ``values_renamed_value`` would get (Object 0.30).
+        program = build_program(self.OLD, self.NEW, renames=self.RENAMES)
+        site = program.pair.old.node.body[0]
+        answer = program.distribution("variable-read", "values_renamed_value", site)
+        assert answer.get(AbstractValue.LIST) == 0.56
+
+    def test_the_context_names_the_old_name(self):
+        # The numeric-context rule finds ``a`` in ``return a * 2`` only when
+        # the text says ``a``, not ``a_renamed_b``.
+        recording = _RecordingPredictor()
+        run_pair(
+            "def f():\n    return a * 2 + a.size()\n",
+            "def f():\n    return b * 2 + b.size()\n",
+            renames={"a": "b"},
+            predictor=recording,
+        )
+        queries = [(q.kind, q.name, q.context) for q in recording.queries]
+        assert queries == [
+            ("variable-read", "a", "return a * 2 + a.size()"),
+            ("call-return", "a.size", "return a * 2 + a.size()"),
+        ]
+        assert HeuristicPredictor().predict(recording.queries[0]).get(AbstractValue.INTEGER) == 0.56
+
+    def test_a_table_keyed_by_the_old_name_hits(self):
+        table = TablePredictor(
+            {("variable-read", "values"): Distribution({AbstractValue.TUPLE: 1.0})}
+        )
+        for iteration in range(8):
+            old, new, _ = run_pair(
+                self.OLD, self.NEW, renames=self.RENAMES, predictor=table, iteration=iteration
+            )
+            assert old.return_value.startswith("(") and old.return_value == new.return_value
 
 
 class TestConsistencyMap:

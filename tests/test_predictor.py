@@ -105,6 +105,19 @@ def test_sample_matches_enum_walk(raw, seed):
         assert dist.sample(ours) == sample_by_enum_walk(dist, reference)
 
 
+def test_a_draw_past_the_last_running_sum_is_the_last_kind():
+    # Ten weights of 0.1 sum to 0.9999999999999999, so the largest draw
+    # below 1.0 is not below the last running sum.
+    kinds = list(AbstractValue)[:10]
+    d = Distribution({k: 0.1 for k in kinds})
+
+    class Top:
+        def random(self):
+            return 1.0 - 2**-53
+
+    assert d.sample(Top()) is kinds[-1] is sample_by_enum_walk(d, Top())
+
+
 @given(st.integers(0, 2**32))
 def test_sample_frequencies_track_weights(seed):
     d = Distribution({AbstractValue.OBJECT: 0.8, AbstractValue.NONE: 0.2})

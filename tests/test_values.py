@@ -21,6 +21,7 @@ from pairguard.values import (
     VersatileObject,
     concretize,
     deep_copy,
+    randbelow,
     serialize,
     versatile_binop,
 )
@@ -894,6 +895,104 @@ class TestConcretize:
         assert concretize(AbstractValue.NONE, cfg, rng) is None
         values = {concretize(AbstractValue.BOOLEAN, cfg, rng) for _ in range(50)}
         assert values == {True, False}
+
+
+def _reference_concretize(kind, cfg, rng):
+    """Reference: ``concretize`` as ``random.Random``'s ``choice`` and
+    ``randint`` draw it."""
+    def element_kind():
+        if rng.random() < cfg.object_bias:
+            return AbstractValue.OBJECT
+        return rng.choice(
+            (AbstractValue.INTEGER, AbstractValue.FLOAT, AbstractValue.STRING,
+             AbstractValue.BOOLEAN, AbstractValue.NONE)
+        )
+
+    def versatile(cls):
+        seed = rng.getrandbits(64)
+        return cls(seed, rng.choice(cfg.class_pool) if cfg.class_pool else None)
+
+    pools = {
+        AbstractValue.BOOLEAN: (True, False),
+        AbstractValue.INTEGER: cfg.int_pool,
+        AbstractValue.FLOAT: cfg.float_pool,
+        AbstractValue.STRING: cfg.str_pool,
+    }
+    if kind is AbstractValue.NONE:
+        return None
+    if kind in pools:
+        return rng.choice(pools[kind])
+    if kind in (AbstractValue.LIST, AbstractValue.TUPLE, AbstractValue.SET):
+        size = rng.randint(0, cfg.max_structure_size)
+        elem = element_kind()
+        items = [_reference_concretize(elem, cfg, rng) for _ in range(size)]
+        return {AbstractValue.LIST: list, AbstractValue.TUPLE: tuple}.get(kind, set)(items)
+    if kind is AbstractValue.DICTIONARY:
+        size = rng.randint(0, cfg.max_structure_size)
+        elem = element_kind()
+        out = {}
+        for _ in range(size):
+            key = rng.choice(cfg.str_pool)
+            out[key] = _reference_concretize(elem, cfg, rng)
+        return out
+    if kind is AbstractValue.CALLABLE:
+        return versatile(VersatileCallable)
+    return versatile(VersatileObject)
+
+
+class TestDrawsMatchRandomRandom:
+    """The draws take what ``random.Random``'s Python methods take from a
+    generator in the same state, and leave it in the same state."""
+
+    SIZES = range(1, 18)
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            lambda rng, n: rng.choice(tuple(range(n))),
+            lambda rng, n: rng.randint(0, n - 1),
+            lambda rng, n: rng.randrange(n),
+        ],
+        ids=["choice", "randint", "randrange"],
+    )
+    def test_randbelow_is_the_index_random_random_draws(self, reference):
+        for seed in range(40):
+            for n in self.SIZES:
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(8):
+                    assert randbelow(ours, n) == reference(theirs, n)
+                assert ours.getstate() == theirs.getstate()
+
+    def test_the_redraw_loop_runs(self):
+        # Sizes just past a power of two redraw most often; without a redraw
+        # the comparison above could not tell the loop was right.
+        redraws = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            for n in self.SIZES:
+                before = rng.getstate()
+                randbelow(rng, n)
+                after = rng.getstate()
+                rng.setstate(before)
+                rng.getrandbits(n.bit_length())
+                redraws += rng.getstate() != after
+                rng.setstate(after)
+        assert redraws > 100
+
+    @pytest.mark.parametrize("kind", list(AbstractValue))
+    def test_concretize_matches_the_reference(self, kind):
+        cfg = ConcretizerConfig.with_literals(
+            int_literals=(3, 3, 9), str_literals=("k", "v", "w"), classes=("A", "B", "C"),
+            max_structure_size=6,
+        )
+        for seed in range(25):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                value = concretize(kind, cfg, ours)
+                expected = _reference_concretize(kind, cfg, theirs)
+                assert type(value) is type(expected)
+                assert serialize(value) == serialize(expected)
+            assert ours.getstate() == theirs.getstate()
 
 
 class TestKindOf:
