@@ -4,8 +4,8 @@ One iteration produces two ExecutionOutcomes; this module decides whether
 they differ, and if so where. Evaluation order is fixed so difference
 reports are reproducible: exception triage first, then returned state,
 injected state, printed output, and finally the external call logs. An
-exception is rendered, for abstain reasons and exception details alike, and
-compared in its ``serialize`` form, ``Type(arg, ...)``.
+exception is rendered and compared in its ``serialize`` form,
+``Type(arg, ...)``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class IterationResult:
     status: str
     dimension: Optional[str] = None
     detail: Optional[str] = None
-    abstain_reason: Optional[str] = None
 
     def __post_init__(self):
         has_diff = self.dimension is not None or self.detail is not None
@@ -101,16 +100,8 @@ def compare(
     the iteration's ``(path, old, new)`` rows of injected state, as
     ``snapshot_injected`` gives them; the first row that differs is named.
     """
-    reasons = [
-        f"{outcome.side}: {serialize(outcome.exception)}"
-        for outcome in (old, new)
-        if ended_unintended(outcome)
-    ]
-    if reasons:
-        return IterationResult(
-            status=ABSTAIN,
-            abstain_reason="unintended exception; " + "; ".join(reasons),
-        )
+    if ended_unintended(old) or ended_unintended(new):
+        return IterationResult(status=ABSTAIN)
 
     if old.exception is not None or new.exception is not None:
         oe, ne = _render_exception(old.exception), _render_exception(new.exception)

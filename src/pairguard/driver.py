@@ -14,7 +14,6 @@ from typing import Optional
 from .comparator import ABSTAIN, DIFFERENCE, EQUIVALENT, compare, ended_unintended
 from .engine import (
     ComparisonProgram,
-    ConsistencyMap,
     key_suffix,
     primed_hasher,
     primed_seed,
@@ -145,16 +144,18 @@ def analyze(
 
     for i in range(cfg.max_iterations):
         iterations_run = i + 1
-        cmap = ConsistencyMap(identical=pair.identical)
+        entries: dict = {}
         iteration_seed = primed_seed(iterations, key_suffix(i))
-        out_old = run_one("old", program, cmap, iteration_seed)
+        out_old = run_one("old", program, entries, iteration_seed)
         cum_old |= out_old.covered_lines
+        seeded = out_old.seeded
         if pair.identical:
             status = ABSTAIN if ended_unintended(out_old) else EQUIVALENT
         else:
-            out_new = run_one("new", program, cmap, iteration_seed)
+            out_new = run_one("new", program, entries, iteration_seed)
             cum_new |= out_new.covered_lines
-            result = compare(out_old, out_new, snapshot_injected(cmap))
+            seeded = seeded or out_new.seeded
+            result = compare(out_old, out_new, snapshot_injected(entries))
             if result.status == DIFFERENCE:
                 difference = result.detail
                 dimension = result.dimension
@@ -162,11 +163,11 @@ def analyze(
             status = result.status
         # An iteration that drew nothing from its seed depends only on the
         # pair, so every remaining iteration would repeat it exactly.
-        repeats = 1 if cmap.seeded else cfg.max_iterations - i
+        repeats = 1 if seeded else cfg.max_iterations - i
         iterations_run = i + repeats
         if status == ABSTAIN:
             abstained += repeats
-        if not cmap.seeded:
+        if not seeded:
             break
 
     if pair.identical:

@@ -355,59 +355,15 @@ class _Continue(Exception):
     pass
 
 
-class ConsistencyMap:
-    """Injected values shared by the two executions of one iteration.
-
-    Keyed by merged access path; the first execution to touch a path creates
-    the entry ``(v_old, v_new, rendered)``. ``v_old`` is the sampled value
-    and ``v_new`` a deep copy of it, so both sides see equal but
-    non-interfering inputs. When the copy is the value itself (an atom, or a
-    tuple of atoms: nothing a run can change), ``rendered`` keeps the
-    rendering made to check the copy, and the snapshot reuses it; otherwise
-    it is None. ``seeded`` records whether either side drew from the
-    iteration seed.
-
-    The map of an ``identical`` pair (one program once names are merged;
-    see ``FunctionPair``) serves its old side alone and stores each drawn
-    value as both sides' entry, ``(v, v, None)``: nothing is copied, so
-    there is no copy to check, and the driver takes no snapshot and makes
-    no comparison.
-    """
-
-    def __init__(self, identical: bool = False):
-        self.entries: dict[str, tuple[Any, Any, Optional[str]]] = {}
-        self.seeded = False
-        self.identical = identical
-
-    def lookup_or_create(self, path: str, side: str, creator: Callable[[], Any]) -> Any:
-        entry = self.entries.get(path)
-        if entry is None:
-            entry = self.create(path, creator())
-        return entry[0] if side == "old" else entry[1]
-
-    def create(self, path: str, v_old: Any) -> tuple[Any, Any, Optional[str]]:
-        """Make and store the entry of ``path``, which has none, for the
-        drawn value ``v_old``."""
-        if self.identical:
-            entry = (v_old, v_old, None)
-        else:
-            v_new = deep_copy(v_old)
-            rendered = serialize(v_old)
-            if rendered != serialize(v_new):
-                raise RuntimeError(f"consistency violation at {path!r}")
-            entry = (v_old, v_new, rendered if v_new is v_old else None)
-        self.entries[path] = entry
-        return entry
-
-
-def snapshot_injected(cmap: ConsistencyMap) -> list[tuple[str, str, str]]:
-    """``(path, old, new)``: the serialized final value of every injected
-    path on each side, in the order the paths were first read."""
+def snapshot_injected(entries: dict[str, tuple[Any, Any]]) -> list[tuple[str, str, str]]:
+    """``(path, old, new)``: the serialized final value of each injected
+    path on each side, in the order the paths were first read. A path whose
+    two sides share one value (an atom, or a tuple of atoms: nothing a run
+    can change) renders alike on both, so it gets no row."""
     return [
-        (path, rendered, rendered)
-        if rendered is not None
-        else (path, serialize(v_old), serialize(v_new))
-        for path, (v_old, v_new, rendered) in cmap.entries.items()
+        (path, serialize(v_old), serialize(v_new))
+        for path, (v_old, v_new) in entries.items()
+        if v_new is not v_old
     ]
 
 
@@ -427,8 +383,9 @@ class ExecutionOutcome:
     """What one side's run left behind. ``exception`` is the exception the
     run ended with, or None after a return; the step budget and the call
     depth cap end a run with an unintended ``StepBudgetExceeded`` or
-    ``RecursionError``. The injected state both sides share is rendered
-    once per iteration, by ``snapshot_injected``."""
+    ``RecursionError``. ``seeded`` says whether the run drew from its
+    iteration seed. The injected state both sides read is rendered once per
+    iteration, by ``snapshot_injected``."""
 
     side: str
     return_value: Optional[str]
@@ -436,6 +393,7 @@ class ExecutionOutcome:
     call_log: list[CallLogEntry]
     exception: Optional[ExceptionValue]
     covered_lines: set[int]
+    seeded: bool = False
 
 
 @dataclass
@@ -606,8 +564,9 @@ class Interpreter:
     __slots__ = (
         "side",
         "program",
-        "cmap",
+        "entries",
         "iteration_seed",
+        "seeded",
         "stdout",
         "call_log",
         "covered",
@@ -622,13 +581,14 @@ class Interpreter:
         self,
         side: str,
         program: ComparisonProgram,
-        cmap: ConsistencyMap,
+        entries: dict[str, tuple[Any, Any]],
         iteration_seed: int,
     ):
         self.side = side
         self.program = program
-        self.cmap = cmap
+        self.entries = entries
         self.iteration_seed = iteration_seed
+        self.seeded = False
         self.stdout = io.StringIO()
         self.call_log: list[CallLogEntry] = []
         self.covered: set[int] = set()
@@ -644,7 +604,7 @@ class Interpreter:
         """The program's generator, reseeded for the draws keyed by ``key``
         (``ComparisonProgram.reseed``); a caller finishes its draws before
         anything can reseed it again."""
-        self.cmap.seeded = True
+        self.seeded = True
         return self.program.reseed(self.iteration_seed, key)
 
     def _charge(self, steps: int) -> None:
@@ -664,15 +624,32 @@ class Interpreter:
     def _fault(self, type_name: str, message: str):
         raise SubjectError(ExceptionValue(type_name, [message], intentional=False))
 
-    def _inject(self, kind: str, name: str, path: str, context: ast.AST) -> Any:
-        """Injected value at ``path``, a key already capped by the caller;
-        the predictor is asked with the source text of ``context``."""
-        entry = self.cmap.entries.get(path)
+    def _inject(self, kind: str, name: str, path: str, context: Optional[ast.AST]) -> Any:
+        """Injected value at ``path``, a key already capped by the caller:
+        the one place a value is made up, so that both sides read the same
+        value at the same path.
+
+        The first side to read ``path`` draws the pair ``(v_old, v_new)``
+        from the path's keyed stream: an untyped versatile for the
+        ``"super"`` kind, else a value of the kind the predictor names when
+        asked with the source text of ``context``. ``v_new`` is a deep copy,
+        so both sides see equal but non-interfering inputs, and must render
+        like ``v_old`` when it is a new object. A pair that is one program
+        (``FunctionPair.identical``) runs its old side alone and copies
+        nothing."""
+        entry = self.entries.get(path)
         if entry is None:
             program = self.program
             rng = self._stream("value", path)
-            abstract = program.distribution(kind, name, context).sample(rng)
-            entry = self.cmap.create(path, concretize(abstract, program.ccfg, rng))
+            if kind == "super":
+                v_old = VersatileObject(rng.getrandbits(64), None)
+            else:
+                abstract = program.distribution(kind, name, context).sample(rng)
+                v_old = concretize(abstract, program.ccfg, rng)
+            v_new = v_old if program.pair.identical else deep_copy(v_old)
+            if v_new is not v_old and serialize(v_old) != serialize(v_new):
+                raise RuntimeError(f"consistency violation at {path!r}")
+            entry = self.entries[path] = (v_old, v_new)
         return entry[0] if self.side == "old" else entry[1]
 
     def _next_occurrence(self, path: str) -> int:
@@ -709,6 +686,7 @@ class Interpreter:
             call_log=self.call_log,
             exception=exception,
             covered_lines=self.covered,
+            seeded=self.seeded,
         )
 
     def _epilogue(self, result: Any) -> str:
@@ -933,12 +911,7 @@ class Interpreter:
     def _builtin_super(self, args: list, kwargs: dict) -> VersatileObject:
         """An untyped versatile, one per ``super()`` call of the run."""
         key = f"super()#{self._next_occurrence('super()')}"
-
-        def creator():
-            rng = self._stream("value", key)
-            return VersatileObject(rng.getrandbits(64), None)
-
-        return self.cmap.lookup_or_create(key, self.side, creator)
+        return self._inject("super", "super", key, None)
 
     def _builtin_print(self, args: list, kwargs: dict) -> None:
         sep = kwargs.get("sep", " ")
@@ -2234,7 +2207,11 @@ _BUILTINS: dict[str, tuple[Callable, int, float, Optional[frozenset[str]]]] = {
 
 
 def run_one(
-    side: str, program: ComparisonProgram, cmap: ConsistencyMap, iteration_seed: int
+    side: str,
+    program: ComparisonProgram,
+    entries: dict[str, tuple[Any, Any]],
+    iteration_seed: int,
 ) -> ExecutionOutcome:
-    """Execute one side of the pair for one iteration."""
-    return Interpreter(side, program, cmap, iteration_seed).run()
+    """Execute one side of the pair for one iteration; ``entries`` holds the
+    iteration's injected values, shared by its runs (``Interpreter._inject``)."""
+    return Interpreter(side, program, entries, iteration_seed).run()

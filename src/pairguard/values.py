@@ -326,19 +326,12 @@ def serialize(value: Any, _depth: int = 0, _seen: Optional[set] = None) -> str:
     Sets and dictionary keys are ordered by their serialized form so the
     output never depends on hash seeds or insertion order. Recursion is
     bounded: cycles render as ``<cycle>`` and depth beyond the cap as
-    ``<depth>``. Each type renders through its entry in ``_RENDERERS``; a
-    type without one renders as its nearest listed base, else as ``<Name>``.
+    ``<depth>``. Each type renders through its entry in ``_RENDERERS``, and
+    a type without one, a subclass of a listed type too, as ``<Name>``.
     """
     if _depth > _SERIALIZE_DEPTH_CAP:
         return "<depth>"
-    cls = type(value)
-    render = _RENDERERS.get(cls)
-    if render is None:
-        render = next(
-            (_RENDERERS[base] for base in cls.__mro__[1:] if base in _RENDERERS),
-            _render_unknown,
-        )
-    return render(value, _depth, _seen)
+    return _RENDERERS.get(type(value), _render_unknown)(value, _depth, _seen)
 
 
 def _render_repr(value: Any, depth: int, seen: Optional[set]) -> str:
@@ -425,6 +418,7 @@ _RENDERERS: dict[type, Callable[[Any, int, Optional[set]], str]] = {
     bool: _render_repr,
     int: _render_int,
     float: _render_repr,
+    complex: _render_repr,
     str: _render_repr,
     range: _render_repr,
     VersatileObject: _render_versatile,

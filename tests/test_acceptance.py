@@ -16,7 +16,7 @@ import pytest
 import _corpus
 from pairguard import EngineConfig, analyze
 from pairguard.cli import main as cli_main
-from pairguard.engine import ComparisonProgram, ConsistencyMap, derive_seed, run_one
+from pairguard.engine import ComparisonProgram, derive_seed, run_one
 from pairguard.frontend import extract_static_facts, make_pair
 from pairguard.values import (
     HARD_INT_POOL,
@@ -344,11 +344,11 @@ def test_9_efficiency():
             program = ComparisonProgram(
                 pair, extract_static_facts(pair), cfg, _corpus.predictor_for(pair_id)
             )
-            cmap = ConsistencyMap()
+            entries: dict = {}
             seed = derive_seed(cfg.seed, "iteration", 0)
             started = time.monotonic()
-            run_one("old", program, cmap, seed)
-            run_one("new", program, cmap, seed)
+            run_one("old", program, entries, seed)
+            run_one("new", program, entries, seed)
             elapsed = time.monotonic() - started
             slowest_iteration = max(slowest_iteration, elapsed)
             assert elapsed <= 0.050, f"{pair_id}: one iteration took {elapsed * 1000:.1f} ms"

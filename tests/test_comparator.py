@@ -13,7 +13,6 @@ from pairguard.driver import EngineConfig
 from pairguard.engine import (
     CallLogEntry,
     ComparisonProgram,
-    ConsistencyMap,
     ExecutionOutcome,
     derive_seed,
     run_one,
@@ -21,7 +20,7 @@ from pairguard.engine import (
 )
 from pairguard.frontend import extract_static_facts, make_pair
 from pairguard.predictor import HeuristicPredictor
-from pairguard.values import ExceptionValue
+from pairguard.values import ExceptionValue, serialize
 
 
 def outcome(
@@ -64,7 +63,7 @@ class TestResultInvariant:
 
     def test_plain_statuses_construct(self):
         assert IterationResult(status=EQUIVALENT).dimension is None
-        assert IterationResult(status=ABSTAIN, abstain_reason="r").status == ABSTAIN
+        assert IterationResult(status=ABSTAIN).detail is None
 
 
 class TestAbstain:
@@ -76,8 +75,7 @@ class TestAbstain:
 
     def test_abstain_reason_names_the_side(self):
         bad = outcome(side="new", exception=unintended("StepBudgetExceeded"))
-        r = compare(outcome(), bad)
-        assert "new: StepBudgetExceeded()" in r.abstain_reason
+        assert compare(outcome(), bad).status == ABSTAIN
 
     def test_abstain_dominates_other_differences(self):
         bad = outcome(
@@ -91,9 +89,7 @@ class TestAbstain:
     def test_both_sides_listed_when_both_crash(self):
         a = outcome(exception=unintended("TypeError"))
         b = outcome(side="new", exception=unintended("KeyError"))
-        r = compare(a, b)
-        assert "old: TypeError()" in r.abstain_reason
-        assert "new: KeyError()" in r.abstain_reason
+        assert compare(a, b).status == ABSTAIN
 
 
 class TestExceptionDimension:
@@ -148,12 +144,10 @@ class TestStateDimension:
     def test_snapshot_rows_go_in_first_read_order(self, mutated, named):
         # Paths read b, then a; the first of them whose new side a run
         # changed is the one the difference names.
-        cmap = ConsistencyMap()
-        for path in ("b", "a"):
-            cmap.lookup_or_create(path, "old", lambda: [1])
+        entries = {path: ([1], [1]) for path in ("b", "a")}
         for path in mutated:
-            cmap.lookup_or_create(path, "new", None).append(2)
-        rows = snapshot_injected(cmap)
+            entries[path][1].append(2)
+        rows = snapshot_injected(entries)
         assert [row[0] for row in rows] == ["b", "a"]
         r = compare(outcome(), outcome(side="new"), rows)
         assert r.detail == f"dimension: state\npath: {named}\nold: [1]\nnew: [1, 2]"
@@ -233,20 +227,22 @@ class TestCallsDimension:
 
 
 def compare_runs(old, new=None):
-    """The comparison of iteration 0 of real runs of a pair."""
+    """The comparison of iteration 0 of real runs of a pair, and the two
+    runs' outcomes."""
     pair = make_pair(old, new or old)
     program = ComparisonProgram(
         pair, extract_static_facts(pair), EngineConfig(), HeuristicPredictor()
     )
-    cmap = ConsistencyMap()
+    entries = {}
     seed = derive_seed(0, "iteration", 0)
-    out_old = run_one("old", program, cmap, seed)
-    out_new = run_one("new", program, cmap, seed)
-    return compare(out_old, out_new, snapshot_injected(cmap))
+    out_old = run_one("old", program, entries, seed)
+    out_new = run_one("new", program, entries, seed)
+    return compare(out_old, out_new, snapshot_injected(entries)), out_old, out_new
 
 
 class TestTextOfRealRuns:
-    """The exact abstain reasons and exception details real runs produce."""
+    """The exact exceptions abstaining runs end with, and the exception
+    details real runs produce."""
 
     @pytest.mark.parametrize(
         "body, rendered",
@@ -266,16 +262,16 @@ class TestTextOfRealRuns:
         ],
     )
     def test_abstain_reason(self, body, rendered):
-        r = compare_runs(f"def f():\n    {body}\n")
+        r, *outcomes = compare_runs(f"def f():\n    {body}\n")
         assert r.status == ABSTAIN
-        assert r.abstain_reason == f"unintended exception; old: {rendered}; new: {rendered}"
+        assert [serialize(out.exception) for out in outcomes] == [rendered, rendered]
 
     def test_exception_detail_renders_each_argument(self):
         # The third argument is a list nested 16 deep around an empty one:
         # an exception's arguments are serialized one level below it, so
         # the innermost list is past the depth cap.
         nest = "n = []\n    for i in range(16):\n        n = [n]\n    "
-        r = compare_runs(
+        r, _, _ = compare_runs(
             f"def f():\n    {nest}raise ValueError('x', [1, 2], n)\n",
             f"def f():\n    {nest}raise ValueError('y', [1, 2], n)\n",
         )

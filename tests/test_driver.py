@@ -19,7 +19,6 @@ from pairguard import (
     analyze_sources,
     driver,
 )
-from pairguard.engine import ConsistencyMap
 from pairguard.frontend import make_pair
 from pairguard.predictor import Distribution, TablePredictor, load_table_predictor
 from pairguard.values import AbstractValue
@@ -404,13 +403,6 @@ class TestRegressions:
         assert v.difference_dimension in ("exception", "state")
 
 
-class _AlwaysSeeded(ConsistencyMap):
-    """A map that reports every iteration as seeded, so that ``analyze``
-    runs each iteration instead of counting one for the rest."""
-
-    seeded = property(lambda self: True, lambda self, value: None)
-
-
 class TestReplay:
     """An iteration that drew nothing from its seed is run once and counted
     for every remaining iteration, with the verdict of running them all.
@@ -437,8 +429,16 @@ class TestReplay:
 
     @staticmethod
     def every_iteration_run(monkeypatch, old, new, cfg):
+        """The verdict of ``analyze`` when every run reports that it drew
+        from its seed, so that each iteration runs instead of counting one
+        for the rest."""
+        real = driver.run_one
+
+        def always_seeded(*args):
+            return dataclasses.replace(real(*args), seeded=True)
+
         with monkeypatch.context() as m:
-            m.setattr(driver, "ConsistencyMap", _AlwaysSeeded)
+            m.setattr(driver, "run_one", always_seeded)
             return analyze_sources(old, new, cfg=cfg)
 
     @SIDES
