@@ -196,10 +196,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             failed = True
 
     if args.jobs > 1 and len(jobs) > 1:
+        # The pool forks every worker up front, so none beyond one per pair.
         # A chunk is pickled as one list, so cfg and predictor travel once
         # per chunk rather than once per pair; ~16 chunks per worker.
-        chunksize = max(1, len(jobs) // (args.jobs * 16))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(jobs))
+        chunksize = max(1, len(jobs) // (workers * 16))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             finished = list(pool.map(_worker, jobs, chunksize=chunksize))
     else:
         finished = [_worker(job) for job in jobs]

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .comparator import ABSTAIN, DIFFERENCE, EQUIVALENT, compare, ended_unintended
-from .engine import (
-    ComparisonProgram,
-    key_suffix,
-    primed_hasher,
-    primed_seed,
-    run_one,
-    snapshot_injected,
-)
+from .engine import ComparisonProgram, iteration_seed, run_one, snapshot_injected
 from .frontend import FunctionPair, extract_static_facts, make_pair
 from .predictor import HeuristicPredictor, Predictor
 
@@ -133,8 +126,6 @@ def analyze(
     # The timer covers the runs; both sides were compiled when parsed.
     started = time.perf_counter()
     program = ComparisonProgram(pair, facts, cfg, predictor)
-    # Iteration i's seed is derive_seed(cfg.seed, "iteration", i).
-    iterations = primed_hasher(cfg.seed, "iteration")
     cum_old: set[int] = set()
     cum_new: set[int] = set()
     abstained = 0
@@ -145,14 +136,14 @@ def analyze(
     for i in range(cfg.max_iterations):
         iterations_run = i + 1
         entries: dict = {}
-        iteration_seed = primed_seed(iterations, key_suffix(i))
-        out_old = run_one("old", program, entries, iteration_seed)
+        seed = iteration_seed(cfg.seed, i)
+        out_old = run_one("old", program, entries, seed)
         cum_old |= out_old.covered_lines
         seeded = out_old.seeded
         if pair.identical:
             status = ABSTAIN if ended_unintended(out_old) else EQUIVALENT
         else:
-            out_new = run_one("new", program, entries, iteration_seed)
+            out_new = run_one("new", program, entries, seed)
             cum_new |= out_new.covered_lines
             seeded = seeded or out_new.seeded
             result = compare(out_old, out_new, snapshot_injected(entries))

@@ -25,7 +25,7 @@ import re
 import string
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, NoReturn, Optional
 
 from .predictor import Distribution, InjectionQuery, Predictor
@@ -168,6 +168,22 @@ def primed_seed(primed: hashlib.blake2b, suffix: bytes) -> int:
     hasher = primed.copy()
     hasher.update(suffix)
     return int.from_bytes(hasher.digest(), "big")
+
+
+# An analysis at the default k uses 300 iteration seeds; these caches keep a
+# few analyses' worth per process. Seeds are cached by type too: ``True``
+# and ``1`` have one hash but not one ``repr``.
+@lru_cache(maxsize=1024, typed=True)
+def iteration_seed(seed: int, i: int) -> int:
+    """Iteration ``i``'s seed under ``seed``: ``derive_seed(seed, "iteration", i)``."""
+    return derive_seed(seed, "iteration", i)
+
+
+@lru_cache(maxsize=1024)
+def draw_hasher(iteration_seed: int) -> hashlib.blake2b:
+    """``primed_hasher(iteration_seed)``, which every keyed draw of the
+    iteration copies (``primed_seed``) and none updates."""
+    return primed_hasher(iteration_seed)
 
 
 _SEQUENCES = frozenset({str, list, tuple})
@@ -378,14 +394,27 @@ class CallLogEntry:
         return f"{self.callee}({', '.join(parts)})"
 
 
-@dataclass
+def _render_return(result: Any, probed: Optional[str]) -> str:
+    """The text of what a run returned: ``result`` rendered, in the
+    function probe's form when the run returned a function named ``probed``."""
+    rendered = serialize(result)
+    return rendered if probed is None else f"<function {probed}() -> {rendered}>"
+
+
+@dataclass(slots=True)
 class ExecutionOutcome:
     """What one side's run left behind. ``exception`` is the exception the
     run ended with, or None after a return; the step budget and the call
     depth cap end a run with an unintended ``StepBudgetExceeded`` or
     ``RecursionError``. ``seeded`` says whether the run drew from its
     iteration seed. The injected state both sides read is rendered once per
-    iteration, by ``snapshot_injected``."""
+    iteration, by ``snapshot_injected``.
+
+    ``return_value`` is the rendered return value, None after an exception.
+    A run that will be compared renders it before the run ends. A
+    one-program pair's run, whose return value the driver never reads,
+    leaves ``(result, probed function name)`` in ``unrendered`` and its
+    ``return_value`` unset until the first read renders it."""
 
     side: str
     return_value: Optional[str]
@@ -394,6 +423,19 @@ class ExecutionOutcome:
     exception: Optional[ExceptionValue]
     covered_lines: set[int]
     seeded: bool = False
+    unrendered: Optional[tuple[Any, Optional[str]]] = None
+
+    def __post_init__(self):
+        if self.unrendered is not None:
+            del self.return_value
+
+    def __getattr__(self, name: str) -> Any:
+        # Called only for an unset slot, so for an unrendered return value.
+        if name != "return_value" or self.unrendered is None:
+            raise AttributeError(name)
+        self.return_value = _render_return(*self.unrendered)
+        self.unrendered = None
+        return self.return_value
 
 
 @dataclass
@@ -455,11 +497,10 @@ class ComparisonProgram:
         # takes what it would from a new ``random.Random`` with that seed.
         # Its own seed is never drawn from.
         self.rng = _random.Random(0)
-        # Each draw key's ``key_suffix``, and the hasher primed with the
-        # iteration seed of the last reseed.
+        # The ``key_suffix`` of each injected value's key ``("value", path)``
+        # by path, and of each other draw key.
+        self.value_suffixes: dict[str, bytes] = {}
         self._suffixes: dict[tuple, bytes] = {}
-        self._primed_for: Optional[int] = None
-        self._primed: Optional[hashlib.blake2b] = None
 
     def context(self, node: ast.AST) -> str:
         """Source text of a node, in the old side's names, capped, as handed
@@ -496,16 +537,14 @@ class ComparisonProgram:
 
     def reseed(self, iteration_seed: int, key: tuple) -> _random.Random:
         """The generator, reseeded with ``derive_seed(iteration_seed, *key)``:
-        the key's cached suffix hashed on a copy of the hasher primed with
-        the iteration seed, which is primed again only when that seed
-        changes."""
+        the key's cached suffix hashed on a copy of the iteration seed's
+        ``draw_hasher``. An injected value's draw makes the same reseed
+        inline (``Interpreter._inject``). A caller finishes its draws before
+        anything can reseed the generator again."""
         suffix = self._suffixes.get(key)
         if suffix is None:
             suffix = self._suffixes[key] = key_suffix(*key)
-        if iteration_seed != self._primed_for:
-            self._primed_for = iteration_seed
-            self._primed = primed_hasher(iteration_seed)
-        self.rng.seed(primed_seed(self._primed, suffix))
+        self.rng.seed(primed_seed(draw_hasher(iteration_seed), suffix))
         return self.rng
 
 
@@ -600,13 +639,6 @@ class Interpreter:
 
     # plumbing
 
-    def _stream(self, *key: Any) -> _random.Random:
-        """The program's generator, reseeded for the draws keyed by ``key``
-        (``ComparisonProgram.reseed``); a caller finishes its draws before
-        anything can reseed it again."""
-        self.seeded = True
-        return self.program.reseed(self.iteration_seed, key)
-
     def _charge(self, steps: int) -> None:
         """Charge the size of a host result before the host builds it."""
         self.steps += steps
@@ -630,7 +662,8 @@ class Interpreter:
         value at the same path.
 
         The first side to read ``path`` draws the pair ``(v_old, v_new)``
-        from the path's keyed stream: an untyped versatile for the
+        from the generator reseeded for the key ``("value", path)``, as
+        ``ComparisonProgram.reseed`` would: an untyped versatile for the
         ``"super"`` kind, else a value of the kind the predictor names when
         asked with the source text of ``context``. ``v_new`` is a deep copy,
         so both sides see equal but non-interfering inputs, and must render
@@ -640,7 +673,12 @@ class Interpreter:
         entry = self.entries.get(path)
         if entry is None:
             program = self.program
-            rng = self._stream("value", path)
+            suffix = program.value_suffixes.get(path)
+            if suffix is None:
+                suffix = program.value_suffixes[path] = key_suffix("value", path)
+            rng = program.rng
+            rng.seed(primed_seed(draw_hasher(self.iteration_seed), suffix))
+            self.seeded = True
             if kind == "super":
                 v_old = VersatileObject(rng.getrandbits(64), None)
             else:
@@ -666,10 +704,14 @@ class Interpreter:
         root[fn.node.name] = entry
         self.covered.add(fn.node.lineno)
         return_s: Optional[str] = None
+        unrendered: Optional[tuple[Any, Optional[str]]] = None
         exception: Optional[ExceptionValue] = None
         try:
             result = self._call_function(entry, [], {}, allow_missing=True)
-            return_s = self._epilogue(result)
+            unrendered = self._epilogue(result)
+            if not self.program.pair.identical:
+                return_s = _render_return(*unrendered)
+                unrendered = None
         except SubjectError as err:
             exception = err.value
         except _EngineInterrupt:
@@ -687,17 +729,19 @@ class Interpreter:
             exception=exception,
             covered_lines=self.covered,
             seeded=self.seeded,
+            unrendered=unrendered,
         )
 
-    def _epilogue(self, result: Any) -> str:
-        """Probe a returned function once, then unwrap a generator."""
+    def _epilogue(self, result: Any) -> tuple[Any, Optional[str]]:
+        """Probe a returned function once, then unwrap a generator: the
+        subject code a return value still runs, as ``(result, name of the
+        probed function or None)`` for ``_render_return``."""
         probed = result.name if isinstance(result, FunctionValue) else None
         if probed is not None:
             result = self._call_function(result, [], {}, allow_missing=True)
         if isinstance(result, GeneratorValue):
             result = list(result.take())
-        rendered = serialize(result)
-        return rendered if probed is None else f"<function {probed}() -> {rendered}>"
+        return result, probed
 
     # function calls
 
@@ -866,7 +910,8 @@ class Interpreter:
         self.call_log.append(entry)
         exc_types = self.program.call_exceptions.get(path)
         if exc_types:
-            rng = self._stream("exc", path, occurrence)
+            self.seeded = True
+            rng = self.program.reseed(self.iteration_seed, ("exc", path, occurrence))
             if rng.random() < self.program.cfg.exception_probability:
                 type_name = exc_types[randbelow(rng, len(exc_types))]
                 raise SubjectError(ExceptionValue(type_name, [], intentional=True))

@@ -24,8 +24,13 @@ class AbstractValue(Enum):
     """The twelve abstract kinds a predictor can choose between.
 
     Declaration order is the canonical order used when sampling from a
-    distribution, so it must stay stable.
+    distribution, so it must stay stable. A kind hashes by identity, as
+    members are singletons, so a lookup by kind runs no Python-level
+    ``Enum.__hash__``; a set of kinds would then iterate in an order that
+    changes from process to process, so none is iterated.
     """
+
+    __hash__ = object.__hash__
 
     NONE = "None"
     BOOLEAN = "Boolean"

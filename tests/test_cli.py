@@ -231,6 +231,37 @@ class TestBatch:
         assert [r["id"] for r in strip(parallel)] == [f"p{i:02d}" for i in range(70)]
         assert strip(serial) == strip(parallel)
 
+    @pytest.mark.parametrize("pairs, jobs, workers", [(2, 200, 2), (3, 2, 2), (70, 200, 70)])
+    def test_no_more_workers_than_pairs(self, tmp_path, capsys, monkeypatch, pairs, jobs, workers):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        for i in range(pairs):
+            write_pair(d, name=f"p{i:02d}", new=f"def f(a):\n    return a + {i % 3}\n")
+        pools = []
+
+        class SerialPool:
+            """Records the pool the CLI asks for, and runs its map in this process."""
+
+            def __init__(self, max_workers):
+                pools.append({"max_workers": max_workers})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                pools[-1]["chunksize"] = chunksize
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        args = ("analyze", str(d), "--format", "json", "--max-iterations", "3")
+        code, parallel, _ = run_cli(capsys, *args, "--jobs", str(jobs))
+        assert code == 0
+        assert pools == [{"max_workers": workers, "chunksize": max(1, pairs // (workers * 16))}]
+        assert len(parallel.splitlines()) == pairs
+
     def test_bad_file_reported_and_rest_processed(self, tmp_path, capsys):
         d = self.fill(tmp_path)
         (d / "broken.json").write_text("{nope")

@@ -21,6 +21,8 @@ from pairguard.engine import (
     Interpreter,
     _COMPARISONS,
     derive_seed,
+    draw_hasher,
+    iteration_seed,
     key_suffix,
     primed_hasher,
     primed_seed,
@@ -33,6 +35,7 @@ from pairguard.values import (
     AbstractValue,
     VersatileCallable,
     VersatileObject,
+    concretize,
     serialize,
     versatile_binop,
 )
@@ -188,6 +191,40 @@ class TestKeyedSeeds:
         assert verdict.iterations_run == 12
         assert seen == [derive_seed(seed, "iteration", i) for i in range(12) for _ in ("old", "new")]
 
+    @pytest.mark.parametrize("seed", [-1, 0, 7, 2**70])
+    def test_cached_iteration_seeds_are_derive_seed(self, seed):
+        for _ in range(2):
+            assert [iteration_seed(seed, i) for i in range(300)] == [
+                derive_seed(seed, "iteration", i) for i in range(300)
+            ]
+        # Equal seeds of other types have another repr, so another seed.
+        assert iteration_seed(True, 0) == derive_seed(True, "iteration", 0) != iteration_seed(1, 0)
+
+    def test_a_cached_draw_hasher_is_never_fed(self):
+        for seed in self.ITERATION_SEEDS:
+            for _ in range(2):
+                for key in _KEYS:
+                    drawn = primed_seed(draw_hasher(seed), key_suffix(*key))
+                    assert drawn == derive_seed(seed, *key), key
+
+    @pytest.mark.parametrize("kind", list(AbstractValue))
+    def test_an_injected_value_is_drawn_as_reseed_would_draw_it(self, kind):
+        # Most of the mass on ``kind``, so the sampled kind varies too.
+        dist = Distribution({k: 0.56 if k is kind else 0.04 for k in AbstractValue})
+        predictor = TablePredictor({("variable-read", "x"): dist})
+        source = "def f():\n    return x\n"
+        program, reference = build_program(source, predictor=predictor), build_program(source)
+        for n in range(25):
+            seed = derive_seed(n, "iteration", 0)
+            entries = {}
+            run_one("old", program, entries, seed)
+            rng = reference.reseed(seed, ("value", "x"))
+            expected = concretize(dist.sample(rng), reference.ccfg, rng)
+            value = entries["x"][0]
+            assert type(value) is type(expected)
+            assert serialize(value) == serialize(expected)
+            assert program.rng.getstate() == rng.getstate()
+
     def test_a_path_read_twice_reseeds_once(self):
         program = build_program(
             "def f():\n    return x.a, x.a\n", predictor=pin(x=AbstractValue.INTEGER)
@@ -332,10 +369,26 @@ class TestInjectedEntries:
         monkeypatch.setattr(engine, "deep_copy", lambda v: pytest.fail("copied"))
         monkeypatch.setattr(engine, "serialize", lambda v, *a: rendered.append(v) or real(v, *a))
         entries = {}
-        run_one("old", program, entries, derive_seed(0, "iteration", 0))
+        out = run_one("old", program, entries, derive_seed(0, "iteration", 0))
         v_old, v_new = entries["xs"]
         assert v_old is v_new and v_old[-1] == 1
+        assert rendered == []
+        # Nothing the driver reads: the return value renders when first read.
+        assert out.return_value == "None"
+        assert out.return_value == "None"
         assert rendered == [None]
+
+    def test_a_compared_side_renders_its_return_value_in_the_run(self, monkeypatch):
+        rendered = []
+        real = engine.serialize
+        monkeypatch.setattr(engine, "serialize", lambda v, *a: rendered.append(v) or real(v, *a))
+        out_old, out_new, _ = run_pair(
+            "def f():\n    return [1, 2]\n", "def f():\n    return (1, 2)\n"
+        )
+        assert rendered == [[1, 2], (1, 2)]
+        assert out_old.unrendered is None and out_new.unrendered is None
+        assert (out_old.return_value, out_new.return_value) == ("[1, 2]", "(1, 2)")
+        assert rendered == [[1, 2], (1, 2)]
 
     @staticmethod
     def counted_snapshots(monkeypatch, old, new, **kinds):

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import pickle
 import random
 import re
 
@@ -377,3 +379,38 @@ class TestTablePredictor:
         p.write_text("{not json")
         with pytest.raises(FormatError):
             load_table_predictor(str(p))
+
+
+class TestPickle:
+    """The ``--jobs`` pool pickles the predictor with every chunk of pairs,
+    so a predictor, and each distribution it answers with, must come back
+    from a pickle round trip answering and drawing as before."""
+
+    TABLES = sorted((pathlib.Path(__file__).parent / "fixtures" / "tables").glob("*.json"))
+
+    @staticmethod
+    def queries(predictor):
+        table = getattr(predictor, "entries", {})
+        asked = [InjectionQuery(kind, name) for kind, name in table]
+        for kind in ("variable-read", "attribute-read", "call-return", "subscript-result"):
+            for name, context in [("xs", "for x in xs:"), ("n", "n + 1"), ("name", ""), ("f", "f()")]:
+                asked.append(InjectionQuery(kind, name, context))
+        return asked
+
+    @pytest.mark.parametrize(
+        "make",
+        [HeuristicPredictor, *[lambda path=path: load_table_predictor(str(path)) for path in TABLES]],
+        ids=["heuristic", *[path.stem for path in TABLES]],
+    )
+    def test_round_trip_gives_equal_answers(self, make):
+        predictor = make()
+        restored = pickle.loads(pickle.dumps(predictor))
+        assert type(restored) is type(predictor)
+        for query in self.queries(predictor):
+            answer, again = predictor.predict(query), restored.predict(query)
+            assert again == answer, query
+            draws = [answer.sample(random.Random(seed)) for seed in range(20)]
+            assert [again.sample(random.Random(seed)) for seed in range(20)] == draws
+
+    def test_the_fixture_tables_are_found(self):
+        assert self.TABLES

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pairguard.values import (
     HARD_INT_POOL,
     HARD_STR_POOL,
+    LABEL_TO_KIND,
     AbstractValue,
     BoundMethod,
     BuiltinFunction,
@@ -997,6 +998,21 @@ class TestDrawsMatchRandomRandom:
                 assert type(value) is type(expected)
                 assert serialize(value) == serialize(expected)
             assert ours.getstate() == theirs.getstate()
+
+
+def test_kinds_keep_their_order():
+    # Sampling walks the kinds in declaration order, and table files name
+    # them by label; both orders are part of every drawn value.
+    labels = [
+        "None", "Boolean", "Integer", "Float", "String", "List",
+        "Tuple", "Dictionary", "Set", "Callable", "Resource", "Object",
+    ]
+    assert [kind.value for kind in AbstractValue] == labels
+    assert [kind.name for kind in AbstractValue] == [
+        "NONE", "BOOLEAN", "INTEGER", "FLOAT", "STRING", "LIST",
+        "TUPLE", "DICTIONARY", "SET", "CALLABLE", "RESOURCE", "OBJECT",
+    ]
+    assert list(LABEL_TO_KIND.items()) == list(zip(labels, AbstractValue))
 
 
 class TestKindOf:
