@@ -36,6 +36,11 @@ class EngineConfig:
     object_bias: float = 0.5
 
     def validate(self) -> None:
+        # A bool is an int to isinstance, but ``repr`` tells them apart, so
+        # ``seed=True`` would draw other values than ``seed=1``.
+        for name in ("max_iterations", "seed", "max_structure_size"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an int")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         for name in ("exception_probability", "object_bias"):

@@ -6,11 +6,12 @@ expression, and the closures run that side for every iteration. Compiling
 is also what checks the side against the subject-language grammar and
 records its static facts. Reads of undefined variables, attribute reads,
 unresolvable calls, and crashing subscripts are intercepted and answered
-with predicted, concretized values. A consistency map shared between the
-two sides of one iteration guarantees both executions observe the same
-injected inputs, while every random decision is drawn from a stream keyed
-by the merged access path so small control-flow differences cannot
-desynchronize the two runs.
+with predicted, concretized values. An iteration's injected values are a
+dict from merged access path to the value each side reads, which
+``Interpreter._inject`` alone fills, so both executions observe the same
+injected inputs; every random decision is drawn from a generator reseeded
+by a key of the merged access path, so small control-flow differences
+cannot desynchronize the two runs.
 """
 
 from __future__ import annotations
@@ -138,36 +139,11 @@ def derive_seed(*parts: Any) -> int:
     of the blake2b hash of ``repr(parts)``.
 
     Uses a keyed hash rather than Python's salted ``hash`` so streams are
-    identical across processes and runs. This is the reference: the seeds
-    of iterations and keyed draws hash the same text in two pieces, a
-    ``primed_hasher`` for the parts they share and a ``key_suffix`` for the
-    rest (see ``primed_seed``).
+    identical across processes and runs. This is the reference: an injected
+    value's draw hashes the same text in two pieces (``Interpreter._inject``).
     """
     digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def primed_hasher(*parts: Any) -> hashlib.blake2b:
-    """A blake2b hasher, as ``derive_seed`` makes it, fed how ``repr`` of a
-    tuple whose first items are ``parts`` begins: ``(``, then each part's
-    ``repr`` followed by ``, ``."""
-    return hashlib.blake2b(
-        ("(" + "".join([f"{p!r}, " for p in parts])).encode("utf-8"), digest_size=8
-    )
-
-
-def key_suffix(*key: Any) -> bytes:
-    """How ``repr`` of a tuple whose last items are the non-empty ``key``
-    ends: their ``repr`` joined by ``, ``, then ``)``."""
-    return (", ".join(map(repr, key)) + ")").encode("utf-8")
-
-
-def primed_seed(primed: hashlib.blake2b, suffix: bytes) -> int:
-    """``derive_seed(*parts, *key)`` from ``primed_hasher(*parts)`` and
-    ``key_suffix(*key)``, which together hash the same bytes."""
-    hasher = primed.copy()
-    hasher.update(suffix)
-    return int.from_bytes(hasher.digest(), "big")
 
 
 # An analysis at the default k uses 300 iteration seeds; these caches keep a
@@ -181,9 +157,10 @@ def iteration_seed(seed: int, i: int) -> int:
 
 @lru_cache(maxsize=1024)
 def draw_hasher(iteration_seed: int) -> hashlib.blake2b:
-    """``primed_hasher(iteration_seed)``, which every keyed draw of the
-    iteration copies (``primed_seed``) and none updates."""
-    return primed_hasher(iteration_seed)
+    """A blake2b hasher, as ``derive_seed`` makes it, fed how ``repr`` of a
+    tuple whose first item is ``iteration_seed`` begins. Every injected
+    value's draw of the iteration copies it and none updates it."""
+    return hashlib.blake2b(f"({iteration_seed!r}, ".encode("utf-8"), digest_size=8)
 
 
 _SEQUENCES = frozenset({str, list, tuple})
@@ -410,32 +387,28 @@ class ExecutionOutcome:
     iteration seed. The injected state both sides read is rendered once per
     iteration, by ``snapshot_injected``.
 
-    ``return_value`` is the rendered return value, None after an exception.
-    A run that will be compared renders it before the run ends. A
-    one-program pair's run, whose return value the driver never reads,
-    leaves ``(result, probed function name)`` in ``unrendered`` and its
-    ``return_value`` unset until the first read renders it."""
+    A run that returned keeps what it returned, ``result``, and the name of
+    the function the run probed, ``probed``; ``return_value`` renders them
+    on its first read into ``rendered``, and is None after an exception. A
+    render after the run equals one made inside it: the other side of the
+    iteration reads deep copies, and what ``deep_copy`` shares (atoms,
+    tuples of atoms, function and generator values) renders the same
+    whatever a run does."""
 
-    side: str
-    return_value: Optional[str]
     stdout: str
     call_log: list[CallLogEntry]
     exception: Optional[ExceptionValue]
     covered_lines: set[int]
     seeded: bool = False
-    unrendered: Optional[tuple[Any, Optional[str]]] = None
+    result: Any = None
+    probed: Optional[str] = None
+    rendered: Optional[str] = None
 
-    def __post_init__(self):
-        if self.unrendered is not None:
-            del self.return_value
-
-    def __getattr__(self, name: str) -> Any:
-        # Called only for an unset slot, so for an unrendered return value.
-        if name != "return_value" or self.unrendered is None:
-            raise AttributeError(name)
-        self.return_value = _render_return(*self.unrendered)
-        self.unrendered = None
-        return self.return_value
+    @property
+    def return_value(self) -> Optional[str]:
+        if self.rendered is None and self.exception is None:
+            self.rendered = _render_return(self.result, self.probed)
+        return self.rendered
 
 
 @dataclass
@@ -497,10 +470,10 @@ class ComparisonProgram:
         # takes what it would from a new ``random.Random`` with that seed.
         # Its own seed is never drawn from.
         self.rng = _random.Random(0)
-        # The ``key_suffix`` of each injected value's key ``("value", path)``
-        # by path, and of each other draw key.
+        # By path, the end of the text that an injected value's seed
+        # ``derive_seed(iteration seed, "value", path)`` hashes; its start
+        # is hashed once per iteration seed, by ``draw_hasher``.
         self.value_suffixes: dict[str, bytes] = {}
-        self._suffixes: dict[tuple, bytes] = {}
 
     def context(self, node: ast.AST) -> str:
         """Source text of a node, in the old side's names, capped, as handed
@@ -534,18 +507,6 @@ class ComparisonProgram:
                 dist = self._answers[query] = self.predictor.predict(query)
             self._sites[site] = dist
         return dist
-
-    def reseed(self, iteration_seed: int, key: tuple) -> _random.Random:
-        """The generator, reseeded with ``derive_seed(iteration_seed, *key)``:
-        the key's cached suffix hashed on a copy of the iteration seed's
-        ``draw_hasher``. An injected value's draw makes the same reseed
-        inline (``Interpreter._inject``). A caller finishes its draws before
-        anything can reseed the generator again."""
-        suffix = self._suffixes.get(key)
-        if suffix is None:
-            suffix = self._suffixes[key] = key_suffix(*key)
-        self.rng.seed(primed_seed(draw_hasher(iteration_seed), suffix))
-        return self.rng
 
 
 # What reading a name no enclosing scope binds gives; never bound itself.
@@ -662,8 +623,9 @@ class Interpreter:
         value at the same path.
 
         The first side to read ``path`` draws the pair ``(v_old, v_new)``
-        from the generator reseeded for the key ``("value", path)``, as
-        ``ComparisonProgram.reseed`` would: an untyped versatile for the
+        from the generator reseeded with ``derive_seed(iteration seed,
+        "value", path)``, hashed from the path's cached suffix on a copy of
+        the iteration's ``draw_hasher``: an untyped versatile for the
         ``"super"`` kind, else a value of the kind the predictor names when
         asked with the source text of ``context``. ``v_new`` is a deep copy,
         so both sides see equal but non-interfering inputs, and must render
@@ -675,9 +637,11 @@ class Interpreter:
             program = self.program
             suffix = program.value_suffixes.get(path)
             if suffix is None:
-                suffix = program.value_suffixes[path] = key_suffix("value", path)
+                suffix = program.value_suffixes[path] = f"'value', {path!r})".encode("utf-8")
+            hasher = draw_hasher(self.iteration_seed).copy()
+            hasher.update(suffix)
             rng = program.rng
-            rng.seed(primed_seed(draw_hasher(self.iteration_seed), suffix))
+            rng.seed(int.from_bytes(hasher.digest(), "big"))
             self.seeded = True
             if kind == "super":
                 v_old = VersatileObject(rng.getrandbits(64), None)
@@ -703,15 +667,11 @@ class Interpreter:
         entry = FunctionValue(fn.node.name, fn.params, fn.body, root)
         root[fn.node.name] = entry
         self.covered.add(fn.node.lineno)
-        return_s: Optional[str] = None
-        unrendered: Optional[tuple[Any, Optional[str]]] = None
-        exception: Optional[ExceptionValue] = None
+        result = probed = exception = None
         try:
-            result = self._call_function(entry, [], {}, allow_missing=True)
-            unrendered = self._epilogue(result)
-            if not self.program.pair.identical:
-                return_s = _render_return(*unrendered)
-                unrendered = None
+            result, probed = self._epilogue(
+                self._call_function(entry, [], {}, allow_missing=True)
+            )
         except SubjectError as err:
             exception = err.value
         except _EngineInterrupt:
@@ -722,14 +682,13 @@ class Interpreter:
         # env is root); without it, the run is freed by reference counting.
         root.clear()
         return ExecutionOutcome(
-            side=self.side,
-            return_value=return_s,
             stdout=self.stdout.getvalue(),
             call_log=self.call_log,
             exception=exception,
             covered_lines=self.covered,
             seeded=self.seeded,
-            unrendered=unrendered,
+            result=result,
+            probed=probed,
         )
 
     def _epilogue(self, result: Any) -> tuple[Any, Optional[str]]:
@@ -911,7 +870,8 @@ class Interpreter:
         exc_types = self.program.call_exceptions.get(path)
         if exc_types:
             self.seeded = True
-            rng = self.program.reseed(self.iteration_seed, ("exc", path, occurrence))
+            rng = self.program.rng
+            rng.seed(derive_seed(self.iteration_seed, "exc", path, occurrence))
             if rng.random() < self.program.cfg.exception_probability:
                 type_name = exc_types[randbelow(rng, len(exc_types))]
                 raise SubjectError(ExceptionValue(type_name, [], intentional=True))

@@ -451,10 +451,11 @@ _MISSING = object()
 def deep_copy(value: Any) -> Any:
     """Deep copy with ``copy.deepcopy``'s result, copied by type.
 
-    Atoms, lists, tuples, dicts, sets and versatile objects are copied
-    directly; anything else goes to ``copy.deepcopy`` with the same memo. The
-    memo, keyed by ``id``, keeps aliasing and cycles as ``copy.deepcopy``
-    does: a value a versatile stores is one copy in ``attrs`` and ``stored``.
+    Atoms, lists, tuples, dicts, sets, frozensets, versatile objects and
+    exceptions are copied directly; anything else goes to ``copy.deepcopy``
+    with the same memo. The memo, keyed by ``id``, keeps aliasing and cycles
+    as ``copy.deepcopy`` does: a value a versatile stores is one copy in
+    ``attrs`` and ``stored``.
     Like ``copy.deepcopy``, a tuple whose items all copy to themselves comes
     back as the same object, and function and generator values are kept by
     reference.
@@ -505,10 +506,14 @@ def _copy_dict(value: dict, memo: dict) -> dict:
     return out
 
 
-def _copy_set(value: set, memo: dict) -> set:
+def _copy_set(value: set | frozenset, memo: dict) -> set | frozenset:
     # Like copy.deepcopy, a set is built from its copied items, then memoized.
-    out = set([_copy(v, memo) for v in value])
-    memo[id(value)] = out
+    items = [_copy(v, memo) for v in value]
+    # A cycle through a versatile item may have copied this set already.
+    copied = memo.get(id(value), _MISSING)
+    if copied is not _MISSING:
+        return copied
+    out = memo[id(value)] = type(value)(items)
     return out
 
 
@@ -522,13 +527,24 @@ def _copy_versatile(value: VersatileObject, memo: dict) -> VersatileObject:
     return out
 
 
+def _copy_exception(value: ExceptionValue, memo: dict) -> ExceptionValue:
+    # Copied here, not by copy.deepcopy, so a versatile among its arguments
+    # is copied atoms first too.
+    out = ExceptionValue.__new__(ExceptionValue)
+    memo[id(value)] = out
+    out.__dict__.update([(k, _copy(v, memo)) for k, v in value.__dict__.items()])
+    return out
+
+
 _COPIERS: dict[type, Callable[[Any, dict], Any]] = {
     list: _copy_list,
     tuple: _copy_tuple,
     dict: _copy_dict,
     set: _copy_set,
+    frozenset: _copy_set,
     VersatileObject: _copy_versatile,
     VersatileCallable: _copy_versatile,
+    ExceptionValue: _copy_exception,
 }
 
 

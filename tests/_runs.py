@@ -5,11 +5,14 @@ Fingerprints cover every corpus pair (with its table predictor, where it has
 one) and the ``loops`` benchmark pairs, at one seed. One line per pair: its
 id, how many single-side runs ``analyze`` accounts for, their total steps,
 and a sha256 over each run's (side, steps, sorted covered lines, exception
-type and intentional flag, return value, stdout). An iteration that read
-nothing from its seed is run once and counted for the remaining ones; its
-two runs are repeated here once for each iteration it stands for. A pair
-whose sides are identical (one program once names are merged) runs only its
-old side; each of its runs is repeated here as the new side's.
+type and intentional flag, return value, stdout). The side and steps are
+the wrapped ``Interpreter``'s and the rest its outcome's; each return value
+is read, and so rendered, only once the analysis has ended, after every
+later run of the pair. An iteration that read nothing from its seed is run
+once and counted for the remaining ones; its two runs are repeated here
+once for each iteration it stands for. A pair whose sides are identical
+(one program once names are merged) runs only its old side; each of its
+runs is repeated here as the new side's.
 
 The batch digest is a sha256 over ``pairguard analyze --format json`` on the
 seed's ``batch`` pairs with their table predictor, each record without its
@@ -82,11 +85,11 @@ def _record(runs: list) -> None:
         exc = out.exception
         runs.append(
             [
-                out.side,
+                self.side,
                 self.steps,
                 sorted(out.covered_lines),
                 None if exc is None else [exc.type_name, exc.intentional],
-                out.return_value,
+                out,  # its return value, rendered once the analysis ends
                 out.stdout,
             ]
         )
@@ -106,6 +109,8 @@ def fingerprints(seed: int) -> list[str]:
             for pair_id, pair, predictor in _pairs(seed, pathlib.Path(scratch)):
                 runs.clear()
                 verdict = analyze(pair, EngineConfig(seed=seed), predictor=predictor)
+                for run in runs:
+                    run[4] = run[4].return_value
                 if pair.identical:
                     # Only the old side ran; the new side's run is its repeat.
                     runs[:] = [r for run in runs for r in (run, ["new", *run[1:]])]

@@ -24,19 +24,18 @@ from pairguard.values import ExceptionValue, serialize
 
 
 def outcome(
-    side="old",
     return_value="None",
     stdout="",
     call_log=None,
     exception=None,
 ):
+    """An outcome whose return value is already rendered as ``return_value``."""
     return ExecutionOutcome(
-        side=side,
-        return_value=return_value,
         stdout=stdout,
         call_log=list(call_log or []),
         exception=exception,
         covered_lines=set(),
+        rendered=return_value,
     )
 
 
@@ -69,12 +68,12 @@ class TestResultInvariant:
 class TestAbstain:
     def test_unintended_on_either_side_abstains(self):
         bad = outcome(exception=unintended("TypeError"))
-        good = outcome(side="new")
+        good = outcome()
         assert compare(bad, good).status == ABSTAIN
         assert compare(good, bad).status == ABSTAIN
 
     def test_abstain_reason_names_the_side(self):
-        bad = outcome(side="new", exception=unintended("StepBudgetExceeded"))
+        bad = outcome(exception=unintended("StepBudgetExceeded"))
         assert compare(outcome(), bad).status == ABSTAIN
 
     def test_abstain_dominates_other_differences(self):
@@ -83,19 +82,19 @@ class TestAbstain:
             stdout="x",
             exception=unintended("TypeError"),
         )
-        other = outcome(side="new", return_value="2")
+        other = outcome(return_value="2")
         assert compare(bad, other).status == ABSTAIN
 
     def test_both_sides_listed_when_both_crash(self):
         a = outcome(exception=unintended("TypeError"))
-        b = outcome(side="new", exception=unintended("KeyError"))
+        b = outcome(exception=unintended("KeyError"))
         assert compare(a, b).status == ABSTAIN
 
 
 class TestExceptionDimension:
     def test_one_sided_intentional_exception(self):
         a = outcome(exception=intentional("ValueError", "x"))
-        b = outcome(side="new")
+        b = outcome()
         r = compare(a, b)
         assert r.status == DIFFERENCE
         assert r.dimension == "exception"
@@ -104,40 +103,40 @@ class TestExceptionDimension:
 
     def test_differing_intentional_exceptions(self):
         a = outcome(exception=intentional("ValueError", "x"))
-        b = outcome(side="new", exception=intentional("KeyError", "x"))
+        b = outcome(exception=intentional("KeyError", "x"))
         r = compare(a, b)
         assert r.dimension == "exception"
 
     def test_differing_args_count(self):
         a = outcome(exception=intentional("ValueError", "x"))
-        b = outcome(side="new", exception=intentional("ValueError", "x", "y"))
+        b = outcome(exception=intentional("ValueError", "x", "y"))
         assert compare(a, b).dimension == "exception"
 
     def test_equal_intentional_exceptions_continue(self):
         a = outcome(exception=intentional("ValueError", "x"))
-        b = outcome(side="new", exception=intentional("ValueError", "x"))
+        b = outcome(exception=intentional("ValueError", "x"))
         assert compare(a, b).status == EQUIVALENT
 
     def test_equal_exceptions_still_check_state(self):
         a = outcome(exception=intentional("E"))
-        b = outcome(side="new", exception=intentional("E"))
+        b = outcome(exception=intentional("E"))
         r = compare(a, b, [("p", "1", "2")])
         assert r.dimension == "state"
 
 
 class TestStateDimension:
     def test_return_value_difference(self):
-        r = compare(outcome(return_value="1"), outcome(side="new", return_value="2"))
+        r = compare(outcome(return_value="1"), outcome(return_value="2"))
         assert r.dimension == "state"
         assert r.detail == "dimension: state\nold: 1\nnew: 2"
 
     def test_injected_state_difference_names_path(self):
-        r = compare(outcome(), outcome(side="new"), [("self", "V(a)", "V(b)")])
+        r = compare(outcome(), outcome(), [("self", "V(a)", "V(b)")])
         assert r.dimension == "state"
         assert r.detail == "dimension: state\npath: self\nold: V(a)\nnew: V(b)"
 
     def test_injected_state_respects_insertion_order(self):
-        r = compare(outcome(), outcome(side="new"), [("b", "1", "9"), ("a", "2", "9")])
+        r = compare(outcome(), outcome(), [("b", "1", "9"), ("a", "2", "9")])
         assert "path: b" in r.detail
 
     @pytest.mark.parametrize("mutated, named", [(("b", "a"), "b"), (("a",), "a")])
@@ -149,14 +148,14 @@ class TestStateDimension:
             entries[path][1].append(2)
         rows = snapshot_injected(entries)
         assert [row[0] for row in rows] == ["b", "a"]
-        r = compare(outcome(), outcome(side="new"), rows)
+        r = compare(outcome(), outcome(), rows)
         assert r.detail == f"dimension: state\npath: {named}\nold: [1]\nnew: [1, 2]"
 
 
 class TestDetailCap:
     def test_long_values_are_cut_with_their_full_length(self):
         old, new = "1" * 5000, "1" * 10 + "2" * 4990
-        r = compare(outcome(return_value=old), outcome(side="new", return_value=new))
+        r = compare(outcome(return_value=old), outcome(return_value=new))
         assert r.status == DIFFERENCE
         assert r.detail.splitlines()[1:] == [
             f"old: {'1' * 1000}... [5000 characters]",
@@ -165,7 +164,7 @@ class TestDetailCap:
 
     def test_cut_keeps_a_late_difference_visible(self):
         old, new = "1" * 5000, "1" * 4999 + "2"
-        r = compare(outcome(return_value=old), outcome(side="new", return_value=new))
+        r = compare(outcome(return_value=old), outcome(return_value=new))
         assert r.detail.splitlines()[1:] == [
             f"old: ...{'1' * 1000} [5000 characters, from 4000]",
             f"new: ...{'1' * 999}2 [5000 characters, from 4000]",
@@ -173,22 +172,22 @@ class TestDetailCap:
 
     def test_cut_centres_a_middle_difference(self):
         old, new = "1" * 5000, "1" * 2000 + "2" + "1" * 2999
-        lines = compare(outcome(return_value=old), outcome(side="new", return_value=new)).detail.splitlines()
+        lines = compare(outcome(return_value=old), outcome(return_value=new)).detail.splitlines()
         assert lines[2] == f"new: ...{'1' * 500}2{'1' * 499}... [5000 characters, from 1500]"
 
     def test_long_path_is_cut(self):
         path = "self." + "a" * 2000
-        r = compare(outcome(), outcome(side="new"), [(path, "1", "2")])
+        r = compare(outcome(), outcome(), [(path, "1", "2")])
         assert f"path: {path[:1000]}... [2005 characters]" in r.detail
 
     def test_values_at_the_cap_are_kept_whole(self):
-        r = compare(outcome(return_value="1" * 1000), outcome(side="new", return_value="2"))
+        r = compare(outcome(return_value="1" * 1000), outcome(return_value="2"))
         assert r.detail.splitlines()[1] == f"old: {'1' * 1000}"
 
 
 class TestOutputDimension:
     def test_stdout_difference_is_reprd(self):
-        r = compare(outcome(stdout="a\n"), outcome(side="new", stdout="b\n"))
+        r = compare(outcome(stdout="a\n"), outcome(stdout="b\n"))
         assert r.dimension == "output"
         assert "stream: stdout" in r.detail
         assert "old: 'a\\n'" in r.detail
@@ -197,7 +196,7 @@ class TestOutputDimension:
 class TestCallsDimension:
     def test_differing_callee(self):
         a = outcome(call_log=[call("bus.alert", "1")])
-        b = outcome(side="new", call_log=[call("bus.signal", "1")])
+        b = outcome(call_log=[call("bus.signal", "1")])
         r = compare(a, b)
         assert r.dimension == "calls"
         assert "old: bus.alert(1)" in r.detail
@@ -205,23 +204,23 @@ class TestCallsDimension:
 
     def test_differing_args(self):
         a = outcome(call_log=[call("go", "1")])
-        b = outcome(side="new", call_log=[call("go", "2")])
+        b = outcome(call_log=[call("go", "2")])
         assert compare(a, b).dimension == "calls"
 
     def test_differing_kwargs(self):
         a = outcome(call_log=[call("go", mode="'a'")])
-        b = outcome(side="new", call_log=[call("go", mode="'b'")])
+        b = outcome(call_log=[call("go", mode="'b'")])
         assert compare(a, b).dimension == "calls"
 
     def test_extra_call_renders_no_call(self):
         a = outcome(call_log=[call("go", "1"), call("go", "2")])
-        b = outcome(side="new", call_log=[call("go", "1")])
+        b = outcome(call_log=[call("go", "1")])
         r = compare(a, b)
         assert "new: <no call>" in r.detail
 
     def test_first_mismatch_wins(self):
         a = outcome(call_log=[call("x"), call("y")])
-        b = outcome(side="new", call_log=[call("x"), call("z")])
+        b = outcome(call_log=[call("x"), call("z")])
         r = compare(a, b)
         assert "old: y()" in r.detail
 
@@ -286,22 +285,22 @@ class TestTextOfRealRuns:
 class TestDimensionOrdering:
     def test_exception_beats_state(self):
         a = outcome(return_value="1", exception=intentional("E"))
-        b = outcome(side="new", return_value="2")
+        b = outcome(return_value="2")
         assert compare(a, b).dimension == "exception"
 
     def test_state_beats_output(self):
         a = outcome(return_value="1", stdout="a")
-        b = outcome(side="new", return_value="2", stdout="b")
+        b = outcome(return_value="2", stdout="b")
         assert compare(a, b).dimension == "state"
 
     def test_output_beats_calls(self):
         a = outcome(stdout="a", call_log=[call("x")])
-        b = outcome(side="new", stdout="b", call_log=[call("y")])
+        b = outcome(stdout="b", call_log=[call("y")])
         assert compare(a, b).dimension == "output"
 
     def test_injected_state_beats_output(self):
         a = outcome(stdout="a")
-        b = outcome(side="new", stdout="b")
+        b = outcome(stdout="b")
         r = compare(a, b, [("p", "1", "2")])
         assert r.dimension == "state"
         assert "path: p" in r.detail
@@ -309,7 +308,6 @@ class TestDimensionOrdering:
 
 outcomes = st.builds(
     outcome,
-    side=st.just("old"),
     return_value=st.sampled_from(["None", "1", "'x'", "[1, 2]"]),
     stdout=st.sampled_from(["", "line\n"]),
     call_log=st.lists(
@@ -330,7 +328,6 @@ snapshots = st.tuples(
 @given(outcomes, snapshots)
 def test_reflexivity(o, injected):
     twin = outcome(
-        side="new",
         return_value=o.return_value,
         stdout=o.stdout,
         call_log=o.call_log,
@@ -346,7 +343,6 @@ def test_reflexivity(o, injected):
 @given(outcomes, outcomes, snapshots)
 def test_status_is_symmetric(a, b, injected):
     b = outcome(
-        side="new",
         return_value=b.return_value,
         stdout=b.stdout,
         call_log=b.call_log,

@@ -61,6 +61,16 @@ class TestEngineConfig:
             {"exception_probability": 1.5},
             {"object_bias": 2.0},
             {"max_structure_size": -1},
+            # Not ints: a float count fails mid-analysis, and a bool or float
+            # seed equal to an int seed draws other values (its repr differs).
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+            {"max_structure_size": 2.5},
+            {"max_structure_size": False},
+            {"seed": True},
+            {"seed": 1.0},
+            {"seed": "1"},
+            {"seed": None},
         ],
     )
     def test_validate_rejects(self, kw):

@@ -19,13 +19,10 @@ from pairguard.engine import (
     CallLogEntry,
     ComparisonProgram,
     Interpreter,
+    SubjectError,
     _COMPARISONS,
     derive_seed,
-    draw_hasher,
     iteration_seed,
-    key_suffix,
-    primed_hasher,
-    primed_seed,
     run_one,
     snapshot_injected,
 )
@@ -36,6 +33,7 @@ from pairguard.values import (
     VersatileCallable,
     VersatileObject,
     concretize,
+    randbelow,
     serialize,
     versatile_binop,
 )
@@ -136,8 +134,8 @@ class TestDeriveSeed:
         assert 0 <= derive_seed(*parts) < 2**64
 
 
-# Draw keys as the engine builds them: quotes, backslashes and non-ASCII text
-# in a path, a path capped with ``...``, and int occurrences.
+# Value draw keys as the engine builds them: quotes, backslashes and
+# non-ASCII text in a path, a path capped with ``...``, and a super() read.
 _KEYS = [
     ("value", "x"),
     ("value", "d['it\\'s']"),
@@ -145,34 +143,70 @@ _KEYS = [
     ("value", "naïve.π['ü']"),
     ("value", engine._access_path("x" + ".field" * 30, ".last")),
     ("value", "super()#2"),
-    ("exc", "client.fetch", 1),
-    ("exc", "g()", 12),
 ]
 
 
+class _Always(Predictor):
+    """Answers every query with one distribution."""
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def predict(self, query):
+        return self.dist
+
+
 class TestKeyedSeeds:
-    """Iteration and draw seeds hashed from primed hashers equal
-    ``derive_seed``'s, so every drawn value is unchanged."""
+    """Iteration and draw seeds hashed in pieces equal ``derive_seed``'s, so
+    every drawn value is unchanged."""
 
     ITERATION_SEEDS = (0, 1, 2**64 - 1, derive_seed(7, "iteration", 3))
 
-    def test_primed_seed_is_derive_seed(self):
-        for iteration_seed in self.ITERATION_SEEDS:
-            primed = primed_hasher(iteration_seed)
-            for key in _KEYS:
-                seed = primed_seed(primed, key_suffix(*key))
-                assert seed == derive_seed(iteration_seed, *key), key
+    def test_an_injected_value_is_drawn_from_derive_seed(self):
+        # Every kind has mass, so the sampled kind varies with the seed.
+        dist = Distribution({k: 1 / len(AbstractValue) for k in AbstractValue})
+        program = build_program("def f():\n    return x\n", predictor=_Always(dist))
+        site = program.pair.old.node.body[0]
+        # Interleaved iteration seeds, twice: a draw that fed a cached
+        # ``draw_hasher`` would move every later draw from that seed.
+        for _round in range(2):
+            for _, path in _KEYS:
+                for seed in self.ITERATION_SEEDS:
+                    interpreter = Interpreter("old", program, {}, seed)
+                    reference = random.Random(derive_seed(seed, "value", path))
+                    if path.startswith("super()"):
+                        value = interpreter._inject("super", "super", path, None)
+                        expected = VersatileObject(reference.getrandbits(64), None)
+                    else:
+                        value = interpreter._inject("variable-read", "x", path, site)
+                        expected = concretize(dist.sample(reference), program.ccfg, reference)
+                    assert type(value) is type(expected), path
+                    assert serialize(value) == serialize(expected), path
+                    assert program.rng.getstate() == reference.getstate()[1], path
 
-    def test_reseed_draws_what_a_new_generator_draws(self):
-        program = build_program("def f():\n    return x\n")
-        # Interleaved iteration seeds prime the hasher again each time.
-        for key in _KEYS:
-            for iteration_seed in self.ITERATION_SEEDS:
-                rng = program.reseed(iteration_seed, key)
-                reference = random.Random(derive_seed(iteration_seed, *key))
-                assert (rng.getrandbits(64), rng.random(), rng.getrandbits(3)) == (
-                    reference.getrandbits(64), reference.random(), reference.getrandbits(3)
-                )
+    @pytest.mark.parametrize("seed", ITERATION_SEEDS)
+    def test_an_exc_draw_is_drawn_from_derive_seed(self, seed):
+        source = (
+            "def f(t):\n"
+            "    try:\n"
+            "        return parse(t)\n"
+            "    except (KeyError, ValueError, OSError):\n"
+            "        return 'caught'\n"
+        )
+        program = build_program(source, cfg=EngineConfig(exception_probability=1.0))
+        types = program.call_exceptions["parse"]
+        assert len(types) == 3
+        interpreter = Interpreter("old", program, {}, seed)
+        site = program.pair.old.node.body[0]
+        for occurrence in (1, 2):
+            with pytest.raises(SubjectError) as raised:
+                interpreter._external_call("parse", [], {}, site)
+            reference = random.Random(derive_seed(seed, "exc", "parse", occurrence))
+            assert reference.random() < 1.0
+            assert raised.value.value.type_name == types[randbelow(reference, len(types))]
+            assert raised.value.value.intentional
+            assert program.rng.getstate() == reference.getstate()[1]
+        assert interpreter.seeded
 
     @pytest.mark.parametrize("seed", [-1, 0, 7, 2**70])
     def test_iteration_seeds_are_derive_seed(self, seed, monkeypatch):
@@ -200,30 +234,22 @@ class TestKeyedSeeds:
         # Equal seeds of other types have another repr, so another seed.
         assert iteration_seed(True, 0) == derive_seed(True, "iteration", 0) != iteration_seed(1, 0)
 
-    def test_a_cached_draw_hasher_is_never_fed(self):
-        for seed in self.ITERATION_SEEDS:
-            for _ in range(2):
-                for key in _KEYS:
-                    drawn = primed_seed(draw_hasher(seed), key_suffix(*key))
-                    assert drawn == derive_seed(seed, *key), key
-
     @pytest.mark.parametrize("kind", list(AbstractValue))
-    def test_an_injected_value_is_drawn_as_reseed_would_draw_it(self, kind):
+    def test_a_run_draws_an_injected_value_from_derive_seed(self, kind):
         # Most of the mass on ``kind``, so the sampled kind varies too.
         dist = Distribution({k: 0.56 if k is kind else 0.04 for k in AbstractValue})
         predictor = TablePredictor({("variable-read", "x"): dist})
-        source = "def f():\n    return x\n"
-        program, reference = build_program(source, predictor=predictor), build_program(source)
+        program = build_program("def f():\n    return x\n", predictor=predictor)
         for n in range(25):
             seed = derive_seed(n, "iteration", 0)
             entries = {}
             run_one("old", program, entries, seed)
-            rng = reference.reseed(seed, ("value", "x"))
-            expected = concretize(dist.sample(rng), reference.ccfg, rng)
+            rng = random.Random(derive_seed(seed, "value", "x"))
+            expected = concretize(dist.sample(rng), program.ccfg, rng)
             value = entries["x"][0]
             assert type(value) is type(expected)
             assert serialize(value) == serialize(expected)
-            assert program.rng.getstate() == rng.getstate()
+            assert program.rng.getstate() == rng.getstate()[1]
 
     def test_a_path_read_twice_reseeds_once(self):
         program = build_program(
@@ -378,17 +404,23 @@ class TestInjectedEntries:
         assert out.return_value == "None"
         assert rendered == [None]
 
-    def test_a_compared_side_renders_its_return_value_in_the_run(self, monkeypatch):
+    def test_an_abstaining_iteration_renders_no_return_value(self, monkeypatch):
         rendered = []
         real = engine.serialize
         monkeypatch.setattr(engine, "serialize", lambda v, *a: rendered.append(v) or real(v, *a))
-        out_old, out_new, _ = run_pair(
-            "def f():\n    return [1, 2]\n", "def f():\n    return (1, 2)\n"
+        program = build_program(
+            "def f():\n    return [1, 2]\n", "def f():\n    return 1 // 0\n"
         )
-        assert rendered == [[1, 2], (1, 2)]
-        assert out_old.unrendered is None and out_new.unrendered is None
-        assert (out_old.return_value, out_new.return_value) == ("[1, 2]", "(1, 2)")
-        assert rendered == [[1, 2], (1, 2)]
+        entries = {}
+        seed = derive_seed(0, "iteration", 0)
+        out_old = run_one("old", program, entries, seed)
+        out_new = run_one("new", program, entries, seed)
+        assert out_new.exception.type_name == "ZeroDivisionError" and not out_new.exception.intentional
+        assert compare(out_old, out_new, snapshot_injected(entries)).status == ABSTAIN
+        assert rendered == []
+        # A compared run keeps its result, so the first read renders it.
+        assert out_old.return_value == "[1, 2]" and out_new.return_value is None
+        assert rendered == [[1, 2]]
 
     @staticmethod
     def counted_snapshots(monkeypatch, old, new, **kinds):
@@ -417,8 +449,8 @@ class TestInjectedEntries:
         )
         assert list(entries) == ["a", "b"]
         assert all(v_old is v_new for v_old, v_new in entries.values())
-        # Each side's epilogue renders the returned None, and nothing else is.
-        assert in_runs == [None, None]
+        # Nothing is rendered: each run keeps its return value until read.
+        assert in_runs == []
         assert rows == in_snapshot == []
 
     def test_a_copied_list_is_rendered_once_per_side(self, monkeypatch):

@@ -786,10 +786,24 @@ class TestDeepCopyMatchesDeepcopy:
         assert type(c) is VersatileCallable and c.call_count == 3
         assert [x.seed for x in c] == [x.seed for x in o]
 
-    def test_other_types_go_to_deepcopy(self):
+    def test_records_and_frozensets_copy_like_deepcopy(self):
         exc = ExceptionValue("KeyError", [[1], VersatileObject(2)])
         c = assert_copies_like_deepcopy([exc, BoundMethod([1], "append"), frozenset({1, 2})])
         assert c[0] is not exc and c[0].args[0] is not exc.args[0]
+
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    def test_a_cycle_that_starts_at_a_set(self, kind):
+        # copy.deepcopy builds the set inside the cycle from the versatile's
+        # blank copy, which has no seed to hash by yet; the cycle's set is
+        # the copy of the set it starts at.
+        o = VersatileObject(0)
+        items = kind({o})
+        o.store("link", {"f": items})
+        with pytest.raises(AttributeError):
+            copy.deepcopy(items)
+        c = deep_copy(items)
+        assert next(iter(c)).stored["link"]["f"] is c
+        assert_copies_faithfully(items)
 
 
 @settings(max_examples=300)
@@ -813,6 +827,16 @@ class TestDeepCopyMatchesDeepcopy:
         )
     ),
     396517,
+)
+# The same through an exception's arguments, which deep_copy copies itself.
+@example(
+    {
+        None: ExceptionValue("ValueError", [[]]),
+        False: [],
+        -1: {None: {None: {VersatileObject(1), VersatileObject(2), VersatileObject(0)}, False: [], True: []}},
+        True: [],
+    },
+    4294967294,
 )
 def test_deep_copy_matches_deepcopy_on_generated_values(value, seed):
     _entangle(value, random.Random(seed))
