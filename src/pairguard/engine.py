@@ -9,14 +9,13 @@ unresolvable calls, and crashing subscripts are intercepted and answered
 with predicted, concretized values. An iteration's injected values are a
 dict from merged access path to the value each side reads, which
 ``Interpreter._inject`` alone fills, so both executions observe the same
-injected inputs; every random decision is drawn from a generator reseeded
-by a key of the merged access path, so small control-flow differences
-cannot desynchronize the two runs.
+injected inputs; every random decision is drawn from a splitmix64 stream
+(``values.SplitMix64``) seeded with a key of the merged access path, so
+small control-flow differences cannot desynchronize the two runs.
 """
 
 from __future__ import annotations
 
-import _random
 import ast
 import builtins
 import hashlib
@@ -39,6 +38,7 @@ from .values import (
     ExceptionValue,
     FunctionValue,
     GeneratorValue,
+    SplitMix64,
     VersatileCallable,
     VersatileObject,
     concretize,
@@ -465,11 +465,9 @@ class ComparisonProgram:
             if pair.old_names
             else None
         )
-        # The one generator every keyed draw of the analysis reseeds: the C
-        # core of ``random.Random``, so a reseed is one C call, and a draw
-        # takes what it would from a new ``random.Random`` with that seed.
-        # Its own seed is never drawn from.
-        self.rng = _random.Random(0)
+        # The one stream every keyed draw of the analysis reseeds; a reseed
+        # stores the key. Its own seed is never drawn from.
+        self.rng = SplitMix64()
         # By path, the end of the text that an injected value's seed
         # ``derive_seed(iteration seed, "value", path)`` hashes; its start
         # is hashed once per iteration seed, by ``draw_hasher``.
@@ -623,7 +621,7 @@ class Interpreter:
         value at the same path.
 
         The first side to read ``path`` draws the pair ``(v_old, v_new)``
-        from the generator reseeded with ``derive_seed(iteration seed,
+        from the stream reseeded with ``derive_seed(iteration seed,
         "value", path)``, hashed from the path's cached suffix on a copy of
         the iteration's ``draw_hasher``: an untyped versatile for the
         ``"super"`` kind, else a value of the kind the predictor names when

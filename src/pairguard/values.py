@@ -4,11 +4,9 @@ concretizer that turns a predicted kind into an actual value.
 Everything injected into a guided execution flows through this module, so the
 representations here are deliberately small and deterministic: serialization
 is canonical (sorted sets and dict keys, stable float/str repr) and every
-random decision is drawn from a caller-supplied generator with
-``random.Random``'s C core: ``random()`` for a probability, ``getrandbits(64)`` for
-a versatile's seed, and ``randbelow`` for every index, so a draw takes what
-``random.Random``'s ``choice``, ``randint`` and ``randrange`` take from a
-generator in the same state.
+random decision is drawn from a caller-supplied ``SplitMix64`` stream:
+``random()`` for a probability, ``getrandbits(64)`` for a versatile's seed,
+and ``randbelow`` for every index.
 """
 
 from __future__ import annotations
@@ -589,12 +587,40 @@ class ConcretizerConfig:
         )
 
 
+class SplitMix64:
+    """The splitmix64 stream (Steele, Lea and Flood, OOPSLA 2014): a 64-bit
+    counter stepped by a fixed odd gamma and put through a mixing function.
+    Seeding stores the key, so a keyed draw costs no re-initialization. Each
+    method mixes inline, as a Python call per word costs real time."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, s: int = 0) -> None:
+        self.state = s
+
+    def seed(self, s: int) -> None:
+        self.state = s
+
+    def getrandbits(self, k: int) -> int:
+        """The top ``k`` bits, ``k`` in 1..64, of the next word."""
+        if not 0 < k <= 64:
+            raise ValueError(f"getrandbits takes 1 to 64 bits, not {k}")
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        return (z ^ (z >> 31)) >> (64 - k)
+
+    def random(self) -> float:
+        """The top 53 bits of the next word, in [0, 1)."""
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
 def randbelow(rng, n: int) -> int:
-    """A draw from ``range(n)``, ``n`` at least 1, made as CPython 3.10 to
-    3.13 make it for ``random.Random``'s ``choice`` of ``n`` items,
-    ``randrange(n)`` and ``randint(0, n - 1)``
-    (``_randbelow_with_getrandbits``): the same result from the same state,
-    and the same state after."""
+    """An unbiased draw from ``range(n)``, ``n`` at least 1: the first of
+    ``rng``'s ``n.bit_length()``-bit draws that is below ``n``."""
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:

@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import pathlib
-import random
 import time
 
 import pytest
@@ -30,6 +29,7 @@ from pairguard.frontend import extract_static_facts, make_pair
 from pairguard.predictor import Distribution, HeuristicPredictor, Predictor, TablePredictor
 from pairguard.values import (
     AbstractValue,
+    SplitMix64,
     VersatileCallable,
     VersatileObject,
     concretize,
@@ -156,11 +156,49 @@ class _Always(Predictor):
         return self.dist
 
 
+class _SplitMixReference:
+    """splitmix64 as published (Steele, Lea and Flood, 2014): each output
+    advances the state by the golden gamma and mixes it. ``getrandbits(k)``
+    takes the top ``k`` bits of one output, ``random()`` the top 53."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def getrandbits(self, k):
+        return self.next() >> (64 - k)
+
+    def random(self):
+        return (self.next() >> 11) / 2**53
+
+
 class TestKeyedSeeds:
-    """Iteration and draw seeds hashed in pieces equal ``derive_seed``'s, so
-    every drawn value is unchanged."""
+    """Iteration and draw seeds hashed in pieces equal ``derive_seed``'s, and
+    each keyed draw takes what a splitmix64 stream seeded with it yields."""
 
     ITERATION_SEEDS = (0, 1, 2**64 - 1, derive_seed(7, "iteration", 3))
+
+    def test_the_reference_gives_the_published_outputs(self):
+        reference = _SplitMixReference(0)
+        assert [reference.next() for _ in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
+
+    def test_the_stream_is_the_reference(self):
+        ours = SplitMix64()
+        for seed in self.ITERATION_SEEDS:
+            ours.seed(seed)
+            theirs = _SplitMixReference(seed)
+            for k in (1, 2, 3, 31, 32, 33, 53, 63, 64):
+                assert ours.getrandbits(k) == theirs.getrandbits(k)
+                assert ours.random() == theirs.random()
+            assert ours.state == theirs.state
 
     def test_an_injected_value_is_drawn_from_derive_seed(self):
         # Every kind has mass, so the sampled kind varies with the seed.
@@ -173,7 +211,7 @@ class TestKeyedSeeds:
             for _, path in _KEYS:
                 for seed in self.ITERATION_SEEDS:
                     interpreter = Interpreter("old", program, {}, seed)
-                    reference = random.Random(derive_seed(seed, "value", path))
+                    reference = _SplitMixReference(derive_seed(seed, "value", path))
                     if path.startswith("super()"):
                         value = interpreter._inject("super", "super", path, None)
                         expected = VersatileObject(reference.getrandbits(64), None)
@@ -182,7 +220,7 @@ class TestKeyedSeeds:
                         expected = concretize(dist.sample(reference), program.ccfg, reference)
                     assert type(value) is type(expected), path
                     assert serialize(value) == serialize(expected), path
-                    assert program.rng.getstate() == reference.getstate()[1], path
+                    assert program.rng.state == reference.state, path
 
     @pytest.mark.parametrize("seed", ITERATION_SEEDS)
     def test_an_exc_draw_is_drawn_from_derive_seed(self, seed):
@@ -201,11 +239,11 @@ class TestKeyedSeeds:
         for occurrence in (1, 2):
             with pytest.raises(SubjectError) as raised:
                 interpreter._external_call("parse", [], {}, site)
-            reference = random.Random(derive_seed(seed, "exc", "parse", occurrence))
+            reference = _SplitMixReference(derive_seed(seed, "exc", "parse", occurrence))
             assert reference.random() < 1.0
             assert raised.value.value.type_name == types[randbelow(reference, len(types))]
             assert raised.value.value.intentional
-            assert program.rng.getstate() == reference.getstate()[1]
+            assert program.rng.state == reference.state
         assert interpreter.seeded
 
     @pytest.mark.parametrize("seed", [-1, 0, 7, 2**70])
@@ -244,12 +282,12 @@ class TestKeyedSeeds:
             seed = derive_seed(n, "iteration", 0)
             entries = {}
             run_one("old", program, entries, seed)
-            rng = random.Random(derive_seed(seed, "value", "x"))
+            rng = _SplitMixReference(derive_seed(seed, "value", "x"))
             expected = concretize(dist.sample(rng), program.ccfg, rng)
             value = entries["x"][0]
             assert type(value) is type(expected)
             assert serialize(value) == serialize(expected)
-            assert program.rng.getstate() == rng.getstate()[1]
+            assert program.rng.state == rng.state
 
     def test_a_path_read_twice_reseeds_once(self):
         program = build_program(
@@ -468,15 +506,19 @@ class TestInjectedEntries:
         assert rows == [("xs", serialize(v_old), serialize(v_new))]
 
     def test_a_mutated_injected_list_reports_the_same_state_detail(self):
-        verdict = analyze_sources(
-            "def f():\n    return len(xs)\n",
-            "def f():\n    xs.append(1)\n    return len(xs) - 1\n",
-            cfg=EngineConfig(seed=0),
-            predictor=pin(xs=AbstractValue.LIST),
-        )
+        old = "def f():\n    return len(xs)\n"
+        new = "def f():\n    xs.append(1)\n    return len(xs) - 1\n"
+        predictor = pin(xs=AbstractValue.LIST)
+        verdict = analyze_sources(old, new, cfg=EngineConfig(seed=0), predictor=predictor)
+        # The first iteration's list, whatever it holds, as both sides leave it.
+        _, _, entries = run_pair(old, new, cfg=EngineConfig(seed=0), predictor=predictor)
+        v_old, v_new = entries["xs"]
+        assert v_new == v_old + [1]
         assert verdict.iterations_run == 1
         assert verdict.difference_dimension == "state"
-        assert verdict.difference == "dimension: state\npath: xs\nold: []\nnew: [1]"
+        assert verdict.difference == (
+            f"dimension: state\npath: xs\nold: {serialize(v_old)}\nnew: {serialize(v_new)}"
+        )
 
 
 class TestInjection:
@@ -1637,11 +1679,23 @@ class TestPairedExecution:
         assert old.return_value == new.return_value
 
     def test_repeat_run_is_deterministic(self):
+        # Outcomes compare rendered: an ExceptionValue, as a subject's
+        # exception, is equal only to itself.
+        def rendered(out):
+            raised = out.exception
+            return (
+                out.return_value,
+                out.stdout,
+                out.call_log,
+                raised and (raised.type_name, raised.intentional),
+                out.covered_lines,
+            )
+
         data = load_fixture("identity_merge_maps")
         a_old, a_new, a_entries = run_pair(data["old"], data["new"], iteration=3)
         b_old, b_new, b_entries = run_pair(data["old"], data["new"], iteration=3)
-        assert a_old == b_old
-        assert a_new == b_new
+        assert rendered(a_old) == rendered(b_old)
+        assert rendered(a_new) == rendered(b_new)
         assert snapshot_injected(a_entries) == snapshot_injected(b_entries)
 
     def test_different_iterations_change_injections(self):

@@ -18,6 +18,7 @@ from pairguard.values import (
     ExceptionValue,
     FunctionValue,
     GeneratorValue,
+    SplitMix64,
     VersatileCallable,
     VersatileObject,
     concretize,
@@ -1022,6 +1023,51 @@ class TestDrawsMatchRandomRandom:
                 assert type(value) is type(expected)
                 assert serialize(value) == serialize(expected)
             assert ours.getstate() == theirs.getstate()
+
+
+def _state_before(word):
+    """The ``SplitMix64`` state whose next word is ``word``: each mixing step
+    undone, last first."""
+
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(word, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64, 30)
+    return (z - 0x9E3779B97F4A7C15) % 2**64
+
+
+class TestSplitMix64:
+    """The edges of the keyed-draw stream; ``tests/test_engine.py`` pins its
+    words against a reference written there."""
+
+    @pytest.mark.parametrize("k", [-1, 0, 65, 128])
+    def test_getrandbits_takes_1_to_64_bits(self, k):
+        with pytest.raises(ValueError):
+            SplitMix64().getrandbits(k)
+
+    def test_random_is_in_the_unit_interval(self):
+        for seed in range(20):
+            rng = SplitMix64(seed)
+            assert all(0.0 <= rng.random() < 1.0 for _ in range(50))
+        for word in (0, 2**64 - 1):
+            rng = SplitMix64(_state_before(word))
+            assert rng.getrandbits(64) == word
+        # The extreme words: all zeros is 0.0, all ones the float below 1.
+        assert SplitMix64(_state_before(0)).random() == 0.0
+        assert SplitMix64(_state_before(2**64 - 1)).random() == 1.0 - 2**-53
+
+    def test_randbelow_draws_every_index_and_no_other(self):
+        for n in range(1, 18):
+            drawn = set()
+            for seed in range(20):
+                rng = SplitMix64(seed)
+                drawn.update(randbelow(rng, n) for _ in range(20))
+            assert sorted(drawn) == list(range(n))
 
 
 def test_kinds_keep_their_order():
