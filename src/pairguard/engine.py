@@ -19,7 +19,6 @@ from __future__ import annotations
 import ast
 import builtins
 import hashlib
-import io
 import operator
 import re
 import string
@@ -38,11 +37,13 @@ from .values import (
     ExceptionValue,
     FunctionValue,
     GeneratorValue,
+    Rendered,
     SplitMix64,
     VersatileCallable,
     VersatileObject,
     concretize,
     deep_copy,
+    holds_set,
     randbelow,
     serialize,
     sorted_iter,
@@ -202,12 +203,14 @@ def _padding_size(width: Any, precision: Any, truncates: bool) -> int:
     return max(size, 0) // 64
 
 
-def _percent_size(fmt: str, args: Any) -> int:
-    """Words the widths and precisions of ``fmt % args`` can build, with
-    ``*`` values taken from the arguments, and the str arguments its ``%s``,
-    ``%r`` and ``%a`` fields copy; 0 where the host will refuse."""
+def _percent_fields(fmt: str, args: Any):
+    """``(kind, width, precision, slot, arg)`` for each conversion of
+    ``fmt % args`` but ``%%``, with ``*`` widths and precisions taken from
+    the arguments: ``slot`` is the mapping key of a keyed field of a dict
+    ``args``, else the field's index into the argument tuple (a lone
+    argument is index 0), and ``arg`` the argument there, or None."""
     values = args if type(args) is tuple else (args,)
-    index = size = 0
+    index = 0
     for match in re.finditer(_PERCENT_SPEC, fmt):
         key, width, precision, kind = match.groups()
         if kind == "%":
@@ -219,18 +222,51 @@ def _percent_size(fmt: str, args: Any) -> int:
         if precision == "*":
             precision = values[index] if index < len(values) else None
             index += 1
-        arg = values[index] if index < len(values) else None
         if key is not None and type(args) is dict:
-            arg = args.get(key)
-        if kind in _TRUNCATING and type(arg) is str:
-            size += len(arg) // 64
+            slot, arg = key, args.get(key)
+        else:
+            slot, arg = index, values[index] if index < len(values) else None
         index += 1
-        size += _padding_size(
+        yield (
+            kind,
             int(width) if isinstance(width, str) and width else width,
             int(precision) if isinstance(precision, str) and precision else precision,
-            kind in _TRUNCATING,
+            slot,
+            arg,
         )
+
+
+def _percent_size(fmt: str, args: Any) -> int:
+    """Words the widths and precisions of ``fmt % args`` can build, and
+    the str arguments its ``%s``, ``%r`` and ``%a`` fields copy; 0 where
+    the host will refuse."""
+    size = 0
+    for kind, width, precision, _, arg in _percent_fields(fmt, args):
+        if kind in _TRUNCATING and type(arg) is str:
+            size += len(arg) // 64
+        size += _padding_size(width, precision, kind in _TRUNCATING)
     return size
+
+
+def _sorted_sets(fmt: str, args: Any) -> Any:
+    """``args`` of ``fmt % args``, with each argument that a ``%s``, ``%r``
+    or ``%a`` field renders and that is, or holds, a set standing in as its
+    ``serialize`` text, whose set items are sorted where the host's
+    rendering would follow its hash order."""
+    if not holds_set(args):
+        return args
+    swaps, keyed = {}, False
+    for kind, _, _, slot, arg in _percent_fields(fmt, args):
+        keyed = keyed or type(slot) is str
+        if kind in _TRUNCATING and holds_set(arg):
+            swaps[slot] = Rendered(serialize(arg))
+    if not swaps:
+        return args
+    if type(args) is tuple:
+        return tuple(swaps.get(i, v) for i, v in enumerate(args))
+    if keyed:
+        return {k: swaps.get(k, v) for k, v in args.items()}
+    return swaps[0]
 
 
 # str.replace takes its count by keyword too from Python 3.13 on.
@@ -289,7 +325,16 @@ class _FormatSizer(string.Formatter):
         super().__init__()
         self.rt = rt
 
+    def convert_field(self, value: Any, conversion: Optional[str]) -> Any:
+        if conversion is None:
+            return value
+        if holds_set(value):
+            value = Rendered(serialize(value))
+        return super().convert_field(value, conversion)
+
     def format_field(self, value: Any, format_spec: str) -> Any:
+        if not format_spec and holds_set(value):
+            value = Rendered(serialize(value))
         size = len(value) // 64 if isinstance(value, str) else 0
         match = re.fullmatch(_FORMAT_SPEC, format_spec)
         if match is not None:
@@ -587,7 +632,8 @@ class Interpreter:
         self.entries = entries
         self.iteration_seed = iteration_seed
         self.seeded = False
-        self.stdout = io.StringIO()
+        # What print wrote, piece by piece; joined once, when the run ends.
+        self.stdout: list[str] = []
         self.call_log: list[CallLogEntry] = []
         self.covered: set[int] = set()
         self.steps = 0
@@ -660,16 +706,26 @@ class Interpreter:
     # entry points
 
     def run(self) -> ExecutionOutcome:
+        """Run this side's function once and say what it left behind. The
+        entry call binds no arguments (every parameter is a name nothing
+        binds, so a read injects it) and counts as call depth 1; its body
+        runs directly in a scope nested in the root, which binds the
+        function's own name. A returned function or generator then goes
+        through ``_epilogue``."""
         fn = self.program.pair.old if self.side == "old" else self.program.pair.new
         root = _Env()
-        entry = FunctionValue(fn.node.name, fn.params, fn.body, root)
-        root[fn.node.name] = entry
+        root[fn.node.name] = FunctionValue(fn.node.name, fn.params, fn.body, root)
         self.covered.add(fn.node.lineno)
         result = probed = exception = None
+        self.call_depth = 1
         try:
-            result, probed = self._epilogue(
-                self._call_function(entry, [], {}, allow_missing=True)
-            )
+            try:
+                result = fn.body(self, _Env(root))
+            except _Return as r:
+                result = r.value
+            self.call_depth = 0
+            if isinstance(result, (FunctionValue, GeneratorValue)):
+                result, probed = self._epilogue(result)
         except SubjectError as err:
             exception = err.value
         except _EngineInterrupt:
@@ -680,13 +736,13 @@ class Interpreter:
         # env is root); without it, the run is freed by reference counting.
         root.clear()
         return ExecutionOutcome(
-            stdout=self.stdout.getvalue(),
-            call_log=self.call_log,
-            exception=exception,
-            covered_lines=self.covered,
-            seeded=self.seeded,
-            result=result,
-            probed=probed,
+            "".join(self.stdout),
+            self.call_log,
+            exception,
+            self.covered,
+            self.seeded,
+            result,
+            probed,
         )
 
     def _epilogue(self, result: Any) -> tuple[Any, Optional[str]]:
@@ -709,6 +765,13 @@ class Interpreter:
         kwargs: dict[str, Any],
         allow_missing: bool = False,
     ) -> Any:
+        """Call a subject function: bind ``args`` and ``kwargs`` to its
+        parameters in a new scope nested in the one it was defined in, then
+        run its body there. A body ending in a top-level ``return`` gives
+        back its value (see ``_Compiler.function_body``); any other
+        ``return`` raises ``_Return``, caught here. ``allow_missing`` leaves
+        unbound the parameters no argument fills, as the function probe
+        does; the entry call of a run is ``Interpreter.run``'s own."""
         self.call_depth += 1
         if self.call_depth > _MAX_CALL_DEPTH:
             self.call_depth -= 1
@@ -921,7 +984,7 @@ class Interpreter:
         end = kwargs.get("end", "\n")
         if not isinstance(sep, str) or not isinstance(end, str):
             self._fault("TypeError", "sep and end must be strings")
-        self.stdout.write(sep.join(_subject_str(a) for a in args) + end)
+        self.stdout.append(sep.join(_subject_str(a) for a in args) + end)
 
     def _builtin_len(self, args: list, kwargs: dict) -> int:
         return self._host(len, args[0])
@@ -1036,15 +1099,17 @@ def _arith(symbol: str) -> Callable[[Interpreter, Any, Any], Any]:
     reflected method; versatile operands go through the total op. A result
     that can be large (a joined sequence, a repetition or power, a padded
     ``%`` format) is charged to the step budget before the host builds it;
-    the type test first keeps int ``+`` and ``%`` off the sizing call.
+    the type test first keeps int ``+`` and ``%`` off the sizing call. A
+    str ``%`` format then renders a set among its arguments sorted
+    (``_sorted_sets``).
     """
-    fn = ARITH_OPS[symbol]
+    fn, prepare = ARITH_OPS[symbol], None
     if symbol == "+":
         sized, size = _SEQUENCES, partial(_result_size, "+")
     elif symbol in ("*", "**"):
         sized, size = None, partial(_result_size, symbol)
     elif symbol == "%":
-        sized, size = frozenset({str}), _percent_size
+        sized, size, prepare = frozenset({str}), _percent_size, _sorted_sets
     else:
         sized = size = None
 
@@ -1053,6 +1118,8 @@ def _arith(symbol: str) -> Callable[[Interpreter, Any, Any], Any]:
             return versatile_binop(symbol, left, right)
         if size is not None and (sized is None or type(left) in sized):
             rt._charge(size(left, right))
+            if prepare is not None:
+                right = prepare(left, right)
         try:
             return fn(left, right)
         except _HOST_FAULTS as exc:
@@ -1198,9 +1265,15 @@ class _Compiler:
     # dispatch
 
     def function_body(self, node: ast.FunctionDef) -> Callable:
-        """What a call of a ``def`` runs, after checking its signature: the
-        compiled body, or for a def whose own body yields, a closure that
-        returns the generator the body's walk materializes."""
+        """What a call of a ``def`` runs, after checking its signature.
+
+        A def whose own body yields runs a closure that returns the
+        generator the body's walk materializes. Any other def whose last
+        top-level statement is ``return e`` runs one closure that runs the
+        statements before it, charges the return's step and gives back
+        ``e``'s value, so its tail return raises nothing; ``e`` is compiled
+        once, as the return's own closure would compile it. Any other def
+        runs its compiled body, and a ``return`` in it raises ``_Return``."""
         if node.decorator_list:
             self.reject(node, "decorators are not supported")
         if node.returns is not None:
@@ -1215,29 +1288,34 @@ class _Compiler:
                 self.reject(arg, "parameter annotations are not supported")
         outer = self.yields, self.loop_depth
         self.yields, self.loop_depth = False, 0
-        body = self.block(node.body)
+        *head, last = node.body
+        tail = type(last) is ast.Return
+        stmts = tuple(self.stmt(s) for s in (head if tail else node.body))
+        if tail:
+            self.context = last
+            line, value = last.lineno, self.return_value(last)
         yields = self.yields
         self.yields, self.loop_depth = outer
-        if not yields:
-            return body
+        if yields:
+            body = _sequence(stmts + (_raise_return(line, value),) if tail else stmts)
 
-        def generator(rt, env):
-            return GeneratorValue(materializer=lambda: rt._materialize(body, env))
+            def generator(rt, env):
+                return GeneratorValue(materializer=lambda: rt._materialize(body, env))
 
-        return generator
+            return generator
+        if not tail:
+            return _sequence(stmts)
+
+        def tail_return(rt, env):
+            for stmt in stmts:
+                stmt(rt, env)
+            _tick(rt, line)
+            return value(rt, env)
+
+        return tail_return
 
     def block(self, stmts: list) -> Callable:
-        compiled = tuple(self.stmt(s) for s in stmts)
-        if not compiled:
-            return _nothing
-        if len(compiled) == 1:
-            return compiled[0]
-
-        def block(rt, env):
-            for stmt in compiled:
-                stmt(rt, env)
-
-        return block
+        return _sequence(tuple(self.stmt(s) for s in stmts))
 
     def stmt(self, node: ast.stmt) -> Callable:
         compile_ = _STATEMENTS.get(type(node))
@@ -1279,14 +1357,11 @@ class _Compiler:
         return function_def
 
     def compile_Return(self, node: ast.Return) -> Callable:
-        line = node.lineno
-        value = self.expr(node.value) if node.value is not None else None
+        return _raise_return(node.lineno, self.return_value(node))
 
-        def return_(rt, env):
-            _tick(rt, line)
-            raise _Return(value(rt, env) if value is not None else None)
-
-        return return_
+    def return_value(self, node: ast.Return) -> Callable:
+        """The compiled value of a ``return``; a bare one gives None."""
+        return self.expr(node.value) if node.value is not None else _nothing
 
     def compile_Assign(self, node: ast.Assign) -> Callable:
         if len(node.targets) != 1:
@@ -2091,6 +2166,31 @@ class _Compiler:
             return (value, f"{callee}()") if with_path else value
 
         return call_attribute
+
+
+def _sequence(compiled: tuple) -> Callable:
+    """One closure that runs the compiled statements in order."""
+    if not compiled:
+        return _nothing
+    if len(compiled) == 1:
+        return compiled[0]
+
+    def block(rt, env):
+        for stmt in compiled:
+            stmt(rt, env)
+
+    return block
+
+
+def _raise_return(line: int, value: Callable) -> Callable:
+    """The closure of a ``return`` that is not a def's tail: it charges its
+    step, then raises ``_Return`` with the value, caught by the call."""
+
+    def return_(rt, env):
+        _tick(rt, line)
+        raise _Return(value(rt, env))
+
+    return return_
 
 
 def _constant(line: int, value: Any) -> Callable:

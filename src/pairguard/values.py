@@ -240,8 +240,9 @@ class FunctionValue:
 
     ``body`` is the engine's compiled form of it, the closure every call
     runs: a lambda's returns the expression's value, a yielding def's its
-    generator, and a plain def's runs the statements, whose ``return`` the
-    engine catches.
+    generator, and a plain def's runs the statements and returns the value
+    of a last top-level ``return``; any other ``return`` raises, and the
+    engine catches it.
     ``attrs`` holds the attributes subject code stores on it, by merged name.
     """
 
@@ -549,6 +550,44 @@ _COPIERS: dict[type, Callable[[Any, dict], Any]] = {
 def sorted_iter(value: set | frozenset) -> list:
     """A set's items in canonical (serialized) order."""
     return sorted(value, key=serialize)
+
+
+def holds_set(value: Any) -> bool:
+    """Whether ``value`` is a set or frozenset, or a list, tuple or dict
+    that holds one at any depth: a value whose host rendering follows the
+    host's hash order."""
+    kind = type(value)
+    if kind is not list and kind is not tuple and kind is not dict:
+        return kind is set or kind is frozenset
+    todo, seen = [value], set()
+    while todo:
+        v = todo.pop()
+        kind = type(v)
+        if kind is set or kind is frozenset:
+            return True
+        if (kind is list or kind is tuple or kind is dict) and id(v) not in seen:
+            seen.add(id(v))
+            if kind is dict:
+                todo.extend(v)
+                todo.extend(v.values())
+            else:
+                todo.extend(v)
+    return False
+
+
+class Rendered:
+    """Stands in for a value where the host renders it: its ``str``,
+    ``repr`` and ``ascii`` are ``text``."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+    __str__ = __repr__
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,12 @@ class TestTextOfRealRuns:
                 "RecursionError('maximum call depth exceeded')",
             ),
             ("def g():\n        return [[[[[g()]]]]]\n    return g()", "RecursionError()"),
+            # A def's tail return takes no host frame of its own, so two
+            # statements per call reach the engine's cap first too.
+            (
+                "def g():\n        x = 1\n        return g()\n    return g()",
+                "RecursionError('maximum call depth exceeded')",
+            ),
             (
                 "return 1 + 'a'",
                 """TypeError("unsupported operand type(s) for +: 'int' and 'str'")""",

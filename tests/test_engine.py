@@ -3,7 +3,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -1203,6 +1206,63 @@ class TestStreams:
         out, _ = run_side("def f():\n    print(1, 2, sep='-')\n")
         assert out.stdout == "1-2\n"
 
+    def test_a_run_that_prints_nothing_has_empty_stdout(self):
+        out, _ = run_side("def f():\n    return 1\n")
+        assert out.stdout == ""
+
+
+class TestTailReturn:
+    """A def whose last top-level statement is ``return e`` gives ``e``'s
+    value back without raising; its steps, covered lines and outcome are
+    those of a ``return`` anywhere else, which raises."""
+
+    @staticmethod
+    def run(source):
+        program = build_program(source)
+        rt = Interpreter("old", program, {}, derive_seed(program.cfg.seed, "iteration", 0))
+        out = rt.run()
+        return rt.steps, out.covered_lines, out.return_value, out.stdout
+
+    @pytest.mark.parametrize(
+        "source, steps, lines, returned",
+        [
+            ("def f():\n    y = x + 1\n    return [y, 2]\n", 8, {1, 2, 3}, "[3, 2]"),
+            # The same return, not at the top level: it raises.
+            (
+                "def f():\n    if True:\n        y = x + 1\n        return [y, 2]\n",
+                10,
+                {1, 2, 3, 4},
+                "[3, 2]",
+            ),
+            ("def f():\n    x = 1\n    return\n", 3, {1, 2, 3}, "None"),
+            (
+                "def f():\n    def g(a):\n        b = a * 2\n        return b + 1\n"
+                "    return g(3)\n",
+                12,
+                {1, 2, 3, 4, 5},
+                "7",
+            ),
+            # A yielding def's tail return still raises, ending the walk.
+            (
+                "def f():\n    def g():\n        yield 1\n        return 5\n"
+                "    return list(g())\n",
+                9,
+                {1, 2, 3, 4, 5},
+                "[1]",
+            ),
+            ("def f():\n    yield 1\n    return 5\n    yield 2\n", 4, {1, 2, 3}, "[1]"),
+        ],
+    )
+    def test_steps_lines_and_value(self, source, steps, lines, returned):
+        assert self.run(source) == (steps, lines, returned, "")
+
+    def test_a_tail_return_renders_like_a_raised_one(self):
+        _, _, tail, _ = self.run("def f():\n    y = x + 1\n    return [y, 2]\n")
+        _, _, raised, _ = self.run(
+            "def f():\n    if True:\n        y = x + 1\n        return [y, 2]\n"
+        )
+        assert tail == raised
+
 
 class TestGeneratorsAndFunctions:
     def test_returned_generator_is_materialized(self):
@@ -1472,6 +1532,66 @@ class TestClosedProgramsAgreeWithCPython:
         assert engine_outcome(source) == (
             ordered + "\n", repr((ordered, ordered, inserted, inserted)), None
         )
+
+
+class TestSetsRenderSorted:
+    """A native ``%`` or ``str.format`` renders an argument that is, or
+    holds, a set with the set's items sorted, as ``str()`` does, so no
+    rendering of a set follows the host's hash order."""
+
+    @pytest.mark.parametrize(
+        "expr, rendered",
+        [
+            ("'%s' % (s,)", "{'a', 'b', 'c'}"),
+            ("'%s' % s", "{'a', 'b', 'c'}"),
+            ("'%r and %d' % ([s, {'k': s}], 2)", "[{'a', 'b', 'c'}, {'k': {'a', 'b', 'c'}}] and 2"),
+            ("'%(k)s' % {'k': s}", "{'a', 'b', 'c'}"),
+            ("'{}'.format(s)", "{'a', 'b', 'c'}"),
+            ("'{!r}/{}'.format((s, 1), 2)", "({'a', 'b', 'c'}, 1)/2"),
+            ("'{0[0]!s:>17}'.format([s])", "  {'a', 'b', 'c'}"),
+        ],
+    )
+    def test_a_set_argument_renders_sorted(self, expr, rendered):
+        source = f"def f():\n    s = {{'c', 'a', 'b'}}\n    return {expr}\n"
+        assert engine_outcome(source) == ("", repr(rendered), None)
+
+    @pytest.mark.parametrize("expr", ["'%d' % (s,)", "'%x' % s", "'{:>9}'.format(s)"])
+    def test_a_set_the_host_refuses_keeps_the_hosts_error(self, expr):
+        source = f"def f():\n    s = {{'c', 'a', 'b'}}\n    return {expr}\n"
+        with pytest.raises(TypeError) as host:
+            exec(f"s = {{'c', 'a', 'b'}}\n{expr}", {})
+        out, _ = run_side(source)
+        assert (out.exception.type_name, out.exception.args) == ("TypeError", [str(host.value)])
+
+    def test_a_frozenset_renders_as_str_renders_it(self):
+        fs = frozenset({"c", "a", "b"})
+        args = engine._sorted_sets("%s|%r", (fs, [fs]))
+        assert "%s|%r" % args == "{'a', 'b', 'c'}|[{'a', 'b', 'c'}]"
+
+    def test_one_verdict_under_three_hash_seeds(self):
+        # From CPython 3.11 on, the host iterates {'a', 'b'} as 'a', 'b'
+        # under PYTHONHASHSEED 1, and as 'b', 'a' under 2 and 3.
+        old = "def f():\n    s = {'a', 'b'}\n    return str(s)\n"
+        src = pathlib.Path(engine.__file__).parents[1]
+        verdicts = set()
+        for hash_seed in ("1", "2", "3"):
+            for expr in ("'%s' % (s,)", "'{}'.format(s)"):
+                new = f"def f():\n    s = {{'a', 'b'}}\n    return {expr}\n"
+                code = (
+                    "from pairguard import analyze_sources\n"
+                    f"print(analyze_sources({old!r}, {new!r}).classification)"
+                )
+                env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+                done = subprocess.run(
+                    [sys.executable, "-c", code],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=120,
+                    check=True,
+                )
+                verdicts.add(done.stdout.strip())
+        assert verdicts == {"likely-semantics-preserving"}
 
 
 class TestNativeStringResults:

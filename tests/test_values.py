@@ -23,6 +23,7 @@ from pairguard.values import (
     VersatileObject,
     concretize,
     deep_copy,
+    holds_set,
     randbelow,
     serialize,
     versatile_binop,
@@ -316,6 +317,26 @@ class TestSerialize:
         for _ in range(40):
             v = [v]
         assert "<depth>" in serialize(v)
+
+
+class TestHoldsSet:
+    def test_finds_a_set_at_any_depth(self):
+        v = {1}
+        for _ in range(5000):
+            v = [(v,)]
+        assert holds_set(v)
+        assert holds_set({(1, frozenset()): 2})
+        assert holds_set({"k": [set()]})
+
+    def test_a_cycle_without_a_set_ends(self):
+        xs: list = [1, "a", {"k": (2.0, None)}]
+        xs.append(xs)
+        assert not holds_set(xs)
+
+    def test_other_values_hold_no_set(self):
+        o = VersatileObject(5)
+        o.store("s", {1})
+        assert not any(holds_set(v) for v in (None, "{1}", range(3), o))
 
 
 class TestDeepCopy:
