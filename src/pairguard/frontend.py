@@ -48,7 +48,12 @@ class FunctionPair:
     ``FunctionDef`` trees are equal field by field, line numbers included
     and columns left out, constants compared by type and ``repr``.
 
-    ``old_names`` maps each merged name to the name the old side writes."""
+    ``old_names`` maps each merged name to the name the old side writes.
+
+    Without renames the sides may share nodes: ``new.node`` may hold the
+    leading statement nodes of ``old.node`` whose lines the new text
+    repeats. Each side still has closures of its own, compiled from its
+    whole tree."""
 
     old: SourceFunction
     new: SourceFunction
@@ -82,20 +87,32 @@ def parse_function(source: str, facts: Optional[StaticFacts] = None) -> SourceFu
 
 
 def _parse_function(
-    source: str, facts: StaticFacts, table: Optional[dict[str, str]] = None, side: str = ""
+    source: str,
+    facts: StaticFacts,
+    table: Optional[dict[str, str]] = None,
+    side: str = "",
+    base: Optional[tuple[str, ast.FunctionDef]] = None,
 ) -> tuple[SourceFunction, Optional[tuple]]:
     """``parse_function``'s work on the ``side`` whose names ``table`` maps
     to merged names, rewritten before compiling; with the merged form
-    ``_merge`` gives of the tree, or None without a table."""
+    ``_merge`` gives of the tree, or None without a table.
+
+    ``base``, the old side's source and tree, is given for the new side of
+    a pair without renames, whose tree then shares the old one's unchanged
+    leading statements (``_shared_tree``). Closures are never shared: a
+    statement's compiled form may come to depend on the whole body, as it
+    would with a symbol table."""
     try:
-        tree = ast.parse(source)
-        functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-        if isinstance(tree.body[0] if tree.body else None, ast.AsyncFunctionDef):
-            reject(tree.body[0], "asynchronous functions are not supported", source)
-        if len(tree.body) != 1 or len(functions) != 1:
-            node = tree.body[0] if tree.body else ast.Pass(lineno=1, col_offset=0)
-            reject(node, "expected exactly one function definition", source)
-        node = functions[0]
+        node = _shared_tree(source, *base) if base else None
+        if node is None:
+            tree = ast.parse(source)
+            functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+            if isinstance(tree.body[0] if tree.body else None, ast.AsyncFunctionDef):
+                reject(tree.body[0], "asynchronous functions are not supported", source)
+            if len(tree.body) != 1 or len(functions) != 1:
+                node = tree.body[0] if tree.body else ast.Pass(lineno=1, col_offset=0)
+                reject(node, "expected exactly one function definition", source)
+            node = functions[0]
         name = node.name
         form = _merge(node, table, side) if table else None
         body = compile_function(node, source, facts)
@@ -112,6 +129,61 @@ def _parse_function(
         body=body,
     )
     return fn, form
+
+
+def _shared_tree(
+    source: str, old_source: str, old_node: ast.FunctionDef
+) -> Optional[ast.FunctionDef]:
+    """The def of ``source`` with the leading statements of ``old_node``
+    whose lines, and every line above them, ``source`` repeats character
+    for character; or None where only ``ast.parse(source)`` is sure to give
+    the tree, or the error, of the whole text.
+
+    The rest is parsed from ``source`` with the first shared line cut to a
+    ``pass`` at its own indentation and the other shared lines emptied, the
+    header and every later line as written. So the def's header, args and
+    positions are the full parse's, and the rest is tokenized in the block
+    the shared statements opened, with the full parse's indentation errors.
+    None where the texts are one or nothing is shared, where the last
+    shared line also starts the next old statement (``a = 1; b = 2``) or
+    ends in a ``\\`` that joins it to the next line, where the old text has
+    a ``\\r``, which may end a line, and where the cut text raises or is not
+    one def with a rest (so a one-line def shares nothing)."""
+    if source == old_source:
+        return None
+    body = old_node.body
+    first = body[0].lineno
+    old_lines, lines = old_source.split("\n"), source.split("\n")
+    same = 0
+    for old_line, line in zip(old_lines, lines):
+        if old_line != line:
+            break
+        same += 1
+    shared = 0
+    while shared < len(body) and body[shared].end_lineno <= same:
+        shared += 1
+    if not shared:
+        return None
+    last = body[shared - 1].end_lineno
+    indent = old_lines[first - 1][: body[0].col_offset]
+    if (
+        (shared < len(body) and body[shared].lineno == last)
+        or old_lines[last - 1].rstrip().endswith("\\")
+        or "\r" in old_source
+    ):
+        return None
+    cut = "\n".join(
+        [*lines[: first - 1], indent + "pass", *[""] * (last - first), *lines[last:]]
+    )
+    try:
+        tree = ast.parse(cut)
+    except Exception:  # the full parse raises its own error, or none
+        return None
+    node = tree.body[0] if len(tree.body) == 1 else None
+    if type(node) is not ast.FunctionDef or len(node.body) < 2:
+        return None
+    node.body[:1] = body[:shared]
+    return node
 
 
 def _merge(node: ast.FunctionDef, table: dict[str, str], side: str) -> tuple:
@@ -203,6 +275,10 @@ def make_pair(
     dropped. Both sides are compiled even when identical: each side's
     literals count in the pools that injected values are drawn from.
 
+    Without renames, the new side's tree shares the old tree's unchanged
+    leading statements. A renamed pair parses both sides whole, since
+    ``_merge`` rewrites each tree in place.
+
     ``identical`` follows the one-program rule of ``FunctionPair``: a
     renamed pair compares the merged forms its rewrite walks made. Raises
     ValueError when ``entry`` is not the name either def is written with,
@@ -218,9 +294,12 @@ def make_pair(
     facts = StaticFacts()
     merged = {o: f"{o}_renamed_{n}" for o, n in renames.items()}
     old, old_form = _parse_function(old_source, facts, merged, "old")
-    new, new_form = _parse_function(
-        new_source, facts, {n: merged[o] for o, n in renames.items()}, "new"
-    )
+    if renames:
+        new, new_form = _parse_function(
+            new_source, facts, {n: merged[o] for o, n in renames.items()}, "new"
+        )
+    else:
+        new, _ = _parse_function(new_source, facts, base=(old_source, old.node))
     if entry is not None:
         for side, fn in (("old", old), ("new", new)):
             if fn.name != entry:

@@ -16,7 +16,8 @@ runs is repeated here as the new side's.
 
 The batch digest is a sha256 over ``pairguard analyze --format json`` on the
 seed's ``batch`` pairs with their table predictor, each record without its
-``wall_time_ms``.
+``wall_time_ms``. It is pinned from a serial call; a pooled call must give
+the same digest.
 
 Regenerate the pinned files with ``python tests/_runs.py`` from the repo
 root; they are ``tests/fixtures/golden/runs_seed{0,7}.jsonl`` and
@@ -158,12 +159,14 @@ def moved_pairs(pinned: str, current: str) -> list[str]:
     return lines
 
 
-def batch_digest(seed: int) -> str:
-    """sha256 of the CLI's JSON records for the seed's ``batch`` pairs."""
+def batch_digest(seed: int, jobs: int = 1) -> str:
+    """sha256 of the CLI's JSON records for the seed's ``batch`` pairs,
+    analyzed ``jobs`` at a time."""
     with tempfile.TemporaryDirectory() as scratch:
         workload = _load_perfbench("workloads").batch(pathlib.Path(scratch), seed)
         out = pathlib.Path(scratch) / "out.jsonl"
         argv = ["analyze", str(workload.pair_dir), "--format", "json", "--seed", str(seed)]
+        argv += ["--jobs", str(jobs)]
         code = cli.main(argv + ["--predictor", workload.dir_predictor, "--out", str(out)])
         if code != 0:
             raise RuntimeError(f"pairguard analyze exited {code} on the batch pairs")

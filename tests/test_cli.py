@@ -444,6 +444,12 @@ class TestGoldenOutput:
         pinned = _runs.batch_digest_path(seed).read_text().strip()
         assert _runs.batch_digest(seed) == pinned
 
+    def test_pooled_batch_matches_pinned_digest(self):
+        # The same pairs through a pool of two workers, where each worker
+        # parses and compiles its own pairs.
+        pinned = _runs.batch_digest_path(0).read_text().strip()
+        assert _runs.batch_digest(0, jobs=2) == pinned
+
 
 def test_every_trace_target_resolves():
     """Each entry point ``perfbench/tracer.py`` wraps, and the engine's

@@ -1294,6 +1294,185 @@ def test_identical_sides_give_the_verdict_of_running_both(source, seed):
     assert analyze(pair, cfg) == analyze(twin, cfg)
 
 
+# The new side of a pair without renames takes the old side's leading
+# statements that it repeats line for line, and parses only the rest. Its
+# tree, or its error, must be the full parse's.
+
+
+def _full_parse(source):
+    """The tree ``parse_function`` gives ``source``, dumped with positions,
+    or its error's type, message, line and offset."""
+    try:
+        parse_function(source)
+    except Exception as exc:
+        return type(exc), getattr(exc, "msg", str(exc)), exc.lineno, exc.offset
+    return ast.dump(ast.parse(source).body[0], include_attributes=True)
+
+
+def _new_side(old, new):
+    """What ``make_pair`` gives for the new side, in ``_full_parse``'s terms."""
+    try:
+        pair = make_pair(old, new)
+    except Exception as exc:
+        return type(exc), getattr(exc, "msg", str(exc)), exc.lineno, exc.offset
+    return ast.dump(pair.new.node, include_attributes=True)
+
+
+# The block's own indentation first, as hypothesis draws the first most.
+_EDIT_INDENTS = st.sampled_from(["    ", "        ", "", "  ", "\t"])
+_EDIT_LINES = st.one_of(
+    _simple_statement(_expressions(_LEAVES)).map(lambda s: s[0]),
+    st.sampled_from(["pass", "if x:", "else:", "x = (", ")", "return x", "# note", ""]),
+)
+_EDITS = ["replace", "insert", "delete", "append", "indent", "join", "continue"]
+
+
+def _edit(data, lines):
+    """Apply one drawn line edit to ``lines`` in place. The line is counted
+    from the end, where hypothesis draws most, as a change there leaves the
+    most statements to share."""
+    kind = data.draw(st.sampled_from(_EDITS))
+    i = len(lines) - 1 - data.draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        if len(lines) > 1:
+            del lines[i]
+    elif kind == "indent":
+        lines[i] = data.draw(_EDIT_INDENTS) + lines[i].lstrip()
+    elif kind == "join":
+        if i + 1 < len(lines):
+            lines[i : i + 2] = [lines[i] + "; " + lines[i + 1].lstrip()]
+    elif kind == "continue":
+        lines[i] += " \\"
+    else:
+        line = data.draw(_EDIT_INDENTS) + data.draw(_EDIT_LINES)
+        if kind == "replace":
+            lines[i] = line
+        else:
+            lines.insert(len(lines) if kind == "append" else i, line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUNCTIONS, st.data())
+def test_new_side_parses_as_the_whole_text_would(old, data):
+    # The old side may take an edit too, so that its lines hold joins and
+    # continuations for the new side's edits to meet.
+    lines = old.splitlines()
+    for _ in range(data.draw(st.integers(0, 1))):
+        _edit(data, lines)
+    old = "\n".join(lines) + "\n"
+    try:
+        parse_function(old)
+    except SyntaxError:
+        assume(False)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit(data, lines)
+    new = "\n".join(lines) + "\n"
+    assert _new_side(old, new) == _full_parse(new)
+
+
+_SHARED_OLD = "def f(x):\n    a = 1\n    b = 2\n    c = 3\n    return a\n"
+
+
+@pytest.mark.parametrize(
+    "new",
+    [
+        # The rest indented more, less or with a tab, where the shared
+        # statements use four spaces: the full parse's IndentationError.
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\n        return a\n",
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\n  return a\n",
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\n\treturn a\n",
+        # The rest dedents to column 0: not one function definition.
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\nreturn a\n",
+        # Expressions nested too deeply for the compiler and for the parser.
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\n    return " + "+".join(["a"] * 600) + "\n",
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\n    return " + "+".join(["a"] * 3000) + "\n",
+        # A rest outside the grammar, and one the host cannot parse.
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\n    return a & 1\n",
+        "def f(x):\n    a = 1\n    b = 2\n    c = 3\n    return (a\n",
+    ],
+    ids=["deeper", "shallower", "tab", "column 0", "compiler depth", "parser depth",
+         "grammar", "host syntax"],
+)
+def test_new_side_rest_errors_as_the_whole_text_would(new):
+    assert _new_side(_SHARED_OLD, new) == _full_parse(new)
+    assert isinstance(_full_parse(new), tuple)
+
+
+def test_new_side_rest_joined_to_a_shared_line_errors_as_the_whole_text_would():
+    # The last shared line ends in a continuation, so the rest's first line
+    # goes on the same logical line, where a compound statement cannot start.
+    old = "def f(x):\n    a = 1\n    b = 2; \\\n    c = 3\n    return a\n"
+    new = "def f(x):\n    a = 1\n    b = 2; \\\n    if x:\n        return 1\n"
+    parse_function(old)
+    assert _new_side(old, new) == _full_parse(new)
+    assert _full_parse(new)[0] is SyntaxError
+
+
+@pytest.mark.parametrize(
+    "old, new, shared",
+    [
+        # A change on the last line only.
+        (_SHARED_OLD, _SHARED_OLD.replace("return a", "return c"), 3),
+        # A changed header: nothing is shared.
+        (_SHARED_OLD, _SHARED_OLD.replace("f(x)", "f(x, y)"), 0),
+        # The last shared line also starts the next statement, which goes on
+        # in a string whose last line reads as a statement on its own.
+        (
+            "def f(x):\n    a = 1\n    b = 2; c = \"\"\"x\n    y\"\"\"\n    return c\n",
+            "def f(x):\n    a = 1\n    b = 2; c = \"\"\"x\n    x = 5  # \"\"\"\n    return c\n",
+            0,
+        ),
+        # A `;` line that ends before the change is shared whole.
+        (
+            "def f(x):\n    a = 1\n    b = 2; c = 3\n    return c\n",
+            "def f(x):\n    a = 1\n    b = 2; c = 3\n    return b\n",
+            3,
+        ),
+        # A rewrite shares the lines it keeps, however few.
+        (_SHARED_OLD, "def f(x):\n    a = 1\n    for v in x:\n        a += v\n    return a\n", 1),
+        # A continuation ends the last line that could be shared.
+        (
+            "def f(x):\n    a = 1\n    b = 2 + \\\n        3\n    return b\n",
+            "def f(x):\n    a = 1\n    b = 2 + \\\n        3\n    return a\n",
+            2,
+        ),
+        (
+            "def f(x):\n    a = 1\n    b = 2; \\\n    c = 3\n    return a\n",
+            "def f(x):\n    a = 1\n    b = 2; \\\n    c = 4\n    return a\n",
+            0,
+        ),
+        # Identical texts parse whole.
+        (_SHARED_OLD, _SHARED_OLD, 0),
+        # A lone carriage return ends a line for the parser but not for a
+        # split on newlines.
+        (
+            "def f(x):\n    a = 1\r    b = 2\n    c = 3\n    return a\n",
+            "def f(x):\n    a = 1\r    b = 2\n    c = 3\n    return c\n",
+            0,
+        ),
+    ],
+    ids=["last line", "header", "semicolon boundary", "semicolon shared", "rewrite",
+         "continued statement shared", "continued join", "identical", "lone CR"],
+)
+def test_new_side_shares_the_unchanged_leading_statements(old, new, shared):
+    pair = make_pair(old, new)
+    assert ast.dump(pair.new.node, include_attributes=True) == _full_parse(new)
+    reused = [s for s in pair.new.node.body if any(s is t for t in pair.old.node.body)]
+    assert reused == pair.old.node.body[:shared] == pair.new.node.body[:shared]
+
+
+def test_batch_shaped_pair_shares_its_padding():
+    # The batch benchmark's pairs pad a one-line change with unchanged
+    # statements above it.
+    pad = "".join(f"    v{i} = v{i - 1} * 7 + {i}\n" for i in range(1, 8))
+    old = "def batch_0(num7):\n    v0 = 1\n" + pad + "    return num7 + 27\n"
+    new = old.replace("+ 27", "+ 28")
+    pair = make_pair(old, new, entry="batch_0")
+    assert pair.new.node.body[0] is pair.old.node.body[0]
+    assert pair.new.node.body[-1] is not pair.old.node.body[-1]
+    assert ast.dump(pair.new.node, include_attributes=True) == _full_parse(new)
+
+
 # Renames of one identifier of a generated function to another name of the
 # same length or of a different one, which shifts columns. v, h, load, self
 # and A are plain names there; err is a handler name, g a def name, a, x and
