@@ -38,6 +38,7 @@ from .values import (
     FunctionValue,
     GeneratorValue,
     Rendered,
+    RenderedDict,
     SplitMix64,
     VersatileCallable,
     VersatileObject,
@@ -252,7 +253,8 @@ def _sorted_sets(fmt: str, args: Any) -> Any:
     """``args`` of ``fmt % args``, with each argument that a ``%s``, ``%r``
     or ``%a`` field renders and that is, or holds, a set standing in as its
     ``serialize`` text, whose set items are sorted where the host's
-    rendering would follow its hash order."""
+    rendering would follow its hash order; a dict rendered whole and also
+    read by key stands in as a ``RenderedDict``."""
     if not holds_set(args):
         return args
     swaps, keyed = {}, False
@@ -265,7 +267,8 @@ def _sorted_sets(fmt: str, args: Any) -> Any:
     if type(args) is tuple:
         return tuple(swaps.get(i, v) for i, v in enumerate(args))
     if keyed:
-        return {k: swaps.get(k, v) for k, v in args.items()}
+        items = {k: swaps.get(k, v) for k, v in args.items()}
+        return RenderedDict(swaps[0].text, items) if 0 in swaps else items
     return swaps[0]
 
 
@@ -436,9 +439,8 @@ class ExecutionOutcome:
     the function the run probed, ``probed``; ``return_value`` renders them
     on its first read into ``rendered``, and is None after an exception. A
     render after the run equals one made inside it: the other side of the
-    iteration reads deep copies, and what ``deep_copy`` shares (atoms,
-    tuples of atoms, function and generator values) renders the same
-    whatever a run does."""
+    iteration reads deep copies, and what ``deep_copy`` shares (atoms and
+    tuples of atoms) renders the same whatever a run does."""
 
     stdout: str
     call_log: list[CallLogEntry]
@@ -907,6 +909,8 @@ class Interpreter:
                 pass  # the host call below raises the subject's own error
         elif name in _STR_RESULT_SIZES and type(receiver) is str:
             self._charge(_STR_RESULT_SIZES[name](receiver, args, kwargs))
+            if name == "join" and args and type(args[0]) in (set, frozenset):
+                args = [self._host(sorted_iter, args[0]), *args[1:]]
         result = self._host(getattr(receiver, name), *args, **kwargs)
         if isinstance(result, _VIEW_TYPES):
             return list(result)
@@ -1059,7 +1063,7 @@ class Interpreter:
         elif isinstance(value, GeneratorValue):
             items = value.take()
         elif isinstance(value, (set, frozenset)):
-            items = sorted_iter(value)
+            items = self._host(sorted_iter, value)
         else:
             self._fault("TypeError", f"{serialize(value)} is not iterable")
         budget = _STEP_BUDGET

@@ -11,7 +11,6 @@ and ``randbelow`` for every index.
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -253,9 +252,6 @@ class FunctionValue:
         self.env = env
         self.attrs: dict[str, Any] = {}
 
-    def __deepcopy__(self, memo):
-        return self
-
     def __repr__(self):
         return f"<function {self.name}>"
 
@@ -279,9 +275,6 @@ class GeneratorValue:
         if self._cursor is None:
             self._cursor = iter(self._materializer())
         return self._cursor
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __repr__(self):
         return "<generator>"
@@ -440,116 +433,39 @@ _RENDERERS: dict[type, Callable[[Any, int, Optional[set]], str]] = {
 }
 
 
-# Values deep_copy hands back as they are, as copy.deepcopy does: immutable
-# atoms, and function and generator values, which are shared by reference.
-# None of them renders differently after a run, whatever the run did.
-_SHARED = frozenset({type(None), bool, int, float, str, range, FunctionValue, GeneratorValue})
-_MISSING = object()
+# The atoms deep_copy hands back as they are: no run can change one.
+_ATOMS = frozenset({type(None), bool, int, float, str})
 
 
 def deep_copy(value: Any) -> Any:
-    """Deep copy with ``copy.deepcopy``'s result, copied by type.
-
-    Atoms, lists, tuples, dicts, sets, frozensets, versatile objects and
-    exceptions are copied directly; anything else goes to ``copy.deepcopy``
-    with the same memo. The memo, keyed by ``id``, keeps aliasing and cycles
-    as ``copy.deepcopy`` does: a value a versatile stores is one copy in
-    ``attrs`` and ``stored``.
-    Like ``copy.deepcopy``, a tuple whose items all copy to themselves comes
-    back as the same object, and function and generator values are kept by
-    reference.
-    """
-    if type(value) in _SHARED:
-        return value
-    return _copy(value, {})
-
-
-def _copy(value: Any, memo: dict) -> Any:
+    """A copy, for the other side of an iteration, of a value ``concretize``
+    has just made: an atom, a fresh versatile, or a list, tuple, set or dict
+    of those. Atoms, and tuples whose items copy to themselves, come back as
+    they are, and a versatile as a fresh one of its class, seed and assigned
+    type. Any other type raises ``TypeError``."""
     cls = type(value)
-    if cls in _SHARED:
+    if cls in _ATOMS:
         return value
-    copied = memo.get(id(value), _MISSING)
-    if copied is not _MISSING:
-        return copied
-    copier = _COPIERS.get(cls)
-    if copier is None:
-        return copy.deepcopy(value, memo)
-    return copier(value, memo)
-
-
-def _copy_list(value: list, memo: dict) -> list:
-    out: list = []
-    memo[id(value)] = out
-    out.extend([_copy(v, memo) for v in value])
-    return out
-
-
-def _copy_tuple(value: tuple, memo: dict) -> tuple:
-    items = [_copy(v, memo) for v in value]
-    # A cycle through a mutable item may have copied this tuple already.
-    copied = memo.get(id(value), _MISSING)
-    if copied is not _MISSING:
-        return copied
-    if all(a is b for a, b in zip(items, value)):
-        return value
-    out = tuple(items)
-    memo[id(value)] = out
-    return out
-
-
-def _copy_dict(value: dict, memo: dict) -> dict:
-    out: dict = {}
-    memo[id(value)] = out
-    for k, v in value.items():
-        out[_copy(k, memo)] = _copy(v, memo)
-    return out
-
-
-def _copy_set(value: set | frozenset, memo: dict) -> set | frozenset:
-    # Like copy.deepcopy, a set is built from its copied items, then memoized.
-    items = [_copy(v, memo) for v in value]
-    # A cycle through a versatile item may have copied this set already.
-    copied = memo.get(id(value), _MISSING)
-    if copied is not _MISSING:
-        return copied
-    out = memo[id(value)] = type(value)(items)
-    return out
-
-
-def _copy_versatile(value: VersatileObject, memo: dict) -> VersatileObject:
-    cls = type(value)
-    out = cls.__new__(cls)
-    memo[id(value)] = out
-    # The atoms first: a cycle back through a set hashes the copy by its seed.
-    out.seed, out.assigned_type = value.seed, value.assigned_type
-    out.__dict__.update([(k, _copy(v, memo)) for k, v in value.__dict__.items()])
-    return out
-
-
-def _copy_exception(value: ExceptionValue, memo: dict) -> ExceptionValue:
-    # Copied here, not by copy.deepcopy, so a versatile among its arguments
-    # is copied atoms first too.
-    out = ExceptionValue.__new__(ExceptionValue)
-    memo[id(value)] = out
-    out.__dict__.update([(k, _copy(v, memo)) for k, v in value.__dict__.items()])
-    return out
-
-
-_COPIERS: dict[type, Callable[[Any, dict], Any]] = {
-    list: _copy_list,
-    tuple: _copy_tuple,
-    dict: _copy_dict,
-    set: _copy_set,
-    frozenset: _copy_set,
-    VersatileObject: _copy_versatile,
-    VersatileCallable: _copy_versatile,
-    ExceptionValue: _copy_exception,
-}
+    if cls is VersatileObject or cls is VersatileCallable:
+        return cls(value.seed, value.assigned_type)
+    if cls is dict:
+        return {deep_copy(k): deep_copy(v) for k, v in value.items()}
+    if cls is list or cls is tuple or cls is set:
+        items = [deep_copy(v) for v in value]
+        if cls is tuple and all(a is b for a, b in zip(items, value)):
+            return value
+        return cls(items)
+    raise TypeError(f"deep_copy does not copy a {cls.__name__}")
 
 
 def sorted_iter(value: set | frozenset) -> list:
-    """A set's items in canonical (serialized) order."""
-    return sorted(value, key=serialize)
+    """A set's items in canonical (serialized) order. Two items that render
+    alike (functions, say, which hash by identity) have no order that is a
+    function of the set, so such a set raises ``TypeError``."""
+    by_text = {serialize(v): v for v in value}
+    if len(by_text) < len(value):
+        raise TypeError("set items that render alike have no canonical order")
+    return [by_text[text] for text in sorted(by_text)]
 
 
 def holds_set(value: Any) -> bool:
@@ -588,6 +504,20 @@ class Rendered:
         return self.text
 
     __str__ = __repr__
+
+
+class RenderedDict(dict):
+    """Stands in for a dict that a ``%`` format both renders whole and reads
+    by key: its items are what the keyed fields read, and its ``str`` and
+    ``repr`` are ``text``, what the whole-dict field renders."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, items: dict):
+        super().__init__(items)
+        self.text = text
+
+    __repr__ = __str__ = Rendered.__repr__
 
 
 @dataclass(frozen=True)

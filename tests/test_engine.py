@@ -1549,6 +1549,8 @@ class TestSetsRenderSorted:
             ("'{}'.format(s)", "{'a', 'b', 'c'}"),
             ("'{!r}/{}'.format((s, 1), 2)", "({'a', 'b', 'c'}, 1)/2"),
             ("'{0[0]!s:>17}'.format([s])", "  {'a', 'b', 'c'}"),
+            ("'-'.join(s)", "a-b-c"),
+            ("'%s %(n)s' % {'n': 1, 's': s}", "{'n': 1, 's': {'a', 'b', 'c'}} 1"),
         ],
     )
     def test_a_set_argument_renders_sorted(self, expr, rendered):
@@ -1571,27 +1573,45 @@ class TestSetsRenderSorted:
     def test_one_verdict_under_three_hash_seeds(self):
         # From CPython 3.11 on, the host iterates {'a', 'b'} as 'a', 'b'
         # under PYTHONHASHSEED 1, and as 'b', 'a' under 2 and 3.
-        old = "def f():\n    s = {'a', 'b'}\n    return str(s)\n"
+        pairs = [
+            ("str(s)", "'%s' % (s,)"),
+            ("str(s)", "'{}'.format(s)"),
+            ("'-'.join(sorted(s))", "'-'.join(s)"),
+            ("str(d) + ' %(n)s' % d", "'%s %(n)s' % d"),
+        ]
+        body = "def f():\n    s = {{'a', 'b'}}\n    d = {{'n': 1, 's': s}}\n    return {}\n"
+        code = "from pairguard import analyze_sources\n" + "".join(
+            f"print(analyze_sources({body.format(old)!r}, {body.format(new)!r}).classification)\n"
+            for old, new in pairs
+        )
         src = pathlib.Path(engine.__file__).parents[1]
-        verdicts = set()
+        verdicts = []
         for hash_seed in ("1", "2", "3"):
-            for expr in ("'%s' % (s,)", "'{}'.format(s)"):
-                new = f"def f():\n    s = {{'a', 'b'}}\n    return {expr}\n"
-                code = (
-                    "from pairguard import analyze_sources\n"
-                    f"print(analyze_sources({old!r}, {new!r}).classification)"
-                )
-                env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
-                done = subprocess.run(
-                    [sys.executable, "-c", code],
-                    env=env,
-                    capture_output=True,
-                    text=True,
-                    timeout=120,
-                    check=True,
-                )
-                verdicts.add(done.stdout.strip())
-        assert verdicts == {"likely-semantics-preserving"}
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            verdicts += done.stdout.split()
+        assert verdicts == ["likely-semantics-preserving"] * (3 * len(pairs))
+
+    def test_a_set_of_items_that_render_alike_abstains(self):
+        # CPython iterates such a set in the items' address order, so no
+        # order is a function of the set: the run ends in an unintended
+        # TypeError, on every analysis.
+        body = (
+            "def f():\n    s = {{lambda: 1, lambda: 2, lambda: 3}}\n    out = []\n"
+            "    for {0} in s:\n        out.append({0}())\n    return out\n"
+        )
+        old, new = body.format("g"), body.format("h")
+        verdicts = [analyze_sources(old, new).classification for _ in range(5)]
+        assert verdicts == ["inconclusive"] * 5
+        out, _ = run_side(old)
+        assert out.exception.type_name == "TypeError" and not out.exception.intentional
 
 
 class TestNativeStringResults:
