@@ -1613,6 +1613,15 @@ class TestSetsRenderSorted:
         out, _ = run_side(old)
         assert out.exception.type_name == "TypeError" and not out.exception.intentional
 
+    def test_only_iterating_a_set_of_items_that_render_alike_ends_the_run(self):
+        # Rendering and measuring such a set do not depend on its order.
+        head = "def f():\n    s = {lambda: 1, lambda: 2}\n"
+        rendered = "{<function <lambda>>, <function <lambda>>}"
+        measured = engine_outcome(head + "    return (len(s), str(s))\n")
+        assert measured == ("", repr((2, rendered)), None)
+        out, _ = run_side(head + "    return sorted(s, key=lambda g: g())\n")
+        assert out.exception.type_name == "TypeError" and not out.exception.intentional
+
 
 class TestNativeStringResults:
     """A native str.replace or str.join charges the characters its result

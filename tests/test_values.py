@@ -17,6 +17,8 @@ from pairguard.values import (
     ExceptionValue,
     FunctionValue,
     GeneratorValue,
+    Rendered,
+    RenderedDict,
     SplitMix64,
     VersatileCallable,
     VersatileObject,
@@ -362,6 +364,56 @@ class TestDeepCopy:
         ):
             with pytest.raises(TypeError):
                 deep_copy(value)
+
+    def test_tuple_of_atoms_is_the_same_object(self):
+        for t in [(), (1, "a", None, 2.5, True), ((1, 2), ("x",))]:
+            assert deep_copy(t) is t
+        mixed = (1, [2])
+        assert deep_copy(mixed) is not mixed
+
+    def test_a_versatile_comes_back_fresh(self):
+        # What a run did to the value (children drawn, calls counted,
+        # fields stored) is not carried over: the copy is the versatile
+        # concretize would have made.
+        o = VersatileCallable(5, "Client")
+        o.call_count = 3
+        o.store("x", [1])
+        list(o)
+        c = deep_copy(o)
+        assert type(c) is VersatileCallable
+        assert (c.seed, c.assigned_type) == (5, "Client")
+        assert (c.call_count, c.stored, c._children) == (0, {}, None)
+
+    def test_each_container_comes_back_as_its_type(self):
+        for value in ([1, VersatileObject(2)], (1, VersatileObject(2)), {1, "a"}, {"k": [1]}):
+            c = deep_copy(value)
+            assert type(c) is type(value) and c is not value
+            assert serialize(c) == serialize(value)
+
+
+class TestSortedIter:
+    def test_items_come_in_serialized_order(self):
+        items = {3, "a", None, 1.5, True}
+        expected = sorted(items, key=serialize)
+        assert sorted_iter(items) == sorted_iter(frozenset(items)) == expected
+        f, g = FunctionValue("f", [], None, None), FunctionValue("g", [], None, None)
+        assert sorted_iter({g, f}) == [f, g]
+
+    def test_items_that_render_alike_raise(self):
+        twins = {FunctionValue("f", [], None, None), FunctionValue("f", [], None, None)}
+        assert len(twins) == 2
+        with pytest.raises(TypeError):
+            sorted_iter(twins)
+        with pytest.raises(TypeError):
+            sorted_iter(frozenset(twins))
+
+
+class TestRenderedDict:
+    def test_renders_whole_as_text_and_reads_by_key(self):
+        d = RenderedDict("{'n': 1, 's': {'a', 'b'}}", {"n": 1, "s": Rendered("{'a', 'b'}")})
+        assert str(d) == repr(d) == "{'n': 1, 's': {'a', 'b'}}"
+        assert "%s %(n)s %(s)s" % d == "{'n': 1, 's': {'a', 'b'}} 1 {'a', 'b'}"
+        assert "%r|%(s)r" % d == "{'n': 1, 's': {'a', 'b'}}|{'a', 'b'}"
 
 
 _ATOM_TYPES = (type(None), bool, int, float, str)
