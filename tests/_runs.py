@@ -22,9 +22,10 @@ the same digest.
 Regenerate the pinned files with ``python tests/_runs.py`` from the repo
 root; they are ``tests/fixtures/golden/runs_seed{0,7}.jsonl`` and
 ``tests/fixtures/golden/batch_seed{0,7}.sha256``. ``python tests/_runs.py
---check`` compares them instead, writes nothing and exits 1 on a mismatch;
-under a fingerprint file that differs it lists each pair that moved, with
-its pinned and current runs and steps.
+--check`` compares them instead, and compares each seed's pooled digest
+(``--jobs 2``) with the serial one's file too; it writes nothing and exits 1
+on a mismatch. Under a fingerprint file that differs it lists each pair that
+moved, with its pinned and current runs and steps.
 """
 
 from __future__ import annotations
@@ -188,18 +189,21 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/_runs.py [--check]")
     mismatched = False
     for s in SEEDS:
-        pinned = {
-            golden_path(s): "\n".join(fingerprints(s)) + "\n",
-            batch_digest_path(s): batch_digest(s) + "\n",
-        }
-        for path, text in pinned.items():
+        pinned = [
+            (golden_path(s), "", "\n".join(fingerprints(s)) + "\n"),
+            (batch_digest_path(s), "", batch_digest(s) + "\n"),
+        ]
+        if check:
+            # A pinned digest comes from a serial call; the pool must match it.
+            pinned.append((batch_digest_path(s), " (--jobs 2)", batch_digest(s, jobs=2) + "\n"))
+        for path, how, text in pinned:
             if not check:
                 path.write_text(text, encoding="utf-8")
                 print(f"wrote {path.relative_to(ROOT)}")
             elif path.read_text(encoding="utf-8") == text:
-                print(f"matches {path.relative_to(ROOT)}")
+                print(f"matches {path.relative_to(ROOT)}{how}")
             else:
-                print(f"differs from {path.relative_to(ROOT)}")
+                print(f"differs from {path.relative_to(ROOT)}{how}")
                 if path == golden_path(s):
                     for line in moved_pairs(path.read_text(encoding="utf-8"), text):
                         print(line)

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import pathlib
 import shutil
 
@@ -27,6 +29,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_analyzing_worker = cli._worker
+
+
+def _dying_worker(job):
+    """A pool worker that dies on pair p2, as one that is killed or runs out
+    of memory does; module level, so it pickles by reference."""
+    if job[0]["id"] == "p2":
+        os._exit(3)
+    return _analyzing_worker(job)
 
 
 class TestSinglePair:
@@ -242,8 +255,8 @@ class TestBatch:
         class SerialPool:
             """Records the pool the CLI asks for, and runs its map in this process."""
 
-            def __init__(self, max_workers):
-                pools.append({"max_workers": max_workers})
+            def __init__(self, max_workers, initializer=None):
+                pools.append({"max_workers": max_workers, "initializer": initializer})
 
             def __enter__(self):
                 return self
@@ -259,8 +272,42 @@ class TestBatch:
         args = ("analyze", str(d), "--format", "json", "--max-iterations", "3")
         code, parallel, _ = run_cli(capsys, *args, "--jobs", str(jobs))
         assert code == 0
-        assert pools == [{"max_workers": workers, "chunksize": max(1, pairs // (workers * 16))}]
+        assert pools == [
+            {
+                "max_workers": workers,
+                "initializer": cli._start_worker,
+                "chunksize": max(1, pairs // (workers * 16)),
+            }
+        ]
         assert len(parallel.splitlines()) == pairs
+
+    def test_dead_worker_reported(self, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        for i in range(4):
+            write_pair(d, name=f"p{i}")
+        monkeypatch.setattr(cli, "_worker", _dying_worker)
+        code, out, err = run_cli(capsys, "analyze", str(d), "--format", "json", "--jobs", "2")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_start_worker_raises_only_the_young_threshold(self):
+        old = gc.get_threshold()
+        try:
+            cli._start_worker()
+            assert gc.get_threshold() == (cli._WORKER_GC_THRESHOLD, *old[1:])
+        finally:
+            gc.set_threshold(*old)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_callers_gc_threshold_unchanged(self, tmp_path, capsys, jobs):
+        d = self.fill(tmp_path)
+        old = gc.get_threshold()
+        code, _, _ = run_cli(capsys, "analyze", str(d), "--format", "json", "--jobs", jobs)
+        assert code == 0
+        assert gc.get_threshold() == old
 
     def test_bad_file_reported_and_rest_processed(self, tmp_path, capsys):
         d = self.fill(tmp_path)
@@ -444,11 +491,12 @@ class TestGoldenOutput:
         pinned = _runs.batch_digest_path(seed).read_text().strip()
         assert _runs.batch_digest(seed) == pinned
 
-    def test_pooled_batch_matches_pinned_digest(self):
+    @pytest.mark.parametrize("seed", _runs.SEEDS)
+    def test_pooled_batch_matches_pinned_digest(self, seed):
         # The same pairs through a pool of two workers, where each worker
-        # parses and compiles its own pairs.
-        pinned = _runs.batch_digest_path(0).read_text().strip()
-        assert _runs.batch_digest(0, jobs=2) == pinned
+        # parses and compiles its own pairs with its own gc threshold.
+        pinned = _runs.batch_digest_path(seed).read_text().strip()
+        assert _runs.batch_digest(seed, jobs=2) == pinned
 
 
 def test_every_trace_target_resolves():
