@@ -67,7 +67,9 @@ def _load_pair(path: Path) -> dict:
 
 def _pair_paths(target: Path) -> list[Path]:
     if target.is_dir():
-        paths = sorted(p for p in target.iterdir() if p.suffix == ".json")
+        # By name: ``Path`` comparisons are Python-level calls, and one
+        # directory's paths order as their names do.
+        paths = sorted((p for p in target.iterdir() if p.suffix == ".json"), key=lambda p: p.name)
         if not paths:
             raise PairFileError(f"{target}: no .json pair files found")
         return paths

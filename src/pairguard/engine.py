@@ -478,9 +478,10 @@ class ComparisonProgram:
     were compiled when parsed; every execution of either side reads the same
     static facts and concretizer pools. The context node of an injection site
     (its statement, or a compound statement's header) is settled by the
-    compiler; its text is unparsed, and the predictor asked about a query,
-    the first time an injection needs it. A query names a merged name as the
-    old side writes it, in its name and in its context text.
+    compiler. The first time an injection at a site needs an answer, the
+    predictor's lookup gives it, or else the context's text is unparsed and
+    the predictor asked about a query; both name a merged name as the old
+    side writes it.
     """
 
     def __init__(self, pair: Any, facts: StaticFacts, cfg: Any, predictor: Predictor):
@@ -542,14 +543,17 @@ class ComparisonProgram:
     def distribution(self, kind: str, name: str, node: ast.AST) -> Distribution:
         """The predictor's answer for a read of ``name``, reached as ``kind``,
         whose context is ``node``; both predictors are pure, so each site and
-        each query is asked about once."""
+        each query is looked up or asked about once."""
         site = (kind, name, node)
         dist = self._sites.get(site)
         if dist is None:
-            query = InjectionQuery(kind, self._as_written(name), self.context(node))
-            dist = self._answers.get(query)
+            name = self._as_written(name)
+            dist = self.predictor.lookup(kind, name)
             if dist is None:
-                dist = self._answers[query] = self.predictor.predict(query)
+                query = InjectionQuery(kind, name, self.context(node))
+                dist = self._answers.get(query)
+                if dist is None:
+                    dist = self._answers[query] = self.predictor.predict(query)
             self._sites[site] = dist
         return dist
 
@@ -672,8 +676,9 @@ class Interpreter:
         from the stream reseeded with ``derive_seed(iteration seed,
         "value", path)``, hashed from the path's cached suffix on a copy of
         the iteration's ``draw_hasher``: an untyped versatile for the
-        ``"super"`` kind, else a value of the kind the predictor names when
-        asked with the source text of ``context``. ``v_new`` is a deep copy,
+        ``"super"`` kind, else a value of the kind the predictor names,
+        from the name alone or with the source text of ``context``
+        (``ComparisonProgram.distribution``). ``v_new`` is a deep copy,
         so both sides see equal but non-interfering inputs, and must render
         like ``v_old`` when it is a new object. A pair that is one program
         (``FunctionPair.identical``) runs its old side alone and copies
@@ -961,9 +966,8 @@ class Interpreter:
 
     def _isinstance_value(self, value: Any, names: list[str]) -> bool:
         if isinstance(value, VersatileObject):
-            return value.assigned_type is not None and value.assigned_type in names
-        kind = self._KIND_NAMES.get(type(value))
-        return kind is not None and kind in names
+            return value.assigned_type in names
+        return self._KIND_NAMES.get(type(value)) in names
 
     # builtins
 
@@ -1045,8 +1049,7 @@ class Interpreter:
                     if len(items) != 2:
                         self._fault("ValueError", "dict() expects key/value pairs")
                     self._host(out.__setitem__, items[0], items[1])
-        for k, v in kwargs.items():
-            out[k] = v
+        out.update(kwargs)
         return out
 
     # helpers

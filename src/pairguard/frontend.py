@@ -241,7 +241,12 @@ def _bound_names(node: ast.FunctionDef) -> set[str]:
 
 
 def diff_changed_lines(old_text: str, new_text: str) -> tuple[set[int], set[int]]:
-    """Line numbers outside the longest-common-subsequence alignment.
+    """Line numbers outside ``difflib.SequenceMatcher``'s alignment.
+
+    The matcher takes the longest matching block and recurses on either
+    side of it, which need not keep a longest common subsequence: old
+    ``y, z, y`` against new ``z, x, y`` matches the old first ``y`` to the
+    new ``y`` and nothing else, though ``z, y`` is common to both.
 
     Lines are compared with surrounding whitespace stripped, so a pure
     re-indentation does not count as a change.

@@ -4,8 +4,8 @@ A predictor answers one question: given an undefined name read in some
 syntactic context, how likely is each abstract kind? Two implementations
 live here. The heuristic predictor is a small rule chain over the name and
 its usage context. The table predictor replays externally trained
-distributions loaded from JSON and falls back to the heuristic for names
-it has never seen.
+distributions loaded from JSON, whatever the context, and falls back to
+the heuristic for names it has never seen.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
 from .values import AbstractValue, LABEL_TO_KIND
 
@@ -35,7 +36,9 @@ class InjectionQuery:
     the read, or of the compound-statement header part (test, iterable,
     ``with`` item) that contains it. On a renamed pair the run reads a
     renamed name as its merged name ``o_renamed_n``; the query says ``o``,
-    as the old side writes it, in its name and in its context.
+    as the old side writes it, in its name and in its context. A query is
+    built, and its context rendered, only for a read that
+    ``Predictor.lookup`` does not answer.
     """
 
     kind: str
@@ -206,6 +209,13 @@ _WORD_CHAR = re.compile(r"[A-Za-z0-9_]")
 
 
 class Predictor:
+    """Answers for missing values, in two steps: ``lookup`` gives, without
+    the context, an answer that holds whatever the context is, or None;
+    ``predict`` answers a full query, context included."""
+
+    def lookup(self, kind: str, name: str) -> Optional[Distribution]:
+        return None
+
     def predict(self, query: InjectionQuery) -> Distribution:
         raise NotImplementedError
 
@@ -266,14 +276,18 @@ class HeuristicPredictor(Predictor):
 
 
 class TablePredictor(Predictor):
-    """Exact-match lookup table keyed by (query kind, name); a query the
-    table does not hold is answered by the heuristic predictor."""
+    """Exact-match lookup table keyed by (query kind, name): ``lookup``
+    gives an entry whatever the context, and a query the table does not
+    hold is answered by the heuristic predictor."""
 
     def __init__(self, entries: dict[tuple[str, str], Distribution]):
         self.entries = dict(entries)
 
+    def lookup(self, kind: str, name: str) -> Optional[Distribution]:
+        return self.entries.get((kind, name))
+
     def predict(self, query: InjectionQuery) -> Distribution:
-        hit = self.entries.get((query.kind, query.name))
+        hit = self.lookup(query.kind, query.name)
         if hit is not None:
             return hit
         return _HEURISTIC.predict(query)

@@ -200,6 +200,12 @@ class TestBatch:
         ids = [json.loads(line)["id"] for line in out.strip().splitlines()]
         assert ids == ["a_first", "b_second"]
 
+    def test_directory_lists_json_files_in_code_point_name_order(self, tmp_path):
+        for name in ("a9.json", "a.json", "notes.txt", "a10.json", "B.json"):
+            (tmp_path / name).write_text("{}")
+        names = [p.name for p in cli._pair_paths(tmp_path)]
+        assert names == ["B.json", "a.json", "a10.json", "a9.json"]
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         d = self.fill(tmp_path)
         _, serial, _ = run_cli(capsys, "analyze", str(d), "--format", "json")

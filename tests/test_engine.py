@@ -376,6 +376,68 @@ class TestRenamedNamesAskedAsWritten:
             assert old.return_value.startswith("(") and old.return_value == new.return_value
 
 
+class _RecordingTable(TablePredictor):
+    """A table predictor recording each query that reaches ``predict``."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.queries = []
+
+    def predict(self, query):
+        self.queries.append(query)
+        return super().predict(query)
+
+
+class TestTableLookup:
+    """A name the table holds is answered by ``lookup`` alone, with no
+    context rendered and no query built; any other name takes the query
+    path, in the old side's names."""
+
+    OLD = "def f():\n    return values, size\n"
+    NEW = "def f():\n    return value, size\n"
+    RENAMES = {"values": "value"}
+
+    def test_a_hit_renders_no_context_and_asks_nothing(self, monkeypatch):
+        entry = Distribution({AbstractValue.TUPLE: 1.0})
+        table = _RecordingTable(
+            {("variable-read", "values"): entry, ("variable-read", "size"): entry}
+        )
+        program = build_program(self.OLD, self.NEW, renames=self.RENAMES, predictor=table)
+        rendered = []
+        real_context, real_unparse = ComparisonProgram.context, engine.ast.unparse
+
+        def context(self, node):
+            rendered.append(node)
+            return real_context(self, node)
+
+        def unparse(node):
+            rendered.append(node)
+            return real_unparse(node)
+
+        monkeypatch.setattr(ComparisonProgram, "context", context)
+        monkeypatch.setattr(engine.ast, "unparse", unparse)
+        site = program.pair.old.node.body[0]
+        assert program.distribution("variable-read", "values_renamed_value", site) is entry
+        entries = {}
+        seed = derive_seed(program.cfg.seed, "iteration", 0)
+        out_old = run_one("old", program, entries, seed)
+        out_new = run_one("new", program, entries, seed)
+        assert sorted(entries) == ["size", "values_renamed_value"]
+        assert out_old.return_value == out_new.return_value
+        assert rendered == [] and table.queries == []
+
+    def test_a_miss_asks_once_in_the_old_names(self):
+        table = _RecordingTable(
+            {("variable-read", "size"): Distribution({AbstractValue.INTEGER: 1.0})}
+        )
+        for iteration in range(4):
+            table.queries.clear()
+            run_pair(self.OLD, self.NEW, renames=self.RENAMES, predictor=table, iteration=iteration)
+            assert [(q.kind, q.name, q.context) for q in table.queries] == [
+                ("variable-read", "values", "return (values, size)")
+            ]
+
+
 class TestInjectedEntries:
     """An iteration's injected values: ``Interpreter._inject`` draws each
     path once, copies it for the new side and checks the copy, and the
@@ -811,6 +873,9 @@ class TestIsinstance:
             ("isinstance({'a': 1}, dict)", "True"),
             ("isinstance({1}, set)", "True"),
             ("isinstance(None, int)", "False"),
+            # A value with no kind name, and a versatile with no assigned type.
+            ("isinstance(len, int)", "False"),
+            ("isinstance(super(), int)", "False"),
         ],
     )
     def test_concrete_values(self, expr, expected):
@@ -1419,6 +1484,8 @@ class TestClosedProgramsAgreeWithCPython:
             "return list(enumerate('ab', 1, start=2))",
             "return list(enumerate('ab', start=1.5))",
             "return repr('a'), repr([1, 'b', None]), repr(2.5)",
+            # dict with keywords, over nothing, a dict or pairs; a keyword wins.
+            "return dict(a=1), dict({'a': 1}, b=[2]), dict([('a', 1)], a=2)",
             # A complex result renders as CPython's repr and str do.
             "return (-8) ** 0.5, str((-1) ** 0.5)",
             # raise of a bound exception, and of a bound non-exception.

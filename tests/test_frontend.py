@@ -217,6 +217,10 @@ class TestDiff:
         new = "def f(a):\n    a = a + 1\n    return a\n"
         assert diff_changed_lines(old, new) == (set(), {2})
 
+    def test_the_longest_block_first_not_a_longest_common_subsequence(self):
+        # ``z, y`` is common to both, but the matcher keeps only one ``y``.
+        assert diff_changed_lines("y\nz\ny\n", "z\nx\ny\n") == ({2, 3}, {1, 2})
+
 
 RETRY_OLD = src(
     """

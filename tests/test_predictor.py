@@ -13,6 +13,7 @@ from pairguard.predictor import (
     FormatError,
     HeuristicPredictor,
     InjectionQuery,
+    Predictor,
     TablePredictor,
     load_table_predictor,
 )
@@ -283,6 +284,19 @@ def test_numeric_context_examples(name, context, numeric):
     assert numeric_context_by_name_patterns(name, context) is numeric
 
 
+class TestLookup:
+    """``lookup`` answers only where the context cannot change the answer."""
+
+    def test_the_base_predictor_has_no_context_free_answer(self):
+        assert Predictor().lookup("variable-read", "xs") is None
+
+    def test_the_heuristic_reads_the_context(self):
+        # ``x`` is an integer next to ``*`` and the mixed default alone.
+        pred = HeuristicPredictor()
+        assert pred.predict(q("x", context="x * 2")) != pred.predict(q("x"))
+        assert pred.lookup("variable-read", "x") is None
+
+
 class TestTablePredictor:
     def write(self, tmp_path, payload):
         p = tmp_path / "table.json"
@@ -316,6 +330,14 @@ class TestTablePredictor:
         )
         pred = load_table_predictor(path)
         assert top(pred.predict(q("count"))) == AbstractValue.INTEGER
+
+    def test_lookup_gives_the_entry_itself_and_none_on_a_miss(self):
+        entry = Distribution({AbstractValue.LIST: 1.0})
+        pred = TablePredictor({("variable-read", "xs"): entry})
+        assert pred.lookup("variable-read", "xs") is entry
+        assert pred.predict(q("xs", context="n = xs + 1")) is entry
+        assert pred.lookup("attribute-read", "xs") is None
+        assert pred.lookup("variable-read", "count") is None
 
     def test_kind_is_part_of_the_key(self, tmp_path):
         path = self.good(
@@ -411,6 +433,15 @@ class TestPickle:
             assert again == answer, query
             draws = [answer.sample(random.Random(seed)) for seed in range(20)]
             assert [again.sample(random.Random(seed)) for seed in range(20)] == draws
+
+    @pytest.mark.parametrize("path", TABLES, ids=[path.stem for path in TABLES])
+    def test_round_trip_gives_equal_lookups(self, path):
+        predictor = load_table_predictor(str(path))
+        restored = pickle.loads(pickle.dumps(predictor))
+        keys = [*predictor.entries, ("variable-read", "not_in_any_table")]
+        for kind, name in keys:
+            assert restored.lookup(kind, name) == predictor.lookup(kind, name), (kind, name)
+        assert restored.lookup("variable-read", "not_in_any_table") is None
 
     def test_the_fixture_tables_are_found(self):
         assert self.TABLES
