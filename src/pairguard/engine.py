@@ -44,10 +44,11 @@ from .values import (
     VersatileObject,
     concretize,
     deep_copy,
-    holds_set,
     randbelow,
     serialize,
     sorted_iter,
+    subject_repr,
+    subject_str,
     versatile_binop,
 )
 
@@ -192,7 +193,9 @@ def _result_size(op: str, left: Any, right: Any) -> int:
 _PERCENT_SPEC = r"(?s)%(?:\(([^)]*)\))?[-#0 +]*(\*|\d+)?(?:\.(\*|\d*))?[hlL]?(.)"
 # A format-spec mini-language string, as str.format hands it to format().
 _FORMAT_SPEC = r"(?s)(?:.?[<>=^])?[-+ ]?z?#?0?(\d*)[,_]?(?:\.(\d+))?(.?)"
-_TRUNCATING = frozenset("sra")
+# The subject's rendering for each conversion that renders its argument
+# whole: a ``%`` type or a ``str.format`` conversion.
+_CONVERSIONS = {"s": subject_str, "r": subject_repr, "a": subject_repr}
 
 
 def _padding_size(width: Any, precision: Any, truncates: bool) -> int:
@@ -237,31 +240,24 @@ def _percent_fields(fmt: str, args: Any):
         )
 
 
-def _percent_size(fmt: str, args: Any) -> int:
-    """Words the widths and precisions of ``fmt % args`` can build, and
-    the str arguments its ``%s``, ``%r`` and ``%a`` fields copy; 0 where
-    the host will refuse."""
-    size = 0
-    for kind, width, precision, _, arg in _percent_fields(fmt, args):
-        if kind in _TRUNCATING and type(arg) is str:
-            size += len(arg) // 64
-        size += _padding_size(width, precision, kind in _TRUNCATING)
-    return size
-
-
-def _sorted_sets(fmt: str, args: Any) -> Any:
-    """``args`` of ``fmt % args``, with each argument that a ``%s``, ``%r``
-    or ``%a`` field renders and that is, or holds, a set standing in as its
-    ``serialize`` text, whose set items are sorted where the host's
-    rendering would follow its hash order; a dict rendered whole and also
-    read by key stands in as a ``RenderedDict``."""
-    if not holds_set(args):
-        return args
+def _percent_args(rt: "Interpreter", fmt: str, args: Any) -> Any:
+    """``args`` of ``fmt % args`` as the host is to format them, charged to
+    the step budget field by field: the words each width and precision can
+    build, the str each ``%s``, ``%r`` or ``%a`` field copies, and the text
+    such a field renders of any other argument, which stands in as a
+    ``Rendered`` of that text. A dict rendered whole and also read by key
+    stands in as a ``RenderedDict``."""
     swaps, keyed = {}, False
-    for kind, _, _, slot, arg in _percent_fields(fmt, args):
+    for kind, width, precision, slot, arg in _percent_fields(fmt, args):
         keyed = keyed or type(slot) is str
-        if kind in _TRUNCATING and holds_set(arg):
-            swaps[slot] = Rendered(serialize(arg))
+        render = _CONVERSIONS.get(kind)
+        size = _padding_size(width, precision, render is not None)
+        if render is not None:
+            if type(arg) is not str:
+                arg = render(arg)
+                swaps[slot] = Rendered(arg)
+            size += len(arg) // 64
+        rt._charge(size)
     if not swaps:
         return args
     if type(args) is tuple:
@@ -322,22 +318,22 @@ class _FormatSizer(string.Formatter):
     field's resolved width and precision, nested ``{}`` ones included, and
     the str it copies to the step budget before the field is built; a
     field that renders any other value is charged its rendering once built,
-    before the next field."""
+    before the next field. A value a conversion or a field without a spec
+    renders stands in as a ``Rendered`` of the subject's text for it."""
 
     def __init__(self, rt: "Interpreter"):
         super().__init__()
         self.rt = rt
 
     def convert_field(self, value: Any, conversion: Optional[str]) -> Any:
-        if conversion is None:
-            return value
-        if holds_set(value):
-            value = Rendered(serialize(value))
+        render = _CONVERSIONS.get(conversion)
+        if render is not None and type(value) is not str:
+            value = Rendered(render(value))
         return super().convert_field(value, conversion)
 
     def format_field(self, value: Any, format_spec: str) -> Any:
-        if not format_spec and holds_set(value):
-            value = Rendered(serialize(value))
+        if not format_spec and type(value) is not str:
+            value = Rendered(subject_str(value))
         size = len(value) // 64 if isinstance(value, str) else 0
         match = re.fullmatch(_FORMAT_SPEC, format_spec)
         if match is not None:
@@ -953,15 +949,8 @@ class Interpreter:
         return self._inject("call-return", path, key, context)
 
     _KIND_NAMES = {
-        bool: "bool",
-        int: "int",
-        float: "float",
-        str: "str",
-        list: "list",
-        dict: "dict",
-        set: "set",
-        tuple: "tuple",
-        type(None): "NoneType",
+        kind: kind.__name__
+        for kind in (bool, int, float, str, list, dict, set, frozenset, tuple, type(None))
     }
 
     def _isinstance_value(self, value: Any, names: list[str]) -> bool:
@@ -988,11 +977,11 @@ class Interpreter:
         return self._inject("super", "super", key, None)
 
     def _builtin_print(self, args: list, kwargs: dict) -> None:
-        sep = kwargs.get("sep", " ")
-        end = kwargs.get("end", "\n")
+        sep = " " if kwargs.get("sep") is None else kwargs["sep"]
+        end = "\n" if kwargs.get("end") is None else kwargs["end"]
         if not isinstance(sep, str) or not isinstance(end, str):
-            self._fault("TypeError", "sep and end must be strings")
-        self.stdout.append(sep.join(_subject_str(a) for a in args) + end)
+            self._fault("TypeError", "sep and end must be None or strings")
+        self.stdout.append(sep.join(map(subject_str, args)) + end)
 
     def _builtin_len(self, args: list, kwargs: dict) -> int:
         return self._host(len, args[0])
@@ -1001,10 +990,10 @@ class Interpreter:
         return self._host(range, *map(_number, args))
 
     def _builtin_str(self, args: list, kwargs: dict) -> str:
-        return _subject_str(args[0]) if args else ""
+        return subject_str(args[0]) if args else ""
 
     def _builtin_repr(self, args: list, kwargs: dict) -> str:
-        return serialize(args[0])
+        return subject_repr(args[0])
 
     def _builtin_number(self, args: list, kwargs: dict, host: Callable) -> Any:
         """int and float; int takes a ``base``."""
@@ -1034,7 +1023,7 @@ class Interpreter:
         return list(self._host(enumerate, items, *map(_number, args[1:]), **_numbers(kwargs)))
 
     def _builtin_collection(self, args: list, kwargs: dict, host: Callable) -> Any:
-        """list, tuple and set: the items of the argument, or empty."""
+        """list, tuple, set and frozenset: the items of the argument, or empty."""
         return self._host(host, self._iterate(args[0])) if args else host()
 
     def _builtin_dict(self, args: list, kwargs: dict) -> dict:
@@ -1088,12 +1077,6 @@ def _numbers(kwargs: dict) -> dict:
     return {k: _number(v) for k, v in kwargs.items()}
 
 
-def _subject_str(value: Any) -> str:
-    if isinstance(value, str):
-        return value
-    return serialize(value)
-
-
 def _nothing(rt: Interpreter, env: _Env) -> None:
     """The compiled form of an empty block."""
 
@@ -1106,17 +1089,15 @@ def _arith(symbol: str) -> Callable[[Interpreter, Any, Any], Any]:
     reflected method; versatile operands go through the total op. A result
     that can be large (a joined sequence, a repetition or power, a padded
     ``%`` format) is charged to the step budget before the host builds it;
-    the type test first keeps int ``+`` and ``%`` off the sizing call. A
-    str ``%`` format then renders a set among its arguments sorted
-    (``_sorted_sets``).
+    the type test first keeps int ``+`` off the sizing call. A str ``%``
+    format is charged, and its arguments rendered, field by field
+    (``_percent_args``).
     """
-    fn, prepare = ARITH_OPS[symbol], None
+    fn, percent = ARITH_OPS[symbol], symbol == "%"
     if symbol == "+":
         sized, size = _SEQUENCES, partial(_result_size, "+")
     elif symbol in ("*", "**"):
         sized, size = None, partial(_result_size, symbol)
-    elif symbol == "%":
-        sized, size, prepare = frozenset({str}), _percent_size, _sorted_sets
     else:
         sized = size = None
 
@@ -1125,8 +1106,8 @@ def _arith(symbol: str) -> Callable[[Interpreter, Any, Any], Any]:
             return versatile_binop(symbol, left, right)
         if size is not None and (sized is None or type(left) in sized):
             rt._charge(size(left, right))
-            if prepare is not None:
-                right = prepare(left, right)
+        elif percent and type(left) is str:
+            right = _percent_args(rt, left, right)
         try:
             return fn(left, right)
         except _HOST_FAULTS as exc:
@@ -1987,7 +1968,7 @@ class _Compiler:
         not values the code compares against, so they are not recorded as
         literals."""
         line = node.lineno
-        # (None, text) for a literal part, (value closure, is !r) otherwise.
+        # (None, text) for a literal part, (value closure, renderer) otherwise.
         parts = []
         for part in node.values:
             if isinstance(part, ast.Constant):
@@ -1997,17 +1978,14 @@ class _Compiler:
                 self.reject(part, "only {expr}, {expr!r} and {expr!s} are supported")
             if part.format_spec is not None:
                 self.reject(part, "format specifiers are not supported")
-            parts.append((self.expr(part.value), part.conversion == 114))
+            render = subject_repr if part.conversion == 114 else subject_str
+            parts.append((self.expr(part.value), render))
 
         def joined_str(rt, env):
             _tick(rt, line)
             out = []
             for value_of, item in parts:
-                if value_of is None:
-                    out.append(item)
-                    continue
-                value = value_of(rt, env)
-                out.append(serialize(value) if item else _subject_str(value))
+                out.append(item if value_of is None else item(value_of(rt, env)))
             return "".join(out)
 
         return joined_str
@@ -2307,6 +2285,7 @@ _BUILTINS: dict[str, tuple[Callable, int, float, Optional[frozenset[str]]]] = {
     "list": (partial(Interpreter._builtin_collection, host=list), 0, 1, _NO_KWARGS),
     "dict": (Interpreter._builtin_dict, 0, 1, None),
     "set": (partial(Interpreter._builtin_collection, host=set), 0, 1, _NO_KWARGS),
+    "frozenset": (partial(Interpreter._builtin_collection, host=frozenset), 0, 1, _NO_KWARGS),
     "tuple": (partial(Interpreter._builtin_collection, host=tuple), 0, 1, _NO_KWARGS),
     "enumerate": (Interpreter._builtin_enumerate, 1, 2, frozenset({"start"})),
     "sorted": (Interpreter._builtin_sorted, 1, 1, frozenset({"reverse"})),

@@ -316,8 +316,11 @@ class ExceptionValue:
 
 _SERIALIZE_DEPTH_CAP = 16
 
+# ``(value, depth, seen, table)`` -> text; a container renders its items by ``table``.
+_Renderer = Callable[[Any, int, Optional[set], dict], str]
 
-def serialize(value: Any, _depth: int = 0, _seen: Optional[set] = None) -> str:
+
+def serialize(value: Any) -> str:
     """Canonical, deterministic string form of any runtime value.
 
     Sets and dictionary keys are ordered by their serialized form so the
@@ -326,39 +329,68 @@ def serialize(value: Any, _depth: int = 0, _seen: Optional[set] = None) -> str:
     ``<depth>``. Each type renders through its entry in ``_RENDERERS``, and
     a type without one, a subclass of a listed type too, as ``<Name>``.
     """
-    if _depth > _SERIALIZE_DEPTH_CAP:
+    return _RENDERERS.get(type(value), _render_unknown)(value, 0, None, _RENDERERS)
+
+
+def subject_repr(value: Any) -> str:
+    """``repr(value)`` as the subject sees it: ``serialize``'s rendering but
+    where CPython's differs (``_SUBJECT_RENDERERS``): a dict keeps insertion
+    order and a frozenset prints as ``frozenset({...})``. A set's items stay
+    sorted by their renderings, and an int past the digit limit stays hex."""
+    return _render(value, 0, None, _SUBJECT_RENDERERS)
+
+
+def subject_str(value: Any, _depth: int = 0) -> str:
+    """``str(value)`` as the subject sees it: a str is itself, an exception
+    follows CPython's args rule (none: ``''``; one: that argument's ``str``,
+    its ``repr`` for a ``KeyError``; more: the args tuple's ``repr``), and
+    anything else renders as ``subject_repr`` renders it."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is not ExceptionValue or _depth > _SERIALIZE_DEPTH_CAP:
+        return _render(value, _depth, None, _SUBJECT_RENDERERS)
+    args = value.args
+    if len(args) == 1 and value.type_name != "KeyError":
+        return subject_str(args[0], _depth + 1)
+    shown = args[0] if len(args) == 1 else tuple(args)
+    return _render(shown, _depth + 1, None, _SUBJECT_RENDERERS) if args else ""
+
+
+def _render(value: Any, depth: int, seen: Optional[set], table: dict) -> str:
+    if depth > _SERIALIZE_DEPTH_CAP:
         return "<depth>"
-    return _RENDERERS.get(type(value), _render_unknown)(value, _depth, _seen)
+    return table.get(type(value), _render_unknown)(value, depth, seen, table)
 
 
-def _render_repr(value: Any, depth: int, seen: Optional[set]) -> str:
+def _render_repr(value: Any, depth: int, seen: Optional[set], table: dict) -> str:
     return repr(value)
 
 
-def _render_int(value: int, depth: int, seen: Optional[set]) -> str:
+def _render_int(value: int, depth: int, seen: Optional[set], table: dict) -> str:
     try:
         return repr(value)
     except ValueError:  # an int past the host's decimal digit limit
         return hex(value)
 
 
-def _render_unknown(value: Any, depth: int, seen: Optional[set]) -> str:
+def _render_unknown(value: Any, *_) -> str:
     return f"<{type(value).__name__}>"
 
 
-def _guarded(render: Callable[[Any, int, set], str]) -> Callable[[Any, int, Optional[set]], str]:
+def _guarded(render: _Renderer) -> _Renderer:
     """A container's renderer behind the cycle guard: ``seen`` holds the ids
     of the containers being rendered further up, and the first container met
     allocates it."""
 
-    def guarded(value: Any, depth: int, seen: Optional[set]) -> str:
+    def guarded(value: Any, depth: int, seen: Optional[set], table: dict) -> str:
         if seen is None:
             seen = set()
         elif id(value) in seen:
             return "<cycle>"
         seen.add(id(value))
         try:
-            return render(value, depth, seen)
+            return render(value, depth, seen, table)
         finally:
             seen.discard(id(value))
 
@@ -366,9 +398,9 @@ def _guarded(render: Callable[[Any, int, set], str]) -> Callable[[Any, int, Opti
 
 
 @_guarded
-def _render_versatile(value: VersatileObject, depth: int, seen: set) -> str:
+def _render_versatile(value: VersatileObject, depth: int, seen: set, table: dict) -> str:
     attrs = ", ".join(
-        f"{k}: {serialize(v, depth + 1, seen)}" for k, v in sorted(value.stored.items())
+        f"{k}: {_render(v, depth + 1, seen, table)}" for k, v in sorted(value.stored.items())
     )
     return (
         f"{type(value).__name__}(seed={value.seed}, "
@@ -377,40 +409,50 @@ def _render_versatile(value: VersatileObject, depth: int, seen: set) -> str:
 
 
 @_guarded
-def _render_list(value: list, depth: int, seen: set) -> str:
-    return "[" + ", ".join([serialize(v, depth + 1, seen) for v in value]) + "]"
+def _render_list(value: list, depth: int, seen: set, table: dict) -> str:
+    return "[" + ", ".join([_render(v, depth + 1, seen, table) for v in value]) + "]"
 
 
 @_guarded
-def _render_tuple(value: tuple, depth: int, seen: set) -> str:
-    inner = [serialize(v, depth + 1, seen) for v in value]
+def _render_tuple(value: tuple, depth: int, seen: set, table: dict) -> str:
+    inner = [_render(v, depth + 1, seen, table) for v in value]
     if len(inner) == 1:
         return f"({inner[0]},)"
     return "(" + ", ".join(inner) + ")"
 
 
-@_guarded
-def _render_dict(value: dict, depth: int, seen: set) -> str:
-    pairs = sorted(
-        (serialize(k, depth + 1, seen), serialize(v, depth + 1, seen)) for k, v in value.items()
-    )
-    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+def _dict_renderer(order: Callable[[list], list]) -> _Renderer:
+    """A dict's renderer, which puts its ``(key, value)`` texts in ``order``."""
+
+    @_guarded
+    def render(value: dict, depth: int, seen: set, table: dict) -> str:
+        pairs = [
+            (_render(k, depth + 1, seen, table), _render(v, depth + 1, seen, table))
+            for k, v in value.items()
+        ]
+        return "{" + ", ".join(f"{k}: {v}" for k, v in order(pairs)) + "}"
+
+    return render
 
 
 @_guarded
-def _render_set(value: set | frozenset, depth: int, seen: set) -> str:
-    items = sorted([serialize(v, depth + 1, seen) for v in value])
+def _render_set(value: set | frozenset, depth: int, seen: set, table: dict) -> str:
+    items = sorted([_render(v, depth + 1, seen, table) for v in value])
     if not items:
         return "set()"
     return "{" + ", ".join(items) + "}"
 
 
-def _render_exception(value: ExceptionValue, depth: int, seen: Optional[set]) -> str:
-    args = ", ".join(serialize(a, depth + 1, seen) for a in value.args)
+def _render_frozenset(value: frozenset, depth: int, seen: Optional[set], table: dict) -> str:
+    return f"frozenset({_render_set(value, depth, seen, table)})" if value else "frozenset()"
+
+
+def _render_exception(value: ExceptionValue, depth: int, seen: Optional[set], table: dict) -> str:
+    args = ", ".join(_render(a, depth + 1, seen, table) for a in value.args)
     return f"{value.type_name}({args})"
 
 
-_RENDERERS: dict[type, Callable[[Any, int, Optional[set]], str]] = {
+_RENDERERS: dict[type, _Renderer] = {
     type(None): _render_repr,
     bool: _render_repr,
     int: _render_int,
@@ -422,15 +464,16 @@ _RENDERERS: dict[type, Callable[[Any, int, Optional[set]], str]] = {
     VersatileCallable: _render_versatile,
     list: _render_list,
     tuple: _render_tuple,
-    dict: _render_dict,
+    dict: _dict_renderer(sorted),
     set: _render_set,
     frozenset: _render_set,
     ExceptionValue: _render_exception,
-    FunctionValue: lambda value, depth, seen: f"<function {value.name}>",
-    GeneratorValue: lambda value, depth, seen: "<generator>",
-    BoundMethod: lambda value, depth, seen: f"<method {value.name}>",
-    BuiltinFunction: lambda value, depth, seen: f"<builtin {value.name}>",
+    FunctionValue: lambda value, *_: f"<function {value.name}>",
+    GeneratorValue: lambda value, *_: "<generator>",
+    BoundMethod: lambda value, *_: f"<method {value.name}>",
+    BuiltinFunction: lambda value, *_: f"<builtin {value.name}>",
 }
+_SUBJECT_RENDERERS = {**_RENDERERS, dict: _dict_renderer(list), frozenset: _render_frozenset}
 
 
 # The atoms deep_copy hands back as they are: no run can change one.
@@ -466,29 +509,6 @@ def sorted_iter(value: set | frozenset) -> list:
     if len(by_text) < len(value):
         raise TypeError("set items that render alike have no canonical order")
     return [by_text[text] for text in sorted(by_text)]
-
-
-def holds_set(value: Any) -> bool:
-    """Whether ``value`` is a set or frozenset, or a list, tuple or dict
-    that holds one at any depth: a value whose host rendering follows the
-    host's hash order."""
-    kind = type(value)
-    if kind is not list and kind is not tuple and kind is not dict:
-        return kind is set or kind is frozenset
-    todo, seen = [value], set()
-    while todo:
-        v = todo.pop()
-        kind = type(v)
-        if kind is set or kind is frozenset:
-            return True
-        if (kind is list or kind is tuple or kind is dict) and id(v) not in seen:
-            seen.add(id(v))
-            if kind is dict:
-                todo.extend(v)
-                todo.extend(v.values())
-            else:
-                todo.extend(v)
-    return False
 
 
 class Rendered:

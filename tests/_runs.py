@@ -143,7 +143,9 @@ def golden_path(seed: int) -> pathlib.Path:
 
 def moved_pairs(pinned: str, current: str) -> list[str]:
     """One line per pair whose fingerprint differs between a pinned and a
-    current fingerprint file: its id, then its runs and steps in each."""
+    current fingerprint file: its id, then its runs and steps in each, or,
+    where those are the same in both, that only what the digest covers
+    besides them moved."""
 
     def by_id(text):
         return {record["id"]: record for record in map(json.loads, text.splitlines())}
@@ -156,6 +158,10 @@ def moved_pairs(pinned: str, current: str) -> list[str]:
             counts = [
                 "-" if r is None else f"runs {r['runs']} steps {r['steps']}" for r in (was, now)
             ]
+            if counts[0] == counts[1]:
+                counts[1] = (
+                    "unchanged; only a return value, stdout, exception or covered line moved"
+                )
             lines.append(f"  {pair_id}: {counts[0]} -> {counts[1]}")
     return lines
 

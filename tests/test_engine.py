@@ -1538,6 +1538,18 @@ class TestClosedProgramsAgreeWithCPython:
             "v = 'outer'\n    ys = [v * 2 for v in range(3)]\n    return ys, v",
             "try:\n        raise KeyError('k')\n    except KeyError as e:\n"
             "        err = e\n    def g():\n        raise err\n    return g()",
+            # str(), print and f-strings render what CPython does: a caught
+            # exception by its args, a dict in insertion order, a frozenset
+            # as frozenset({...}); print takes None for its defaults.
+            "try:\n        raise ValueError(1)\n    except ValueError as e:\n"
+            "        print(e)\n        return str(e), repr(e), f'{e}|{e!r}'",
+            "try:\n        raise KeyError('k', 2)\n    except KeyError as e:\n"
+            "        return str(e), '%s' % (e,), '{}'.format(e)",
+            "d = {'b': 1, 'a': [{'d': 2, 'c': 3}]}\n    print(d)\n"
+            "    return str(d), f'{d}', f'{d!r}', '{}'.format(d), '%s' % (d,), '%r' % (d,)",
+            "fs = frozenset([3, 1, 2])\n    print(fs, frozenset(), sep=None, end=None)\n"
+            "    return str(fs), repr([fs]), '%s' % (fs,), isinstance(fs, frozenset)",
+            "print('a', 'b', sep=None)\n    print('c', end=None)",
         ],
     )
     def test_matches_exec(self, body):
@@ -1554,16 +1566,11 @@ class TestClosedProgramsAgreeWithCPython:
         assert engine_outcome(source) == ("", probed, None)
 
     def test_documented_divergences(self):
-        # README "Supported language": str() and print of a caught exception
-        # render it as repr does, and a list method outside NATIVE_METHODS is
-        # an external call that leaves the list as it was.
-        source = (
-            "def f():\n    try:\n        raise ValueError(1)\n    except ValueError as e:\n"
-            "        print(e)\n        msg = str(e)\n    xs = [3, 1]\n    xs.sort()\n"
-            "    return msg, xs\n"
-        )
-        assert cpython_outcome(source) == ("1\n", "('1', [1, 3])", None)
-        assert engine_outcome(source) == ("ValueError(1)\n", "('ValueError(1)', [3, 1])", None)
+        # README "Supported language": a list method outside NATIVE_METHODS
+        # is an external call that leaves the list as it was.
+        source = "def f():\n    xs = [3, 1]\n    xs.sort()\n    return xs\n"
+        assert cpython_outcome(source) == ("", "[1, 3]", None)
+        assert engine_outcome(source) == ("", "[3, 1]", None)
         # A name read before its scope's later assignment to it reads the
         # enclosing binding, and ``except ... as e`` leaves ``e`` bound.
         source = (
@@ -1588,17 +1595,6 @@ class TestClosedProgramsAgreeWithCPython:
         )
         assert cpython_outcome(source) == ("", "(True, True, True)", None)
         assert engine_outcome(source) == ("", "(False, False, False)", None)
-        # str(), print and an f-string render a dict with its keys sorted;
-        # str.format and ``%`` keep insertion order, as CPython does.
-        source = (
-            "def f():\n    d = {'b': 1, 'a': 2}\n    print(d)\n"
-            "    return str(d), f'{d}', '{}'.format(d), '%s' % (d,)\n"
-        )
-        inserted, ordered = "{'b': 1, 'a': 2}", "{'a': 2, 'b': 1}"
-        assert cpython_outcome(source) == (inserted + "\n", repr((inserted,) * 4), None)
-        assert engine_outcome(source) == (
-            ordered + "\n", repr((ordered, ordered, inserted, inserted)), None
-        )
 
 
 class TestSetsRenderSorted:
@@ -1633,9 +1629,12 @@ class TestSetsRenderSorted:
         assert (out.exception.type_name, out.exception.args) == ("TypeError", [str(host.value)])
 
     def test_a_frozenset_renders_as_str_renders_it(self):
-        fs = frozenset({"c", "a", "b"})
-        args = engine._sorted_sets("%s|%r", (fs, [fs]))
-        assert "%s|%r" % args == "{'a', 'b', 'c'}|[{'a', 'b', 'c'}]"
+        source = (
+            "def f():\n    fs = frozenset(['c', 'a', 'b'])\n"
+            "    return str(fs), '%s|%r' % (fs, [fs])\n"
+        )
+        rendered = "frozenset({'a', 'b', 'c'})"
+        assert engine_outcome(source) == ("", repr((rendered, f"{rendered}|[{rendered}]")), None)
 
     def test_one_verdict_under_three_hash_seeds(self):
         # From CPython 3.11 on, the host iterates {'a', 'b'} as 'a', 'b'
@@ -1693,8 +1692,8 @@ class TestSetsRenderSorted:
 class TestNativeStringResults:
     """A native str.replace or str.join charges the characters its result
     adds to the strings it is built from, and a str.format or ``%`` field
-    the str it copies, before the host builds the result; a str.format
-    field that renders any other value is charged its rendering."""
+    the str it copies, before the host builds the result; a str.format or
+    ``%`` field that renders any other value is charged its rendering."""
 
     @pytest.mark.parametrize(
         "body",
@@ -1709,6 +1708,7 @@ class TestNativeStringResults:
             "s = 'a' * 30000\n    return ('%s' * 5000) % tuple([s] * 5000)",
             "s = 'a' * 30000\n    return ('%(s)s' * 5000) % {'s': s}",
             "s = 'a' * 30000\n    return ('%r' * 5000) % tuple([s] * 5000)",
+            "s = 'a' * 3000\n    return ('%s' * 3000) % tuple([[s]] * 3000)",
         ],
     )
     def test_large_result_ends_on_the_step_budget(self, body):
@@ -1951,11 +1951,17 @@ def test_moved_pairs_names_each_moved_fingerprint():
     def line(pair_id, steps, digest):
         return json.dumps({"id": pair_id, "runs": 2, "sha256": digest, "steps": steps})
 
-    pinned = "\n".join([line("a", 14, "x"), line("b", 5, "y"), line("c", 3, "z")])
-    current = "\n".join([line("a", 16, "w"), line("b", 5, "y"), line("d", 3, "z")])
+    pinned = "\n".join(
+        [line("a", 14, "x"), line("b", 5, "y"), line("c", 3, "z"), line("e", 7, "v")]
+    )
+    current = "\n".join(
+        [line("a", 16, "w"), line("b", 5, "y"), line("d", 3, "z"), line("e", 7, "u")]
+    )
     assert _runs.moved_pairs(pinned, current) == [
         "  a: runs 2 steps 14 -> runs 2 steps 16",
         "  c: runs 2 steps 3 -> -",
+        "  e: runs 2 steps 7 -> unchanged; only a return value, stdout, exception or covered"
+        " line moved",
         "  d: - -> runs 2 steps 3",
     ]
     assert _runs.moved_pairs(pinned, pinned) == []

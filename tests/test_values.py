@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairguard.values import (
@@ -24,10 +24,11 @@ from pairguard.values import (
     VersatileObject,
     concretize,
     deep_copy,
-    holds_set,
     randbelow,
     serialize,
     sorted_iter,
+    subject_repr,
+    subject_str,
     versatile_binop,
 )
 
@@ -319,26 +320,6 @@ class TestSerialize:
         for _ in range(40):
             v = [v]
         assert "<depth>" in serialize(v)
-
-
-class TestHoldsSet:
-    def test_finds_a_set_at_any_depth(self):
-        v = {1}
-        for _ in range(5000):
-            v = [(v,)]
-        assert holds_set(v)
-        assert holds_set({(1, frozenset()): 2})
-        assert holds_set({"k": [set()]})
-
-    def test_a_cycle_without_a_set_ends(self):
-        xs: list = [1, "a", {"k": (2.0, None)}]
-        xs.append(xs)
-        assert not holds_set(xs)
-
-    def test_other_values_hold_no_set(self):
-        o = VersatileObject(5)
-        o.store("s", {1})
-        assert not any(holds_set(v) for v in (None, "{1}", range(3), o))
 
 
 class TestDeepCopy:
@@ -714,6 +695,71 @@ _records = st.sampled_from(
     ]
 )
 _hashables = _atoms | st.tuples(_atoms, _atoms) | st.integers(0, 50).map(VersatileObject)
+
+
+_plain_values = st.recursive(
+    _atoms,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_atoms | st.tuples(_atoms, _atoms), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _nesting(value):
+    """How deep lists, tuples and dict values nest in ``value``."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(_nesting, value), default=0)
+    return 0
+
+
+@given(_plain_values)
+def test_subject_rendering_is_cpythons_without_sets(value):
+    assume(_nesting(value) <= 16)
+    assert subject_repr(value) == repr(value)
+    assert subject_str(value) == str(value)
+
+
+class TestSubjectRendering:
+    def test_sets_and_frozensets_of_ints(self):
+        for items in ([], [7], [3, 1, 2]):
+            for value in (set(items), frozenset(items), [set(items), frozenset(items)]):
+                assert subject_repr(value) == subject_str(value) == repr(value)
+        assert subject_repr({frozenset({2, 1}), frozenset()}) == (
+            "{frozenset(), frozenset({1, 2})}"
+        )
+
+    @pytest.mark.parametrize("args", [(), (1,), ("a",), ([1, "b"],), (1, "b"), ("x", None, 2.5)])
+    def test_an_exceptions_str_follows_its_args(self, args):
+        for host in (ValueError, KeyError):
+            value = ExceptionValue(host.__name__, list(args))
+            assert subject_str(value) == str(host(*args))
+            assert subject_repr(value) == repr(host(*args))
+        nested = ExceptionValue("ValueError", [ExceptionValue("KeyError", list(args))])
+        assert subject_str(nested) == str(ValueError(KeyError(*args)))
+
+    def test_an_exception_that_holds_itself_ends(self):
+        looped = ExceptionValue("ValueError")
+        looped.args = [looped]
+        assert subject_str(looped) == "<depth>"
+        assert subject_repr(looped).endswith("(<depth>" + ")" * 17)
+
+    def test_only_the_subject_keeps_insertion_order(self):
+        d = {"b": 1, "a": {"d": 2, "c": 3}}
+        assert subject_repr(d) == subject_str(d) == repr(d)
+        assert serialize(d) == "{'a': {'c': 3, 'd': 2}, 'b': 1}"
+
+    def test_the_engines_own_forms_stay(self):
+        big = 10**5000
+        xs: list = [1]
+        xs.append(xs)
+        assert subject_str([big]) == f"[{hex(big)}]"
+        assert subject_repr(xs) == "[1, <cycle>]"
+        assert subject_str(FunctionValue("g", [], None, None)) == "<function g>"
+        o = VersatileObject(5)
+        assert subject_str(o) == subject_repr(o) == serialize(o)
 
 
 def _versatile(args):
