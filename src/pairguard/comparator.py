@@ -5,12 +5,14 @@ they differ, and if so where. Evaluation order is fixed so difference
 reports are reproducible: exception triage first, then returned state,
 injected state, printed output, and finally the external call logs. An
 exception is rendered and compared in its ``serialize`` form,
-``Type(arg, ...)``.
+``Type(arg, ...)``, and an external call in its logged text,
+``callee(arg, ..., key=value)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .engine import ExecutionOutcome
@@ -122,16 +124,8 @@ def compare(
             "output", repr(old.stdout), repr(new.stdout), extra=("stream", "stdout")
         )
 
-    for i in range(max(len(old.call_log), len(new.call_log))):
-        o = old.call_log[i] if i < len(old.call_log) else None
-        n = new.call_log[i] if i < len(new.call_log) else None
-        if o is None or n is None:
-            return _difference(
-                "calls",
-                o.render() if o is not None else "<no call>",
-                n.render() if n is not None else "<no call>",
-            )
+    for o, n in zip_longest(old.call_log, new.call_log, fillvalue="<no call>"):
         if o != n:
-            return _difference("calls", o.render(), n.render())
+            return _difference("calls", o, n)
 
     return IterationResult(status=EQUIVALENT)

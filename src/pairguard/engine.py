@@ -207,12 +207,16 @@ def _padding_size(width: Any, precision: Any, truncates: bool) -> int:
     return max(size, 0) // 64
 
 
-def _percent_fields(fmt: str, args: Any):
-    """``(kind, width, precision, slot, arg)`` for each conversion of
-    ``fmt % args`` but ``%%``, with ``*`` widths and precisions taken from
-    the arguments: ``slot`` is the mapping key of a keyed field of a dict
-    ``args``, else the field's index into the argument tuple (a lone
-    argument is index 0), and ``arg`` the argument there, or None."""
+def _percent_args(rt: "Interpreter", fmt: str, args: Any) -> Any:
+    """``args`` of ``fmt % args`` as the host is to format them, charged to
+    the step budget field by field: the words each width and precision can
+    build, the str each ``%s``, ``%r`` or ``%a`` field copies, and the text
+    such a field renders of any other argument, which stands in as a
+    ``Rendered`` of that text. ``*`` widths and precisions are taken from
+    the arguments. A field's ``slot`` is its mapping key in a dict ``args``,
+    else its index into the argument tuple (a lone argument is index 0). A
+    dict rendered whole and also read by key stands in as a ``RenderedDict``."""
+    swaps, keyed = {}, False
     values = args if type(args) is tuple else (args,)
     index = 0
     for match in re.finditer(_PERCENT_SPEC, fmt):
@@ -223,33 +227,18 @@ def _percent_fields(fmt: str, args: Any):
             width = values[index] if index < len(values) else None
             width = abs(width) if type(width) is int else None  # negative: left-justified
             index += 1
+        elif width:
+            width = int(width)
         if precision == "*":
             precision = values[index] if index < len(values) else None
             index += 1
+        elif precision:
+            precision = int(precision)
         if key is not None and type(args) is dict:
-            slot, arg = key, args.get(key)
+            slot, arg, keyed = key, args.get(key), True
         else:
             slot, arg = index, values[index] if index < len(values) else None
         index += 1
-        yield (
-            kind,
-            int(width) if isinstance(width, str) and width else width,
-            int(precision) if isinstance(precision, str) and precision else precision,
-            slot,
-            arg,
-        )
-
-
-def _percent_args(rt: "Interpreter", fmt: str, args: Any) -> Any:
-    """``args`` of ``fmt % args`` as the host is to format them, charged to
-    the step budget field by field: the words each width and precision can
-    build, the str each ``%s``, ``%r`` or ``%a`` field copies, and the text
-    such a field renders of any other argument, which stands in as a
-    ``Rendered`` of that text. A dict rendered whole and also read by key
-    stands in as a ``RenderedDict``."""
-    swaps, keyed = {}, False
-    for kind, width, precision, slot, arg in _percent_fields(fmt, args):
-        keyed = keyed or type(slot) is str
         render = _CONVERSIONS.get(kind)
         size = _padding_size(width, precision, render is not None)
         if render is not None:
@@ -358,7 +347,7 @@ class SubjectError(Exception):
 
 def _subject_fault(exc: Exception) -> SubjectError:
     """A host fault as the unintended subject exception it stands for."""
-    return SubjectError(ExceptionValue(type(exc).__name__, [str(exc)], intentional=False))
+    return SubjectError(ExceptionValue(type(exc).__name__, list(exc.args), intentional=False))
 
 
 class _EngineInterrupt(Exception):
@@ -404,24 +393,6 @@ def snapshot_injected(entries: dict[str, tuple[Any, Any]]) -> list[tuple[str, st
     ]
 
 
-@dataclass(frozen=True)
-class CallLogEntry:
-    callee: str
-    args: tuple[str, ...]
-    kwargs: tuple[tuple[str, str], ...]
-
-    def render(self) -> str:
-        parts = list(self.args) + [f"{k}={v}" for k, v in self.kwargs]
-        return f"{self.callee}({', '.join(parts)})"
-
-
-def _render_return(result: Any, probed: Optional[str]) -> str:
-    """The text of what a run returned: ``result`` rendered, in the
-    function probe's form when the run returned a function named ``probed``."""
-    rendered = serialize(result)
-    return rendered if probed is None else f"<function {probed}() -> {rendered}>"
-
-
 @dataclass(slots=True)
 class ExecutionOutcome:
     """What one side's run left behind. ``exception`` is the exception the
@@ -429,17 +400,19 @@ class ExecutionOutcome:
     depth cap end a run with an unintended ``StepBudgetExceeded`` or
     ``RecursionError``. ``seeded`` says whether the run drew from its
     iteration seed. The injected state both sides read is rendered once per
-    iteration, by ``snapshot_injected``.
+    iteration, by ``snapshot_injected``. ``call_log`` holds the text of each
+    external call, ``callee(arg, ..., key=value)`` with keywords in name order.
 
     A run that returned keeps what it returned, ``result``, and the name of
     the function the run probed, ``probed``; ``return_value`` renders them
-    on its first read into ``rendered``, and is None after an exception. A
+    on its first read into ``rendered`` (a probed function's as ``<function
+    probed() -> result>``), and is None after an exception. A
     render after the run equals one made inside it: the other side of the
     iteration reads deep copies, and what ``deep_copy`` shares (atoms and
     tuples of atoms) renders the same whatever a run does."""
 
     stdout: str
-    call_log: list[CallLogEntry]
+    call_log: list[str]
     exception: Optional[ExceptionValue]
     covered_lines: set[int]
     seeded: bool = False
@@ -450,7 +423,9 @@ class ExecutionOutcome:
     @property
     def return_value(self) -> Optional[str]:
         if self.rendered is None and self.exception is None:
-            self.rendered = _render_return(self.result, self.probed)
+            rendered = serialize(self.result)
+            probed = self.probed
+            self.rendered = rendered if probed is None else f"<function {probed}() -> {rendered}>"
         return self.rendered
 
 
@@ -618,8 +593,8 @@ class Interpreter:
         "steps",
         "call_depth",
         "occurrences",
-        "active_exceptions",
-        "sinks",
+        "handling",
+        "sink",
     )
 
     def __init__(
@@ -636,13 +611,17 @@ class Interpreter:
         self.seeded = False
         # What print wrote, piece by piece; joined once, when the run ends.
         self.stdout: list[str] = []
-        self.call_log: list[CallLogEntry] = []
+        self.call_log: list[str] = []
         self.covered: set[int] = set()
         self.steps = 0
         self.call_depth = 0
         self.occurrences: dict[str, int] = {}
-        self.active_exceptions: list[ExceptionValue] = []
-        self.sinks: list[list] = []
+        # The exception the innermost running handler handles, which a bare
+        # ``raise`` re-raises, and the list the innermost running yielding
+        # def yields to; a handler or ``_materialize`` saves the outer one
+        # and restores it when it ends.
+        self.handling: Optional[ExceptionValue] = None
+        self.sink: Optional[list] = None
 
     # plumbing
 
@@ -751,7 +730,7 @@ class Interpreter:
     def _epilogue(self, result: Any) -> tuple[Any, Optional[str]]:
         """Probe a returned function once, then unwrap a generator: the
         subject code a return value still runs, as ``(result, name of the
-        probed function or None)`` for ``_render_return``."""
+        probed function or None)`` for ``ExecutionOutcome.return_value``."""
         probed = result.name if isinstance(result, FunctionValue) else None
         if probed is not None:
             result = self._call_function(result, [], {}, allow_missing=True)
@@ -810,15 +789,14 @@ class Interpreter:
 
     def _materialize(self, block: Callable, env: _Env) -> list:
         """The items a yielding def's statements ``block`` yield, up to the cap."""
-        sink: list = []
-        self.sinks.append(sink)
+        outer, sink = self.sink, []
+        self.sink = sink
         try:
-            try:
-                block(self, env)
-            except (_Return, _StopMaterialize):
-                pass
+            block(self, env)
+        except (_Return, _StopMaterialize):
+            pass
         finally:
-            self.sinks.pop()
+            self.sink = outer
         return sink
 
     # stores
@@ -927,12 +905,9 @@ class Interpreter:
     ) -> Any:
         path = _cap_path(path)
         occurrence = self._next_occurrence(path)
-        entry = CallLogEntry(
-            callee=path,
-            args=tuple(serialize(a) for a in args),
-            kwargs=tuple(sorted((k, serialize(v)) for k, v in kwargs.items())),
-        )
-        self.call_log.append(entry)
+        parts = [serialize(a) for a in args]
+        parts += [f"{k}={serialize(kwargs[k])}" for k in sorted(kwargs)]
+        self.call_log.append(f"{path}({', '.join(parts)})")
         exc_types = self.program.call_exceptions.get(path)
         if exc_types:
             self.seeded = True
@@ -1117,26 +1092,6 @@ def _arith(symbol: str) -> Callable[[Interpreter, Any, Any], Any]:
 
 
 _ARITH = {symbol: _arith(symbol) for symbol in ARITH_OPS}
-
-
-def _comparison(symbol: str) -> Callable[[Interpreter, Any, Any], bool]:
-    """``test(rt, left, right)`` for one comparison operator, run on the host.
-    A versatile operand answers an ordering or equality through its own
-    comparison methods (reflected when it is on the right), which apply
-    ``versatile_binop``; identity and membership need nothing of it."""
-    fn = COMPARE_OPS[symbol]
-
-    def test(rt, left, right):
-        try:
-            result = fn(left, right)
-        except _HOST_FAULTS as exc:
-            raise _subject_fault(exc) from None
-        return bool(result)
-
-    return test
-
-
-_COMPARISONS = {symbol: _comparison(symbol) for symbol in COMPARE_OPS}
 
 
 def _call_shape_error(name: str, count: int, keywords) -> Optional[str]:
@@ -1435,7 +1390,7 @@ class _Compiler:
             def yield_(rt, env):
                 _tick(rt, line)
                 yielded = value(rt, env) if value is not None else None
-                sink = rt.sinks[-1]
+                sink = rt.sink
                 sink.append(yielded)
                 if len(sink) >= _GENERATOR_CAP:
                     raise _StopMaterialize()
@@ -1561,8 +1516,8 @@ class _Compiler:
         def raise_(rt, env):
             _tick(rt, line)
             if reraise:
-                if rt.active_exceptions:
-                    raise SubjectError(rt.active_exceptions[-1])
+                if rt.handling is not None:
+                    raise SubjectError(rt.handling)
                 rt._fault("RuntimeError", "no active exception to re-raise")
             # As in CPython, the exception is evaluated before its cause.
             if name is None:
@@ -1621,11 +1576,11 @@ class _Compiler:
                         if matches(ev.type_name):
                             if name:
                                 env[name] = ev
-                            rt.active_exceptions.append(ev)
+                            outer, rt.handling = rt.handling, ev
                             try:
                                 handler_body(rt, env)
                             finally:
-                                rt.active_exceptions.pop()
+                                rt.handling = outer
                             break
                     else:
                         raise
@@ -1916,10 +1871,14 @@ class _Compiler:
         return unary_op
 
     def compile_Compare(self, node: ast.Compare) -> Callable:
+        """Each link's operator runs on the host. A versatile operand answers
+        an ordering or equality through its own comparison methods (reflected
+        when it is on the right), which apply ``versatile_binop``; identity
+        and membership need nothing of it."""
         line = node.lineno
         first = self.expr(node.left)
         links = [
-            (_COMPARISONS[COMPARE_SYMBOLS[type(op)]], self.expr(c))
+            (COMPARE_OPS[COMPARE_SYMBOLS[type(op)]], self.expr(c))
             for op, c in zip(node.ops, node.comparators)
         ]
 
@@ -1928,7 +1887,11 @@ class _Compiler:
             left = first(rt, env)
             for test, comparator in links:
                 right = comparator(rt, env)
-                if not test(rt, left, right):
+                try:
+                    result = test(left, right)
+                except _HOST_FAULTS as exc:
+                    raise _subject_fault(exc) from None
+                if not result:
                     return False
                 left = right
             return True

@@ -502,10 +502,10 @@ def deep_copy(value: Any) -> Any:
 
 
 def sorted_iter(value: set | frozenset) -> list:
-    """A set's items in canonical (serialized) order. Two items that render
-    alike (functions, say, which hash by identity) have no order that is a
-    function of the set, so such a set raises ``TypeError``."""
-    by_text = {serialize(v): v for v in value}
+    """A set's items in the order ``str()`` prints them, by ``subject_repr``.
+    Two items that render alike (functions, say, which hash by identity) have
+    no order that is a function of the set, so such a set raises ``TypeError``."""
+    by_text = {subject_repr(v): v for v in value}
     if len(by_text) < len(value):
         raise TypeError("set items that render alike have no canonical order")
     return [by_text[text] for text in sorted(by_text)]

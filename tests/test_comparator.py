@@ -9,9 +9,8 @@ from pairguard.comparator import (
     IterationResult,
     compare,
 )
-from pairguard.driver import EngineConfig
+from pairguard.driver import SEMANTICS_CHANGING, EngineConfig, analyze_sources
 from pairguard.engine import (
-    CallLogEntry,
     ComparisonProgram,
     ExecutionOutcome,
     derive_seed,
@@ -40,7 +39,9 @@ def outcome(
 
 
 def call(callee, *args, **kwargs):
-    return CallLogEntry(callee, tuple(args), tuple(sorted(kwargs.items())))
+    """The logged text of a call whose arguments render as ``args`` and ``kwargs``."""
+    parts = [*args, *(f"{k}={v}" for k, v in sorted(kwargs.items()))]
+    return f"{callee}({', '.join(parts)})"
 
 
 def intentional(type_name, *args):
@@ -223,6 +224,15 @@ class TestCallsDimension:
         b = outcome(call_log=[call("x"), call("z")])
         r = compare(a, b)
         assert "old: y()" in r.detail
+
+    @pytest.mark.parametrize(
+        "old, new", [("log('a', 'b')", "log('a, b')"), ("send(x=1)", "send('x=1')")]
+    )
+    def test_call_texts_do_not_collide(self, old, new):
+        # Each rendered argument is one quoted or bracketed literal, so a
+        # call's text splits back into its arguments in only one way.
+        v = analyze_sources(f"def f():\n    {old}\n", f"def f():\n    {new}\n")
+        assert (v.classification, v.difference_dimension) == (SEMANTICS_CHANGING, "calls")
 
 
 def compare_runs(old, new=None):
