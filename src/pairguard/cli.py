@@ -149,6 +149,20 @@ def _worker(job: tuple[dict, EngineConfig, Predictor]) -> dict:
         return {"id": pair["id"], "_error": traceback.format_exc().rstrip()}
 
 
+def _work_chunk(chunk: list) -> list[dict]:
+    return [_worker(job) for job in chunk]
+
+
+def _alone(job: tuple[dict, EngineConfig, Predictor]) -> dict:
+    """One pair's record from a fresh one-worker pool, so that a worker that
+    dies takes only this pair with it."""
+    try:
+        with concurrent.futures.ProcessPoolExecutor(1, initializer=_start_worker) as pool:
+            return pool.submit(_work_chunk, [job]).result()[0]
+    except concurrent.futures.BrokenExecutor:
+        return {"id": job[0]["id"], "_error": "pool worker stopped"}
+
+
 def _format_text(result: dict) -> str:
     cov = result["coverage"]
     lines = [
@@ -222,16 +236,26 @@ def main(argv: Optional[list[str]] = None) -> int:
         # per chunk rather than once per pair; ~16 chunks per worker.
         workers = min(args.jobs, len(jobs))
         chunksize = max(1, len(jobs) // (workers * 16))
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_start_worker
-            ) as pool:
-                finished = list(pool.map(_worker, jobs, chunksize=chunksize))
-        except concurrent.futures.process.BrokenProcessPool as exc:
-            # A worker that is killed or runs out of memory takes its pairs'
-            # results with it.
-            print(f"error: a pool worker stopped: {exc}", file=sys.stderr)
-            return 2
+        chunks = [jobs[i : i + chunksize] for i in range(0, len(jobs), chunksize)]
+        futures = []
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker
+        ) as pool:
+            for chunk in chunks:
+                try:
+                    future = pool.submit(_work_chunk, chunk)
+                except concurrent.futures.BrokenExecutor as exc:  # a worker died already
+                    future = concurrent.futures.Future()
+                    future.set_exception(exc)
+                futures.append(future)
+        finished = []
+        for chunk, future in zip(chunks, futures):
+            try:
+                finished += future.result()
+            except concurrent.futures.BrokenExecutor:
+                # A worker that is killed or runs out of memory takes its
+                # chunk's records with it; each of its pairs runs again alone.
+                finished += map(_alone, chunk)
     else:
         finished = [_worker(job) for job in jobs]
 

@@ -1,6 +1,6 @@
 """Outcome comparison along the four behavioral dimensions.
 
-One iteration produces two ExecutionOutcomes; this module decides whether
+One iteration makes two runs, one per side; this module decides whether
 they differ, and if so where. Evaluation order is fixed so difference
 reports are reproducible: exception triage first, then returned state,
 injected state, printed output, and finally the external call logs. An
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Optional
 
-from .engine import ExecutionOutcome
+from .engine import Interpreter
 from .values import ExceptionValue, serialize
 
 EQUIVALENT = "equivalent"
@@ -77,10 +77,10 @@ def _difference(
     )
 
 
-def ended_unintended(outcome: ExecutionOutcome) -> bool:
+def ended_unintended(run: Interpreter) -> bool:
     """Whether a run ended in an unintended exception, the engine's fault
     rather than the code's; an iteration with such a run abstains."""
-    exc = outcome.exception
+    exc = run.exception
     return exc is not None and not exc.intentional
 
 
@@ -89,8 +89,8 @@ def _render_exception(exc: Optional[ExceptionValue]) -> str:
 
 
 def compare(
-    old: ExecutionOutcome,
-    new: ExecutionOutcome,
+    old: Interpreter,
+    new: Interpreter,
     injected: Iterable[tuple[str, str, str]] = (),
 ) -> IterationResult:
     """Compare the two sides of one iteration.

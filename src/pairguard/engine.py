@@ -361,7 +361,7 @@ def _tick(rt: "Interpreter", line: int) -> None:
     rt.steps = n
     if n > _STEP_BUDGET:
         raise _EngineInterrupt()
-    rt.covered.add(line)
+    rt.covered_lines.add(line)
 
 
 class _StopMaterialize(Exception):
@@ -391,42 +391,6 @@ def snapshot_injected(entries: dict[str, tuple[Any, Any]]) -> list[tuple[str, st
         for path, (v_old, v_new) in entries.items()
         if v_new is not v_old
     ]
-
-
-@dataclass(slots=True)
-class ExecutionOutcome:
-    """What one side's run left behind. ``exception`` is the exception the
-    run ended with, or None after a return; the step budget and the call
-    depth cap end a run with an unintended ``StepBudgetExceeded`` or
-    ``RecursionError``. ``seeded`` says whether the run drew from its
-    iteration seed. The injected state both sides read is rendered once per
-    iteration, by ``snapshot_injected``. ``call_log`` holds the text of each
-    external call, ``callee(arg, ..., key=value)`` with keywords in name order.
-
-    A run that returned keeps what it returned, ``result``, and the name of
-    the function the run probed, ``probed``; ``return_value`` renders them
-    on its first read into ``rendered`` (a probed function's as ``<function
-    probed() -> result>``), and is None after an exception. A
-    render after the run equals one made inside it: the other side of the
-    iteration reads deep copies, and what ``deep_copy`` shares (atoms and
-    tuples of atoms) renders the same whatever a run does."""
-
-    stdout: str
-    call_log: list[str]
-    exception: Optional[ExceptionValue]
-    covered_lines: set[int]
-    seeded: bool = False
-    result: Any = None
-    probed: Optional[str] = None
-    rendered: Optional[str] = None
-
-    @property
-    def return_value(self) -> Optional[str]:
-        if self.rendered is None and self.exception is None:
-            rendered = serialize(self.result)
-            probed = self.probed
-            self.rendered = rendered if probed is None else f"<function {probed}() -> {rendered}>"
-        return self.rendered
 
 
 @dataclass
@@ -575,10 +539,25 @@ def _render_index(key: Any) -> str:
 
 
 class Interpreter:
-    """Runtime state of one side's execution in one iteration.
+    """One side's run in one iteration: its runtime state while it runs,
+    and, once ``run`` returns it, what it left behind.
 
     The compiled closures of each side's body take it as their first
-    argument and charge their steps to it.
+    argument and charge their steps to it. ``exception`` is the exception
+    the run ended with, or None after a return; the step budget and the
+    call depth cap end a run with an unintended ``StepBudgetExceeded`` or
+    ``RecursionError``. ``seeded`` says whether the run drew from its
+    iteration seed. ``call_log`` holds the text of each external call,
+    ``callee(arg, ..., key=value)`` with keywords in name order, and
+    ``stdout`` what print wrote.
+
+    A run that returned keeps what it returned, ``result``, and the name of
+    the function the run probed, ``probed``; ``return_value`` renders them
+    on its first read into ``rendered`` (a probed function's as ``<function
+    probed() -> result>``), and is None after an exception. A render after
+    the run equals one made inside it: the other side of the iteration
+    reads deep copies, and what ``deep_copy`` shares (atoms and tuples of
+    atoms) renders the same whatever a run does.
     """
 
     __slots__ = (
@@ -587,14 +566,19 @@ class Interpreter:
         "entries",
         "iteration_seed",
         "seeded",
+        "printed",
         "stdout",
         "call_log",
-        "covered",
+        "covered_lines",
         "steps",
         "call_depth",
         "occurrences",
         "handling",
         "sink",
+        "exception",
+        "result",
+        "probed",
+        "rendered",
     )
 
     def __init__(
@@ -609,10 +593,11 @@ class Interpreter:
         self.entries = entries
         self.iteration_seed = iteration_seed
         self.seeded = False
-        # What print wrote, piece by piece; joined once, when the run ends.
-        self.stdout: list[str] = []
+        # What print wrote, piece by piece; joined into ``stdout`` once,
+        # when the run ends.
+        self.printed: list[str] = []
         self.call_log: list[str] = []
-        self.covered: set[int] = set()
+        self.covered_lines: set[int] = set()
         self.steps = 0
         self.call_depth = 0
         self.occurrences: dict[str, int] = {}
@@ -687,56 +672,57 @@ class Interpreter:
 
     # entry points
 
-    def run(self) -> ExecutionOutcome:
-        """Run this side's function once and say what it left behind. The
-        entry call binds no arguments (every parameter is a name nothing
-        binds, so a read injects it) and counts as call depth 1; its body
-        runs directly in a scope nested in the root, which binds the
-        function's own name. A returned function or generator then goes
-        through ``_epilogue``."""
+    def run(self) -> Interpreter:
+        """Run this side's function once and return this run, which now
+        holds what the run left behind. The entry call binds no arguments
+        (every parameter is a name nothing binds, so a read injects it) and
+        counts as call depth 1; its body runs directly in a scope nested in
+        the root, which binds the function's own name. A returned function
+        or generator then goes through ``_epilogue``."""
         fn = self.program.pair.old if self.side == "old" else self.program.pair.new
         root = _Env()
         root[fn.node.name] = FunctionValue(fn.node.name, fn.params, fn.body, root)
-        self.covered.add(fn.node.lineno)
-        result = probed = exception = None
+        self.covered_lines.add(fn.node.lineno)
+        self.result = self.probed = self.exception = self.rendered = None
         self.call_depth = 1
         try:
             try:
-                result = fn.body(self, _Env(root))
+                self.result = fn.body(self, _Env(root))
             except _Return as r:
-                result = r.value
+                self.result = r.value
             self.call_depth = 0
-            if isinstance(result, (FunctionValue, GeneratorValue)):
-                result, probed = self._epilogue(result)
+            if isinstance(self.result, (FunctionValue, GeneratorValue)):
+                self._epilogue()
         except SubjectError as err:
-            exception = err.value
+            self.exception = err.value
         except _EngineInterrupt:
-            exception = ExceptionValue("StepBudgetExceeded")
+            self.exception = ExceptionValue("StepBudgetExceeded")
         except RecursionError:
-            exception = ExceptionValue("RecursionError")
+            self.exception = ExceptionValue("RecursionError")
         # The root binding closes the one cycle every run makes (the entry's
         # env is root); without it, the run is freed by reference counting.
         root.clear()
-        return ExecutionOutcome(
-            "".join(self.stdout),
-            self.call_log,
-            exception,
-            self.covered,
-            self.seeded,
-            result,
-            probed,
-        )
+        self.stdout = "".join(self.printed)
+        return self
 
-    def _epilogue(self, result: Any) -> tuple[Any, Optional[str]]:
+    def _epilogue(self) -> None:
         """Probe a returned function once, then unwrap a generator: the
-        subject code a return value still runs, as ``(result, name of the
-        probed function or None)`` for ``ExecutionOutcome.return_value``."""
-        probed = result.name if isinstance(result, FunctionValue) else None
-        if probed is not None:
-            result = self._call_function(result, [], {}, allow_missing=True)
+        subject code a returned ``result`` still runs. A probed function's
+        name goes to ``probed``, and what the code gives back to ``result``."""
+        result = self.result
+        if isinstance(result, FunctionValue):
+            self.probed = result.name
+            result = self.result = self._call_function(result, [], {}, allow_missing=True)
         if isinstance(result, GeneratorValue):
-            result = list(result.take())
-        return result, probed
+            self.result = list(result.take(self))
+
+    @property
+    def return_value(self) -> Optional[str]:
+        if self.rendered is None and self.exception is None:
+            rendered = serialize(self.result)
+            probed = self.probed
+            self.rendered = rendered if probed is None else f"<function {probed}() -> {rendered}>"
+        return self.rendered
 
     # function calls
 
@@ -871,7 +857,10 @@ class Interpreter:
         if isinstance(value, BoundMethod):
             return self._call_native(value.receiver, value.name, args, kwargs)
         if isinstance(value, BuiltinFunction):
-            return self._call_builtin(value.name, args, kwargs)
+            message = _call_shape_error(value.name, len(args), kwargs)
+            if message is not None:
+                self._fault("TypeError", message)
+            return _BUILTINS[value.name][0](self, args, kwargs)
         if isinstance(value, VersatileCallable):
             return self._external_call(path, args, kwargs, context, constructor=value)
         if isinstance(value, VersatileObject):
@@ -923,23 +912,7 @@ class Interpreter:
         key = f"{path}()#{occurrence}"
         return self._inject("call-return", path, key, context)
 
-    _KIND_NAMES = {
-        kind: kind.__name__
-        for kind in (bool, int, float, str, list, dict, set, frozenset, tuple, type(None))
-    }
-
-    def _isinstance_value(self, value: Any, names: list[str]) -> bool:
-        if isinstance(value, VersatileObject):
-            return value.assigned_type in names
-        return self._KIND_NAMES.get(type(value)) in names
-
     # builtins
-
-    def _call_builtin(self, name: str, args: list, kwargs: dict) -> Any:
-        message = _call_shape_error(name, len(args), kwargs)
-        if message is not None:
-            self._fault("TypeError", message)
-        return _BUILTINS[name][0](self, args, kwargs)
 
     def _builtin_isinstance(self, args: list, kwargs: dict) -> bool:
         # Called indirectly, isinstance has lost its syntactic class
@@ -956,7 +929,7 @@ class Interpreter:
         end = "\n" if kwargs.get("end") is None else kwargs["end"]
         if not isinstance(sep, str) or not isinstance(end, str):
             self._fault("TypeError", "sep and end must be None or strings")
-        self.stdout.append(sep.join(map(subject_str, args)) + end)
+        self.printed.append(sep.join(map(subject_str, args)) + end)
 
     def _builtin_len(self, args: list, kwargs: dict) -> int:
         return self._host(len, args[0])
@@ -1028,7 +1001,7 @@ class Interpreter:
         elif isinstance(value, (list, tuple, str, dict, VersatileObject)):
             items = list(value)
         elif isinstance(value, GeneratorValue):
-            items = value.take()
+            items = value.take(self)
         elif isinstance(value, (set, frozenset)):
             items = self._host(sorted_iter, value)
         else:
@@ -1210,10 +1183,10 @@ class _Compiler:
     def function_body(self, node: ast.FunctionDef) -> Callable:
         """What a call of a ``def`` runs, after checking its signature.
 
-        A def whose own body yields runs a closure that returns the
-        generator the body's walk materializes. Any other def whose last
-        top-level statement is ``return e`` runs one closure that runs the
-        statements before it, charges the return's step and gives back
+        A def whose own body yields runs a closure that returns a generator
+        holding the compiled body and the call's scope. Any other def whose
+        last top-level statement is ``return e`` runs one closure that runs
+        the statements before it, charges the return's step and gives back
         ``e``'s value, so its tail return raises nothing; ``e`` is compiled
         once, as the return's own closure would compile it. Any other def
         runs its compiled body, and a ``return`` in it raises ``_Return``."""
@@ -1243,7 +1216,7 @@ class _Compiler:
             body = _sequence(stmts + (_raise_return(line, value),) if tail else stmts)
 
             def generator(rt, env):
-                return GeneratorValue(materializer=lambda: rt._materialize(body, env))
+                return GeneratorValue(body, env)
 
             return generator
         if not tail:
@@ -2063,9 +2036,15 @@ class _Compiler:
             if name == "isinstance" and message is None:
                 value_of = positional[0]
                 names = isinstance_class_names(node.args[1])
+                # A concrete value matches only a kind its exact name names.
+                kinds = {bool, int, float, str, list, dict, set, frozenset, tuple, type(None)}
+                kinds = {kind for kind in kinds if kind.__name__ in names}
 
                 def isinstance_call(rt, env):
-                    return rt._isinstance_value(value_of(rt, env), names)
+                    value = value_of(rt, env)
+                    if isinstance(value, VersatileObject):
+                        return value.assigned_type in names
+                    return type(value) in kinds
 
                 return isinstance_call, None
             handler = _BUILTINS[name][0]
@@ -2263,7 +2242,8 @@ def run_one(
     program: ComparisonProgram,
     entries: dict[str, tuple[Any, Any]],
     iteration_seed: int,
-) -> ExecutionOutcome:
-    """Execute one side of the pair for one iteration; ``entries`` holds the
-    iteration's injected values, shared by its runs (``Interpreter._inject``)."""
+) -> Interpreter:
+    """Execute one side of the pair for one iteration and return the run;
+    ``entries`` holds the iteration's injected values, shared by its runs
+    (``Interpreter._inject``)."""
     return Interpreter(side, program, entries, iteration_seed).run()

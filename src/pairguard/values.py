@@ -259,21 +259,23 @@ class FunctionValue:
 class GeneratorValue:
     """Lazily materialized generator result.
 
-    The underlying producer runs once, on the first walk (up to the
-    engine's item cap), and its items are cached. As with a CPython
-    generator, each item is handed to one walk only, so after a full walk
-    the generator is spent and later walks see no items.
+    A yielding def's call holds the def's compiled statements ``body`` and
+    their scope ``env``, which the run that first walks it runs (up to the
+    engine's item cap); a generator expression's holds its items. As with a
+    CPython generator, each item is handed to one walk only, so after a full
+    walk the generator is spent and later walks see no items.
     """
 
-    def __init__(self, materializer: Optional[Callable[[], list]] = None, items: Optional[list] = None):
-        self._materializer = materializer
+    def __init__(self, body: Any = None, env: Any = None, items: Optional[list] = None):
+        self.body = body
+        self.env = env
         self._cursor = None if items is None else iter(items)
 
-    def take(self) -> Iterator:
+    def take(self, rt: Any) -> Iterator:
         """The one iterator over the items every walk shares, so a walk
-        gets only the items no earlier walk has taken."""
+        gets only the items no earlier walk has taken; ``rt`` walks it."""
         if self._cursor is None:
-            self._cursor = iter(self._materializer())
+            self._cursor = iter(rt._materialize(self.body, self.env))
         return self._cursor
 
     def __repr__(self):

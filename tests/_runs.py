@@ -5,8 +5,8 @@ Fingerprints cover every corpus pair (with its table predictor, where it has
 one) and the ``loops`` benchmark pairs, at one seed. One line per pair: its
 id, how many single-side runs ``analyze`` accounts for, their total steps,
 and a sha256 over each run's (side, steps, sorted covered lines, exception
-type and intentional flag, return value, stdout). The side and steps are
-the wrapped ``Interpreter``'s and the rest its outcome's; each return value
+type and intentional flag, return value, stdout). The side, the steps and
+the outcome are one run's, the ``Interpreter`` that ran; each return value
 is read, and so rendered, only once the analysis has ended, after every
 later run of the pair. An iteration that read nothing from its seed is run
 once and counted for the remaining ones; its two runs are repeated here
@@ -83,19 +83,19 @@ def _record(runs: list) -> None:
     original = engine.Interpreter.run
 
     def run(self):
-        out = original(self)
-        exc = out.exception
+        original(self)
+        exc = self.exception
         runs.append(
             [
                 self.side,
                 self.steps,
-                sorted(out.covered_lines),
+                sorted(self.covered_lines),
                 None if exc is None else [exc.type_name, exc.intentional],
-                out,  # its return value, rendered once the analysis ends
-                out.stdout,
+                self,  # its return value, rendered once the analysis ends
+                self.stdout,
             ]
         )
-        return out
+        return self
 
     return original, run
 

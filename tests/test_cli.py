@@ -1,3 +1,5 @@
+import ast
+import functools
 import gc
 import json
 import os
@@ -228,18 +230,18 @@ class TestBatch:
             write_pair(d, name=f"p{i:02d}", old="def f(a):\n    return a\n",
                        new=f"def f(a):\n    return a + {i % 3}\n")
         chunks = []
-        real_map = cli.concurrent.futures.ProcessPoolExecutor.map
+        real_submit = cli.concurrent.futures.ProcessPoolExecutor.submit
 
-        def spy(pool, fn, *iterables, chunksize=1, **kwargs):
-            chunks.append(chunksize)
-            return real_map(pool, fn, *iterables, chunksize=chunksize, **kwargs)
+        def spy(pool, fn, chunk):
+            chunks.append(len(chunk))
+            return real_submit(pool, fn, chunk)
 
-        monkeypatch.setattr(cli.concurrent.futures.ProcessPoolExecutor, "map", spy)
+        monkeypatch.setattr(cli.concurrent.futures.ProcessPoolExecutor, "submit", spy)
         args = ("analyze", str(d), "--format", "json", "--max-iterations", "5")
         _, serial, _ = run_cli(capsys, *args)
         code, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
         assert code == 0
-        assert chunks == [2]
+        assert chunks == [2] * 35
 
         def strip(text):
             rows = [json.loads(line) for line in text.strip().splitlines()]
@@ -259,7 +261,8 @@ class TestBatch:
         pools = []
 
         class SerialPool:
-            """Records the pool the CLI asks for, and runs its map in this process."""
+            """Records the pool the CLI asks for, and runs each chunk it
+            submits in this process."""
 
             def __init__(self, max_workers, initializer=None):
                 pools.append({"max_workers": max_workers, "initializer": initializer})
@@ -270,9 +273,12 @@ class TestBatch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
-                pools[-1]["chunksize"] = chunksize
-                return map(fn, jobs)
+            def submit(self, fn, chunk):
+                # Every chunk but the last is full.
+                pools[-1].setdefault("chunksize", len(chunk))
+                future = cli.concurrent.futures.Future()
+                future.set_result(fn(chunk))
+                return future
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
         args = ("analyze", str(d), "--format", "json", "--max-iterations", "3")
@@ -295,9 +301,8 @@ class TestBatch:
         monkeypatch.setattr(cli, "_worker", _dying_worker)
         code, out, err = run_cli(capsys, "analyze", str(d), "--format", "json", "--jobs", "2")
         assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ")
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["p0", "p1", "p3"]
+        assert err == "error: p2: pool worker stopped\n"
 
     def test_start_worker_raises_only_the_young_threshold(self):
         old = gc.get_threshold()
@@ -509,10 +514,13 @@ def test_every_trace_target_resolves():
     """Each entry point ``perfbench/tracer.py`` wraps, and the engine's
     ``ast`` module through which it counts ``unparse``, still exists: the
     traced benchmark reports any it cannot find as missing."""
-    tracer = _runs._load_perfbench("tracer").Tracer()
+    tracer = _runs._load_perfbench("tracer")
     modules = {m.__name__: m for m in (cli, driver, engine, predictor)}
-    try:
-        tracer.install(modules)
-    finally:
-        tracer.uninstall()
-    assert tracer.missing == []
+    missing = []
+    for _, module_name, path in tracer.TARGETS:
+        try:
+            functools.reduce(getattr, path.split("."), modules[module_name])
+        except AttributeError:
+            missing.append(f"{module_name}.{path}")
+    assert missing == []
+    assert engine.ast is ast

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from pairguard.comparator import (
 from pairguard.driver import SEMANTICS_CHANGING, EngineConfig, analyze_sources
 from pairguard.engine import (
     ComparisonProgram,
-    ExecutionOutcome,
     derive_seed,
     run_one,
     snapshot_injected,
@@ -28,13 +29,13 @@ def outcome(
     call_log=None,
     exception=None,
 ):
-    """An outcome whose return value is already rendered as ``return_value``."""
-    return ExecutionOutcome(
+    """A stand-in for a run, holding the four things the comparator reads
+    of one; its return value is already rendered as ``return_value``."""
+    return types.SimpleNamespace(
         stdout=stdout,
         call_log=list(call_log or []),
         exception=exception,
-        covered_lines=set(),
-        rendered=return_value,
+        return_value=return_value,
     )
 
 

@@ -297,6 +297,22 @@ def test_runs_without_nested_functions_leave_no_cyclic_garbage(pair_id):
     assert garbage == 0
 
 
+def test_a_generator_that_raises_mid_walk_leaves_no_cyclic_garbage():
+    # The walk of the returned generator raises, so each run keeps the
+    # generator as its result; no subject value refers back to a run, so
+    # reference counting still frees every run.
+    old = "def gen(n):\n    i = 0\n    while True:\n        yield i\n        i = i + 'a'\n"
+    new = old.replace("'a'", "'b'")
+    gc.collect()
+    gc.disable()
+    try:
+        analyze_sources(old, new, cfg=EngineConfig(seed=0, max_iterations=5))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+
+
 def test_analyze_sources_convenience():
     old = "def f(a):\n    return a + 1\n"
     new = "def f(a):\n    return a + 2\n"
@@ -445,7 +461,9 @@ class TestReplay:
         real = driver.run_one
 
         def always_seeded(*args):
-            return dataclasses.replace(real(*args), seeded=True)
+            run = real(*args)
+            run.seeded = True
+            return run
 
         with monkeypatch.context() as m:
             m.setattr(driver, "run_one", always_seeded)

@@ -1562,6 +1562,13 @@ class TestClosedProgramsAgreeWithCPython:
             "def inner():\n        yield 1\n        yield 2\n    def outer():\n"
             "        for v in inner():\n            yield v * 10\n        yield 3\n"
             "    return list(outer())",
+            # Runtime faults: a bare raise with no handled exception, print
+            # with a sep that is not a str, a builtin called through a name
+            # with the wrong shape, and a host fault in unary minus.
+            "raise",
+            "print(1, sep=2)",
+            "g = len\n    return g(1, 2)",
+            "return -'a'",
         ],
     )
     def test_matches_exec(self, body):
@@ -2003,6 +2010,11 @@ def test_an_unseeded_iteration_repeats_in_every_later_one(seed, tmp_path, monkey
         entries = {}
         iteration_seed = derive_seed(seed, "iteration", i)
         seeded = [run_one(side, program, entries, iteration_seed).seeded for side in ("old", "new")]
+        # A run is equal only to itself: compare what it returned, logged
+        # and drew, beside its fingerprint fields.
+        for fields in runs:
+            run = fields[4]
+            fields[4:5] = [run.return_value, run.call_log, run.seeded]
         return any(seeded), list(runs)
 
     unseeded = 0
