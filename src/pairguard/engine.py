@@ -85,27 +85,6 @@ COMPARE_SYMBOLS = {
 _ALLOWED_AUGOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
 _ALLOWED_UNARYOPS = (ast.Not, ast.USub)
 
-# Methods callable natively on concrete built-in receivers. Anything else
-# becomes an interception.
-NATIVE_METHODS = frozenset(
-    {
-        "get",
-        "append",
-        "items",
-        "keys",
-        "values",
-        "strip",
-        "split",
-        "join",
-        "format",
-        "upper",
-        "lower",
-        "startswith",
-        "endswith",
-        "replace",
-    }
-)
-
 _HOST_FAULTS = (
     TypeError,
     ValueError,
@@ -299,7 +278,18 @@ def _join_size(sep: str, args: list, kwargs: dict) -> int:
     return _added_size(size, sep, *items)
 
 
-_STR_RESULT_SIZES = {"replace": _replace_size, "join": _join_size}
+# The methods that run natively, by the receiver's exact type, each with
+# None or the function that charges its str result before the host builds
+# it (``format`` has ``_FormatSizer``); any other call is external.
+_METHODS = {
+    str: {
+        **dict.fromkeys(("strip", "split", "format", "upper", "lower", "startswith", "endswith")),
+        "replace": _replace_size,
+        "join": _join_size,
+    },
+    list: {"append": None},
+    dict: dict.fromkeys(("get", "items", "keys", "values")),
+}
 
 
 class _FormatSizer(string.Formatter):
@@ -827,7 +817,7 @@ class Interpreter:
             value = self._inject("attribute-read", attr, path, context)
             base.attrs[attr] = value
             return value
-        if attr in NATIVE_METHODS and hasattr(base, attr):
+        if attr in _METHODS.get(type(base), ()):
             return BoundMethod(base, attr)
         return self._inject("attribute-read", attr, path, context)
 
@@ -868,15 +858,16 @@ class Interpreter:
         self._fault("TypeError", f"{serialize(value)} is not callable")
 
     def _call_native(self, receiver: Any, name: str, args: list, kwargs: dict) -> Any:
-        if name == "format" and type(receiver) is str:
+        size = _METHODS[type(receiver)][name]
+        if name == "format":
             try:
                 return _FormatSizer(self).vformat(receiver, args, kwargs)
             except _EngineInterrupt:
                 raise
             except Exception:
                 pass  # the host call below raises the subject's own error
-        elif name in _STR_RESULT_SIZES and type(receiver) is str:
-            self._charge(_STR_RESULT_SIZES[name](receiver, args, kwargs))
+        elif size is not None:
+            self._charge(size(receiver, args, kwargs))
             if name == "join" and args and type(args[0]) in (set, frozenset):
                 args = [self._host(sorted_iter, args[0]), *args[1:]]
         result = self._host(getattr(receiver, name), *args, **kwargs)
@@ -2072,7 +2063,7 @@ class _Compiler:
         base = self.expr_p(func.value)
         attr = func.attr
         suffix = f".{attr}"
-        native = attr in NATIVE_METHODS
+        receivers = frozenset(t for t, methods in _METHODS.items() if attr in methods)
         arguments = _arguments(*self.call_args(node))
         context = self.context
 
@@ -2084,7 +2075,7 @@ class _Compiler:
             if isinstance(base_v, _ATTRIBUTED) and attr in base_v.attrs:
                 args, kwargs = arguments(rt, env)
                 value = rt._call_value(base_v.attrs[attr], args, kwargs, callee, context)
-            elif native and hasattr(base_v, attr):
+            elif type(base_v) in receivers:
                 args, kwargs = arguments(rt, env)
                 value = rt._call_native(base_v, attr, args, kwargs)
             else:

@@ -1413,6 +1413,18 @@ class TestNativeMethods:
         assert out.call_log[0] == "xs.flatten()"
         assert "xs.flatten()#1" in entries
 
+    @pytest.mark.parametrize(
+        "body, logged",
+        [
+            ("xs = [1]\n    return xs.upper()", "xs.upper()"),
+            ("s = 'a'\n    return s.append(1)", "s.append(1)"),
+            ("d = {'a': 1}\n    return d.split()", "d.split()"),
+        ],
+    )
+    def test_a_method_native_on_one_type_is_external_on_another(self, body, logged):
+        out, _ = run_side(f"def f():\n    {body}\n")
+        assert out.call_log == [logged]
+
     def test_method_call_on_versatile_is_external(self):
         out, _ = run_side(
             "def f(self):\n    return self.compute(2)\n",
@@ -1585,7 +1597,7 @@ class TestClosedProgramsAgreeWithCPython:
         assert engine_outcome(source) == ("", probed, None)
 
     def test_documented_divergences(self):
-        # README "Supported language": a list method outside NATIVE_METHODS
+        # README "Supported language": a list method outside _METHODS
         # is an external call that leaves the list as it was.
         source = "def f():\n    xs = [3, 1]\n    xs.sort()\n    return xs\n"
         assert cpython_outcome(source) == ("", "[1, 3]", None)
