@@ -237,25 +237,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         workers = min(args.jobs, len(jobs))
         chunksize = max(1, len(jobs) // (workers * 16))
         chunks = [jobs[i : i + chunksize] for i in range(0, len(jobs), chunksize)]
-        futures = []
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker
-        ) as pool:
-            for chunk in chunks:
+        records = [None] * len(chunks)
+        lost = list(range(len(chunks)))
+        while lost:
+            futures = []
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_start_worker
+            ) as pool:
+                for i in lost:
+                    try:
+                        future = pool.submit(_work_chunk, chunks[i])
+                    except concurrent.futures.BrokenExecutor as exc:  # a worker died already
+                        future = concurrent.futures.Future()
+                        future.set_exception(exc)
+                    futures.append((i, future))
+            lost = []
+            for i, future in futures:
                 try:
-                    future = pool.submit(_work_chunk, chunk)
-                except concurrent.futures.BrokenExecutor as exc:  # a worker died already
-                    future = concurrent.futures.Future()
-                    future.set_exception(exc)
-                futures.append(future)
-        finished = []
-        for chunk, future in zip(chunks, futures):
-            try:
-                finished += future.result()
-            except concurrent.futures.BrokenExecutor:
-                # A worker that is killed or runs out of memory takes its
-                # chunk's records with it; each of its pairs runs again alone.
-                finished += map(_alone, chunk)
+                    records[i] = future.result()
+                except concurrent.futures.BrokenExecutor:
+                    lost.append(i)
+            # A worker that is killed or runs out of memory loses every chunk
+            # its pool had not finished. It ran one of the first ``workers`` of
+            # them, as a pool starts chunks in order: their pairs rerun alone.
+            for i in lost[:workers]:
+                records[i] = list(map(_alone, chunks[i]))
+            lost = lost[workers:]
+        finished = [record for chunk in records for record in chunk]
     else:
         finished = [_worker(job) for job in jobs]
 

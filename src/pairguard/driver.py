@@ -45,8 +45,8 @@ class EngineConfig:
             raise ConfigError("max_iterations must be at least 1")
         for name in ("exception_probability", "object_bias"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be within [0, 1]")
+            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{name} must be a number within [0, 1]")
         if self.max_structure_size < 0:
             raise ConfigError("max_structure_size must be nonnegative")
 

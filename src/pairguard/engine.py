@@ -16,6 +16,7 @@ small control-flow differences cannot desynchronize the two runs.
 
 from __future__ import annotations
 
+import _string
 import ast
 import builtins
 import hashlib
@@ -102,6 +103,7 @@ _VIEW_TYPES = (type({}.keys()), type({}.values()), type({}.items()))
 # its stored and injected attributes alike.
 _RECORDS = (ExceptionValue, FunctionValue)
 _ATTRIBUTED = (VersatileObject, *_RECORDS)
+_ENGINE_VALUES = (*_ATTRIBUTED, GeneratorValue, BoundMethod, BuiltinFunction)
 
 # Builtin exception name -> every builtin name an ``except`` clause can catch
 # it by under CPython's hierarchy (ZeroDivisionError is an ArithmeticError).
@@ -303,6 +305,16 @@ class _FormatSizer(string.Formatter):
     def __init__(self, rt: "Interpreter"):
         super().__init__()
         self.rt = rt
+
+    def get_field(self, field_name: str, args: Any, kwargs: Any) -> tuple:
+        # The host's lookup, but an engine value has no subject attributes.
+        first, rest = _string.formatter_field_name_split(field_name)
+        obj = self.get_value(first, args, kwargs)
+        for is_attr, key in rest:
+            if is_attr and isinstance(obj, _ENGINE_VALUES):
+                self.rt._fault("AttributeError", f"object has no attribute {key!r}")
+            obj = getattr(obj, key) if is_attr else obj[key]
+        return obj, first
 
     def convert_field(self, value: Any, conversion: Optional[str]) -> Any:
         render = _CONVERSIONS.get(conversion)
@@ -862,7 +874,7 @@ class Interpreter:
         if name == "format":
             try:
                 return _FormatSizer(self).vformat(receiver, args, kwargs)
-            except _EngineInterrupt:
+            except (_EngineInterrupt, SubjectError):
                 raise
             except Exception:
                 pass  # the host call below raises the subject's own error

@@ -4,7 +4,9 @@ import gc
 import json
 import os
 import pathlib
+import runpy
 import shutil
+import sys
 
 import pytest
 
@@ -304,6 +306,77 @@ class TestBatch:
         assert [json.loads(line)["id"] for line in out.splitlines()] == ["p0", "p1", "p3"]
         assert err == "error: p2: pool worker stopped\n"
 
+    def test_dead_worker_costs_a_few_isolated_pairs(self, tmp_path, capsys, monkeypatch):
+        # Only the first two chunks the broken pool lost run pair by pair in
+        # a pool each; the others share one fresh pool.
+        d = tmp_path / "pairs"
+        d.mkdir()
+        for i in range(40):
+            write_pair(d, name=f"p{i:02d}", id=f"p{i}")
+        pools = []
+
+        class CountingPool(cli.concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli, "_worker", _dying_worker)
+        code, out, err = run_cli(
+            capsys, "analyze", str(d), "--format", "json", "--jobs", "2", "--max-iterations", "3"
+        )
+        assert code == 2
+        assert [json.loads(line)["id"] for line in out.splitlines()] == [
+            f"p{i}" for i in range(40) if i != 2
+        ]
+        assert err == "error: p2: pool worker stopped\n"
+        assert len(pools) <= 7
+        assert all(pool["initializer"] is cli._start_worker for pool in pools)
+
+    def test_pool_broken_at_submit_reruns_its_chunks(self, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        for i in range(4):
+            write_pair(d, name=f"p{i}", new=f"def f(a):\n    return a + {i % 3}\n")
+        pools = []
+
+        class BrokenFirstPool:
+            """Refuses every chunk in the first pool, as a pool whose worker
+            died before the chunk was submitted does; later pools run each
+            chunk in this process."""
+
+            def __init__(self, max_workers, initializer=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, chunk):
+                if len(pools) == 1:
+                    raise cli.concurrent.futures.BrokenExecutor("worker died")
+                future = cli.concurrent.futures.Future()
+                future.set_result(fn(chunk))
+                return future
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", BrokenFirstPool)
+        args = ("analyze", str(d), "--format", "json", "--max-iterations", "3")
+        _, serial, _ = run_cli(capsys, *args)
+        code, parallel, err = run_cli(capsys, *args, "--jobs", "2")
+        assert (code, err) == (0, "")
+        # The first pool, one each for p0 and p1 alone, one for p2 and p3.
+        assert pools == [2, 1, 1, 2]
+
+        def strip(text):
+            rows = [json.loads(line) for line in text.strip().splitlines()]
+            for r in rows:
+                r.pop("wall_time_ms")
+            return rows
+
+        assert strip(parallel) == strip(serial)
+
     def test_start_worker_raises_only_the_young_threshold(self):
         old = gc.get_threshold()
         try:
@@ -409,6 +482,16 @@ class TestBatch:
         assert "no .json" in err
 
 
+# The package imports its cli module, so runpy finds it imported already.
+@pytest.mark.filterwarnings("ignore:'pairguard.cli' found in sys.modules")
+def test_module_runs_as_a_script(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pairguard", "analyze", str(write_pair(tmp_path))])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("pairguard.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("pair: semantics-changing")
+
+
 class TestPairValidation:
     def test_missing_field(self, tmp_path, capsys):
         p = tmp_path / "pair.json"
@@ -434,6 +517,34 @@ class TestPairValidation:
         code, _, err = run_cli(capsys, "analyze", str(p))
         assert code == 2
         assert "phantom" in err
+
+    def test_unreadable_pair_file(self, tmp_path, capsys):
+        # A directory whose name ends in .json is listed as a pair file.
+        (tmp_path / "bad.json").mkdir()
+        write_pair(tmp_path, name="good")
+        code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--format", "json")
+        assert code == 2
+        assert err.startswith(f"error: cannot read {tmp_path / 'bad.json'}: ")
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["good"]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"renames": {"a": 1}}, "'renames' must map strings to strings"),
+            ({"entry": 5}, "'entry' must be a string"),
+        ],
+    )
+    def test_mistyped_optional_field(self, tmp_path, capsys, fields, message):
+        code, _, err = run_cli(capsys, "analyze", str(write_pair(tmp_path, **fields)))
+        assert code == 2
+        assert message in err
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        p = tmp_path / "pair.json"
+        p.write_text("[]")
+        code, _, err = run_cli(capsys, "analyze", str(p))
+        assert code == 2
+        assert "top level must be an object" in err
 
     def test_missing_path(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/no/such/pairs.json")

@@ -71,6 +71,11 @@ class TestEngineConfig:
             {"seed": 1.0},
             {"seed": "1"},
             {"seed": None},
+            # Not numbers: each would fail the range comparison, and a bool
+            # is rejected as the int knobs reject it.
+            {"object_bias": "0.5"},
+            {"exception_probability": None},
+            {"object_bias": True},
         ],
     )
     def test_validate_rejects(self, kw):

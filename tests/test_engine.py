@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import dataclasses
@@ -739,6 +740,14 @@ class TestInjectionContext:
         source = f"def f(x):\n    {header}\n        return 1\n    return 2\n"
         assert ("variable-read", "x", context) in self.asked(source)
 
+    def test_a_statement_too_deep_to_unparse_asks_with_no_context(self):
+        # The compiler takes a sum of 400 terms (it rejects one of about
+        # 500), but ``ast.unparse`` runs out of recursion on about 330.
+        source = "def f(a):\n    return " + " + ".join(["a"] * 400) + "\n"
+        with pytest.raises(RecursionError):
+            ast.unparse(ast.parse(source))
+        assert list(self.asked(source)) == [("variable-read", "a", "")]
+
     def test_a_lambda_body_asks_with_its_defining_statement(self):
         source = "def f(x):\n    h = lambda: x.attr\n    return h()\n"
         queries = self.asked(source)
@@ -975,6 +984,15 @@ class TestControlFlow:
     def test_runaway_recursion_is_unintended(self):
         out, _ = run_side("def f(n):\n    return f(n)\n")
         assert out.exception.type_name == "RecursionError"
+        assert out.exception.args == ["maximum call depth exceeded"]
+        assert out.exception.intentional is False
+
+    def test_host_recursion_limit_before_the_call_depth_cap_is_unintended(self):
+        # Each call nests four additions, so the host's own recursion limit
+        # ends the run before the engine's call depth cap does.
+        out, _ = run_side("def f(n):\n    return 1 + (1 + (1 + (1 + f(n))))\n")
+        assert out.exception.type_name == "RecursionError"
+        assert out.exception.args == []
         assert out.exception.intentional is False
 
     @pytest.mark.parametrize(
@@ -1539,6 +1557,14 @@ class TestClosedProgramsAgreeWithCPython:
             "return 'a'.replace(1, 'b')",
             "return 'ab'.replace('a', 'b', 'x')",
             "return ','.join([1, 2])",
+            "return 'abc'.replace('a')",
+            "return ','.join(5)",
+            # A str.format field reads a host value's attributes and items,
+            # and no engine field of a subject function.
+            "return '{0.real} {1[1]} {2[a]}'.format(5, [1, 2], {'a': 3})",
+            "def g():\n        return 1\n    return '{0.name} {0.params} {0.env}'.format(g)",
+            # A return that is not its function's last statement.
+            "def g(x):\n        if x:\n            return 1\n        x = 2\n    return g(1), g(0)",
             # Scopes: a read goes outward to the binding current when it
             # runs, a store binds in the current scope, and a comprehension
             # variable stays in the comprehension.
@@ -1786,6 +1812,20 @@ class TestSubjectAttributeStores:
         assert not out.exception.intentional
         v = analyze_sources(source, source, cfg=EngineConfig(max_iterations=5))
         assert v.abstained_iterations == v.iterations_run == 5
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def f(obj):\n    return '{0.seed}'.format(obj)\n",
+            "def f(obj):\n    return '{0.attrs}'.format(obj)\n",
+            "def f():\n    def g():\n        return 1\n"
+            "    return '{0.name} {0.params} {0.env}'.format(g)\n",
+        ],
+    )
+    def test_a_format_field_reads_no_engine_field(self, source):
+        out, _ = run_side(source, predictor=pin(obj=AbstractValue.OBJECT))
+        assert out.exception.type_name == "AttributeError"
+        assert not out.exception.intentional
 
     def test_intentional_is_a_subject_attribute(self):
         source = self.RERAISE.format(store="e.intentional = False")

@@ -153,6 +153,24 @@ def test_rejection_message_and_position(expr, message, offset):
     assert (info.value.msg, info.value.lineno, info.value.offset) == (message, 2, offset)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("return lambda y=1: y", "lambda supports only plain positional parameters"),
+        ("return f'{x!a}'", "only {expr}, {expr!r} and {expr!s} are supported"),
+        ("return [v async for v in x]", "asynchronous comprehensions are not supported"),
+        (
+            "try:\n        pass\n    except E():\n        pass",
+            "except type must be a name or tuple of names",
+        ),
+    ],
+)
+def test_compiler_rejection_message(body, message):
+    with pytest.raises(SyntaxError) as info:
+        parse_function(f"def f(x):\n    {body}\n")
+    assert info.value.msg == message
+
+
 def test_parse_result_fields():
     fn = parse_function("def add(a, b):\n    # sum\n    return a + b\n")
     assert fn.name == "add"
@@ -515,6 +533,15 @@ class TestStaticFacts:
         )
         f = self.facts(old, new)
         assert f.call_exception_map["load"] == frozenset({"ValueError", "KeyError"})
+
+    def test_a_call_of_a_calls_result_has_no_static_callee(self):
+        # Neither ``(lambda: g)()`` nor the call of its result has a dotted
+        # path to record.
+        source = (
+            "def f(g):\n    try:\n        return (lambda: g)()()\n"
+            "    except ValueError:\n        return None\n"
+        )
+        assert self.facts(source).call_exception_map == {}
 
     def test_uncaught_calls_absent_from_map(self):
         f = self.facts("def f(t):\n    return load(t)\n")

@@ -60,6 +60,16 @@ class TestDistribution:
         with pytest.raises(ValueError, match="non-finite"):
             Distribution({AbstractValue.OBJECT: bad, AbstractValue.LIST: 1.0})
 
+    def test_rejects_a_kind_that_is_not_an_abstract_value(self):
+        with pytest.raises(ValueError, match="not an abstract kind"):
+            Distribution({"List": 1.0})
+
+    def test_equality_and_repr(self):
+        d = Distribution({AbstractValue.LIST: 0.25, AbstractValue.STRING: 0.75})
+        assert d == Distribution({AbstractValue.STRING: 0.75, AbstractValue.LIST: 0.25})
+        assert d != 5 and d != d.weights
+        assert repr(d) == "Distribution({String: 0.75, List: 0.25})"
+
     def test_argmax(self):
         d = Distribution({AbstractValue.STRING: 0.7, AbstractValue.LIST: 0.3})
         assert top(d) == AbstractValue.STRING
@@ -289,6 +299,10 @@ class TestLookup:
 
     def test_the_base_predictor_has_no_context_free_answer(self):
         assert Predictor().lookup("variable-read", "xs") is None
+
+    def test_the_base_predictor_has_no_full_answer(self):
+        with pytest.raises(NotImplementedError):
+            Predictor().predict(q("xs"))
 
     def test_the_heuristic_reads_the_context(self):
         # ``x`` is an integer next to ``*`` and the mixed default alone.

@@ -288,6 +288,14 @@ class TestSerialize:
     def test_range(self):
         assert serialize(range(0, 3)) == "range(0, 3)"
 
+    @pytest.mark.parametrize(
+        "value",
+        [VersatileObject(7), VersatileObject(7, "Request"), ExceptionValue("KeyError", ["k"])],
+    )
+    def test_host_rendering_of_an_engine_value_is_its_serialized_form(self, value):
+        # No address, which would differ between processes.
+        assert repr(value) == str(value) == serialize(value)
+
     def test_int_past_decimal_digit_limit_is_exact_hex(self):
         limit = sys.get_int_max_str_digits()
         big = 10**5000
