@@ -258,8 +258,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 except concurrent.futures.BrokenExecutor:
                     lost.append(i)
             # A worker that is killed or runs out of memory loses every chunk
-            # its pool had not finished. It ran one of the first ``workers`` of
-            # them, as a pool starts chunks in order: their pairs rerun alone.
+            # its pool had not finished. As a pool starts chunks in order, it
+            # usually ran one of the first ``workers`` of them, whose pairs
+            # rerun alone; otherwise the next round isolates it.
             for i in lost[:workers]:
                 records[i] = list(map(_alone, chunks[i]))
             lost = lost[workers:]

@@ -1,6 +1,6 @@
 """List the lines of ``src/pairguard/`` that no tier-1 test reaches.
 
-Usage: python tests/_linecov.py [pytest args...]
+Usage: python tests/_linecov.py
 
 Runs the tier-1 suite in this process (with ``--hypothesis-seed=0``, so the
 generated cases are the same on every run) under ``sys.settrace``, started
@@ -103,14 +103,16 @@ def unreached() -> list[str]:
     return found
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(SRC.parent))
     sys.settrace(_trace_call)
     import pytest
 
-    args = argv or ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-    code = pytest.main([*args, "--hypothesis-seed=0"], plugins=[_Rearm()])
+    code = pytest.main(
+        ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--hypothesis-seed=0"],
+        plugins=[_Rearm()],
+    )
     sys.settrace(None)
     if code != 0:
         print(f"the suite failed (pytest exit code {code})", file=sys.stderr)
@@ -123,4 +125,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
